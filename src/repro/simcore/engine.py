@@ -135,7 +135,11 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL, 0.0)
+        env = self.env
+        seq = next(env._seq)
+        heappush(env._queue, (env._now, NORMAL, seq, self))
+        if env._observed:
+            env._note_schedule(seq, 0.0)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -151,7 +155,11 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, NORMAL, 0.0)
+        env = self.env
+        seq = next(env._seq)
+        heappush(env._queue, (env._now, NORMAL, seq, self))
+        if env._observed:
+            env._note_schedule(seq, 0.0)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -187,11 +195,18 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"Negative delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Built and scheduled in place: the hottest constructor in every
+        # model (see "Scheduling sites" in docs/INTERNALS.md §1).
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        seq = next(env._seq)
+        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
+        if env._observed:
+            env._note_schedule(seq, delay)
 
 
 class Initialize(Event):
@@ -200,11 +215,15 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._ok = True
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
-        env._schedule(self, URGENT, 0.0)
+        self._ok = True
+        self._defused = False
+        seq = next(env._seq)
+        heappush(env._queue, (env._now, URGENT, seq, self))
+        if env._observed:
+            env._note_schedule(seq, 0.0)
 
 
 class Process(Event):
@@ -216,7 +235,11 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         # The event this process is currently waiting on (None while active).
@@ -257,20 +280,23 @@ class Process(Event):
         """Advance the generator with the triggering event's outcome."""
         env = self.env
         env._active_proc = self
-        # Detach from the event we were waiting on (relevant for interrupts:
-        # the original target stays scheduled but must no longer resume us).
-        if self._target is not None and self._target is not event:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except (ValueError, AttributeError):
-                pass
-            # Waiting-list events (store gets/puts, container ops) must
-            # also leave their wait queue, or they become phantom
-            # consumers that swallow items nobody receives.
-            withdraw = getattr(self._target, "_withdraw", None)
-            if withdraw is not None:
-                withdraw()
-        self._target = None
+        target = self._target
+        if target is not None:
+            # Detach from the event we were waiting on (relevant for
+            # interrupts: the original target stays scheduled but must no
+            # longer resume us).
+            if target is not event:
+                try:
+                    target.callbacks.remove(self._resume)
+                except (ValueError, AttributeError):
+                    pass
+                # Waiting-list events (store gets/puts, container ops) must
+                # also leave their wait queue, or they become phantom
+                # consumers that swallow items nobody receives.
+                withdraw = getattr(target, "_withdraw", None)
+                if withdraw is not None:
+                    withdraw()
+            self._target = None
 
         while True:
             try:
@@ -302,9 +328,12 @@ class Process(Event):
                 outcome, ok = err, False
                 break
 
-            if next_evt.callbacks is not None:
-                # Event still pending or triggered-but-unprocessed: wait on it.
-                next_evt.callbacks.append(self._resume)
+            callbacks = next_evt.callbacks
+            if callbacks is not None:
+                # Event still pending or triggered-but-unprocessed: wait on
+                # it.  The bound method is built per wait on purpose: caching
+                # it on the process is a reference cycle per process.
+                callbacks.append(self._resume)
                 self._target = next_evt
                 env._active_proc = None
                 return
@@ -317,7 +346,10 @@ class Process(Event):
         if not ok and isinstance(outcome, BaseException):
             # If nobody is waiting on this process the error must surface.
             self._defused = bool(self.callbacks)
-        env._schedule(self, URGENT, 0.0)
+        seq = next(env._seq)
+        heappush(env._queue, (env._now, URGENT, seq, self))
+        if env._observed:
+            env._note_schedule(seq, 0.0)
         env._active_proc = None
 
 
@@ -536,16 +568,22 @@ class Environment:
 
     # -- scheduling / stepping ----------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
+        """Push ``event`` at ``now + delay``.  The hot constructors and
+        :meth:`Event.succeed`/:meth:`Event.fail` do the same inline."""
         seq = next(self._seq)
         heappush(self._queue, (self._now + delay, priority, seq, event))
         if self._observed:
-            if self._sanitizer is not None:
-                # Same-timestamp causality: a zero-delay child's order
-                # after its scheduler is program-defined, not
-                # insertion-accidental.
-                self._sanitizer.note_schedule(seq, delay)
-            if self._profiler is not None:
-                self._profiler.note_schedule(seq, delay)
+            self._note_schedule(seq, delay)
+
+    def _note_schedule(self, seq: int, delay: float) -> None:
+        """Tell the observers about a scheduled event; every scheduling
+        site calls this while ``_observed`` is set."""
+        if self._sanitizer is not None:
+            # Same-timestamp causality: a zero-delay child's order after
+            # its scheduler is program-defined, not insertion-accidental.
+            self._sanitizer.note_schedule(seq, delay)
+        if self._profiler is not None:
+            self._profiler.note_schedule(seq, delay)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue empty."""

@@ -18,12 +18,12 @@ Requests are events; the idiomatic usage mirrors SimPy::
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any
 
-from .engine import Environment, Event, SimulationError
+from .engine import _PENDING, NORMAL, Environment, Event, SimulationError
 
 __all__ = ["Resource", "PriorityResource", "Preempted", "Container"]
 
@@ -34,14 +34,18 @@ class _BaseRequest(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
 
     def __enter__(self) -> "_BaseRequest":
         return self
 
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.cancel()
+        self.resource._cancel(self)
 
     def cancel(self) -> None:
         """Release if held, or withdraw from the wait queue."""
@@ -97,8 +101,15 @@ class Resource:
     def request(self) -> Request:
         req = Request(self)
         if len(self.users) < self._capacity:
+            # Granted on the spot: trigger and schedule in place, as
+            # Event.succeed would.
             self.users.append(req)
-            req.succeed()
+            req._value = None
+            env = self.env
+            seq = next(env._seq)
+            heappush(env._queue, (env._now, NORMAL, seq, req))
+            if env._observed:
+                env._note_schedule(seq, 0.0)
         else:
             self.queue.append(req)
         return req
@@ -114,7 +125,8 @@ class Resource:
     def _cancel(self, request: Request) -> None:
         if request in self.users:  # perf: waive PERF105 -- users is capacity-bounded (typically 1-8 holders)
             self.users.remove(request)
-            self._grant_next()
+            if self.queue:
+                self._grant_next()
         else:
             try:
                 self.queue.remove(request)
@@ -154,23 +166,24 @@ class PriorityResource(Resource):
             self.users.append(req)
             req.succeed()
         else:
-            heapq.heappush(self.queue, req)
+            heappush(self.queue, req)
         return req
 
     def _cancel(self, request: _PriorityRequest) -> None:  # type: ignore[override]
         if request in self.users:  # perf: waive PERF105 -- users is capacity-bounded (typically 1-8 holders)
             self.users.remove(request)
-            self._grant_next()
+            if self.queue:
+                self._grant_next()
         else:
             try:
                 self.queue.remove(request)
-                heapq.heapify(self.queue)
+                heapify(self.queue)
             except ValueError:
                 pass
 
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self._capacity:
-            nxt = heapq.heappop(self.queue)
+            nxt = heappop(self.queue)
             self.users.append(nxt)
             nxt.succeed()
 

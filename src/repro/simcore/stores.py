@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .engine import Environment, Event, SimulationError
+from .engine import _PENDING, Environment, Event, SimulationError
 
 __all__ = ["Store", "PriorityStore", "FilterStore", "StoreFull"]
 
@@ -25,35 +25,41 @@ class StoreFull(Exception):
 class _StorePut(Event):
     __slots__ = ("item", "_store")
 
-    def __init__(self, env: Environment, item: Any):
-        super().__init__(env)
+    def __init__(self, store: "Store", item: Any):
+        self.env = store.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self.item = item
-        self._store: "Store | None" = None
+        self._store = store
 
     def _withdraw(self) -> None:
         """Leave the wait queue (the waiting process was interrupted)."""
-        if self._store is not None:
-            try:
-                self._store._puts.remove(self)
-            except ValueError:
-                pass
+        try:
+            self._store._puts.remove(self)
+        except ValueError:
+            pass
 
 
 class _StoreGet(Event):
     __slots__ = ("_store",)
 
-    def __init__(self, env: Environment):
-        super().__init__(env)
-        self._store: "Store | None" = None
+    def __init__(self, store: "Store"):
+        self.env = store.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._store = store
 
     def _withdraw(self) -> None:
         """Leave the wait queue — an interrupted getter must not become
         a phantom consumer that swallows the next item."""
-        if self._store is not None:
-            try:
-                self._store._gets.remove(self)
-            except ValueError:
-                pass
+        try:
+            self._store._gets.remove(self)
+        except ValueError:
+            pass
 
 
 class Store:
@@ -79,8 +85,7 @@ class Store:
 
     def put(self, item: Any) -> _StorePut:
         """Insert ``item``; the returned event triggers once stored."""
-        evt = _StorePut(self.env, item)
-        evt._store = self
+        evt = _StorePut(self, item)
         self._puts.append(evt)
         self._settle()
         return evt
@@ -94,8 +99,7 @@ class Store:
 
     def get(self) -> _StoreGet:
         """Remove and return the oldest item (event-valued)."""
-        evt = _StoreGet(self.env)
-        evt._store = self
+        evt = _StoreGet(self)
         self._gets.append(evt)
         self._settle()
         return evt
@@ -151,8 +155,8 @@ class PriorityStore(Store):
 class _FilterStoreGet(_StoreGet):
     __slots__ = ("filter",)
 
-    def __init__(self, env: Environment, filt: Callable[[Any], bool]):
-        super().__init__(env)
+    def __init__(self, store: "Store", filt: Callable[[Any], bool]):
+        super().__init__(store)
         self.filter = filt
 
 
@@ -170,8 +174,7 @@ class FilterStore(Store):
     """
 
     def get(self, filt: Optional[Callable[[Any], bool]] = None) -> _FilterStoreGet:  # type: ignore[override]
-        evt = _FilterStoreGet(self.env, filt or _accept_any)
-        evt._store = self
+        evt = _FilterStoreGet(self, filt or _accept_any)
         self._gets.append(evt)
         self._settle()
         return evt

@@ -6,9 +6,13 @@ from repro.simcore import (
     AllOf,
     AnyOf,
     Environment,
+    EventTrace,
     Interrupt,
+    Resource,
+    SimProfiler,
     SimulationError,
     StopProcess,
+    Store,
 )
 
 
@@ -415,3 +419,197 @@ def test_cross_environment_event_rejected():
     env1.process(proc())
     with pytest.raises(SimulationError):
         env1.run()
+
+
+# ---------------------------------------------------------------------------
+# Bare runs match observed runs.  Every observed run goes through step()
+# and the scheduling sites' observer branch, so the fingerprint oracle
+# never sees the bare path; these tests compare the two directly.
+# ---------------------------------------------------------------------------
+
+
+def _model(env):
+    """A small model that reaches every scheduling site: timeouts,
+    process start and exit, granted and queued resource requests, store
+    puts and gets, conditions, an interrupt, a handled failure and a
+    manually triggered event.  Returns the list it logs into."""
+    out = []
+    res = Resource(env, capacity=2)
+    store = Store(env, capacity=2)
+    n_workers, n_items = 5, 3
+
+    def worker(i):
+        for k in range(n_items):
+            with res.request() as req:
+                yield req
+                yield env.timeout(0.5 + (i % 3) * 0.25)
+            yield store.put((i, k))
+        out.append(("worker", i, env.now))
+
+    def consumer():
+        got = 0
+        while got < n_workers * n_items:
+            get = store.get()
+            fired = yield get | env.timeout(0.4)
+            if get in fired:
+                got += 1
+                out.append(("item", fired[get], env.now))
+            else:
+                out.append(("idle", env.now))
+
+    def sleeper():
+        try:
+            yield env.timeout(100)
+        except Interrupt as intr:
+            out.append(("interrupted", intr.cause, env.now))
+
+    def failing():
+        yield env.timeout(0.3)
+        raise ValueError("handled")
+
+    def signaller(evt):
+        yield env.timeout(0.7)
+        evt.succeed("signal")
+
+    def parent(victim):
+        yield env.timeout(1.0)
+        victim.interrupt("wake")
+        try:
+            yield env.process(failing())
+        except ValueError as err:
+            out.append(("caught", str(err), env.now))
+        evt = env.event()
+        env.process(signaller(evt))
+        out.append(("signalled", (yield evt), env.now))
+        return "parent done"
+
+    for i in range(n_workers):
+        env.process(worker(i), name=f"worker{i}")
+    env.process(consumer())
+    main = env.process(parent(env.process(sleeper())))
+    return out, main
+
+
+def _run_model(observer, until):
+    env = Environment()
+    if observer == "trace":
+        env.attach_trace(EventTrace())
+    elif observer == "profiler":
+        env.attach_profiler(SimProfiler())
+    out, main = _model(env)
+    if until == "drain":
+        result = env.run()
+    elif until == "time":
+        result = env.run(until=1000.0)
+    else:
+        result = env.run(until=main)
+    return env.now, next(env._seq), out, result
+
+
+@pytest.mark.parametrize("until", ["drain", "time", "event"])
+@pytest.mark.parametrize("observer", ["trace", "profiler"])
+def test_bare_run_matches_observed_run(observer, until):
+    bare = _run_model(None, until)
+    assert bare == _run_model(observer, until)
+    _, scheduled, out, _ = bare
+    assert scheduled > 50 and len(out) >= 10
+
+
+def test_every_scheduling_site_notes_the_observers():
+    env = Environment()
+    profiler = SimProfiler()
+    env.attach_profiler(profiler)
+    _model(env)
+    env.run()
+    # one note per scheduled event: no inlined site skips the hook
+    assert profiler.total_scheduled == next(env._seq)
+
+
+@pytest.mark.parametrize("kind", ["process", "event"])
+@pytest.mark.parametrize("until", ["drain", "time", "event"])
+@pytest.mark.parametrize("traced", [False, True])
+def test_unhandled_failure_raises_from_every_run_mode(traced, until, kind):
+    env = Environment()
+    if traced:
+        env.attach_trace(EventTrace())
+
+    def bad():
+        yield env.timeout(1)
+        if kind == "process":
+            raise RuntimeError("unhandled")
+        env.event().fail(RuntimeError("unhandled"))
+
+    env.process(bad())
+    stop = env.timeout(5)
+    with pytest.raises(RuntimeError, match="unhandled"):
+        if until == "drain":
+            env.run()
+        elif until == "time":
+            env.run(until=5)
+        else:
+            env.run(until=stop)
+    assert env.now == 1.0
+
+
+def _attach_run(attach):
+    """Run a model with a process that, at t=2.5, either attaches
+    ``attach`` or (with ``attach=None``) notes the count of the trace
+    attached from the start.  Returns (trace, mark)."""
+    env = Environment()
+    full = EventTrace(keep_all=True)
+    if attach is None:
+        env.attach_trace(full)
+    mark = []
+
+    def attacher():
+        yield env.timeout(2.5)
+        if attach is None:
+            mark.append(full.count)
+        else:
+            env.attach_trace(attach)
+
+    env.process(attacher())
+    _model(env)
+    env.run()
+    return full, mark
+
+
+def test_trace_attached_mid_run_sees_exactly_the_later_events():
+    full, (mark,) = _attach_run(None)
+    late = EventTrace(keep_all=True)
+    _attach_run(late)
+    assert 0 < late.count == full.count - mark
+    assert [r[1:] for r in late.records] == [r[1:] for r in full.records[mark:]]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_kernel_checks_hold_bare_and_traced(traced):
+    def new_env():
+        env = Environment()
+        if traced:
+            env.attach_trace(EventTrace())
+        return env
+
+    with pytest.raises(SimulationError, match="Negative delay"):
+        new_env().timeout(-1)
+    with pytest.raises(SimulationError, match="not a generator"):
+        new_env().process(42)
+
+    env = new_env()
+
+    def yields_non_event():
+        yield 42
+
+    env.process(yields_non_event())
+    with pytest.raises(SimulationError, match="non-event"):
+        env.run()
+
+    env = new_env()
+    foreign = Environment().timeout(1)
+
+    def yields_foreign():
+        yield foreign
+
+    env.process(yields_foreign())
+    with pytest.raises(SimulationError, match="different Environment"):
+        env.run()
