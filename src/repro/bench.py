@@ -79,39 +79,20 @@ def _resilience(trace: EventTrace | None) -> None:
 
 
 def _tenancy(trace: EventTrace | None) -> None:
-    from .experiments.tenancy import tenancy_isolation
+    from .experiments.tenancy import SMOKE, tenancy_isolation
 
     # smoke-scale hot-storm isolation run (all three cache modes); the
     # shrunken cache_fraction keeps the smoke in the same thrash regime
     # the full-scale scenario exercises
-    tenancy_isolation(
-        n_nodes=3,
-        victim_files=12,
-        aggressor_files=120,
-        file_size=100_000,
-        storm_passes=2,
-        windows=8,
-        n_jobs=6,
-        cache_fraction=0.2,
-        seed=0,
-        trace=trace,
-    )
+    tenancy_isolation(**SMOKE, trace=trace)
 
 
 def _prefetch(trace: EventTrace | None) -> None:
-    from .experiments.prefetch import prefetch_comparison
+    from .experiments.prefetch import SMOKE, prefetch_comparison
 
     # smoke-scale clairvoyant run (all three modes, crash leg on): the
     # same contention regime the full scenario exercises, CI-sized
-    prefetch_comparison(
-        n_nodes=3,
-        n_files=96,
-        file_size=75_000,
-        epochs=3,
-        windows=8,
-        seed=0,
-        trace=trace,
-    )
+    prefetch_comparison(**SMOKE, trace=trace)
 
 
 def _fuzz_single(trace: EventTrace | None) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Sequence
 
 from .analysis import format_kv, format_series
@@ -24,16 +25,16 @@ from .experiments import (
     load_balance,
     mdtest_scaling,
     mdtest_scaling_analytic,
-    membership_comparison,
+    membership,
     node_scaling,
     node_scaling_analytic,
     normalized_to_gpfs,
     overhead_vs_xfs,
-    prefetch_comparison,
+    prefetch,
     resilience_sweep,
     run_training,
-    slo_scenario,
-    tenancy_isolation,
+    slo_exp,
+    tenancy,
 )
 
 __all__ = ["main"]
@@ -274,115 +275,58 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_slo(args: argparse.Namespace) -> int:
+def _smoke_cap(value, cap):
+    """``--smoke``'s value for one experiment argument: the cap itself
+    where the command has no flag for it, a list cut to ``len(cap)``
+    entries, else the smaller of value and cap."""
+    if value is None:
+        return cap
+    if isinstance(value, list):
+        return value[:len(cap)]
+    return min(value, cap)
+
+
+def _run_comparison(experiment, smoke: dict, gated: bool, args) -> int:
+    """The mode-comparison commands: run ``experiment`` with every
+    command flag as a keyword argument (capped by ``smoke`` under
+    ``--smoke``), print the report and write the artifacts.  Exits 2 on
+    invalid input, and 1 when ``gated`` and ``dominates()`` fails."""
+    kwargs = {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "func", "smoke", "output_dir")
+    }
     if args.smoke:
-        args.nodes = min(args.nodes, 3)
-        args.files = min(args.files, 12)
-        args.windows = min(args.windows, 8)
-    result = slo_scenario(
-        n_nodes=args.nodes,
-        n_files=args.files,
-        fault_time=args.fault_time,
-        fault_node=args.fault_node,
-        windows=args.windows,
-        seed=args.seed,
-    )
+        for key, cap in smoke.items():
+            kwargs[key] = _smoke_cap(kwargs.get(key), cap)
+    try:
+        result = experiment(**kwargs)
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     print(result.render())
     if args.output_dir:
         paths = result.write_artifacts(args.output_dir)
         print()
         for name, path in paths.items():
             print(f"wrote {name}: {path}")
-    return 0
+    return 1 if gated and not result.dominates() else 0
 
 
-def cmd_membership(args: argparse.Namespace) -> int:
-    if args.smoke:
-        args.nodes = min(args.nodes, 4)
-        args.files = min(args.files, 12)
-        args.windows = min(args.windows, 8)
-        args.repair_bandwidths = args.repair_bandwidths[:2]
-    result = membership_comparison(
-        n_nodes=args.nodes,
-        n_files=args.files,
-        victims=tuple(args.victims),
-        outage_epochs=args.outage_epochs,
-        windows=args.windows,
-        repair_bandwidths=tuple(args.repair_bandwidths),
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.output_dir:
-        paths = result.write_artifacts(args.output_dir)
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
-    return 0
-
-
-def cmd_tenancy(args: argparse.Namespace) -> int:
-    cache_fraction = None
-    if args.smoke:
-        args.nodes = min(args.nodes, 3)
-        args.victim_files = min(args.victim_files, 12)
-        args.aggressor_files = min(args.aggressor_files, 120)
-        args.file_size = min(args.file_size, 100_000)
-        args.storm_passes = min(args.storm_passes, 2)
-        args.windows = min(args.windows, 8)
-        args.jobs = min(args.jobs, 6)
-        # Shrink the caches so the reduced-scale aggressor still thrashes
-        # (12 MB dataset vs a 6 MB fleet pool).
-        cache_fraction = 0.2
-    result = tenancy_isolation(
-        n_nodes=args.nodes,
-        victim_files=args.victim_files,
-        aggressor_files=args.aggressor_files,
-        file_size=args.file_size,
-        storm_passes=args.storm_passes,
-        windows=args.windows,
-        n_jobs=args.jobs,
-        think=args.think,
-        streams=args.streams,
-        cache_fraction=cache_fraction,
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.output_dir:
-        paths = result.write_artifacts(args.output_dir)
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
-    return 0 if result.dominates() else 1
-
-
-def cmd_prefetch(args: argparse.Namespace) -> int:
-    if args.smoke:
-        args.nodes = min(args.nodes, 3)
-        args.files = min(args.files, 96)
-        args.epochs = min(args.epochs, 3)
-        args.windows = min(args.windows, 8)
-    result = prefetch_comparison(
-        n_nodes=args.nodes,
-        n_files=args.files,
-        file_size=args.file_size,
-        epochs=args.epochs,
-        windows=args.windows,
-        lookahead=args.lookahead,
-        outstanding=args.outstanding,
-        cache_fraction=args.cache_fraction,
-        compression_ratio=args.compression_ratio,
-        decompress_cost_per_byte=args.decompress_cost,
-        decompress_budget=args.decompress_budget,
-        fault=not args.no_fault,
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.output_dir:
-        paths = result.write_artifacts(args.output_dir)
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
-    return 0 if result.dominates() else 1
+def _add_comparison(sub, name: str, experiment, help_text: str,
+                    smoke: dict, gated: bool) -> argparse.ArgumentParser:
+    """A mode-comparison subcommand with the shared flags declared; the
+    caller adds the command's own flags, each with ``dest`` set to the
+    experiment's parameter name."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--windows", type=int, default=12,
+                   help="SLO window count across the measured range")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output-dir", default="",
+                   help="also write the report and its logs here")
+    p.add_argument("--smoke", action="store_true",
+                   help="tiny fast run (CI artifact smoke test)")
+    p.set_defaults(func=partial(_run_comparison, experiment, smoke, gated))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,59 +393,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_resilience)
 
-    p = sub.add_parser(
-        "slo",
-        help="SLO dashboard: span-level telemetry for a crash-at-t "
+    p = _add_comparison(
+        sub, "slo", slo_exp.slo_scenario,
+        "SLO dashboard: span-level telemetry for a crash-at-t "
         "scenario vs its no-fault baseline (+ JSONL span timelines)",
+        smoke=slo_exp.SMOKE,
+        gated=False,
     )
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--files", type=int, default=32,
+    p.add_argument("--nodes", dest="n_nodes", type=int, default=4)
+    p.add_argument("--files", dest="n_files", type=int, default=32,
                    help="files per node per epoch")
     p.add_argument("--fault-time", type=float, default=0.002,
                    help="crash lands this many seconds into the epoch")
     p.add_argument("--fault-node", type=int, default=1)
-    p.add_argument("--windows", type=int, default=12,
-                   help="SLO window count across the measured epoch")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write dashboard.txt + span-timeline JSONL here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
-    p.set_defaults(func=cmd_slo)
 
-    p = sub.add_parser(
-        "membership",
-        help="gossip membership, fault-aware remapping, peer repair: "
+    p = _add_comparison(
+        sub, "membership", membership.membership_comparison,
+        "gossip membership, fault-aware remapping, peer repair: "
         "four failover modes on one crash/recover scenario "
         "+ repair-bandwidth sweep",
+        smoke=membership.SMOKE,
+        gated=False,
     )
-    p.add_argument("--nodes", type=int, default=6)
-    p.add_argument("--files", type=int, default=36,
+    p.add_argument("--nodes", dest="n_nodes", type=int, default=6)
+    p.add_argument("--files", dest="n_files", type=int, default=36,
                    help="files per node per epoch")
     p.add_argument("--victims", type=int, nargs="+", default=[1, 2],
                    help="nodes crashed as a correlated burst (adjacent "
                    "pair = whole replica sets lost)")
     p.add_argument("--outage-epochs", type=int, default=2,
                    help="measured epochs while the victims are down")
-    p.add_argument("--windows", type=int, default=12,
-                   help="SLO window count across the post-crash range")
     p.add_argument("--repair-bandwidths", type=float, nargs="+",
                    default=[1e6, 1e7, 1e8, 0.0],
                    help="repair throttle sweep, bytes/s (0 = unthrottled)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write report.txt + transitions.log here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
-    p.set_defaults(func=cmd_membership)
 
-    p = sub.add_parser(
-        "tenancy",
-        help="multi-tenant fleet: hot-storm isolation under partition-"
+    p = _add_comparison(
+        sub, "tenancy", tenancy.tenancy_isolation,
+        "multi-tenant fleet: hot-storm isolation under partition-"
         "vs-share cache policies + admission-controlled arrival mix "
         "(exit 0 iff weighted-fair dominates shared LRU for the victim)",
+        smoke=tenancy.SMOKE,
+        gated=True,
     )
-    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--nodes", dest="n_nodes", type=int, default=4)
     p.add_argument("--victim-files", type=int, default=40,
                    help="victim tenant dataset size (files)")
     p.add_argument("--aggressor-files", type=int, default=400,
@@ -510,37 +444,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file-size", type=int, default=200_000)
     p.add_argument("--storm-passes", type=int, default=2,
                    help="measured passes both tenants make during the storm")
-    p.add_argument("--windows", type=int, default=12,
-                   help="SLO window count across the storm")
-    p.add_argument("--jobs", type=int, default=8,
+    p.add_argument("--jobs", dest="n_jobs", type=int, default=8,
                    help="arrival-mix jobs for the admission demo")
     p.add_argument("--think", type=float, default=0.08,
                    help="victim service pacing (s); must exceed the shared "
                    "pool's eviction horizon for the storm to bite")
     p.add_argument("--streams", type=int, default=4,
                    help="parallel aggressor sweep streams per node")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write report.txt + windows.log here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
-    p.set_defaults(func=cmd_tenancy)
 
-    p = sub.add_parser(
-        "prefetch",
-        help="clairvoyant prefetch: reactive bulk vs look-ahead staging "
+    p = _add_comparison(
+        sub, "prefetch", prefetch.prefetch_comparison,
+        "clairvoyant prefetch: reactive bulk vs look-ahead staging "
         "vs compressed tier under contention + a mid-run crash (exit 0 "
         "iff clairvoyant dominates reactive on epoch-1 time and steady "
         "p99, and compression cuts PFS bytes within the CPU budget)",
+        smoke=prefetch.SMOKE,
+        gated=True,
     )
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--files", type=int, default=128,
+    p.add_argument("--nodes", dest="n_nodes", type=int, default=4)
+    p.add_argument("--files", dest="n_files", type=int, default=128,
                    help="dataset size (files); sized past the aggregate "
                    "cache so the uncompressed modes thrash")
     p.add_argument("--file-size", type=int, default=75_000)
     p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--windows", type=int, default=12,
-                   help="SLO window count across the steady state")
     p.add_argument("--lookahead", type=int, default=8,
                    help="files staged ahead of each client's cursor")
     p.add_argument("--outstanding", type=int, default=2,
@@ -549,18 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-node NVMe share given to the cache")
     p.add_argument("--compression-ratio", type=float, default=0.45,
                    help="stored/raw byte ratio of the compressed tier")
-    p.add_argument("--decompress-cost", type=float, default=2e-9,
+    p.add_argument("--decompress-cost", dest="decompress_cost_per_byte",
+                   type=float, default=2e-9,
                    help="sim-seconds of decompression per raw byte on hit")
     p.add_argument("--decompress-budget", type=float, default=1.0,
                    help="max total decompression seconds for dominance")
-    p.add_argument("--no-fault", action="store_true",
+    p.add_argument("--no-fault", dest="fault", action="store_false",
                    help="skip the mid-run crash/recover leg")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write report.txt + windows.log here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
-    p.set_defaults(func=cmd_prefetch)
 
     p = sub.add_parser(
         "fuzz",

@@ -34,22 +34,32 @@ artifact CI uploads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
-from ..analysis import count_strip, degradation_dashboard, format_table
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, crash
 from ..obs import SLOReport, SpanRecorder, bucket_times, compute_slo
-from .resilience import _build, _epoch, _fault_spec, _files
+from .comparison import (
+    ModeComparison,
+    build_deployment,
+    dataset_files,
+    drain_repair,
+    fault_spec,
+    run_epoch,
+)
 
 __all__ = [
     "MEMBERSHIP_MODES",
     "MembershipResult",
+    "SMOKE",
     "membership_comparison",
 ]
 
-#: scenario tuning on top of resilience's FAULT_SPEC_OVERRIDES: two-way
+#: the CI-sized run; ``repro membership --smoke`` caps each argument at
+#: this (a list argument at this many entries)
+SMOKE = dict(n_nodes=4, n_files=12, windows=8, repair_bandwidths=(1e6, 1e7))
+
+#: scenario tuning on top of comparison.FAULT_SPEC_OVERRIDES: two-way
 #: replication (so remap has stand-ins to use), fast gossip relative to
 #: the ms-scale epochs, suspected->dead escalation inside one outage
 MEMBERSHIP_SPEC_OVERRIDES = dict(
@@ -105,33 +115,41 @@ class ModeOutcome:
 
 
 @dataclass
-class MembershipResult:
+class MembershipResult(ModeComparison):
     """Four-mode comparison + repair-throttle sweep."""
 
     n_nodes: int
     n_files: int
     victims: list[int]
     outage_epochs: int
-    windows: int
-    outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
     #: (bandwidth, repair_s, bytes_peer, bytes_pfs, epoch_s, slowdown)
     throttle_rows: list[list] = field(default_factory=list)
-    dashboard: str = ""
 
-    def rows(self) -> list[list]:
-        out = []
-        for mode, oc in self.outcomes.items():
-            out.append([
-                mode,
-                oc.detect_latency,
-                oc.dup_probes,
-                f"{oc.degraded_fraction:.1%}",
-                oc.pfs_fallbacks,
-                oc.outage_seconds,
-                oc.recovered_seconds,
-                oc.recovery_penalty,
-            ])
-        return out
+    columns = ("mode", "detect (s)", "probes@down", "degraded", "PFS fb",
+               "outage (s)", "recovered (s)", "penalty")
+    claim = ("full stack strictly dominates detector-only "
+             "(probes, degraded fraction, recovery penalty)")
+    dashboard_title = "post-crash SLO windows (origin = crash instant)"
+    strips = "membership transitions"
+    log_name = "transitions"
+
+    @property
+    def title(self) -> str:
+        return (f"Membership & repair ({self.n_nodes} nodes, "
+                f"{self.n_files} files/epoch/node, "
+                f"crash nodes {self.victims}, "
+                f"{self.outage_epochs} outage epochs)")
+
+    def row(self, oc: ModeOutcome) -> list:
+        return [
+            oc.detect_latency,
+            oc.dup_probes,
+            f"{oc.degraded_fraction:.1%}",
+            oc.pfs_fallbacks,
+            oc.outage_seconds,
+            oc.recovered_seconds,
+            oc.recovery_penalty,
+        ]
 
     def dominates(self) -> bool:
         """The acceptance predicate: full stack strictly beats
@@ -145,61 +163,32 @@ class MembershipResult:
             and full.recovery_penalty < det.recovery_penalty
         )
 
-    def render(self) -> str:
-        blocks = [format_table(
-            ["mode", "detect (s)", "probes@down", "degraded", "PFS fb",
-             "outage (s)", "recovered (s)", "penalty"],
-            self.rows(),
-            title=(f"Membership & repair ({self.n_nodes} nodes, "
-                   f"{self.n_files} files/epoch/node, "
-                   f"crash nodes {self.victims}, "
-                   f"{self.outage_epochs} outage epochs)"),
-            float_fmt="{:.4f}",
+    def extra_tables(self) -> list[tuple[list[str], list[list], str]]:
+        return [(
+            ["repair B/s", "repair (s)", "B from peers", "B from PFS",
+             "epoch during repair (s)", "slowdown vs warm"],
+            self.throttle_rows,
+            "Repair-bandwidth sweep (post-recovery epoch overlapping the "
+            "repair stream)",
         )]
-        verdict = "yes" if self.dominates() else "NO"
-        blocks.append(
-            "full stack strictly dominates detector-only "
-            f"(probes, degraded fraction, recovery penalty): {verdict}"
-        )
-        if self.throttle_rows:
-            blocks.append(format_table(
-                ["repair B/s", "repair (s)", "B from peers", "B from PFS",
-                 "epoch during repair (s)", "slowdown vs warm"],
-                self.throttle_rows,
-                title="Repair-bandwidth sweep (post-recovery epoch "
-                      "overlapping the repair stream)",
-                float_fmt="{:.4f}",
+
+    def strip_rows(self) -> list[tuple[str, list[int]]]:
+        """Membership transitions on each mode's own post-crash grid."""
+        return [
+            (mode, bucket_times(
+                oc.transition_times, oc.slo.window, oc.slo.t0, oc.slo.t1
             ))
-        if self.dashboard:
-            blocks.append(self.dashboard)
-        return "\n\n".join(blocks)
+            for mode, oc in self.outcomes.items()
+        ]
 
-    def transition_log(self) -> str:
-        """The determinism artifact: every membership transition of
-        every view, in (time, owner, server) order."""
-        lines = []
-        for mode, oc in self.outcomes.items():
-            lines.append(f"== {mode} ==")
-            for t, owner, sid, old, new, inc, why in oc.transitions:
-                lines.append(
-                    f"{t:.9f} {owner} s{sid} {old}->{new} inc={inc} {why}"
-                )
-        return "\n".join(lines) + "\n"
+    def log_lines(self, oc: ModeOutcome) -> list[str]:
+        return [
+            f"{t:.9f} {owner} s{sid} {old}->{new} inc={inc} {why}"
+            for t, owner, sid, old, new, inc, why in oc.transitions
+        ]
 
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``report.txt`` + ``transitions.log``; returns
-        ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        report = os.path.join(outdir, "report.txt")
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["report"] = report
-        log = os.path.join(outdir, "transitions.log")
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.write(self.transition_log())
-        paths["transitions"] = log
-        return paths
+    #: every mode's membership transitions, in (time, owner, server) order
+    transition_log = ModeComparison.mode_log
 
 
 def _collect_transitions(dep) -> list[tuple]:
@@ -252,15 +241,6 @@ def _probe_count(dep) -> int:
     return total
 
 
-def _drain_repair(env, dep, max_seconds: float = 5.0) -> None:
-    """Run the sim until every in-flight repair stream finishes."""
-    if dep.repair is None:
-        return
-    deadline = env.now + max_seconds
-    while dep.repair.in_flight > 0 and env.now < deadline:
-        env.run(until=env.now + 1e-3)
-
-
 def _run_mode(
     mode: str,
     spec: ClusterSpec,
@@ -277,12 +257,12 @@ def _run_mode(
     """One full crash -> outage -> recover -> measure cycle."""
     oc = ModeOutcome(mode=mode)
     rec = SpanRecorder()
-    env, dep, _ = _build(spec, n_nodes, seed, spans=rec, trace=trace)
+    env, dep, _ = build_deployment(spec, n_nodes, seed, spans=rec, trace=trace)
     if dep.repair is not None:
         dep.repair.attach_manifest(files)
 
-    _epoch(env, dep, n_nodes, files)  # cold
-    oc.warm_seconds = _epoch(env, dep, n_nodes, files)
+    run_epoch(env, dep, n_nodes, files)  # cold
+    oc.warm_seconds = run_epoch(env, dep, n_nodes, files)
 
     t_crash = env.now
     dep.inject(FaultSchedule([crash(0.0, v) for v in victims]))
@@ -293,7 +273,7 @@ def _run_mode(
 
     outage_total = 0.0
     for _ in range(outage_epochs):
-        outage_total += _epoch(env, dep, n_nodes, files)
+        outage_total += run_epoch(env, dep, n_nodes, files)
     oc.outage_seconds = outage_total / outage_epochs
     n_outage_reads = n_nodes * len(files) * outage_epochs
     oc.degraded_fraction = (
@@ -311,10 +291,10 @@ def _run_mode(
     if settle > 0:
         env.run(until=env.now + settle)
     if drain:
-        _drain_repair(env, dep)
-    oc.recovered_seconds = _epoch(env, dep, n_nodes, files)
+        drain_repair(env, dep)
+    oc.recovered_seconds = run_epoch(env, dep, n_nodes, files)
     if not drain:
-        _drain_repair(env, dep)
+        drain_repair(env, dep)
     oc.dup_probes = _probe_count(dep) - probes0
 
     if dep.repair is not None:
@@ -333,29 +313,6 @@ def _run_mode(
     window = max((t_end - t_crash) / windows, 1e-9)
     oc.slo = compute_slo(rec, window, origin=t_crash, horizon=t_end)
     return oc
-
-
-def _strip_dashboard(result: MembershipResult) -> str:
-    """Degradation strips + membership-transition strips, per mode, on
-    each mode's own post-crash window grid."""
-    reports = {
-        mode: oc.slo for mode, oc in result.outcomes.items() if oc.slo is not None
-    }
-    dash = degradation_dashboard(
-        reports,
-        title="post-crash SLO windows (origin = crash instant)",
-        per_client=False,
-    )
-    width = max(len(mode) for mode in reports)
-    lines = ["-- membership transitions per window (count; '+'=10+) --"]
-    for mode, oc in result.outcomes.items():
-        if oc.slo is None:
-            continue
-        counts = bucket_times(
-            oc.transition_times, oc.slo.window, oc.slo.t0, oc.slo.t1
-        )
-        lines.append(f"{mode.ljust(width)} |{count_strip(counts)}|")
-    return dash + "\n\n" + "\n".join(lines)
 
 
 def membership_comparison(
@@ -381,8 +338,8 @@ def membership_comparison(
     if n_nodes < 3:
         raise ValueError("membership_comparison needs >= 3 nodes")
     victims = [v % n_nodes for v in victims]
-    base = _fault_spec(spec, **MEMBERSHIP_SPEC_OVERRIDES)
-    files = _files(n_files, file_size)
+    base = fault_spec(spec, **MEMBERSHIP_SPEC_OVERRIDES)
+    files = dataset_files(n_files, file_size)
     result = MembershipResult(
         n_nodes=n_nodes,
         n_files=n_files,
@@ -414,5 +371,4 @@ def membership_comparison(
             oc.recovered_seconds / warm if warm else math.nan,
         ])
 
-    result.dashboard = _strip_dashboard(result)
     return result

@@ -30,25 +30,27 @@ reduces PFS bytes at a bounded decompression cost.**
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from ..analysis import degradation_dashboard, format_table
 from ..cluster import ClusterSpec
 from ..core import CachePrefetcher
 from ..dl import SyntheticDataset, make_epoch_plan
 from ..dl.dataset import DatasetSpec
 from ..obs import SLOReport, SpanRecorder, compute_slo
 from ..prefetch import ClairvoyantPlanner, LookaheadScheduler
-from ..simcore import AllOf
-from .resilience import _build, _fault_spec
+from .comparison import ModeComparison, build_deployment, fault_spec, run_all
 
 __all__ = [
     "PREFETCH_MODES",
     "PREFETCH_SPEC_OVERRIDES",
     "PrefetchResult",
+    "SMOKE",
     "prefetch_comparison",
 ]
+
+#: the CI-sized run (and the pinned bench scenario); ``repro prefetch
+#: --smoke`` caps each argument at this
+SMOKE = dict(n_nodes=3, n_files=96, epochs=3, windows=8)
 
 PREFETCH_MODES = ("reactive", "clairvoyant", "clairvoyant+compressed")
 
@@ -95,37 +97,48 @@ class ModeOutcome:
 
 
 @dataclass
-class PrefetchResult:
+class PrefetchResult(ModeComparison):
     """Three-mode prefetch comparison under contention and a crash."""
 
     n_nodes: int
     n_files: int
     file_size: int
     epochs: int
-    windows: int
     lookahead: int
     compression_ratio: float
     decompress_budget: float
     fault: bool
-    outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
-    dashboard: str = ""
 
-    def rows(self) -> list[list]:
-        out = []
-        for mode, oc in self.outcomes.items():
-            out.append([
-                mode,
-                oc.epoch1_seconds,
-                f"{oc.epoch1_penalty:.2f}x",
-                oc.steady_p99,
-                f"{oc.steady_degraded_fraction:.1%}",
-                oc.pfs_bytes,
-                f"{oc.hit_rate:.1%}",
-                oc.files_staged,
-                oc.invalidations,
-                oc.decompress_seconds,
-            ])
-        return out
+    columns = ("mode", "epoch1 (s)", "penalty", "steady p99", "degr",
+               "PFS B", "hits", "staged", "invalid", "decomp (s)")
+    dashboard_title = "steady-state SLO windows (origin = epoch-1 end)"
+
+    @property
+    def title(self) -> str:
+        return (f"Clairvoyant prefetch ({self.n_nodes} nodes x "
+                f"{self.epochs} epochs over {self.n_files}x"
+                f"{self.file_size}B, lookahead {self.lookahead}, "
+                f"compressed ratio {self.compression_ratio:g}"
+                + (", mid-run crash" if self.fault else "") + ")")
+
+    @property
+    def claim(self) -> str:
+        return ("clairvoyant strictly dominates reactive (epoch-1 read time, "
+                "steady p99) and the compressed tier reduces PFS bytes within "
+                f"a {self.decompress_budget:g}s decompression budget")
+
+    def row(self, oc: ModeOutcome) -> list:
+        return [
+            oc.epoch1_seconds,
+            f"{oc.epoch1_penalty:.2f}x",
+            oc.steady_p99,
+            f"{oc.steady_degraded_fraction:.1%}",
+            oc.pfs_bytes,
+            f"{oc.hit_rate:.1%}",
+            oc.files_staged,
+            oc.invalidations,
+            oc.decompress_seconds,
+        ]
 
     def dominates(self) -> bool:
         """The acceptance predicate: clairvoyant staging strictly beats
@@ -144,57 +157,15 @@ class PrefetchResult:
             and comp.decompress_seconds <= self.decompress_budget
         )
 
-    def render(self) -> str:
-        blocks = [format_table(
-            ["mode", "epoch1 (s)", "penalty", "steady p99", "degr",
-             "PFS B", "hits", "staged", "invalid", "decomp (s)"],
-            self.rows(),
-            title=(f"Clairvoyant prefetch ({self.n_nodes} nodes x "
-                   f"{self.epochs} epochs over {self.n_files}x"
-                   f"{self.file_size}B, lookahead {self.lookahead}, "
-                   f"compressed ratio {self.compression_ratio:g}"
-                   + (", mid-run crash" if self.fault else "") + ")"),
-            float_fmt="{:.4f}",
-        )]
-        verdict = "yes" if self.dominates() else "NO"
-        blocks.append(
-            "clairvoyant strictly dominates reactive (epoch-1 read time, "
-            "steady p99) and the compressed tier reduces PFS bytes within "
-            f"a {self.decompress_budget:g}s decompression budget: {verdict}"
-        )
-        if self.dashboard:
-            blocks.append(self.dashboard)
-        return "\n\n".join(blocks)
+    def log_lines(self, oc: ModeOutcome) -> list[str]:
+        return [
+            f"[{w.t0:.9f},{w.t1:.9f}) n={w.n_reads} "
+            f"degraded={w.degraded} p99={w.p99:.9f}"
+            for w in oc.slo.totals.windows
+        ]
 
-    def window_log(self) -> str:
-        """The determinism artifact: every total SLO window of every
-        mode's run, machine-checkably ordered."""
-        lines = []
-        for mode, oc in self.outcomes.items():
-            lines.append(f"== {mode} ==")
-            if oc.slo is None:
-                continue
-            for w in oc.slo.totals.windows:
-                lines.append(
-                    f"[{w.t0:.9f},{w.t1:.9f}) n={w.n_reads} "
-                    f"degraded={w.degraded} p99={w.p99:.9f}"
-                )
-        return "\n".join(lines) + "\n"
-
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``report.txt`` + ``windows.log``; returns
-        ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        report = os.path.join(outdir, "report.txt")
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["report"] = report
-        log = os.path.join(outdir, "windows.log")
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.write(self.window_log())
-        paths["windows"] = log
-        return paths
+    #: every mode's total SLO windows
+    window_log = ModeComparison.mode_log
 
 
 def _dataset(n_files: int, file_size: int, seed: int) -> SyntheticDataset:
@@ -241,7 +212,7 @@ def _run_mode(
     """One multi-epoch training run under one prefetch configuration."""
     oc = ModeOutcome(mode=mode)
     rec = SpanRecorder()
-    env, dep, pfs = _build(spec, n_nodes, seed, spans=rec, trace=trace)
+    env, dep, pfs = build_deployment(spec, n_nodes, seed, spans=rec, trace=trace)
     m = dep.metrics
 
     plans = [
@@ -305,11 +276,7 @@ def _run_mode(
     ]
     if fault:
         env.process(crasher(), name="prefetch.crash")
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(), name="prefetch.wait"))
+    run_all(env, procs, "prefetch.wait")
     t_end = env.now
     if scheduler is not None:
         scheduler.stop()
@@ -374,7 +341,7 @@ def prefetch_comparison(
     overrides["cache_fraction"] = cache_fraction
     overrides["prefetch_lookahead"] = lookahead
     overrides["prefetch_outstanding"] = outstanding
-    base = _fault_spec(spec, **overrides)
+    base = fault_spec(spec, **overrides)
     # TESTING's metadata servers (1 ms per op, serial) saturate at toy
     # miss rates, making every mode MDS-bound — in that regime staging
     # the same opens earlier only adds burstiness.  Give the experiment
@@ -409,12 +376,4 @@ def prefetch_comparison(
             mode, mode_spec, dataset, n_nodes, epochs, windows,
             lookahead, outstanding, seed, fault, outage, trace=trace,
         )
-    reports = {
-        mode: oc.slo for mode, oc in result.outcomes.items() if oc.slo is not None
-    }
-    result.dashboard = degradation_dashboard(
-        reports,
-        title="steady-state SLO windows (origin = epoch-1 end)",
-        per_client=False,
-    )
     return result

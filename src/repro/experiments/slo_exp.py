@@ -19,90 +19,95 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..analysis import count_strip, degradation_dashboard
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, crash
 from ..obs import SLOReport, SpanRecorder, bucket_times, compute_slo
-from .resilience import _build, _epoch, _fault_spec, _files
+from .comparison import (
+    ModeComparison,
+    build_deployment,
+    dataset_files,
+    fault_spec,
+    run_epoch,
+)
 
 #: detector transition kinds, in lifecycle order (strip row order)
 _DETECTOR_KINDS = ("suspect", "probation_expired", "reprobe_ok", "reprobe_fail")
 
-__all__ = ["SLOScenarioResult", "slo_scenario"]
+__all__ = ["SMOKE", "SLOScenarioResult", "slo_scenario"]
+
+#: the CI-sized run; ``repro slo --smoke`` caps each argument at this
+SMOKE = dict(n_nodes=3, n_files=12, windows=8)
 
 
 @dataclass
-class SLOScenarioResult:
-    """Baseline + faulted SLO reports over one shared window grid."""
+class ModeOutcome:
+    """One run of the pair."""
+
+    slo: SLOReport
+    #: the raw span timeline (JSONL export)
+    spans: SpanRecorder
+    #: ``(t, client_node, kind, server_id)`` failure-detector
+    #: transitions, on the same grid as the SLO windows
+    transitions: list[tuple]
+
+
+@dataclass
+class SLOScenarioResult(ModeComparison):
+    """Baseline + faulted runs over one shared window grid.
+
+    Only the dashboard is rendered: the pair has no mode table and no
+    dominance claim.
+    """
 
     n_nodes: int
     n_files: int
     fault_time: float
     fault_node: int
-    baseline: SLOReport
-    faulted: SLOReport
-    #: the raw span timelines, keyed by run label (JSONL export)
-    recorders: dict[str, SpanRecorder]
-    #: per-run ``(t, client_node, kind, server_id)`` failure-detector
-    #: transitions, keyed by run label; same grid as the SLO windows
-    detector_transitions: dict[str, list[tuple]]
+
+    per_client = True
+    strips = "failure-detector transitions"
+    report_name = "dashboard"
 
     @property
-    def labels(self) -> tuple[str, str]:
-        return ("baseline", f"crash@{self.fault_time:g}s")
+    def baseline(self) -> SLOReport:
+        return self.outcomes["baseline"].slo
 
-    def _detector_strips(self) -> str:
-        """One count-strip per (run, transition kind) on the SLO window
-        grid, so suspicion onset / probation expiry / re-probe outcomes
-        line up column-for-column with the degraded-fraction rows."""
+    @property
+    def faulted(self) -> SLOReport:
+        return self.outcomes[f"crash@{self.fault_time:g}s"].slo
+
+    @property
+    def dashboard_title(self) -> str:
+        return (f"SLO degradation dashboard ({self.n_nodes} nodes, "
+                f"{self.n_files} files/epoch/node, "
+                f"crash node {self.fault_node})")
+
+    def strip_rows(self) -> list[tuple[str, list[int]]]:
+        """One strip per (run, transition kind), so suspicion onset /
+        probation expiry / re-probe outcomes line up column-for-column
+        with the degraded-fraction rows."""
         rep = self.baseline  # both reports share the absolute grid
-        rows: list[tuple[str, list[int]]] = []
-        for label in self.labels:
+        rows = []
+        for label, oc in self.outcomes.items():
             for kind in _DETECTOR_KINDS:
-                times = [
-                    t for t, _node, k, _sid
-                    in self.detector_transitions.get(label, [])
-                    if k == kind
-                ]
-                if not times:
-                    continue
-                rows.append((
-                    f"{label}/{kind}",
-                    bucket_times(times, rep.window, rep.t0, rep.t1),
-                ))
-        if not rows:
-            return ""
-        width = max(len(name) for name, _ in rows)
-        lines = ["-- failure-detector transitions per window "
-                 "(count; '+'=10+) --"]
-        for name, counts in rows:
-            lines.append(f"{name.ljust(width)} |{count_strip(counts)}|")
-        return "\n".join(lines)
+                times = [t for t, _node, k, _sid in oc.transitions if k == kind]
+                if times:
+                    rows.append((
+                        f"{label}/{kind}",
+                        bucket_times(times, rep.window, rep.t0, rep.t1),
+                    ))
+        return rows
 
     def render(self) -> str:
-        base_label, fault_label = self.labels
-        dash = degradation_dashboard(
-            {base_label: self.baseline, fault_label: self.faulted},
-            title=(f"SLO degradation dashboard ({self.n_nodes} nodes, "
-                   f"{self.n_files} files/epoch/node, "
-                   f"crash node {self.fault_node})"),
-        )
-        strips = self._detector_strips()
-        return dash + ("\n\n" + strips if strips else "")
+        return self.dashboard()
 
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``dashboard.txt`` + one span-timeline JSONL per run;
-        returns ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        dash = os.path.join(outdir, "dashboard.txt")
-        with open(dash, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["dashboard"] = dash
-        for label, rec in self.recorders.items():
+    def write_logs(self, outdir: str) -> dict[str, str]:
+        """One span-timeline JSONL per run."""
+        paths = {}
+        for label, oc in self.outcomes.items():
             safe = label.replace("@", "_at_").replace(".", "_")
             path = os.path.join(outdir, f"spans_{safe}.jsonl")
-            rec.write_jsonl(path)
+            oc.spans.write_jsonl(path)
             paths[f"spans[{label}]"] = path
         return paths
 
@@ -128,18 +133,25 @@ def slo_scenario(
     """
     if n_nodes < 2:
         raise ValueError("slo_scenario needs >= 2 nodes (one to crash)")
-    spec = _fault_spec(spec)
-    files = _files(n_files, file_size)
     fault_node = fault_node % n_nodes
+    result = SLOScenarioResult(
+        n_nodes=n_nodes,
+        n_files=n_files,
+        fault_time=fault_time,
+        fault_node=fault_node,
+        windows=windows,
+    )
+    spec = fault_spec(spec)
+    files = dataset_files(n_files, file_size)
 
     def run(schedule: FaultSchedule | None):
         rec = SpanRecorder()
-        env, dep, _ = _build(spec, n_nodes, seed, spans=rec)
-        _epoch(env, dep, n_nodes, files)  # warm the cache
+        env, dep, _ = build_deployment(spec, n_nodes, seed, spans=rec)
+        run_epoch(env, dep, n_nodes, files)  # warm the cache
         t0 = env.now
         if schedule is not None:
             dep.inject(schedule)
-        _epoch(env, dep, n_nodes, files)
+        run_epoch(env, dep, n_nodes, files)
         t1 = env.now
         transitions = sorted(
             (t, node, kind, sid)
@@ -149,30 +161,22 @@ def slo_scenario(
         dep.teardown()
         return rec, t0, t1, transitions
 
-    rec_base, base_t0, base_t1, trans_base = run(None)
-    rec_fault, fault_t0, fault_t1, trans_fault = run(
-        FaultSchedule([crash(fault_time, fault_node)])
-    )
+    runs = {
+        "baseline": run(None),
+        f"crash@{fault_time:g}s": run(
+            FaultSchedule([crash(fault_time, fault_node)])
+        ),
+    }
 
     # Identical seeds + identical warm phases: both measured epochs
     # start at the same instant; the faulted one just ends later.
-    origin = min(base_t0, fault_t0)
-    horizon = max(base_t1, fault_t1)
+    origin = min(t0 for _, t0, _, _ in runs.values())
+    horizon = max(t1 for _, _, t1, _ in runs.values())
     window = (horizon - origin) / windows
-
-    result = SLOScenarioResult(
-        n_nodes=n_nodes,
-        n_files=n_files,
-        fault_time=fault_time,
-        fault_node=fault_node,
-        baseline=compute_slo(rec_base, window, origin=origin, horizon=horizon),
-        faulted=compute_slo(rec_fault, window, origin=origin, horizon=horizon),
-        recorders={},
-        detector_transitions={},
-    )
-    base_label, fault_label = result.labels
-    result.recorders = {base_label: rec_base, fault_label: rec_fault}
-    result.detector_transitions = {
-        base_label: trans_base, fault_label: trans_fault
-    }
+    for label, (rec, _, _, transitions) in runs.items():
+        result.outcomes[label] = ModeOutcome(
+            slo=compute_slo(rec, window, origin=origin, horizon=horizon),
+            spans=rec,
+            transitions=transitions,
+        )
     return result

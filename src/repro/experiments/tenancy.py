@@ -29,10 +29,8 @@ queue / degrade-to-PFS / reject) with the resulting per-job log.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
-from ..analysis import count_strip, degradation_dashboard, format_table
 from ..cluster import ClusterSpec
 from ..obs import SLOReport, SpanRecorder, compute_slo
 from ..simcore import AllOf
@@ -43,15 +41,16 @@ from ..tenancy import (
     run_jobs,
     sample_jobs,
 )
-from .resilience import _build, _fault_spec
+from .comparison import ModeComparison, build_deployment, fault_spec, run_all
 
 __all__ = [
+    "SMOKE",
     "TENANCY_SPEC_OVERRIDES",
     "TenancyResult",
     "tenancy_isolation",
 ]
 
-#: storm tuning on top of resilience's FAULT_SPEC_OVERRIDES: global LRU
+#: storm tuning on top of comparison.FAULT_SPEC_OVERRIDES: global LRU
 #: (the policy the shared mode is named for) and a deadline sitting
 #: between an NVMe hit (~0.7 ms on TESTING) and a PFS fetch queued
 #: behind the storm (>= 4 ms), so every cache-isolation failure
@@ -64,6 +63,14 @@ TENANCY_SPEC_OVERRIDES = dict(
     rpc_timeout=0.003,
     rpc_max_retries=2,
     suspect_after=1_000_000,
+)
+
+#: the CI-sized run (and the pinned bench scenario); ``repro tenancy
+#: --smoke`` caps each argument at this.  The caches shrink too, so the
+#: reduced-scale aggressor still thrashes (12 MB dataset vs a 6 MB pool).
+SMOKE = dict(
+    n_nodes=3, victim_files=12, aggressor_files=120, file_size=100_000,
+    storm_passes=2, windows=8, n_jobs=6, cache_fraction=0.2,
 )
 
 
@@ -108,36 +115,48 @@ class ModeOutcome:
 
 
 @dataclass
-class TenancyResult:
+class TenancyResult(ModeComparison):
     """Three-policy storm comparison + the admission-control demo."""
 
     n_nodes: int
     victim: TenantSpec
     aggressor: TenantSpec
     storm_passes: int
-    windows: int
     aggressor_cost_bound: float
-    outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
     #: (tenant, kind, action, t_arrive, t_start, t_done, reads)
     admission_rows: list[list] = field(default_factory=list)
     admission_counts: dict[str, int] = field(default_factory=dict)
-    dashboard: str = ""
 
-    def rows(self) -> list[list]:
-        out = []
-        for mode, oc in self.outcomes.items():
-            out.append([
-                mode,
-                oc.victim_p50,
-                oc.victim_p99,
-                f"{oc.victim_degraded_fraction:.1%}",
-                oc.aggressor_p99,
-                oc.occupancy.get(self.victim.tenant_id, 0),
-                oc.occupancy.get(self.aggressor.tenant_id, 0),
-                oc.pfs_fallbacks,
-                oc.storm_seconds,
-            ])
-        return out
+    columns = ("policy", "victim p50", "victim p99", "victim degr",
+               "aggr p99", "victim B", "aggr B", "PFS fb", "storm (s)")
+    dashboard_title = "storm SLO windows (origin = storm onset)"
+    strips = "degraded reads per tenant"
+
+    @property
+    def title(self) -> str:
+        return (f"Hot-storm isolation ({self.n_nodes} nodes; victim "
+                f"{self.victim.n_files}x{self.victim.file_size}B hot reads "
+                f"vs aggressor {self.aggressor.n_files}x"
+                f"{self.aggressor.file_size}B thrash, "
+                f"{self.storm_passes} passes)")
+
+    @property
+    def claim(self) -> str:
+        return ("weighted-fair strictly dominates shared global LRU for the "
+                "victim (p99, degraded fraction) at bounded aggressor cost "
+                f"(<= {self.aggressor_cost_bound:g}x)")
+
+    def row(self, oc: ModeOutcome) -> list:
+        return [
+            oc.victim_p50,
+            oc.victim_p99,
+            f"{oc.victim_degraded_fraction:.1%}",
+            oc.aggressor_p99,
+            oc.occupancy.get(self.victim.tenant_id, 0),
+            oc.occupancy.get(self.aggressor.tenant_id, 0),
+            oc.pfs_fallbacks,
+            oc.storm_seconds,
+        ]
 
     def dominates(self) -> bool:
         """The acceptance predicate: weighted-fair strictly beats the
@@ -157,71 +176,32 @@ class TenancyResult:
             and bounded
         )
 
-    def render(self) -> str:
-        blocks = [format_table(
-            ["policy", "victim p50", "victim p99", "victim degr",
-             "aggr p99", "victim B", "aggr B", "PFS fb", "storm (s)"],
-            self.rows(),
-            title=(f"Hot-storm isolation ({self.n_nodes} nodes; victim "
-                   f"{self.victim.n_files}x{self.victim.file_size}B hot reads "
-                   f"vs aggressor {self.aggressor.n_files}x"
-                   f"{self.aggressor.file_size}B thrash, "
-                   f"{self.storm_passes} passes)"),
-            float_fmt="{:.4f}",
+    def extra_tables(self) -> list[tuple[list[str], list[list], str]]:
+        return [(
+            ["tenant", "kind", "action", "arrive", "start", "done", "reads"],
+            self.admission_rows,
+            "Admission-controlled arrival mix "
+            + " ".join(f"{k}={v}" for k, v in self.admission_counts.items()),
         )]
-        verdict = "yes" if self.dominates() else "NO"
-        blocks.append(
-            "weighted-fair strictly dominates shared global LRU for the "
-            "victim (p99, degraded fraction) at bounded aggressor cost "
-            f"(<= {self.aggressor_cost_bound:g}x): {verdict}"
-        )
-        if self.admission_rows:
-            blocks.append(format_table(
-                ["tenant", "kind", "action", "arrive", "start", "done",
-                 "reads"],
-                self.admission_rows,
-                title=(
-                    "Admission-controlled arrival mix "
-                    + " ".join(
-                        f"{k}={v}" for k, v in self.admission_counts.items()
-                    )
-                ),
-                float_fmt="{:.4f}",
-            ))
-        if self.dashboard:
-            blocks.append(self.dashboard)
-        return "\n\n".join(blocks)
 
-    def window_log(self) -> str:
-        """The determinism artifact: every per-tenant SLO window of
-        every policy run, machine-checkably ordered."""
-        lines = []
-        for mode, oc in self.outcomes.items():
-            lines.append(f"== {mode} ==")
-            if oc.slo is None:
-                continue
-            for tid in sorted(oc.slo.tenants):
-                for w in oc.slo.tenants[tid].windows:
-                    lines.append(
-                        f"t{tid} [{w.t0:.9f},{w.t1:.9f}) n={w.n_reads} "
-                        f"degraded={w.degraded} p99={w.p99:.9f}"
-                    )
-        return "\n".join(lines) + "\n"
+    def strip_rows(self) -> list[tuple[str, list[int]]]:
+        """Degraded reads per tenant on each policy's own storm grid."""
+        return [
+            (f"{mode}/t{tid}", [w.degraded for w in oc.slo.tenants[tid].windows])
+            for mode, oc in self.outcomes.items()
+            for tid in sorted(oc.slo.tenants)
+        ]
 
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``report.txt`` + ``windows.log``; returns
-        ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        report = os.path.join(outdir, "report.txt")
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["report"] = report
-        log = os.path.join(outdir, "windows.log")
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.write(self.window_log())
-        paths["windows"] = log
-        return paths
+    def log_lines(self, oc: ModeOutcome) -> list[str]:
+        return [
+            f"t{tid} [{w.t0:.9f},{w.t1:.9f}) n={w.n_reads} "
+            f"degraded={w.degraded} p99={w.p99:.9f}"
+            for tid in sorted(oc.slo.tenants)
+            for w in oc.slo.tenants[tid].windows
+        ]
+
+    #: every policy's per-tenant SLO windows
+    window_log = ModeComparison.mode_log
 
 
 def _sweep_readers(env, fleet, spec, n_nodes: int, passes: int, streams: int = 1):
@@ -298,17 +278,14 @@ def _run_mode(
     """One warm -> storm cycle under one cache-tenancy policy."""
     oc = ModeOutcome(mode=mode)
     rec = SpanRecorder()
-    env, dep, _ = _build(spec, n_nodes, seed, spans=rec, trace=trace)
+    env, dep, _ = build_deployment(spec, n_nodes, seed, spans=rec, trace=trace)
     fleet = TenantFleet(dep, mode=mode, tenants=[victim, aggressor])
     m = dep.metrics
 
     # Warm: the victim populates its working set, storm-free.
-    warm = _sweep_readers(env, fleet, victim, n_nodes, passes=1)
-
-    def wait(procs):
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(warm), name="tenancy.warm"))
+    run_all(
+        env, _sweep_readers(env, fleet, victim, n_nodes, passes=1), "tenancy.warm"
+    )
 
     # Storm: the aggressor thrashes for `storm_passes` sweeps while the
     # victim's inference service runs alongside for the whole duration.
@@ -350,36 +327,11 @@ def _run_mode(
     return oc
 
 
-def _strip_dashboard(result: TenancyResult) -> str:
-    """Degradation strips per policy + per-tenant degraded-read strips
-    on each policy's own storm window grid."""
-    reports = {
-        mode: oc.slo for mode, oc in result.outcomes.items() if oc.slo is not None
-    }
-    dash = degradation_dashboard(
-        reports,
-        title="storm SLO windows (origin = storm onset)",
-        per_client=False,
-    )
-    labels = [
-        (f"{mode}/t{tid}", oc.slo.tenants[tid])
-        for mode, oc in result.outcomes.items()
-        if oc.slo is not None
-        for tid in sorted(oc.slo.tenants)
-    ]
-    width = max((len(lbl) for lbl, _ in labels), default=0)
-    lines = ["-- degraded reads per tenant per window (count; '+'=10+) --"]
-    for lbl, ent in labels:
-        counts = [w.degraded for w in ent.windows]
-        lines.append(f"{lbl.ljust(width)} |{count_strip(counts)}|")
-    return dash + "\n\n" + "\n".join(lines)
-
-
 def _admission_demo(
     spec: ClusterSpec, n_nodes: int, n_jobs: int, seed: int, trace=None
 ) -> tuple[list[list], dict[str, int]]:
     """Replay a seeded arrival mix through the admission controller."""
-    env, dep, _ = _build(spec, n_nodes, seed + 1, trace=trace)
+    env, dep, _ = build_deployment(spec, n_nodes, seed + 1, trace=trace)
     fleet = TenantFleet(dep, mode="weighted")
     # Undersized budget + short queue so the mix exercises every verdict
     # (degrade_ok means saturation degrades rather than rejects here;
@@ -430,7 +382,7 @@ def tenancy_isolation(
     overrides = dict(TENANCY_SPEC_OVERRIDES)
     if cache_fraction is not None:
         overrides["cache_fraction"] = cache_fraction
-    base = _fault_spec(spec, **overrides)
+    base = fault_spec(spec, **overrides)
     victim = _victim_spec(victim_files, file_size)
     aggressor = _aggressor_spec(aggressor_files, file_size)
     result = TenancyResult(
@@ -449,5 +401,4 @@ def tenancy_isolation(
     result.admission_rows, result.admission_counts = _admission_demo(
         base, n_nodes, n_jobs, seed, trace=trace
     )
-    result.dashboard = _strip_dashboard(result)
     return result

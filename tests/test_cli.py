@@ -79,6 +79,26 @@ class TestCommands:
                   "--files-per-rank", "2", "--procs-per-node", "1"])
 
 
+class TestModeComparisonWindows:
+    """``--windows`` below one is rejected before any mode runs."""
+
+    @pytest.mark.parametrize("windows", ["0", "-1"])
+    @pytest.mark.parametrize("cmd", ["slo", "membership", "tenancy", "prefetch"])
+    def test_exits_2(self, cmd, windows, capsys):
+        assert main([cmd, "--smoke", "--windows", windows]) == 2
+        assert "windows must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [
+        "slo_scenario", "membership_comparison", "tenancy_isolation",
+        "prefetch_comparison",
+    ])
+    def test_experiment_raises(self, name):
+        import repro.experiments as experiments
+
+        with pytest.raises(ValueError, match="windows"):
+            getattr(experiments, name)(windows=0)
+
+
 class TestReport:
     def test_analytic_only_report(self, capsys):
         assert main(["report", "--analytic-only", "--nodes", "2",

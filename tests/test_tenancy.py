@@ -24,8 +24,12 @@ import math
 import pytest
 
 from repro.core import client_key_order
-from repro.experiments.resilience import _build, _fault_spec
-from repro.experiments.tenancy import TENANCY_SPEC_OVERRIDES, tenancy_isolation
+from repro.experiments.comparison import build_deployment, fault_spec
+from repro.experiments.tenancy import (
+    SMOKE,
+    TENANCY_SPEC_OVERRIDES,
+    tenancy_isolation,
+)
 from repro.simcore import Environment, EventTrace
 from repro.tenancy import (
     AdmissionController,
@@ -131,8 +135,8 @@ class TestQuotaLedger:
 def _fleet(mode, tenants=(), n_nodes=2, seed=0, **spec_overrides):
     """A tiny 2-node fleet: 2 MB of cache per server, 4 MB fleet-wide."""
     overrides = dict(TENANCY_SPEC_OVERRIDES, cache_fraction=0.2, **spec_overrides)
-    spec = _fault_spec(None, **overrides)
-    env, dep, _pfs = _build(spec, n_nodes, seed)
+    spec = fault_spec(None, **overrides)
+    env, dep, _pfs = build_deployment(spec, n_nodes, seed)
     return env, dep, TenantFleet(dep, mode=mode, tenants=tenants)
 
 
@@ -322,20 +326,8 @@ class TestArrivals:
 
 
 class TestIsolationSmoke:
-    SMOKE = dict(
-        n_nodes=3,
-        victim_files=12,
-        aggressor_files=120,
-        file_size=100_000,
-        storm_passes=2,
-        windows=8,
-        n_jobs=6,
-        cache_fraction=0.2,
-        seed=0,
-    )
-
     def test_weighted_dominates_shared_at_smoke_scale(self):
-        result = tenancy_isolation(**self.SMOKE)
+        result = tenancy_isolation(**SMOKE)
         assert set(result.outcomes) == {"shared", "dedicated", "weighted"}
         shared = result.outcomes["shared"]
         weighted = result.outcomes["weighted"]
@@ -348,14 +340,14 @@ class TestIsolationSmoke:
 
     def test_same_seed_runs_are_identical(self):
         t1, t2 = EventTrace(), EventTrace()
-        r1 = tenancy_isolation(**self.SMOKE, trace=t1)
-        r2 = tenancy_isolation(**self.SMOKE, trace=t2)
+        r1 = tenancy_isolation(**SMOKE, trace=t1)
+        r2 = tenancy_isolation(**SMOKE, trace=t2)
         assert t1.fingerprint == t2.fingerprint
         assert r1.window_log() == r2.window_log()
         assert r1.rows() == r2.rows()
 
     def test_write_artifacts(self, tmp_path):
-        result = tenancy_isolation(**self.SMOKE)
+        result = tenancy_isolation(**SMOKE)
         paths = result.write_artifacts(str(tmp_path))
         assert set(paths) == {"report", "windows"}
         report = (tmp_path / "report.txt").read_text()
