@@ -3,8 +3,9 @@
 Three layers, all runnable from the CLI and from tests:
 
 * **Static, per-function**: an AST lint pass (:mod:`.rules`,
-  :mod:`.linter`) with repro-specific rules SIM001–SIM010 guarding the
-  engine's bit-for-bit determinism contract (see docs/INTERNALS.md).
+  :mod:`.linter`) with repro-specific rules guarding the engine's
+  bit-for-bit determinism contract (see docs/INTERNALS.md); the
+  set-ordering rules share one unordered-value fact (:mod:`.unordered`).
 * **Static, interprocedural**: a module-level call-graph + taint pass
   (:mod:`.callgraph`, :mod:`.taint`) that propagates nondeterminism
   primitives through helpers and across modules, reporting SIM011 at
@@ -95,6 +96,16 @@ def default_lint_roots() -> list[str]:
     return [pkg_root]  # .../src/repro
 
 
+def _status(result) -> str:
+    """``"clean"`` or the violation / stale-waiver counts of a pass."""
+    bits = []
+    if result.violations:
+        bits.append(f"{len(result.violations)} violation(s)")
+    if result.stale_waivers:
+        bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
+    return ", ".join(bits) or "clean"
+
+
 def run_lint(
     paths: list[str] | None = None, verbose: bool = True, taint: bool = False
 ) -> int:
@@ -106,12 +117,7 @@ def run_lint(
     for w in result.stale_waivers:
         print(w.render())
     if verbose:
-        bits = []
-        if result.violations:
-            bits.append(f"{len(result.violations)} violation(s)")
-        if result.stale_waivers:
-            bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
-        status = ", ".join(bits) if bits else "clean"
+        status = _status(result)
         pass_name = "simlint+taint" if taint else "simlint"
         print(f"{pass_name}: {result.n_files} file(s) checked, {status}")
     return 0 if result.clean else 1
@@ -126,12 +132,7 @@ def run_perf(paths: list[str] | None = None, verbose: bool = True) -> int:
     for w in result.stale_waivers:
         print(w.render())
     if verbose:
-        bits = []
-        if result.violations:
-            bits.append(f"{len(result.violations)} violation(s)")
-        if result.stale_waivers:
-            bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
-        status = ", ".join(bits) if bits else "clean"
+        status = _status(result)
         hot = "all functions hot" if result.all_hot else f"{result.n_hot} hot function(s)"
         print(f"perf: {result.n_files} file(s) checked, {hot}, {status}")
     return 0 if result.clean else 1
@@ -160,12 +161,7 @@ def run_cells(
                     f"{result.n_roots} root(s), {result.n_writes} write(s)\n"
                 )
     if verbose:
-        bits = []
-        if result.violations:
-            bits.append(f"{len(result.violations)} violation(s)")
-        if result.stale_waivers:
-            bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
-        status = ", ".join(bits) if bits else "clean"
+        status = _status(result)
         print(
             f"cells: {result.n_files} file(s), {result.n_roots} "
             f"concurrency root(s), {result.n_writes} write site(s), {status}"

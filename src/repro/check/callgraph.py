@@ -8,9 +8,9 @@ and extracts, per function:
 
 * the nondeterminism *primitives* its body touches directly
   (wall clocks, non-``RandomStreams`` RNG, salted ``hash()``,
-  unordered-set iteration, blocking calls), minus any that carry an
-  inline ``# simlint: waive`` — a waived primitive is a sanctioned
-  site, not a taint source;
+  iteration of an unordered value, blocking calls), minus any that
+  carry an inline ``# simlint: waive`` — a waived primitive is a
+  sanctioned site, not a taint source;
 * its outgoing *call sites*, resolved through import aliases, relative
   imports, one level of package re-export, and ``self.``/``cls.``
   method dispatch;
@@ -22,7 +22,9 @@ and extracts, per function:
   which of its call sites feed a ``for``/comprehension, so hash order
   crossing a return boundary is flagged at the loop (SIM013).
 
-:mod:`.taint` runs the interprocedural fixpoint over this graph.
+Whether an expression is unordered is the per-module fact of
+:mod:`.unordered`, shared with the per-file rules.  :mod:`.taint` runs
+the interprocedural fixpoint over this graph.
 Resolution is deliberately conservative: a call that cannot be resolved
 to a known function contributes nothing (no false SIM011s from duck
 typing), and ``obj.method()`` on an unknown object is skipped.
@@ -40,8 +42,16 @@ from .rules import (
     _RNG_GLOBAL_DRAW,
     _WALL_CLOCK,
 )
+from .unordered import qualname, strip_order_preserving, unordered_values
 
-__all__ = ["CallGraph", "CallSite", "FunctionInfo", "TaintSource", "module_name_for"]
+__all__ = [
+    "CallGraph",
+    "CallSite",
+    "FunctionInfo",
+    "TaintSource",
+    "module_matches",
+    "module_name_for",
+]
 
 #: maximum re-export hops followed when resolving ``from pkg import name``
 _REEXPORT_DEPTH = 3
@@ -51,7 +61,7 @@ _REEXPORT_DEPTH = 3
 class TaintSource:
     """A nondeterminism primitive touched directly by one function."""
 
-    rule: str  #: the underlying SIM rule code (SIM001/002/003/004/007)
+    rule: str  #: SIM001/002/003/007, or an unordered value's carrier code
     kind: str  #: human-readable primitive, e.g. ``"wall-clock read time.time"``
     line: int  #: line within the defining file
 
@@ -105,88 +115,49 @@ def module_name_for(path: str) -> str:
     return ".".join(parts)
 
 
+def module_matches(module: str, suffixes: tuple[str, ...]) -> bool:
+    """Is ``module`` one of ``suffixes``, or a module ending in one?"""
+    return any(module == s or module.endswith("." + s) for s in suffixes)
+
+
+def _anchored_imports(imports: dict[str, str], module: str) -> dict[str, str]:
+    """Resolve relative import targets (``.x.y``) against ``module``'s
+    package; a relative import with nothing to anchor on is dropped."""
+    out: dict[str, str] = {}
+    for alias, target in imports.items():
+        level = len(target) - len(target.lstrip("."))
+        if level:
+            parts = module.split(".")
+            anchor = parts[: len(parts) - level]
+            rest = target[level:]
+            if not anchor and "." not in rest:
+                continue
+            target = ".".join([*anchor, rest])
+        out[alias] = target
+    return out
+
+
+def _never_waived(line: int, rule: str) -> bool:
+    return False
+
+
 class _ModuleScanner(ast.NodeVisitor):
     """Extract :class:`FunctionInfo` records from one parsed module."""
 
-    def __init__(self, module: str, path: str, scope: str, waived):
+    def __init__(self, module: str, path: str, scope: str, waived, tree: ast.AST):
         self.module = module
         self.path = path
         self.scope = scope
-        self._waived = waived  # callable (line, rule) -> bool
+        self._waived = waived or _never_waived  # callable (line, rule) -> bool
+        self._facts = unordered_values(tree)
         self.functions: dict[str, FunctionInfo] = {}
-        self.imports: dict[str, str] = {}  # alias -> dotted target
-        self._set_names: set[str] = set()
+        self.imports = _anchored_imports(self._facts.imports, module)
         self._class_stack: list[str] = []
         self._func_stack: list[FunctionInfo] = []
         self._nested_depth = 0  # inside a nested def: returns belong to it
         self._return_calls: set[int] = set()  # id()s of return-position Calls
         self._yield_calls: set[int] = set()  # id()s of yield-from delegate Calls
         self._iterated_calls: set[int] = set()  # id()s of for/comp-iter Calls
-
-    # -- import tracking (same alias model as rules._SimVisitor) ----------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.imports[alias.asname or alias.name.split(".")[0]] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = node.module or ""
-        if node.level:  # relative import: anchor on this module's package
-            parts = self.module.split(".")
-            # level 1 = this package (strip the module filename only)
-            anchor = parts[: len(parts) - node.level]
-            base = ".".join(anchor + ([node.module] if node.module else []))
-        for alias in node.names:
-            if base and alias.name != "*":
-                self.imports[alias.asname or alias.name] = f"{base}.{alias.name}"
-        self.generic_visit(node)
-
-    # -- set tracking (mirrors rules._SimVisitor) --------------------------
-    @staticmethod
-    def _bound_name(target: ast.expr) -> str | None:
-        if isinstance(target, ast.Name):
-            return target.id
-        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-            return target.attr
-        return None
-
-    def _is_set_expr(self, node: ast.expr | None) -> bool:
-        if node is None:
-            return False
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
-        ):
-            return True
-        name = (
-            self._bound_name(node)
-            if isinstance(node, (ast.Name, ast.Attribute))
-            else None
-        )
-        return name is not None and name in self._set_names
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            name = self._bound_name(target)
-            if name is not None:
-                if self._is_set_expr(node.value):
-                    self._set_names.add(name)
-                else:
-                    self._set_names.discard(name)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        name = self._bound_name(node.target)
-        if name is not None:
-            ann = ast.unparse(node.annotation).split("[")[0]
-            if self._is_set_expr(node.value) or ann in (
-                "set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet",
-            ):
-                self._set_names.add(name)
-        self.generic_visit(node)
 
     # -- function / class structure ----------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -224,16 +195,6 @@ class _ModuleScanner(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
 
     # -- primitives and call sites -----------------------------------------
-    def _qualname(self, node: ast.expr) -> str | None:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(self.imports.get(node.id, node.id))
-            return ".".join(reversed(parts))
-        return None
-
     def _source(self, rule: str, kind: str, node: ast.AST) -> None:
         if not self._func_stack:
             return  # module-level code: nothing to taint through
@@ -241,28 +202,18 @@ class _ModuleScanner(ast.NodeVisitor):
             return  # explicitly sanctioned: not a taint source
         self._func_stack[-1].sources.append(TaintSource(rule, kind, node.lineno))
 
-    #: wrappers that pass their argument's order through to the loop
-    _ORDER_PRESERVING = ("list", "tuple", "iter", "enumerate", "reversed")
-
     def _check_iteration(self, iter_node: ast.expr) -> None:
         if not self._func_stack:
             return
         info = self._func_stack[-1]
         if isinstance(iter_node, ast.Name) and iter_node.id in info.params:
             info.iterated_params.add(iter_node.id)
-        elif self._is_set_expr(iter_node):
-            self._source("SIM004", "unordered-set iteration", iter_node)
+        elif (carrier := self._facts.carrier(iter_node, self.scope)) is not None:
+            self._source(carrier[0], "unordered-set iteration", iter_node)
         # SIM013: mark call results that feed the loop, unwrapping
         # order-preserving shims (``sorted(f())`` neutralizes and is
         # not unwrapped, so it never marks the inner call).
-        node = iter_node
-        while (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in self._ORDER_PRESERVING
-            and node.args
-        ):
-            node = node.args[0]
+        node = strip_order_preserving(iter_node)
         if isinstance(node, ast.Call):
             self._iterated_calls.add(id(node))
 
@@ -280,7 +231,7 @@ class _ModuleScanner(ast.NodeVisitor):
             info = self._func_stack[-1]
             if self._waived(node.lineno, "SIM013"):
                 pass  # sanctioned producer: never a SIM013 source
-            elif self._is_set_expr(node.value):
+            elif self._facts.carrier(node.value, self.scope) is not None:
                 info.returns_unordered = True
             elif isinstance(node.value, ast.Call):
                 self._return_calls.add(id(node.value))
@@ -296,17 +247,10 @@ class _ModuleScanner(ast.NodeVisitor):
         # yields to themselves.
         if self._func_stack and not self._nested_depth:
             info = self._func_stack[-1]
-            value = node.value
-            while (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in self._ORDER_PRESERVING
-                and value.args
-            ):
-                value = value.args[0]
+            value = strip_order_preserving(node.value)
             if self._waived(node.lineno, "SIM014"):
                 pass  # sanctioned producer: never a SIM014 source
-            elif self._is_set_expr(value):
+            elif self._facts.carrier(value, self.scope) is not None:
                 info.yields_unordered = True
             elif isinstance(value, ast.Call):
                 self._yield_calls.add(id(value))
@@ -321,7 +265,7 @@ class _ModuleScanner(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        qual = self._qualname(func) if isinstance(func, (ast.Attribute, ast.Name)) else None
+        qual = qualname(func, self.imports) if isinstance(func, (ast.Attribute, ast.Name)) else None
         if qual is not None:
             if qual in _WALL_CLOCK:
                 self._source("SIM001", f"wall-clock read {qual}", node)
@@ -361,7 +305,8 @@ class _ModuleScanner(ast.NodeVisitor):
         if ref is None:
             return
         set_args = tuple(
-            i for i, a in enumerate(node.args) if self._is_set_expr(a)
+            i for i, a in enumerate(node.args)
+            if self._facts.carrier(a, self.scope) is not None
         )
         param_args = tuple(
             (i, a.id)
@@ -409,7 +354,7 @@ class CallGraph:
         graph = cls()
         for path, tree, scope, waived in files:
             module = module_name_for(path)
-            scanner = _ModuleScanner(module, path, scope, waived)
+            scanner = _ModuleScanner(module, path, scope, waived, tree)
             scanner.visit(tree)
             graph.modules[module] = _Module(
                 module, path, scope, scanner.functions, scanner.imports

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..simcore.cells import cell_name
+from .callgraph import module_name_for
 
 __all__ = [
     "CellDecl",
@@ -272,7 +273,7 @@ def parse_race_cells(tree: ast.Module, path: str) -> list[CellDecl]:
             out.append(
                 CellDecl(
                     entry[0],
-                    _module_suffix(path),
+                    module_name_for(path),
                     attrs,
                     why,
                     path=path,
@@ -280,14 +281,6 @@ def parse_race_cells(tree: ast.Module, path: str) -> list[CellDecl]:
                 )
             )
     return out
-
-
-def _module_suffix(path: str) -> str:
-    norm = os.path.normpath(path)
-    if norm.endswith(".py"):
-        norm = norm[:-3]
-    parts = [p for p in norm.split(os.sep) if p not in ("", ".", "..")]
-    return ".".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +696,7 @@ def extract_note_sites(
         _IndexBuilder(index).visit(tree)
     sites: list[NoteSite] = []
     for path, tree in parsed:
-        scanner = _NoteScanner(path, _module_suffix(path), index)
+        scanner = _NoteScanner(path, module_name_for(path), index)
         scanner.visit(tree)
         sites.extend(scanner.sites)
     return sites

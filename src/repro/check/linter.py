@@ -26,7 +26,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rules import RULES, Violation, collect_violations
 
@@ -37,6 +37,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "lint_tree",
+    "read_sources",
     "scope_of",
     "waived_at",
 ]
@@ -171,7 +172,7 @@ def lint_source(
 
         violations += [
             v
-            for v in module_taint_violations(source, path, scope_)
+            for v in module_taint_violations(path, source, tree, scope_)
             if v.rule in active
         ]
     violations, _ = _apply_waivers(violations, source.splitlines())
@@ -184,15 +185,21 @@ def lint_file(path: str, rules: Iterable[str] | None = None) -> list[Violation]:
         return lint_source(fh.read(), path=path, rules=rules)
 
 
-def _iter_python_files(root: str) -> Iterator[str]:
-    if os.path.isfile(root):
-        yield root
-        return
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _SKIP_DIRS)
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                yield os.path.join(dirpath, name)
+def read_sources(paths: Iterable[str]) -> list[tuple[str, str]]:
+    """``(path, source)`` for every ``.py`` file under the given
+    files/directories, in a stable walk order."""
+    out: list[tuple[str, str]] = []
+    for root in paths:
+        found = [root] if os.path.isfile(root) else []
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = sorted(d for d in dirnames if d not in _SKIP_DIRS)
+            found += [
+                os.path.join(dirpath, n) for n in sorted(filenames) if n.endswith(".py")
+            ]
+        for path in found:
+            with open(path, encoding="utf-8") as fh:
+                out.append((path, fh.read()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,17 +249,15 @@ def lint_tree(
     if unknown:
         raise ValueError(f"unknown rule codes: {sorted(unknown)}")
 
-    files: list[tuple[str, str]] = []
-    for root in paths:
-        for path in _iter_python_files(root):
-            with open(path, encoding="utf-8") as fh:
-                files.append((path, fh.read()))
+    files = [
+        (path, source, ast.parse(source, filename=path))
+        for path, source in read_sources(paths)
+    ]
 
-    per_file: dict[str, list[Violation]] = {path: [] for path, _ in files}
-    for path, source in files:
-        tree = ast.parse(source, filename=path)
-        per_file[path].extend(
-            collect_violations(tree, path, scope=scope_of(path), rules=active)
+    per_file: dict[str, list[Violation]] = {}
+    for path, _, tree in files:
+        per_file[path] = collect_violations(
+            tree, path, scope=scope_of(path), rules=active
         )
     if active & {"SIM011", "SIM013", "SIM014"}:
         if taint:
@@ -264,17 +269,17 @@ def lint_tree(
         else:
             from .taint import module_taint_violations
 
-            for path, source in files:
+            for path, source, tree in files:
                 per_file[path].extend(
                     v
-                    for v in module_taint_violations(source, path, scope_of(path))
+                    for v in module_taint_violations(path, source, tree, scope_of(path))
                     if v.rule in active
                 )
 
     violations: list[Violation] = []
     stale: list[StaleWaiver] = []
     check_stale = rules is None
-    for path, source in files:
+    for path, source, _ in files:
         lines = source.splitlines()
         kept, used = _apply_waivers(per_file[path], lines)
         kept.sort(key=lambda v: (v.line, v.col, v.rule))

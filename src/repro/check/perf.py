@@ -51,16 +51,15 @@ then behave as a plain per-function lint.
 from __future__ import annotations
 
 import ast
-import os
 import re
 from dataclasses import dataclass
 
-from .callgraph import CallGraph
+from .callgraph import CallGraph, module_matches, module_name_for
 from .linter import (
     StaleWaiver,
     _apply_waivers,
-    _iter_python_files,
     _waiver_comment_lines,
+    read_sources,
     scope_of,
 )
 from .rules import Violation
@@ -195,7 +194,7 @@ def _scan_classes(parsed: list[tuple[str, str, ast.Module]]) -> dict[str, list[_
     """Every class defined in the file set, keyed by bare name."""
     out: dict[str, list[_ClassInfo]] = {}
     for path, _, tree in parsed:
-        module = _module_suffix(path)
+        module = module_name_for(path)
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -225,21 +224,6 @@ def _scan_classes(parsed: list[tuple[str, str, ast.Module]]) -> dict[str, list[_
     return out
 
 
-def _module_suffix(path: str) -> str:
-    """Dotted module name for suffix matching (mirrors callgraph's)."""
-    norm = os.path.normpath(path)
-    if norm.endswith(".py"):
-        norm = norm[:-3]
-    parts = [p for p in norm.split(os.sep) if p not in ("", ".", "..")]
-    return ".".join(parts)
-
-
-def _matches(module: str, suffixes: tuple[str, ...]) -> bool:
-    return any(
-        module == s or module.endswith("." + s) for s in suffixes
-    )
-
-
 # ---------------------------------------------------------------------------
 # hot-set computation
 # ---------------------------------------------------------------------------
@@ -251,12 +235,12 @@ def _hot_set(
     roots = {
         key
         for key, info in graph.functions.items()
-        if _matches(info.module, HOT_ROOT_MODULES)
+        if module_matches(info.module, HOT_ROOT_MODULES)
     }
     extra = {
         key
         for key, info in graph.functions.items()
-        if _matches(info.module, DEFAULT_EXTRA_HOT)
+        if module_matches(info.module, DEFAULT_EXTRA_HOT)
     }
     if not roots:
         # No kernel module in the file set: fixture / ad-hoc lint.
@@ -701,10 +685,6 @@ class PerfLint:
         return not self.violations and not self.stale_waivers
 
 
-def _no_waiver(line: int, rule: str) -> bool:
-    return False
-
-
 def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
     """Run the hot-path analyzer over ``(path, source)`` pairs."""
     parsed: list[tuple[str, str, ast.Module]] = []
@@ -712,7 +692,7 @@ def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
         parsed.append((path, source, ast.parse(source, filename=path)))
 
     graph = CallGraph.build(
-        (path, tree, scope_of(path), _no_waiver) for path, _, tree in parsed
+        (path, tree, scope_of(path), None) for path, _, tree in parsed
     )
     classes = _scan_classes(parsed)
     hot, churned, all_hot = _hot_set(graph, classes)
@@ -767,12 +747,7 @@ def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
 
 def perf_lint_tree(paths: list[str]) -> PerfLint:
     """Analyze every ``.py`` file under the given files/directories."""
-    files: list[tuple[str, str]] = []
-    for root in paths:
-        for path in _iter_python_files(root):
-            with open(path, encoding="utf-8") as fh:
-                files.append((path, fh.read()))
-    return perf_lint_files(files)
+    return perf_lint_files(read_sources(paths))
 
 
 def perf_lint_source(source: str, path: str = "<string>") -> list[Violation]:

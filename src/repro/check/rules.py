@@ -9,36 +9,25 @@ SIM001    wall-clock reads (``time.time`` & friends) in sim code
 SIM002    RNG constructed or global-state RNG drawn outside
           :class:`repro.simcore.rand.RandomStreams`
 SIM003    salted builtin ``hash()`` used for placement/ordering
-SIM004    iteration over an unordered ``set`` (scheduling/RNG hazards)
 SIM005    an event created in a process generator but never yielded
 SIM006    ``==``/``!=`` on float sim timestamps (``env.now``)
 SIM007    blocking calls (``time.sleep``, bare ``.join()``) in sim code
-SIM008    float reduction (``sum``/``fsum``/``np.sum``) over an
-          unordered ``set`` — accumulation order changes the result
 SIM009    dict keyed by ``id(...)`` — key values are memory addresses,
           so any iteration over it replays in allocation order
-SIM010    event scheduling (``.succeed()``/``.callbacks.append``/
-          ``env.process``) from iteration over an unordered ``set``
-SIM011    call into a helper that *transitively* reaches one of the
-          above primitives (emitted by the interprocedural taint pass
-          with the full source→sink chain)
-SIM012    ``set`` stored in an attribute by one method, iterated in
-          another — taint carried by container membership across
-          method boundaries
-SIM013    iterating the result of a call whose callee (transitively)
-          *returns* an unordered container — taint carried by the
-          return value across function boundaries
-SIM014    iterating a generator that (transitively) ``yield from``-s an
-          unordered container — taint carried down the yield path
-          across delegation hops
-SIM015    ``set`` stored as an *element* of a list/dict/tuple and later
-          iterated at a sim-scope site — taint carried by container
-          elements, which name-based set tracking cannot see
-SIM016    ``set`` carried in a dataclass/namedtuple *field* and later
-          iterated through the record — taint laundered through typed
-          record attributes (field annotations, construction-site
-          arguments, positional unpacking)
+SIM011    call into a helper that *transitively* reaches one of these
+          primitives (emitted by the interprocedural taint pass with
+          the full source→sink chain)
 ========  ============================================================
+
+The remaining codes police one hazard, an unordered ``set``'s
+iteration order leaking into sim behaviour, against one fact
+(:mod:`.unordered`).  An order-fixing iteration reports the code of the
+value's carrier: SIM004 for a local name or literal, SIM012 for a
+``self`` attribute bound in another method, SIM015 for a container
+element, SIM016 for a record field (SIM013/SIM014, returns and yield
+paths, come from the taint pass).  A float reduction over any carrier
+is SIM008; a scheduling call inside a loop over a SIM004 value is
+SIM010.
 
 The rules are deliberately heuristic: they aim at the handful of
 patterns that actually corrupt replay determinism, and anything flagged
@@ -50,6 +39,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from typing import Iterable
+
+from .unordered import (
+    ITERATING_CALLS,
+    LOCAL,
+    UnorderedValues,
+    qualname,
+    unordered_values,
+)
 
 __all__ = ["RULES", "Violation", "collect_violations"]
 
@@ -187,15 +184,13 @@ def _root_name(node: ast.expr) -> str | None:
 class _SimVisitor(ast.NodeVisitor):
     """One file's worth of rule checks."""
 
-    def __init__(self, path: str, scope: str, active: set[str]):
+    def __init__(self, path: str, scope: str, active: set[str],
+                 facts: UnorderedValues):
         self.path = path
         self.scope = scope  # "sim" | "runtime"
         self.active = active
         self.violations: list[Violation] = []
-        #: local alias -> canonical module ("np" -> "numpy")
-        self._imports: dict[str, str] = {}
-        #: names / self-attributes known to be bound to sets
-        self._set_names: set[str] = set()
+        self._facts = facts
         #: stack of (function node, is_generator)
         self._funcs: list[tuple[ast.AST, bool]] = []
         #: nesting depth of loops/comprehensions iterating a set (SIM010)
@@ -215,121 +210,29 @@ class _SimVisitor(ast.NodeVisitor):
             )
         )
 
-    def _qualname(self, node: ast.expr) -> str | None:
-        """Dotted name of a call target with import aliases resolved.
-
-        ``np.random.default_rng`` -> ``numpy.random.default_rng``;
-        ``__import__("random").Random`` -> ``random.Random``.
-        """
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(self._imports.get(node.id, node.id))
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "__import__"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            parts.append(node.args[0].value)
-        else:
-            return None
-        return ".".join(reversed(parts))
-
-    # -- import tracking --------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self._imports[alias.asname or alias.name.split(".")[0]] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for alias in node.names:
-            if node.module:
-                self._imports[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-        self.generic_visit(node)
-
-    # -- set-binding tracking (SIM004) ------------------------------------
-    @staticmethod
-    def _bound_name(target: ast.expr) -> str | None:
-        """``x`` or ``self.x`` assignment targets, keyed by bare name."""
-        if isinstance(target, ast.Name):
-            return target.id
-        if isinstance(target, ast.Attribute) and isinstance(
-            target.value, ast.Name
-        ):
-            return target.attr
-        return None
-
-    def _is_set_expr(self, node: ast.expr | None) -> bool:
-        if node is None:
+    # -- unordered values (SIM004/008/010/012/015/016) -----------------------
+    def _check_iteration(self, iter_node: ast.expr) -> bool:
+        """Report an order-fixing iteration under its carrier's code;
+        True if the value is a plain (SIM004) set."""
+        carrier = self._facts.carrier(iter_node, self.scope)
+        if carrier is None:
             return False
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
-        ):
-            return True
-        name = self._bound_name(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
-        return name is not None and name in self._set_names
+        self._emit(carrier[0], iter_node, RULES[carrier[0]] + carrier[1])
+        return carrier == LOCAL
 
-    def _note_binding(self, target: ast.expr, value: ast.expr | None,
-                      annotation: ast.expr | None = None) -> None:
-        name = self._bound_name(target)
-        if name is None:
-            return
-        is_set = self._is_set_expr(value)
-        if annotation is not None:
-            ann = ast.unparse(annotation)
-            is_set = is_set or ann.split("[")[0] in (
-                "set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet"
-            )
-        if is_set:
-            self._set_names.add(name)
-        elif value is not None:
-            self._set_names.discard(name)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._note_binding(target, node.value)
+    def _visit_set_loop(self, node, over_set: bool) -> None:
+        self._set_iter_depth += over_set
         self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._note_binding(node.target, node.value, node.annotation)
-        self.generic_visit(node)
-
-    # -- iteration contexts (SIM004) ---------------------------------------
-    def _check_iteration(self, iter_node: ast.expr) -> None:
-        if self._is_set_expr(iter_node):
-            self._emit("SIM004", iter_node)
+        self._set_iter_depth -= over_set
 
     def visit_For(self, node: ast.For) -> None:
-        self._check_iteration(node.iter)
-        if self._is_set_expr(node.iter):
-            self._set_iter_depth += 1
-            self.generic_visit(node)
-            self._set_iter_depth -= 1
-        else:
-            self.generic_visit(node)
+        self._visit_set_loop(node, self._check_iteration(node.iter))
 
     def _visit_comp(self, node) -> None:
         over_set = False
         for gen in node.generators:
-            self._check_iteration(gen.iter)
-            over_set = over_set or self._is_set_expr(gen.iter)
-        if over_set:
-            self._set_iter_depth += 1
-            self.generic_visit(node)
-            self._set_iter_depth -= 1
-        else:
-            self.generic_visit(node)
+            over_set = self._check_iteration(gen.iter) or over_set
+        self._visit_set_loop(node, over_set)
 
     visit_ListComp = visit_SetComp = visit_GeneratorExp = _visit_comp
 
@@ -419,7 +322,7 @@ class _SimVisitor(ast.NodeVisitor):
 
     # -- calls (SIM001/002/003/007) -------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        qual = self._qualname(node.func)
+        qual = qualname(node.func, self._facts.imports)
         if qual is not None:
             if self.scope == "sim" and qual in _WALL_CLOCK:
                 self._emit("SIM001", node)
@@ -432,22 +335,18 @@ class _SimVisitor(ast.NodeVisitor):
                 )
             if self.scope == "sim" and qual in _BLOCKING:
                 self._emit("SIM007", node)
-        if isinstance(node.func, ast.Name) and node.func.id == "hash":
+        builtin = node.func.id if isinstance(node.func, ast.Name) else None
+        if builtin == "hash":
             self._emit("SIM003", node)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "tuple", "iter", "enumerate", "max", "min")
-            and node.args
-        ):
+        if node.args and builtin in ITERATING_CALLS:
             # materializing/iterating a set fixes its (unordered) order
             self._check_iteration(node.args[0])
-        if node.args and self._is_set_expr(node.args[0]) and (
-            (isinstance(node.func, ast.Name) and node.func.id == "sum")
-            or qual in _FLOAT_REDUCERS
-        ):
+        if node.args and (builtin == "sum" or qual in _FLOAT_REDUCERS):
             # accumulation order over a set is the hash order; float
             # addition is non-associative, so the total drifts with it
-            self._emit("SIM008", node)
+            carrier = self._facts.carrier(node.args[0], self.scope)
+            if carrier is not None:
+                self._emit("SIM008", node, RULES["SIM008"] + carrier[1])
         if (
             self.scope == "sim"
             and isinstance(node.func, ast.Attribute)
@@ -484,570 +383,6 @@ class _SimVisitor(ast.NodeVisitor):
         )
 
 
-#: iteration-fixing callables SIM012 shares with the sequential rule
-_ITER_CALLS = ("list", "tuple", "iter", "enumerate", "max", "min")
-
-
-class _ClassSetVisitor(ast.NodeVisitor):
-    """SIM012: container-membership taint across methods of one class.
-
-    The sequential tracker in :class:`_SimVisitor` follows ``self.x``
-    by bare name in *textual* order, so a set bound in ``reset()`` and
-    iterated in an ``order()`` method defined above it slips through.
-    This pass is class-aware and two-phase: first collect every
-    attribute a class ever binds to a set (skipping attributes that are
-    *also* bound to non-set values — those the sequential tracker's
-    last-binding-wins rule handles more precisely), then flag any
-    iteration of such an attribute in a method other than a binding
-    one.  Sites the sequential rule already reports are deduped by the
-    caller, so SIM012 is exactly the cross-method complement of SIM004.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.violations: list[Violation] = []
-
-    @staticmethod
-    def _self_name(method) -> str | None:
-        args = method.args.posonlyargs + method.args.args
-        return args[0].arg if args else None
-
-    @staticmethod
-    def _is_set_value(value: ast.expr | None, annotation: ast.expr | None) -> bool:
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return True
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in ("set", "frozenset")
-        ):
-            return True
-        if annotation is not None:
-            ann = ast.unparse(annotation)
-            return ann.split("[")[0] in (
-                "set", "Set", "frozenset", "FrozenSet", "AbstractSet",
-                "MutableSet",
-            )
-        return False
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        methods = [
-            m for m in node.body
-            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        #: attr -> method names that bind it to a set
-        set_attrs: dict[str, set[str]] = {}
-        non_set: set[str] = set()
-        for method in methods:
-            self_name = self._self_name(method)
-            if self_name is None:
-                continue
-            for sub in ast.walk(method):
-                if isinstance(sub, ast.Assign):
-                    targets, value, ann = sub.targets, sub.value, None
-                elif isinstance(sub, ast.AnnAssign):
-                    targets, value, ann = [sub.target], sub.value, sub.annotation
-                else:
-                    continue
-                for target in targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == self_name
-                    ):
-                        continue
-                    if self._is_set_value(value, ann):
-                        set_attrs.setdefault(target.attr, set()).add(method.name)
-                    elif value is not None:
-                        non_set.add(target.attr)
-        flaggable = {
-            attr: binders for attr, binders in set_attrs.items()
-            if attr not in non_set
-        }
-        for method in methods:
-            self_name = self._self_name(method)
-            if self_name is None or not flaggable:
-                continue
-            for sub in ast.walk(method):
-                for it in self._iterated(sub):
-                    if not (
-                        isinstance(it, ast.Attribute)
-                        and isinstance(it.value, ast.Name)
-                        and it.value.id == self_name
-                    ):
-                        continue
-                    binders = flaggable.get(it.attr)
-                    if binders and binders != {method.name}:
-                        self.violations.append(
-                            Violation(
-                                "SIM012", self.path,
-                                it.lineno, it.col_offset,
-                                RULES["SIM012"]
-                                + f" (self.{it.attr} is bound in "
-                                f"{', '.join(sorted(binders))}())",
-                            )
-                        )
-        self.generic_visit(node)  # nested classes
-
-    @staticmethod
-    def _iterated(node: ast.AST) -> list[ast.expr]:
-        """Expressions ``node`` iterates in an order-fixing way."""
-        if isinstance(node, ast.For):
-            return [node.iter]
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-                             ast.DictComp)):
-            return [gen.iter for gen in node.generators]
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _ITER_CALLS
-            and node.args
-        ):
-            return [node.args[0]]
-        return []
-
-
-def _is_set_expr(value: ast.expr | None) -> bool:
-    """Literal/constructor expressions that produce an unordered set."""
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return True
-    return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in ("set", "frozenset")
-    )
-
-
-def _container_with_set_elements(value: ast.expr | None) -> bool:
-    if isinstance(value, (ast.List, ast.Tuple)):
-        return any(_is_set_expr(e) for e in value.elts)
-    if isinstance(value, ast.Dict):
-        return any(v is not None and _is_set_expr(v) for v in value.values)
-    return False
-
-
-class _ElementSetVisitor(ast.NodeVisitor):
-    """SIM015: unordered taint carried by container *elements*.
-
-    The sequential tracker (SIM004) and its cross-method (SIM012),
-    cross-return (SIM013), and cross-yield (SIM014) extensions all
-    follow sets by the *name* they are bound to.  A set dropped into a
-    list or dict slot has no name: ``groups.append({a, b})`` launders
-    the taint through an ordered container, and the later
-    ``for g in groups: for x in g`` iterates hash order with every
-    name-based pass blind.  Two phases: collect every bare-name
-    container that ever holds a set-valued element (literal elements,
-    ``append``/``insert``/``setdefault``, keyed assignment), then flag
-    order-fixing iteration over those containers' *elements* — a loop
-    variable drawn from the container, or a direct subscript.
-    ``sorted(...)`` stays exempt, as everywhere in the linter.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.violations: list[Violation] = []
-        self._tainted: set[str] = set()
-        #: live element aliases (loop vars drawn from a tainted
-        #: container) -> the container they came from
-        self._aliases: dict[str, str] = {}
-
-    # -- phase 1 ------------------------------------------------------------
-    def collect(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                value = node.value
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and _container_with_set_elements(value)
-                    ):
-                        self._tainted.add(target.id)
-                    elif (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and _is_set_expr(value)
-                    ):
-                        self._tainted.add(target.value.id)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.args
-            ):
-                attr, args = node.func.attr, node.args
-                if (
-                    (attr == "append" and _is_set_expr(args[0]))
-                    or (attr == "insert" and len(args) >= 2
-                        and _is_set_expr(args[1]))
-                    or (attr == "setdefault" and len(args) >= 2
-                        and _is_set_expr(args[1]))
-                ):
-                    self._tainted.add(node.func.value.id)
-
-    # -- phase 2 ------------------------------------------------------------
-    def _element_source(self, expr: ast.expr) -> str | None:
-        """Container name if ``expr`` denotes a set-valued element."""
-        if isinstance(expr, ast.Name) and expr.id in self._aliases:
-            return self._aliases[expr.id]
-        if (
-            isinstance(expr, ast.Subscript)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id in self._tainted
-        ):
-            return expr.value.id
-        return None
-
-    def _alias_targets(self, it: ast.expr) -> ast.expr | None:
-        """The loop-target expr that aliases elements of a tainted
-        container iterated by ``it`` (direct, ``.values()``, or the
-        value half of ``.items()``)."""
-        if isinstance(it, ast.Name) and it.id in self._tainted:
-            return it
-        if (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Attribute)
-            and isinstance(it.func.value, ast.Name)
-            and it.func.value.id in self._tainted
-            and it.func.attr in ("values", "items")
-        ):
-            return it
-        return None
-
-    @staticmethod
-    def _bound_alias(target: ast.expr, it: ast.expr) -> list[str]:
-        """Names the loop target binds to set-valued elements."""
-        values_only = not (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Attribute)
-            and it.func.attr == "items"
-        )
-        if isinstance(target, ast.Name):
-            return [target.id] if values_only else []
-        if isinstance(target, (ast.Tuple, ast.List)) and not values_only:
-            # for k, g in X.items(): the second name is the element
-            if len(target.elts) == 2 and isinstance(target.elts[1], ast.Name):
-                return [target.elts[1].id]
-        return []
-
-    def _container_of(self, it: ast.expr) -> str:
-        return (
-            it.id if isinstance(it, ast.Name) else it.func.value.id  # type: ignore[union-attr]
-        )
-
-    def _emit(self, node: ast.expr, container: str) -> None:
-        self.violations.append(
-            Violation(
-                "SIM015", self.path, node.lineno, node.col_offset,
-                RULES["SIM015"] + f" (element of {container!r})",
-            )
-        )
-
-    def visit_For(self, node: ast.For) -> None:
-        src = self._element_source(node.iter)
-        if src is not None:
-            self._emit(node.iter, src)
-        self.visit(node.iter)
-        added: dict[str, str] = {}
-        it = self._alias_targets(node.iter)
-        if it is not None:
-            container = self._container_of(it)
-            for name in self._bound_alias(node.target, it):
-                added[name] = container
-        saved = dict(self._aliases)
-        self._aliases.update(added)
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self._aliases = saved
-
-    def _visit_comp(self, node) -> None:
-        saved = dict(self._aliases)
-        for gen in node.generators:
-            src = self._element_source(gen.iter)
-            if src is not None:
-                self._emit(gen.iter, src)
-            self.visit(gen.iter)
-            it = self._alias_targets(gen.iter)
-            if it is not None:
-                container = self._container_of(it)
-                for name in self._bound_alias(gen.target, it):
-                    self._aliases[name] = container
-            for cond in gen.ifs:
-                self.visit(cond)
-        if isinstance(node, ast.DictComp):
-            self.visit(node.key)
-            self.visit(node.value)
-        else:
-            self.visit(node.elt)
-        self._aliases = saved
-
-    visit_ListComp = _visit_comp
-    visit_SetComp = _visit_comp
-    visit_GeneratorExp = _visit_comp
-    visit_DictComp = _visit_comp
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _ITER_CALLS
-            and node.args
-        ):
-            src = self._element_source(node.args[0])
-            if src is not None:
-                self._emit(node.args[0], src)
-        self.generic_visit(node)
-
-
-#: annotation heads that denote an unordered set type
-_SET_ANNOTATIONS = (
-    "set", "frozenset", "Set", "FrozenSet", "MutableSet", "AbstractSet",
-)
-
-
-def _is_set_annotation(ann: ast.expr | None) -> bool:
-    if ann is None:
-        return False
-    if isinstance(ann, ast.Name):
-        return ann.id in _SET_ANNOTATIONS
-    if isinstance(ann, ast.Attribute):
-        return ann.attr in _SET_ANNOTATIONS
-    if isinstance(ann, ast.Subscript):
-        return _is_set_annotation(ann.value)
-    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-        head = ann.value.split("[", 1)[0].strip()
-        return head.rsplit(".", 1)[-1] in _SET_ANNOTATIONS
-    return False
-
-
-def _decorator_name(dec: ast.expr) -> str | None:
-    if isinstance(dec, ast.Call):
-        dec = dec.func
-    if isinstance(dec, ast.Name):
-        return dec.id
-    if isinstance(dec, ast.Attribute):
-        return dec.attr
-    return None
-
-
-class _RecordSetVisitor(ast.NodeVisitor):
-    """SIM016: unordered taint carried by dataclass/namedtuple *fields*.
-
-    Records launder set taint the same way container elements do
-    (SIM015), but through a typed attribute instead of an index:
-    ``Unit(paths={a, b})`` drops the set into ``unit.paths``, and the
-    later ``for p in unit.paths`` iterates hash order with every
-    name-based pass blind.  Two phases: collect the record classes
-    (``@dataclass``-decorated, ``NamedTuple`` subclasses,
-    ``collections.namedtuple`` factories) and which of their fields are
-    set-valued — from field annotations, ``field(default_factory=set)``
-    defaults, and set-expression construction arguments — then flag
-    order-fixing iteration over ``instance.field`` (or over a bare name
-    the field was unpacked/aliased into).  ``sorted(...)`` stays
-    exempt, as everywhere in the linter.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.violations: list[Violation] = []
-        #: record class -> field names in declaration order
-        self._fields: dict[str, list[str]] = {}
-        #: record class -> the set-valued subset
-        self._set_fields: dict[str, set[str]] = {}
-        #: bare variable -> record class it holds an instance of
-        self._instances: dict[str, str] = {}
-        #: bare names a set-valued field was unpacked or aliased into
-        self._unpacked: set[str] = set()
-
-    # -- phase 1 ------------------------------------------------------------
-    def collect(self, tree: ast.AST) -> None:
-        # Record classes first (a construction site may lexically
-        # precede the class definition it instantiates).
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                self._collect_class(node)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                self._collect_namedtuple(node)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                self._collect_binding(node)
-            elif isinstance(node, ast.Call):
-                # construction sites taint fields wherever they appear
-                # (returns, nested calls), not just in assignments
-                self._record_call(node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                a = node.args
-                for arg in a.posonlyargs + a.args + a.kwonlyargs:
-                    if (
-                        isinstance(arg.annotation, ast.Name)
-                        and arg.annotation.id in self._fields
-                    ):
-                        self._instances[arg.arg] = arg.annotation.id
-
-    def _collect_class(self, node: ast.ClassDef) -> None:
-        is_record = any(
-            _decorator_name(d) == "dataclass" for d in node.decorator_list
-        ) or any(
-            (isinstance(b, ast.Name) and b.id == "NamedTuple")
-            or (isinstance(b, ast.Attribute) and b.attr == "NamedTuple")
-            for b in node.bases
-        )
-        if not is_record:
-            return
-        fields: list[str] = []
-        tainted: set[str] = set()
-        for stmt in node.body:
-            if not (
-                isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-            ):
-                continue
-            name = stmt.target.id
-            fields.append(name)
-            if _is_set_annotation(stmt.annotation) or _is_set_expr(stmt.value):
-                tainted.add(name)
-            elif (
-                isinstance(stmt.value, ast.Call)
-                and _decorator_name(stmt.value.func) == "field"
-            ):
-                for kw in stmt.value.keywords:
-                    if (
-                        kw.arg == "default_factory"
-                        and isinstance(kw.value, ast.Name)
-                        and kw.value.id in ("set", "frozenset")
-                    ):
-                        tainted.add(name)
-        self._fields[node.name] = fields
-        self._set_fields[node.name] = tainted
-
-    def _collect_namedtuple(self, node: ast.Assign) -> None:
-        target, value = node.targets[0], node.value
-        if not (
-            isinstance(target, ast.Name)
-            and isinstance(value, ast.Call)
-            and _decorator_name(value.func) == "namedtuple"
-            and len(value.args) >= 2
-        ):
-            return
-        spec = value.args[1]
-        fields: list[str] = []
-        if isinstance(spec, ast.Constant) and isinstance(spec.value, str):
-            fields = spec.value.replace(",", " ").split()
-        elif isinstance(spec, (ast.List, ast.Tuple)):
-            fields = [
-                e.value
-                for e in spec.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            ]
-        self._fields[target.id] = fields
-        self._set_fields[target.id] = set()
-
-    def _record_call(self, value: ast.expr) -> str | None:
-        """Record class name if ``value`` constructs a known record,
-        folding any set-expression arguments into its tainted fields."""
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in self._fields
-        ):
-            return None
-        klass = value.func.id
-        fields = self._fields[klass]
-        for i, arg in enumerate(value.args):
-            if i < len(fields) and _is_set_expr(arg):
-                self._set_fields[klass].add(fields[i])
-        for kw in value.keywords:
-            if kw.arg in fields and _is_set_expr(kw.value):
-                self._set_fields[klass].add(kw.arg)
-        return klass
-
-    def _collect_binding(self, node: ast.Assign | ast.AnnAssign) -> None:
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        value = node.value
-        klass = self._record_call(value) if value is not None else None
-        if (
-            klass is None
-            and isinstance(node, ast.AnnAssign)
-            and isinstance(node.annotation, ast.Name)
-            and node.annotation.id in self._fields
-        ):
-            klass = node.annotation.id
-        if klass is None and isinstance(value, ast.Name):
-            klass = self._instances.get(value.id)
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if klass is not None:
-                    self._instances[target.id] = klass
-                elif value is not None and self._field_source(value):
-                    # alias: s = rec.paths carries the taint to a name
-                    self._unpacked.add(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)) and klass is not None:
-                # positional unpack: names at set-valued field slots
-                fields = self._fields[klass]
-                tainted = self._set_fields[klass]
-                for i, elt in enumerate(target.elts):
-                    if (
-                        isinstance(elt, ast.Name)
-                        and i < len(fields)
-                        and fields[i] in tainted
-                    ):
-                        self._unpacked.add(elt.id)
-
-    # -- phase 2 ------------------------------------------------------------
-    def _field_source(self, expr: ast.expr) -> str | None:
-        """Human label if ``expr`` denotes a set-valued record field."""
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-        ):
-            klass = self._instances.get(expr.value.id)
-            if klass is not None and expr.attr in self._set_fields[klass]:
-                return f"{klass}.{expr.attr}"
-        if isinstance(expr, ast.Name) and expr.id in self._unpacked:
-            return f"unpacked {expr.id!r}"
-        return None
-
-    def _emit(self, node: ast.expr, source: str) -> None:
-        self.violations.append(
-            Violation(
-                "SIM016", self.path, node.lineno, node.col_offset,
-                RULES["SIM016"] + f" ({source})",
-            )
-        )
-
-    def _check_iter(self, it: ast.expr) -> None:
-        source = self._field_source(it)
-        if source is not None:
-            self._emit(it, source)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iter(node.iter)
-        self.generic_visit(node)
-
-    def _visit_comp(self, node) -> None:
-        for gen in node.generators:
-            self._check_iter(gen.iter)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comp
-    visit_SetComp = _visit_comp
-    visit_GeneratorExp = _visit_comp
-    visit_DictComp = _visit_comp
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _ITER_CALLS
-            and node.args
-        ):
-            self._check_iter(node.args[0])
-        self.generic_visit(node)
-
-
 def collect_violations(
     tree: ast.AST,
     path: str,
@@ -1062,51 +397,6 @@ def collect_violations(
     blocking rules only apply to sim scope.
     """
     active = set(rules) if rules is not None else set(RULES)
-    visitor = _SimVisitor(path, scope, active)
+    visitor = _SimVisitor(path, scope, active, unordered_values(tree))
     visitor.visit(tree)
-    violations = visitor.violations
-    if "SIM012" in active:
-        # SIM012 complements SIM004: anything the sequential tracker
-        # already sees at the same site stays a SIM004, regardless of
-        # which rules the caller selected
-        spots = {
-            (v.line, v.col) for v in violations if v.rule == "SIM004"
-        }
-        if "SIM004" not in active:
-            aux = _SimVisitor(path, scope, {"SIM004"})
-            aux.visit(tree)
-            spots = {(v.line, v.col) for v in aux.violations}
-        cls_visitor = _ClassSetVisitor(path)
-        cls_visitor.visit(tree)
-        violations.extend(
-            v for v in cls_visitor.violations if (v.line, v.col) not in spots
-        )
-    if "SIM015" in active and scope == "sim":
-        # Same dedup contract as SIM012: a site the sequential tracker
-        # already reports keeps its SIM004.
-        spots = {(v.line, v.col) for v in violations if v.rule == "SIM004"}
-        if "SIM004" not in active:
-            aux = _SimVisitor(path, scope, {"SIM004"})
-            aux.visit(tree)
-            spots = {(v.line, v.col) for v in aux.violations}
-        elem_visitor = _ElementSetVisitor(path)
-        elem_visitor.collect(tree)
-        elem_visitor.visit(tree)
-        violations.extend(
-            v for v in elem_visitor.violations if (v.line, v.col) not in spots
-        )
-    if "SIM016" in active and scope == "sim":
-        # Same dedup contract as SIM012/SIM015: a site the sequential
-        # tracker already reports keeps its SIM004.
-        spots = {(v.line, v.col) for v in violations if v.rule == "SIM004"}
-        if "SIM004" not in active:
-            aux = _SimVisitor(path, scope, {"SIM004"})
-            aux.visit(tree)
-            spots = {(v.line, v.col) for v in aux.violations}
-        rec_visitor = _RecordSetVisitor(path)
-        rec_visitor.collect(tree)
-        rec_visitor.visit(tree)
-        violations.extend(
-            v for v in rec_visitor.violations if (v.line, v.col) not in spots
-        )
-    return violations
+    return visitor.violations

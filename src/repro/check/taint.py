@@ -3,8 +3,9 @@
 A function is *tainted* when its body — or anything it transitively
 calls — touches a nondeterminism primitive without an inline waiver:
 wall-clock reads (SIM001), RNG outside ``RandomStreams`` (SIM002),
-salted builtin ``hash()`` (SIM003), unordered-set iteration (SIM004),
-blocking calls (SIM007).  Taint flows *backwards* along call edges, so
+salted builtin ``hash()`` (SIM003), iteration of an unordered value
+(SIM004 or another carrier of :mod:`.unordered`), blocking calls
+(SIM007).  Taint flows *backwards* along call edges, so
 the per-function AST rules effectively fire at the call site inside sim
 code even when the primitive lives in a helper function or another
 module — the case the single-function pass is blind to (notably:
@@ -56,32 +57,29 @@ __all__ = ["FunctionTaint", "build_graph", "propagate", "taint_violations"]
 class FunctionTaint:
     """Why one function is tainted, with the shortest known chain."""
 
-    rule: str  #: underlying primitive rule (SIM001/002/003/004/007)
+    rule: str  #: underlying primitive rule (SIM001/002/003/007 or a carrier)
     kind: str  #: e.g. ``"wall-clock read time.time"``
     chain: tuple[str, ...]  #: qualnames from this function down to the source
 
 
-def build_graph(files: Iterable[tuple[str, str]]) -> CallGraph:
-    """Parse ``(path, source)`` pairs into a :class:`CallGraph`.
+def _entry(path: str, source: str, tree: ast.AST, scope: str) -> tuple:
+    """A :meth:`CallGraph.build` entry whose waiver hook reads the same
+    inline waivers as the per-file linter, so a waived primitive never
+    becomes a taint source."""
+    from .linter import waived_at
 
-    Waiver detection and scope classification use the same rules as the
-    per-file linter, so a waived primitive never becomes a taint source.
-    """
-    from .linter import scope_of, waived_at
+    lines = source.splitlines()
+    return (path, tree, scope, lambda line, rule: waived_at(lines, line, rule))
 
-    entries = []
-    for path, source in files:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        lines = source.splitlines()
 
-        def waived(line, rule, _lines=lines):
-            return waived_at(_lines, line, rule)
+def build_graph(parsed: Iterable[tuple[str, str, ast.AST]]) -> CallGraph:
+    """A :class:`CallGraph` over already-parsed ``(path, source, tree)``
+    triples, each in the scope :func:`..linter.scope_of` gives it."""
+    from .linter import scope_of
 
-        entries.append((path, tree, scope_of(path), waived))
-    return CallGraph.build(entries)
+    return CallGraph.build(
+        _entry(path, source, tree, scope_of(path)) for path, source, tree in parsed
+    )
 
 
 def propagate(graph: CallGraph) -> dict[str, dict[str, FunctionTaint]]:
@@ -233,102 +231,51 @@ def taint_violations(
             if call.target is None:
                 continue
             callee = graph.functions[call.target]
-            if call.iterated and callee.returns_unordered:
-                key = (info.path, call.line, call.col, "SIM013")
-                if key not in seen:
-                    seen.add(key)
-                    out.append(
-                        Violation(
-                            "SIM013",
-                            info.path,
-                            call.line,
-                            call.col,
-                            _RETURN_MESSAGE.format(
-                                display=call.display,
-                                callee=callee.qualname,
-                            ),
-                        )
-                    )
-            if call.iterated and callee.yields_unordered:
-                key = (info.path, call.line, call.col, "SIM014")
-                if key not in seen:
-                    seen.add(key)
-                    out.append(
-                        Violation(
-                            "SIM014",
-                            info.path,
-                            call.line,
-                            call.col,
-                            _YIELD_MESSAGE.format(
-                                display=call.display,
-                                callee=callee.qualname,
-                            ),
-                        )
-                    )
-            for rule, t in sorted(taints.get(call.target, {}).items()):
-                key = (info.path, call.line, call.col, rule)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    Violation(
-                        "SIM011",
-                        info.path,
-                        call.line,
-                        call.col,
-                        _MESSAGE.format(
-                            display=call.display,
-                            kind=t.kind,
-                            rule=rule,
-                            chain=" -> ".join(t.chain),
-                        ),
-                    )
-                )
-            for pos, _param in (
-                (i, None) for i in call.set_args
+            #: (dedup tag, rule, message) for every finding at this call
+            found: list[tuple[tuple, str, str]] = []
+            for flag, rule, template in (
+                (callee.returns_unordered, "SIM013", _RETURN_MESSAGE),
+                (callee.yields_unordered, "SIM014", _YIELD_MESSAGE),
             ):
+                if call.iterated and flag:
+                    message = template.format(
+                        display=call.display, callee=callee.qualname
+                    )
+                    found.append(((rule,), rule, message))
+            for rule, t in sorted(taints.get(call.target, {}).items()):
+                message = _MESSAGE.format(
+                    display=call.display,
+                    kind=t.kind,
+                    rule=rule,
+                    chain=" -> ".join(t.chain),
+                )
+                found.append(((rule,), "SIM011", message))
+            for pos in call.set_args:
                 if (
                     pos < len(callee.params)
                     and callee.params[pos] in callee.iterated_params
                 ):
-                    key = (info.path, call.line, call.col, "set-arg", pos)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(
-                        Violation(
-                            "SIM011",
-                            info.path,
-                            call.line,
-                            call.col,
-                            _SET_ARG_MESSAGE.format(
-                                display=call.display,
-                                pos=pos,
-                                chain=f"{call.display} iterates "
-                                f"'{callee.params[pos]}'",
-                            ),
-                        )
+                    message = _SET_ARG_MESSAGE.format(
+                        display=call.display,
+                        pos=pos,
+                        chain=f"{call.display} iterates '{callee.params[pos]}'",
                     )
+                    found.append((("set-arg", pos), "SIM011", message))
+            for tag, rule, message in found:
+                key = (info.path, call.line, call.col, *tag)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(Violation(rule, info.path, call.line, call.col, message))
     out.sort(key=lambda v: (v.path, v.line, v.col))
     return out
 
 
 def module_taint_violations(
-    source: str, path: str, scope: str
+    path: str, source: str, tree: ast.AST, scope: str
 ) -> list[Violation]:
     """Single-module taint (the :func:`..linter.lint_source` hook).
 
     Catches same-file helper indirection; the cross-module pass in
     ``repro check --taint`` subsumes this over a whole tree.
     """
-    from .linter import waived_at
-
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []
-    lines = source.splitlines()
-    graph = CallGraph.build(
-        [(path, tree, scope, lambda line, rule: waived_at(lines, line, rule))]
-    )
-    return taint_violations(graph)
+    return taint_violations(CallGraph.build([_entry(path, source, tree, scope)]))

@@ -6,12 +6,14 @@ against the fleet's aggregate cache capacity (× an overcommit factor)
 and resolves each arrival deterministically:
 
 * **admit**   — demand fits: reserve and run.
-* **queue**   — saturated, queue has room: park behind an event that
-  fires (FIFO) as running jobs release their reservations.
-* **degrade** — saturated, queue full, degradation allowed: the job
-  runs *now* but entirely against the PFS (the client's ``pfs_only``
-  mode), consuming zero cache.
-* **reject**  — saturated, queue full, degradation disallowed.
+* **queue**   — saturated, queue has room, and the demand fits the
+  whole budget: park behind an event that fires (FIFO) as running
+  jobs release their reservations.
+* **degrade** — saturated and the queue full, or the demand exceeds
+  the whole budget (it could never be promoted), degradation allowed:
+  the job runs *now* but entirely against the PFS (the client's
+  ``pfs_only`` mode), consuming zero cache.
+* **reject**  — the same, degradation disallowed.
 
 Every decision is appended to :attr:`decisions` — the deterministic
 admission log the tenancy experiment prints.
@@ -81,7 +83,7 @@ class AdmissionController:
             action, event = "admit", None
             self.reserved += demand
             self._held[spec.tenant_id] = demand
-        elif len(self._waiting) < self.queue_limit:
+        elif demand <= self.budget and len(self._waiting) < self.queue_limit:
             action, event = "queue", self.env.event()
             self._waiting.append((spec.tenant_id, demand, event))
         elif self.degrade_ok:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -97,6 +99,16 @@ class TestModeComparisonWindows:
 
         with pytest.raises(ValueError, match="windows"):
             getattr(experiments, name)(windows=0)
+
+
+class TestTenancyAdmission:
+    def test_oversized_job_does_not_deadlock_the_demo(self, capsys):
+        # tenant 11 asks for more than the whole admission budget; it
+        # used to be queued forever and the run died with an empty queue
+        rc = main(["tenancy", "--smoke", "--jobs", "3", "--think", "0.05",
+                   "--streams", "2", "--seed", "1"])
+        assert rc == 0
+        assert re.search(r"t11 +\S+ +degrade", capsys.readouterr().out)
 
 
 class TestReport:

@@ -303,6 +303,39 @@ class TestRuleDetails:
         assert codes(src, scope="runtime") == []
 
 
+class TestUnorderedValueGaps:
+    """Carrier x sink pairs the per-carrier visitors used to miss."""
+
+    def test_qualified_typing_annotation(self):
+        src = (
+            "import typing\n\n"
+            "def order(g):\n"
+            "    xs: typing.Set[int] = g()\n"
+            "    return [x for x in xs]\n"
+        )
+        assert codes(src) == ["SIM004"]
+
+    def test_string_annotation(self):
+        src = (
+            "def order(g):\n"
+            "    xs: 'set[int]' = g()\n"
+            "    return [x for x in xs]\n"
+        )
+        assert codes(src) == ["SIM004"]
+
+    def test_float_reduction_over_cross_method_attribute(self):
+        src = (
+            "class Meter:\n"
+            "    def total(self):\n"
+            "        return sum(self._live)\n"
+            "    def reset(self):\n"
+            "        self._live = {0.1, 0.2}\n"
+        )
+        (v,) = lint_source(src)
+        assert (v.rule, v.line) == ("SIM008", 3)
+        assert "(self._live is bound in reset())" in v.message
+
+
 class TestSim010Details:
     def test_comprehension_spawn(self):
         src = (

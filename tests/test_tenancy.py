@@ -262,6 +262,15 @@ class TestAdmission:
         assert adm.request(self._spec(0)).action == "admit"
         assert adm.request(self._spec(1)).action == "reject"
 
+    def test_demand_above_the_budget_is_never_queued(self):
+        # a queued job that can never fit would block the queue forever
+        adm = self._controller(queue_limit=2, degrade_ok=True)
+        assert adm.request(self._spec(0, 1_001)).action == "degrade"
+        adm = self._controller(queue_limit=2, degrade_ok=False)
+        assert adm.request(self._spec(0, 600)).action == "admit"
+        assert adm.request(self._spec(1, 1_001)).action == "reject"
+        assert adm.request(self._spec(2, 1_000)).action == "queue"
+
     def test_release_promotes_the_queue_head(self):
         adm = self._controller(queue_limit=1)
         adm.request(self._spec(0))
