@@ -662,6 +662,8 @@ class Environment:
 
         while queue and queue[0][0] < stop_at:
             step()
-        if self._queue and stop_at != float("inf"):
+        if stop_at != float("inf"):
+            # The clock reaches ``until`` even when the queue drains
+            # first: a caller waiting out a period must see it pass.
             self._now = stop_at
         return None

@@ -9,6 +9,12 @@ import repro.core.client as client_mod
 from repro.cluster import Allocation, TESTING
 from repro.core import HVACDeployment
 from repro.experiments import fault_matrix, resilience_sweep
+from repro.experiments.comparison import (
+    build_deployment,
+    dataset_files,
+    fault_spec,
+    run_epoch,
+)
 from repro.faults import (
     FailureDetector,
     FaultEvent,
@@ -379,6 +385,27 @@ class TestResilienceExperiments:
         assert one.degraded == two.degraded
         assert one.recovered == two.recovered
         assert one.pfs_fallbacks == two.pfs_fallbacks
+
+    def test_probation_wait_outlasts_the_blacklist(self):
+        # The sweep waits out probation with run(until=...) after the
+        # degraded epoch has drained every event; the clock must still
+        # advance, or the "recovered" epoch starts with every victim
+        # blacklisted and re-measures the degraded path.
+        spec = fault_spec(None)
+        env, dep, _ = build_deployment(spec, 4, seed=3)
+        files = dataset_files(12, 25_000)
+        run_epoch(env, dep, 4, files)
+        victims = [0, 1]
+        dep.inject(FaultSchedule([crash(0.0, node) for node in victims]))
+        run_epoch(env, dep, 4, files)
+        for node in victims:
+            dep.recover_node(node)
+        clients = [dep.client(node) for node in range(4)]
+        assert any(cli.detector.suspects() for cli in clients)
+        t0 = env.now
+        env.run(until=t0 + 2 * spec.hvac.probation_period)
+        assert env.now == t0 + 2 * spec.hvac.probation_period
+        assert not any(cli.detector.suspects() for cli in clients)
 
 
 class TestScheduleDrivenEpochs:

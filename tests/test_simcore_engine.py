@@ -117,6 +117,22 @@ def test_run_until_time_stops_clock_exactly():
     assert env.now == 10.5
 
 
+def test_run_until_time_on_an_empty_queue_moves_the_clock():
+    env = Environment()
+    env.run(until=5)
+    assert env.now == 5.0
+    env.run(until=7.5)
+    assert env.now == 7.5
+
+
+def test_run_until_time_moves_the_clock_past_a_drained_queue():
+    env = Environment()
+    env.timeout(1)
+    env.run(until=5)
+    assert env.now == 5.0
+    assert env.peek() == float("inf")
+
+
 def test_run_until_past_time_raises():
     env = Environment()
     env.process(iter_timeout(env))
