@@ -38,7 +38,7 @@ PERF105   O(n)-per-event container use: ``list.pop(0)``, membership
 
 False positives are silenced inline, loudly and with a reason::
 
-    if request in self.users:  # perf: waive PERF105 -- users is capacity-bounded
+    if cand not in out:  # perf: waive PERF105 -- out is replication-factor bounded
 
 Waivers that stop suppressing anything are reported as *stale* (same
 machinery as simlint's), so they cannot rot.

@@ -79,7 +79,10 @@ class Resource:
             raise SimulationError(f"capacity must be > 0, got {capacity}")
         self.env = env
         self._capacity = int(capacity)
-        self.users: list[Request] = []
+        # Insertion-ordered dict used as a set: holder lookup and
+        # removal are O(1) even for the fabric core pool, whose capacity
+        # is the node count.
+        self.users: dict[Request, None] = {}
         # Deque: NVMe/NIC queues grant from the head once per service
         # completion, and list.pop(0) is O(n) per event (PERF105).
         self.queue: deque[Request] = deque()
@@ -103,7 +106,7 @@ class Resource:
         if len(self.users) < self._capacity:
             # Granted on the spot: trigger and schedule in place, as
             # Event.succeed would.
-            self.users.append(req)
+            self.users[req] = None
             req._value = None
             env = self.env
             seq = next(env._seq)
@@ -123,8 +126,8 @@ class Resource:
 
     # -- internals -----------------------------------------------------
     def _cancel(self, request: Request) -> None:
-        if request in self.users:  # perf: waive PERF105 -- users is capacity-bounded (typically 1-8 holders)
-            self.users.remove(request)
+        if request in self.users:
+            del self.users[request]
             if self.queue:
                 self._grant_next()
         else:
@@ -136,7 +139,7 @@ class Resource:
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self._capacity:
             nxt = self.queue.popleft()
-            self.users.append(nxt)
+            self.users[nxt] = None
             nxt.succeed()
 
 
@@ -163,15 +166,15 @@ class PriorityResource(Resource):
     def request(self, priority: float = 0.0) -> _PriorityRequest:  # type: ignore[override]
         req = _PriorityRequest(self, priority)
         if len(self.users) < self._capacity:
-            self.users.append(req)
+            self.users[req] = None
             req.succeed()
         else:
             heappush(self.queue, req)
         return req
 
     def _cancel(self, request: _PriorityRequest) -> None:  # type: ignore[override]
-        if request in self.users:  # perf: waive PERF105 -- users is capacity-bounded (typically 1-8 holders)
-            self.users.remove(request)
+        if request in self.users:
+            del self.users[request]
             if self.queue:
                 self._grant_next()
         else:
@@ -184,7 +187,7 @@ class PriorityResource(Resource):
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self._capacity:
             nxt = heappop(self.queue)
-            self.users.append(nxt)
+            self.users[nxt] = None
             nxt.succeed()
 
 
