@@ -273,7 +273,12 @@ class RPCEndpoint:
             outcome = yield done
         else:
             expiry = env.timeout(timeout)
-            result = yield done | expiry
+            try:
+                result = yield done | expiry
+            finally:
+                # A reply (or an interrupt) that beats the deadline leaves
+                # the timer nothing to do: take it out of the heap now.
+                expiry.cancel()
             if done not in result:
                 raise RPCTimeout(f"{op} on {target.name} after {timeout}s")
             outcome = result[done]

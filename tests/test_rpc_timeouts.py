@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import Fabric, NetworkSpec
 from repro.rpc import RPCEndpoint, RPCError, RPCTimeout
-from repro.simcore import Environment
+from repro.simcore import Environment, Interrupt
 
 
 def make_fabric(env, n=4):
@@ -221,3 +221,53 @@ class TestHang:
         server.hang()
         server.restart()
         assert not server.hung and server.alive
+
+
+class TestDeadlineTimers:
+    """A deadline timer is cancelled once the call no longer needs it,
+    so dead timers do not pile up in the event queue."""
+
+    @staticmethod
+    def queue_after_calls(k):
+        env = Environment()
+        fab = make_fabric(env)
+        server, client = make_pair(env, fab, handler_delay=0.01)
+        replies = []
+
+        def caller():
+            for _ in range(k):
+                replies.append((yield from client.call(server, "op", timeout=5.0)))
+
+        env.run(until=env.process(caller()))
+        assert replies == ["ok"] * k
+        return len(env._queue), env.now
+
+    def test_answered_calls_leave_no_deadline_behind(self):
+        depth_few, now_few = self.queue_after_calls(3)
+        depth_many, now_many = self.queue_after_calls(60)
+        assert depth_many == depth_few
+        assert now_many < 5.0  # every call, not only the last, was answered
+
+    def test_interrupted_caller_leaves_no_deadline_behind(self):
+        env = Environment()
+        fab = make_fabric(env)
+        server, client = make_pair(env, fab, handler_delay=0.2)
+        interrupted = []
+
+        def caller():
+            try:
+                yield from client.call(server, "op", timeout=10.0)
+            except Interrupt:
+                interrupted.append(env.now)
+
+        proc = env.process(caller())
+
+        def interrupter():
+            yield env.timeout(0.05)
+            proc.interrupt("give up")
+
+        env.process(interrupter())
+        env.run()
+        assert interrupted == [0.05]
+        # The drain ends with the abandoned handler, not at the deadline.
+        assert env.now < 1.0
