@@ -16,11 +16,11 @@ from repro.simcore import EventTrace
 PINNED = {
     "epochs": (1864, "a5f8ed43c373bb9b57ca5a4ab0fe6f3d"),
     "epochs_traced": (1864, "a5f8ed43c373bb9b57ca5a4ab0fe6f3d"),
-    "membership": (13206, "0ae1e0a4f0936bb2cd7a00eb8f63b1fd"),
-    "resilience": (21267, "299d9537b139248c4c5a4d8f8c58e286"),
-    "tenancy": (104044, "625bb761bf0c0b0131c523d8a4c7ae41"),
-    "prefetch": (55963, "6e7f184ae34d29b388c44e2f8137ed4e"),
-    "fuzz_single": (9661, "81b2b9a401c226c7307975313697beb8"),
+    "membership": (12913, "70cc297c3982c94e76e09a82e9871aa3"),
+    "resilience": (21623, "217a75bdaadd68210be27912feacddd5"),
+    "tenancy": (102432, "d072f6f136d10b469e07b194e46b1363"),
+    "prefetch": (55936, "2382f0ec1c4ad9151fab35a9cce294f3"),
+    "fuzz_single": (9377, "7f09cc2523242fa662b761d444069e05"),
 }
 
 
