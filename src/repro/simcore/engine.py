@@ -615,6 +615,7 @@ class Environment:
         self._cancelled += 1
         queue = self._queue
         if len(queue) > 64 and 2 * self._cancelled > len(queue):
+            # In place: run() holds this very list.
             queue[:] = [entry for entry in queue if entry[3].callbacks is not None]
             heapify(queue)
             self._cancelled = 0
@@ -633,11 +634,12 @@ class Environment:
 
     def step(self) -> None:
         """Process the next scheduled event."""
+        queue = self._queue
         try:
-            self._now, priority, seq, event = heappop(self._queue)
+            self._now, priority, seq, event = heappop(queue)
         except IndexError:
             raise SimulationError("No scheduled events") from None
-        if self._cancelled:
+        if self._cancelled and queue and queue[0][3].callbacks is None:
             # Keep the head live, so peek() and run()'s stop test read
             # the time of an event that will really fire.
             self._drop_cancelled_head()
