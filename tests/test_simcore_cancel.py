@@ -29,9 +29,6 @@ class RecordingObserver:
     def end_event(self, n_callbacks=0):
         pass
 
-    def note(self, cell, mode, tag=None):
-        pass
-
 
 def live_head_time(env):
     live = [entry[0] for entry in env._queue if entry[3].callbacks is not None]
