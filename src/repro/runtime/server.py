@@ -8,8 +8,9 @@ analog of the HVAC server process.  Each server owns
 * a **cache directory** standing in for the node-local NVMe;
 * an **in-flight table** so concurrent first reads of one file trigger
   one PFS copy (the shared-queue mutex of §III-D);
-* LRU **eviction** under a byte budget (the prototype uses random; LRU
-  is the safer default for a real deployment and both are available).
+* **eviction** under a byte budget, by the simulator's own policies
+  (:func:`~repro.core.cache.make_policy`): LRU by default, the safer
+  choice for a real deployment, or the prototype's random.
 
 The "PFS" is any slow directory; an optional artificial per-read delay
 makes cache effects visible in demos on fast local disks.
@@ -21,11 +22,11 @@ import os
 import shutil
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from queue import Queue
 
+from ..core.cache import make_policy
 from ..simcore.rand import RandomStreams
 
 __all__ = ["RuntimeServer", "ServerStats"]
@@ -69,8 +70,11 @@ class RuntimeServer:
         pfs_read_delay: float = 0.0,
         eviction: str = "lru",
     ):
-        if eviction not in ("lru", "random"):
-            raise ValueError(f"unknown eviction {eviction!r}")
+        # Random eviction draws from a named RandomStreams child so the
+        # victim sequence is reproducible across runs and interpreters.
+        self._policy = make_policy(
+            eviction, RandomStreams(server_id).child("runtime-server").stream("evict")
+        )
         self.server_id = server_id
         self.pfs_dir = os.path.abspath(pfs_dir)
         self.cache_dir = os.path.abspath(cache_dir)
@@ -81,15 +85,12 @@ class RuntimeServer:
         os.makedirs(self.cache_dir, exist_ok=True)
         self._queue: Queue = Queue()
         self._lock = threading.Lock()
-        # path -> size, in LRU order (front = coldest)
-        self._cached: OrderedDict[str, int] = OrderedDict()
+        # path -> size of every cached file
+        self._cached: dict[str, int] = {}
         self._used = 0
         # No separate in-flight table is needed here: the single mover
         # thread serializes this server's requests, so a duplicate
         # first-read simply becomes a hit when its turn comes.
-        # Random eviction draws from a named RandomStreams child so the
-        # victim sequence is reproducible across runs and interpreters.
-        self._rng = RandomStreams(server_id).child("runtime-server").stream("evict")
         self._mover = threading.Thread(
             target=self._drain, name=f"hvac-mover-{server_id}", daemon=True
         )
@@ -145,14 +146,16 @@ class RuntimeServer:
                 fut.set_exception(err)
 
     def _cache_path(self, rel_path: str) -> str:
-        return os.path.join(self.cache_dir, rel_path.replace(os.sep, "__"))
+        # The cache mirrors the dataset tree, so two paths never share a
+        # cache file.
+        return os.path.join(self.cache_dir, rel_path)
 
     def _serve(self, rel_path: str) -> bytes:
         cpath = self._cache_path(rel_path)
         with self._lock:
             hit = rel_path in self._cached
             if hit:
-                self._cached.move_to_end(rel_path)
+                self._policy.on_access(rel_path)
         if hit:
             self.stats.hits += 1
             with _real_open(cpath, "rb") as fh:
@@ -175,21 +178,21 @@ class RuntimeServer:
         if size > self.capacity_bytes:
             return  # uncacheable; served as passthrough
         with self._lock:
-            while self._used + size > self.capacity_bytes and self._cached:
-                if self.eviction == "lru":
-                    victim, vsize = self._cached.popitem(last=False)
-                else:
-                    resident = list(self._cached)
-                    victim = resident[int(self._rng.integers(len(resident)))]
-                    vsize = self._cached.pop(victim)
-                self._used -= vsize
+            while self._used + size > self.capacity_bytes:
+                victim = self._policy.victim()
+                if victim is None:
+                    return  # the policy refuses (minio); served as passthrough
+                self._policy.on_delete(victim)
+                self._used -= self._cached.pop(victim)
                 self.stats.evictions += 1
                 try:
                     os.unlink(self._cache_path(victim))
                 except FileNotFoundError:
                     pass
             # fs::copy(src, dst): write into the node-local cache dir.
+            os.makedirs(os.path.dirname(cpath), exist_ok=True)
             with _real_open(cpath, "wb") as fh:
                 fh.write(data)
             self._cached[rel_path] = size
+            self._policy.on_insert(rel_path)
             self._used += size

@@ -76,6 +76,51 @@ class TestRuntimeServer:
         with pytest.raises(RuntimeError):
             srv.submit("sample-001.bin")
 
+    def test_nested_path_and_flat_lookalike_keep_their_own_bytes(self, tmp_path):
+        pfs = tmp_path / "pfs"
+        (pfs / "a").mkdir(parents=True)
+        (pfs / "a" / "b").write_bytes(b"nested")
+        (pfs / "a__b").write_bytes(b"flat")
+        srv = RuntimeServer(0, str(pfs), str(tmp_path / "c"))
+        try:
+            assert srv.submit(os.path.join("a", "b")).result() == b"nested"
+            assert srv.submit("a__b").result() == b"flat"
+            assert srv.submit(os.path.join("a", "b")).result() == b"nested"
+            assert srv.stats.hits == 1
+        finally:
+            srv.shutdown()
+
+    def test_evicting_one_lookalike_keeps_the_other(self, tmp_path):
+        pfs = tmp_path / "pfs"
+        (pfs / "a").mkdir(parents=True)
+        (pfs / "a" / "b").write_bytes(b"n" * 600)
+        (pfs / "a__b").write_bytes(b"f" * 600)
+        (pfs / "c").write_bytes(b"c" * 600)
+        srv = RuntimeServer(0, str(pfs), str(tmp_path / "c"), capacity_bytes=1200)
+        try:
+            srv.submit(os.path.join("a", "b")).result()
+            srv.submit("a__b").result()
+            srv.submit("c").result()  # evicts a/b, the coldest
+            assert not srv.contains(os.path.join("a", "b"))
+            assert srv.submit("a__b").result() == b"f" * 600
+            assert srv.stats.hits == 1
+        finally:
+            srv.shutdown()
+
+    def test_random_eviction_stays_under_budget(self, pfs, tmp_path):
+        srv = RuntimeServer(
+            0, pfs, str(tmp_path / "c"), capacity_bytes=2500, eviction="random"
+        )
+        try:
+            for i in range(12):
+                path = f"sample-{i:03d}.bin"
+                assert srv.submit(path).result() == bytes([i]) * (1000 + i)
+            assert srv.used_bytes <= 2500
+            assert srv.cached_files == 2
+            assert srv.stats.evictions == 10
+        finally:
+            srv.shutdown()
+
     def test_invalid_eviction(self, pfs, tmp_path):
         with pytest.raises(ValueError):
             RuntimeServer(0, pfs, str(tmp_path / "c"), eviction="arc")
