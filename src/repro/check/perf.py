@@ -99,9 +99,10 @@ HOT_ROOT_MODULES = (
     "core.cache",
 )
 
-#: observer/collector modules the kernel invokes through duck-typed
-#: attributes (``trace.record``, ``profiler.begin_event``, metric and
-#: span appends) — call edges the graph cannot resolve, seeded hot
+#: observer/collector modules the kernel invokes through its observer
+#: hook tuples (``begin_event``, ``note_schedule``, ``end_event``,
+#: ``note``) or duck-typed metric and span appends — call edges the
+#: graph cannot resolve, seeded hot
 DEFAULT_EXTRA_HOT = (
     "simcore.monitor",
     "simcore.trace",

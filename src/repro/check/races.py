@@ -13,7 +13,7 @@ Model
 -----
 Instrumented components declare accesses to named *shared-state cells*
 via :meth:`Environment.note_access` (a no-op unless a sanitizer is
-attached): server cache maps, per-server in-flight dedup slots,
+observing): server cache maps, per-server in-flight dedup slots,
 per-member membership-view lattice slots, and rate-limiter tokens.
 The sanitizer groups accesses by the event executing them and, when sim
 time advances, reports every same-``(time, priority)`` event pair with
@@ -100,7 +100,7 @@ class _EventAccesses:
 
 
 class RaceSanitizer:
-    """Attach with ``env.attach_sanitizer(...)``; read :attr:`reports`.
+    """Attach with ``env.observe(sanitizer)``; read :attr:`reports`.
 
     Call :meth:`finish` after the run (the last timestamp's group is
     only analyzable once no more events can join it).
@@ -129,7 +129,7 @@ class RaceSanitizer:
         self._cur = _EventAccesses(seq, label)
         self._cur_priority = priority
 
-    def end_event(self) -> None:
+    def end_event(self, n_callbacks: int) -> None:
         cur = self._cur
         if cur is not None and cur.cells:
             self._groups.setdefault(self._cur_priority, []).append(cur)
@@ -153,7 +153,7 @@ class RaceSanitizer:
 
     def finish(self) -> None:
         """Analyze the final timestamp's group."""
-        self.end_event()
+        self.end_event(0)
         self._flush()
 
     # -- analysis -----------------------------------------------------------
@@ -276,7 +276,7 @@ def membership_smoke(
     )
     env, dep, _ = build_deployment(spec, n_nodes, seed, trace=trace)
     if sanitizer is not None:
-        env.attach_sanitizer(sanitizer)
+        env.observe(sanitizer)
     files = dataset_files(n_files, 20_000)
     if dep.repair is not None:
         dep.repair.attach_manifest(files)

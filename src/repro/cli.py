@@ -196,18 +196,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import run_bench_cli
-
-    return run_bench_cli(
-        output=args.output,
-        compare=args.compare,
-        tolerance=args.tolerance,
-        repeats=args.repeats,
-        scenarios=args.scenarios or None,
-    )
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import InvariantConfig, replay_case, run_campaign
     from .fuzz.campaign import render_violations
@@ -553,25 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, default=2048,
                    help="fingerprint checkpoint interval (bisection grain)")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser(
-        "bench",
-        help="engine throughput on pinned scenarios (the perf "
-        "trajectory behind BENCH_engine.json)",
-    )
-    p.add_argument("--output", metavar="FILE",
-                   help="write the bench JSON (e.g. BENCH_engine.json)")
-    p.add_argument("--compare", metavar="FILE",
-                   help="compare against a checked-in bench JSON; exit "
-                   "nonzero on regression")
-    p.add_argument("--tolerance", type=float, default=0.6,
-                   help="allowed events/sec drop vs the baseline "
-                   "(0.6 = fail below 40%% of baseline)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing runs per scenario (best-of-N)")
-    p.add_argument("--scenarios", nargs="*", metavar="NAME",
-                   help="subset of pinned scenarios to run")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", help="one training simulation")
     p.add_argument("--system", default="hvac1",

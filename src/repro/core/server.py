@@ -284,13 +284,13 @@ class HVACServer:
 
     def _inflight_cell(self, path: str) -> str:
         """Race-sanitizer cell name for one dedup slot."""
-        return f"s{self.server_id}.inflight:{path}"  # perf: waive PERF103 -- callers guard on an attached sanitizer
+        return f"s{self.server_id}.inflight:{path}"  # perf: waive PERF103 -- callers guard on env.noting
 
     def _flush_inflight(self) -> None:
         """Fail every dedup waiter parked on an in-flight fetch: the
         fetch's result dies with the server, and a waiter left pending
         would hang its client forever (it can never be re-triggered)."""
-        observed = self.env.sanitizer is not None
+        observed = self.env.noting
         for path, pending in sorted(self._inflight.items()):
             if observed:
                 self.env.note_access(self._inflight_cell(path), "w")
@@ -450,9 +450,9 @@ class HVACServer:
             self._incr("cache_misses")
             # Per-path race-sanitizer cell: the dedup slot decides which
             # request becomes the fetcher and which become waiters.  The
-            # cell name is only materialized when a sanitizer is watching
+            # cell name is only materialized while an observer takes notes
             # (PERF103 — this runs once per cache miss).
-            observed = self.env.sanitizer is not None
+            observed = self.env.noting
             if observed:
                 self.env.note_access(self._inflight_cell(req.path), "r")
             pending = self._inflight.get(req.path)
@@ -498,7 +498,7 @@ class HVACServer:
             finally:
                 # fail()/recover() may already have flushed the dict and
                 # failed the event while this fetch was in flight.
-                if self.env.sanitizer is not None:
+                if observed:
                     self.env.note_access(self._inflight_cell(req.path), "w")
                 self._inflight.pop(req.path, None)
                 if not fetch_done.triggered:

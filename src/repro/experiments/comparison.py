@@ -56,7 +56,7 @@ def build_deployment(
     ``(env, deployment, pfs)``."""
     env = Environment()
     if trace is not None:
-        env.attach_trace(trace)
+        env.observe(trace)
     alloc = Allocation(
         env, spec, n_nodes=n_nodes, rand=RandomStreams(seed).child("cluster")
     )

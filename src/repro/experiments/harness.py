@@ -104,7 +104,7 @@ def run_training(
     )
     env = Environment()
     if trace is not None:
-        env.attach_trace(trace)
+        env.observe(trace)
     # The handle is sized by one job's dataset; jobs use distinct paths
     # (distinct dataset seeds) so they don't share cache entries.
     datasets = []

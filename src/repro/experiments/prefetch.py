@@ -48,7 +48,7 @@ __all__ = [
     "prefetch_comparison",
 ]
 
-#: the CI-sized run (and the pinned bench scenario); ``repro prefetch
+#: the CI-sized run (and a pinned fingerprint scenario); ``repro prefetch
 #: --smoke`` caps each argument at this
 SMOKE = dict(n_nodes=3, n_files=96, epochs=3, windows=8)
 

@@ -65,7 +65,7 @@ TENANCY_SPEC_OVERRIDES = dict(
     suspect_after=1_000_000,
 )
 
-#: the CI-sized run (and the pinned bench scenario); ``repro tenancy
+#: the CI-sized run (and a pinned fingerprint scenario); ``repro tenancy
 #: --smoke`` caps each argument at this.  The caches shrink too, so the
 #: reduced-scale aggressor still thrashes (12 MB dataset vs a 6 MB pool).
 SMOKE = dict(

@@ -256,9 +256,9 @@ def execute(
     env = Environment()
     if trace is None:
         trace = EventTrace()
-    env.attach_trace(trace)
+    env.observe(trace)
     if sanitizer is not None:
-        env.attach_sanitizer(sanitizer)
+        env.observe(sanitizer)
 
     alloc = Allocation(
         env, spec, n_nodes=n_nodes,

@@ -214,9 +214,9 @@ class Timeout(Event):
         Its callbacks are dropped now, which frees whatever waited on it
         (the resolved ``done | expiry`` of an answered RPC) at once
         instead of at the deadline.  It costs no step and never reaches
-        the trace, the sanitizer or the profiler.  A cancelled timeout
-        reads as processed; do not yield it.  Cancelling a timeout that
-        already fired, or twice, does nothing.
+        an observer.  A cancelled timeout reads as processed; do not
+        yield it.  Cancelling a timeout that already fired, or twice,
+        does nothing.
         """
         if self.callbacks is None:
             return
@@ -465,6 +465,13 @@ class AnyOf(Condition):
         super().__init__(env, _any_done, events)
 
 
+def _hooks(observers: tuple, name: str) -> tuple:
+    """The bound ``name`` methods of the observers that define one."""
+    return tuple(
+        getattr(obs, name) for obs in observers if hasattr(obs, name)
+    )
+
+
 class Environment:
     """The simulation kernel: clock + event queue + process scheduler."""
 
@@ -476,85 +483,56 @@ class Environment:
         self._cancelled = 0
         self._seq = itertools.count()
         self._active_proc: Optional[Process] = None
-        # Opt-in observers, consolidated behind one `_observed` flag so
-        # the disabled fast path pays a single attribute test per event
-        # and never constructs a label (zero-allocation when detached).
-        self._trace = None  # event-stream fingerprinting (simcore/trace.py)
-        self._sanitizer = None  # sim-time race sanitizer (check/races.py)
-        self._profiler = None  # per-component attribution (simcore/profile.py)
+        # Opt-in observers (see "Observers" in docs/INTERNALS.md §1).
+        # The kernel keeps one tuple of bound hooks per protocol method,
+        # and the hot path tests the one `_observed` flag, so a bare run
+        # pays a single attribute test per event and builds no label.
+        self._observers: tuple = ()
+        self._begins: tuple = ()
+        self._schedules: tuple = ()
+        self._ends: tuple = ()
+        self._notes: tuple = ()
         self._observed = False
+        #: True while some observer takes :meth:`note_access` calls;
+        #: callers that build a cell name per call guard on it.
+        self.noting = False
 
-    def _update_observed(self) -> None:
-        self._observed = (
-            self._trace is not None
-            or self._sanitizer is not None
-            or self._profiler is not None
-        )
+    # -- observers -----------------------------------------------------
+    def observe(self, observer) -> None:
+        """Show ``observer`` every event fired from now on.
 
-    # -- tracing -------------------------------------------------------
-    @property
-    def trace(self):
-        """The attached :class:`~repro.simcore.trace.EventTrace`, if any."""
-        return self._trace
-
-    def attach_trace(self, trace) -> None:
-        """Fingerprint every fired event into ``trace`` from now on."""
-        self._trace = trace
-        self._update_observed()
-
-    def detach_trace(self) -> None:
-        self._trace = None
-        self._update_observed()
-
-    # -- race sanitizing ----------------------------------------------
-    @property
-    def sanitizer(self):
-        """The attached race sanitizer, if any."""
-        return self._sanitizer
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Record shared-state access sets per fired event from now on.
-
-        The sanitizer observes only — it creates no events and draws no
-        RNG, so the event-stream fingerprint is unchanged.
+        An observer defines any of ``begin_event(time, priority, seq,
+        label)`` (an event is popped), ``note_schedule(seq, delay)`` (an
+        event is pushed), ``end_event(n_callbacks)`` (its callbacks
+        ran) and ``note(cell, mode, tag)`` (a shared-state access, see
+        :meth:`note_access`).  Observers observe only: they create no
+        events and draw no RNG, so the event-stream fingerprint is the
+        same with or without them.
         """
-        self._sanitizer = sanitizer
-        self._update_observed()
+        self._rewire(self._observers + (observer,))
 
-    def detach_sanitizer(self) -> None:
-        self._sanitizer = None
-        self._update_observed()
+    def unobserve(self, observer) -> None:
+        """Stop showing events to ``observer``."""
+        self._rewire(tuple(o for o in self._observers if o is not observer))
 
-    # -- profiling -----------------------------------------------------
-    @property
-    def profiler(self):
-        """The attached :class:`~repro.simcore.profile.SimProfiler`, if any."""
-        return self._profiler
-
-    def attach_profiler(self, profiler) -> None:
-        """Attribute every fired event to a component from now on.
-
-        Like the sanitizer, the profiler observes only (kernel counters
-        and simulated time) — the event-stream fingerprint is unchanged
-        and its attribution is same-seed deterministic.
-        """
-        self._profiler = profiler
-        self._update_observed()
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
-        self._update_observed()
+    def _rewire(self, observers: tuple) -> None:
+        self._observers = observers
+        self._begins = _hooks(observers, "begin_event")
+        self._schedules = _hooks(observers, "note_schedule")
+        self._ends = _hooks(observers, "end_event")
+        self._notes = _hooks(observers, "note")
+        self._observed = bool(self._begins or self._schedules or self._ends)
+        self.noting = bool(self._notes)
 
     def note_access(self, cell: str, mode: str, tag=None) -> None:
         """Declare a read (``"r"``) or write (``"w"``) of a registered
         shared-state cell by the currently executing event.
 
-        Pay-for-what-you-use: one ``is None`` check when no sanitizer
-        is attached.  ``tag`` marks idempotent writes — two pure writes
-        of the same tag at one timestamp commute and are not a race.
+        ``tag`` marks idempotent writes: two pure writes of the same tag
+        at one timestamp commute and are not a race.
         """
-        if self._sanitizer is not None:
-            self._sanitizer.note(cell, mode, tag)
+        for note in self._notes:
+            note(cell, mode, tag)
 
     # -- public surface ----------------------------------------------
     @property
@@ -596,12 +574,8 @@ class Environment:
     def _note_schedule(self, seq: int, delay: float) -> None:
         """Tell the observers about a scheduled event; every scheduling
         site calls this while ``_observed`` is set."""
-        if self._sanitizer is not None:
-            # Same-timestamp causality: a zero-delay child's order after
-            # its scheduler is program-defined, not insertion-accidental.
-            self._sanitizer.note_schedule(seq, delay)
-        if self._profiler is not None:
-            self._profiler.note_schedule(seq, delay)
+        for note_schedule in self._schedules:
+            note_schedule(seq, delay)
 
     def _note_cancel(self) -> None:
         """Account for a timeout just cancelled in place.
@@ -647,22 +621,16 @@ class Environment:
         observed = self._observed
         if observed:
             label = event_label(event)
-            if self._trace is not None:
-                self._trace.record(self._now, priority, seq, label)
-            if self._sanitizer is not None:
-                self._sanitizer.begin_event(self._now, priority, seq, label)
-            if self._profiler is not None:
-                self._profiler.begin_event(self._now, priority, seq, label)
+            for begin_event in self._begins:
+                begin_event(self._now, priority, seq, label)
 
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
 
         if observed:
-            if self._sanitizer is not None:
-                self._sanitizer.end_event()
-            if self._profiler is not None:
-                self._profiler.end_event(len(callbacks))
+            for end_event in self._ends:
+                end_event(len(callbacks))
 
         if not event._ok and not event._defused:
             # Unhandled failure: crash the simulation loudly.

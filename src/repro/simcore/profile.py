@@ -2,7 +2,8 @@
 
 The hot-set ranking behind ``repro check --perf`` is *measured*, not
 guessed: attach a :class:`SimProfiler` to an
-:class:`~repro.simcore.Environment` and every fired event is attributed
+:class:`~repro.simcore.Environment` with ``env.observe(profiler)`` and
+every fired event is attributed
 to a **component** — its :func:`~repro.simcore.trace.event_label` with
 digit runs collapsed (``Process:hvac3.svc`` → ``Process:hvac#.svc``) so
 per-entity instances aggregate.
@@ -10,8 +11,8 @@ per-entity instances aggregate.
 Deterministic by construction: the profiler counts kernel quantities
 only (events fired, callbacks run, child events scheduled) and reads
 only simulated time — no wall clock, no RNG — so a same-seed double run
-produces bit-identical attribution.  It rides the same engine observer
-hook as the trace and the race sanitizer and is pay-for-what-you-use:
+produces bit-identical attribution.  It implements the same observer
+protocol as the trace and the race sanitizer and is pay-for-what-you-use:
 detached, it costs one flag check per event.
 """
 
@@ -60,7 +61,8 @@ class ComponentProfile:
 class SimProfiler:
     """Attributes per-component event counts and handler costs.
 
-    Engine-facing protocol (mirrors the race sanitizer's):
+    The observer protocol it implements (see
+    :meth:`~repro.simcore.Environment.observe`):
 
     * :meth:`begin_event` — called as an event is popped;
     * :meth:`note_schedule` — called for every event pushed while the

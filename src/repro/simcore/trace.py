@@ -2,8 +2,8 @@
 
 Every claim this reproduction makes (epoch-time ratios, failover cost,
 the Fig-14 "SGD shuffle untouched" property) rests on the engine's
-bit-for-bit determinism.  An :class:`EventTrace` attached to an
-:class:`~repro.simcore.engine.Environment` observes every event the
+bit-for-bit determinism.  An :class:`EventTrace` is a kernel observer
+(``env.observe(trace)``): its ``begin_event`` hook sees every event the
 kernel fires — as the tuple ``(time, priority, seq, label)`` — and
 folds it into a rolling hash.  Two runs of the same experiment with the
 same seed must produce identical fingerprints; if they do not, the
@@ -11,8 +11,8 @@ divergence bisector (:mod:`repro.check.divergence`) uses the trace's
 periodic checkpoints to narrow the difference down to a block, then a
 record-retaining re-run to print the first divergent event.
 
-The hook is pay-for-what-you-use: with no trace attached the engine's
-hot path costs one ``is None`` check per event.
+Observing is pay-for-what-you-use: with no observer attached the
+engine's hot path costs one flag test per event.
 """
 
 from __future__ import annotations
@@ -85,8 +85,10 @@ class EventTrace:
         self.records: list[EventRecord] = []
         self._h = hashlib.blake2b(digest_size=16)
 
-    def record(self, time: float, priority: int, seq: int, label: str) -> None:
-        """Fold one fired event into the fingerprint (engine hook)."""
+    def begin_event(
+        self, time: float, priority: int, seq: int, label: str
+    ) -> None:
+        """Fold one fired event into the fingerprint (observer hook)."""
         # repr() of the float keeps full precision, so two runs whose
         # clocks differ by one ulp still diverge — that is the point.
         self._h.update(f"{time!r}|{priority}|{seq}|{label}\n".encode())

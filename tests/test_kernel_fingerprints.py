@@ -1,4 +1,4 @@
-"""Pinned event streams of the seven ``repro bench`` scenarios.
+"""Pinned event streams of the six scenarios in ``pinned_scenarios``.
 
 Each scenario is deterministic, so its event count and its
 ``EventTrace`` fingerprint (a hash over every fired event's
@@ -10,12 +10,12 @@ behaviour re-records them here.
 
 import pytest
 
-from repro.bench import SCENARIOS
 from repro.simcore import EventTrace
+
+from .pinned_scenarios import SCENARIOS
 
 PINNED = {
     "epochs": (1864, "a5f8ed43c373bb9b57ca5a4ab0fe6f3d"),
-    "epochs_traced": (1864, "a5f8ed43c373bb9b57ca5a4ab0fe6f3d"),
     "membership": (12913, "70cc297c3982c94e76e09a82e9871aa3"),
     "resilience": (21623, "217a75bdaadd68210be27912feacddd5"),
     "tenancy": (102432, "d072f6f136d10b469e07b194e46b1363"),
@@ -31,5 +31,5 @@ def test_every_bench_scenario_is_pinned():
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_event_stream_matches_pin(name):
     trace = EventTrace()
-    SCENARIOS[name].run(trace)
+    SCENARIOS[name](trace)
     assert (trace.count, trace.fingerprint) == PINNED[name]

@@ -41,7 +41,7 @@ FILES = [(f"/d/f{i}", 25_000) for i in range(16)]
 def build(n_nodes=4, seed=0, trace=None, **hvac):
     env = Environment()
     if trace is not None:
-        env.attach_trace(trace)
+        env.observe(trace)
     spec = TESTING.with_hvac(**{**FAST, **hvac})
     alloc = Allocation(env, spec, n_nodes=n_nodes)
     pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)

@@ -253,7 +253,7 @@ class TestDashboard:
 def build(n_nodes=3, spans=None, trace=None, **hvac):
     env = Environment()
     if trace is not None:
-        env.attach_trace(trace)
+        env.observe(trace)
     spec = TESTING.with_hvac(**hvac) if hvac else TESTING
     alloc = Allocation(env, spec, n_nodes=n_nodes)
     pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)

@@ -1,18 +1,9 @@
-"""Hot-path analyzer (``repro check --perf``), the sim-time profiler,
-and the bench trajectory format."""
+"""Hot-path analyzer (``repro check --perf``) and the sim-time profiler."""
 
 import os
 
 import pytest
 
-from repro.bench import (
-    SCENARIOS,
-    TRACED_SCENARIOS,
-    BenchResult,
-    compare_bench,
-    load_bench,
-    run_bench,
-)
 from repro.check import (
     PERF_RULES,
     default_lint_roots,
@@ -191,7 +182,7 @@ class TestRepoIsClean:
 def profiled_run(seed):
     env = Environment()
     prof = SimProfiler()
-    env.attach_profiler(prof)
+    env.observe(prof)
     rng = RandomStreams(seed).stream("load")
 
     def worker(n):
@@ -220,8 +211,8 @@ class TestProfiler:
     def test_counts_match_the_event_trace(self):
         env = Environment()
         prof, trace = SimProfiler(), EventTrace()
-        env.attach_profiler(prof)
-        env.attach_trace(trace)
+        env.observe(prof)
+        env.observe(trace)
 
         def proc():
             yield env.timeout(1.0)
@@ -242,96 +233,3 @@ class TestProfiler:
         text = prof.describe()
         assert "TOTAL" in text
         assert str(prof.total_events) in text
-
-
-# ---------------------------------------------------------------------------
-# Bench trajectory: format round-trip and the comparison gates.
-# ---------------------------------------------------------------------------
-
-
-def _result(**scenarios):
-    r = BenchResult(repeats=2)
-    for name, (events, eps) in scenarios.items():
-        r.scenarios[name] = {
-            "events": events,
-            "best_wall_s": round(events / eps, 6),
-            "events_per_sec": eps,
-            "traced": False,
-        }
-    return r
-
-
-class TestBenchFormat:
-    def test_round_trip(self, tmp_path):
-        r = _result(epochs=(1000, 50000.0), membership=(2000, 60000.0))
-        path = tmp_path / "BENCH_engine.json"
-        r.write(str(path))
-        back = load_bench(str(path))
-        assert back.to_dict() == r.to_dict()
-
-    def test_version_gate(self):
-        with pytest.raises(ValueError, match="version"):
-            BenchResult.from_dict({"version": 999, "scenarios": {}})
-
-    def test_render_lists_every_scenario(self):
-        r = _result(epochs=(1000, 50000.0))
-        assert "epochs" in r.render()
-
-    def test_checked_in_trajectory_is_valid(self):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        result = load_bench(os.path.join(root, "BENCH_engine.json"))
-        assert len(result.scenarios) >= 3
-        for entry in result.scenarios.values():
-            assert entry["events"] > 0
-            assert entry["events_per_sec"] > 0
-        # the with/without-tracing pair that guards the observer gate
-        assert {"epochs", "epochs_traced"} <= set(result.scenarios)
-        assert result.scenarios["epochs_traced"]["traced"] is True
-
-    def test_checked_in_event_counts_still_reproduce(self):
-        # Event counts are the deterministic half of the bench: a fresh
-        # run must hit the checked-in counts exactly, wall clock aside.
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        baseline = load_bench(os.path.join(root, "BENCH_engine.json"))
-        current = run_bench(scenarios=["epochs"], repeats=1)
-        assert (
-            current.scenarios["epochs"]["events"]
-            == baseline.scenarios["epochs"]["events"]
-        )
-
-
-class TestCompareBench:
-    def test_within_band_is_quiet(self):
-        base = _result(epochs=(1000, 50000.0))
-        cur = _result(epochs=(1000, 45000.0))
-        assert compare_bench(cur, base, tolerance=0.2) == []
-
-    def test_throughput_floor(self):
-        base = _result(epochs=(1000, 50000.0))
-        cur = _result(epochs=(1000, 30000.0))
-        problems = compare_bench(cur, base, tolerance=0.2)
-        assert len(problems) == 1
-        assert "below" in problems[0]
-
-    def test_event_drift_is_hard_failure(self):
-        base = _result(epochs=(1000, 50000.0))
-        cur = _result(epochs=(1001, 50000.0))
-        problems = compare_bench(cur, base, tolerance=0.2)
-        assert any("drifted" in p for p in problems)
-
-    def test_missing_scenario_is_flagged(self):
-        base = _result(epochs=(1000, 50000.0), membership=(2000, 60000.0))
-        cur = _result(epochs=(1000, 50000.0))
-        problems = compare_bench(cur, base, tolerance=0.2)
-        assert any("missing" in p for p in problems)
-
-
-class TestScenarioRegistry:
-    def test_pinned_set(self):
-        assert {"epochs", "epochs_traced", "membership"} <= set(SCENARIOS)
-        assert "epochs_traced" in TRACED_SCENARIOS
-        assert "epochs" not in TRACED_SCENARIOS
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            run_bench(scenarios=["nope"], repeats=1)

@@ -89,7 +89,7 @@ class TestLookaheadScheduler:
             probation_period=0.02,
         )
         if trace is not None:
-            env.attach_trace(trace)
+            env.observe(trace)
         ds = dataset()
         planner = ClairvoyantPlanner.from_epoch_plans(ds, 2, epochs=2, shuffle_seed=1)
         sched = LookaheadScheduler(dep, planner, lookahead=4, outstanding=2)

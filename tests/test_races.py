@@ -21,7 +21,7 @@ from repro.simcore import Environment, EventTrace
 def _sanitized_env():
     env = Environment()
     san = RaceSanitizer()
-    env.attach_sanitizer(san)
+    env.observe(san)
     return env, san
 
 
@@ -401,9 +401,9 @@ class TestPrefetchCellRegression:
     def _run_clairvoyant(self, sanitizer=None, trace=None):
         env = Environment()
         if trace is not None:
-            env.attach_trace(trace)
+            env.observe(trace)
         if sanitizer is not None:
-            env.attach_sanitizer(sanitizer)
+            env.observe(sanitizer)
         dep, sched, plans = self._fixture(env)
         dep.attach_prefetch(sched)
         sched.start()

@@ -55,9 +55,9 @@ def run_schedule(delays, cancels, stops, cancel):
     env = Environment()
     trace = EventTrace(keep_all=True)
     profiler, sanitizer = RecordingObserver(), RecordingObserver()
-    env.attach_trace(trace)
-    env.attach_profiler(profiler)
-    env.attach_sanitizer(sanitizer)
+    env.observe(trace)
+    env.observe(profiler)
+    env.observe(sanitizer)
     fired = []
     timeouts = [env.timeout(delay, value=i) for i, delay in enumerate(delays)]
     for t in timeouts:

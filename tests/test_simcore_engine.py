@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.races import RaceSanitizer
 from repro.simcore import (
     AllOf,
     AnyOf,
@@ -506,12 +507,27 @@ def _model(env):
     return out, main
 
 
+class BeginOnly:
+    """An observer that defines one method of the protocol."""
+
+    def begin_event(self, time, priority, seq, label):
+        pass
+
+
+OBSERVERS = {
+    None: (),
+    "trace": (EventTrace,),
+    "profiler": (SimProfiler,),
+    "sanitizer": (RaceSanitizer,),
+    "all": (EventTrace, RaceSanitizer, SimProfiler),
+    "begin_event only": (BeginOnly,),
+}
+
+
 def _run_model(observer, until):
     env = Environment()
-    if observer == "trace":
-        env.attach_trace(EventTrace())
-    elif observer == "profiler":
-        env.attach_profiler(SimProfiler())
+    for make in OBSERVERS[observer]:
+        env.observe(make())
     out, main = _model(env)
     if until == "drain":
         result = env.run()
@@ -523,7 +539,7 @@ def _run_model(observer, until):
 
 
 @pytest.mark.parametrize("until", ["drain", "time", "event"])
-@pytest.mark.parametrize("observer", ["trace", "profiler"])
+@pytest.mark.parametrize("observer", [o for o in OBSERVERS if o])
 def test_bare_run_matches_observed_run(observer, until):
     bare = _run_model(None, until)
     assert bare == _run_model(observer, until)
@@ -534,7 +550,7 @@ def test_bare_run_matches_observed_run(observer, until):
 def test_every_scheduling_site_notes_the_observers():
     env = Environment()
     profiler = SimProfiler()
-    env.attach_profiler(profiler)
+    env.observe(profiler)
     _model(env)
     env.run()
     # one note per scheduled event: no inlined site skips the hook
@@ -547,7 +563,7 @@ def test_every_scheduling_site_notes_the_observers():
 def test_unhandled_failure_raises_from_every_run_mode(traced, until, kind):
     env = Environment()
     if traced:
-        env.attach_trace(EventTrace())
+        env.observe(EventTrace())
 
     def bad():
         yield env.timeout(1)
@@ -574,7 +590,7 @@ def _attach_run(attach):
     env = Environment()
     full = EventTrace(keep_all=True)
     if attach is None:
-        env.attach_trace(full)
+        env.observe(full)
     mark = []
 
     def attacher():
@@ -582,7 +598,7 @@ def _attach_run(attach):
         if attach is None:
             mark.append(full.count)
         else:
-            env.attach_trace(attach)
+            env.observe(attach)
 
     env.process(attacher())
     _model(env)
@@ -598,12 +614,54 @@ def test_trace_attached_mid_run_sees_exactly_the_later_events():
     assert [r[1:] for r in late.records] == [r[1:] for r in full.records[mark:]]
 
 
+def test_two_traces_attached_at_once_agree():
+    env = Environment()
+    a, b = EventTrace(), EventTrace()
+    env.observe(a)
+    env.observe(b)
+    _model(env)
+    env.run()
+    assert a.count > 50
+    assert (a.count, a.fingerprint) == (b.count, b.fingerprint)
+
+
+def test_observer_removed_mid_run_sees_no_later_event():
+    env = Environment()
+    kept, dropped = EventTrace(keep_all=True), EventTrace(keep_all=True)
+    env.observe(kept)
+    env.observe(dropped)
+    mark = []
+
+    def remover():
+        yield env.timeout(2.5)
+        mark.append(kept.count)
+        env.unobserve(dropped)
+
+    env.process(remover())
+    _model(env)
+    env.run()
+    (mark,) = mark
+    assert 0 < mark < kept.count
+    assert dropped.records == kept.records[:mark]
+
+
+def test_noting_follows_the_observers_that_take_notes():
+    env = Environment()
+    trace, sanitizer = EventTrace(), RaceSanitizer()
+    env.observe(trace)
+    assert not env.noting
+    env.observe(sanitizer)
+    assert env.noting
+    env.unobserve(sanitizer)
+    assert not env.noting
+
+
 @pytest.mark.parametrize("traced", [False, True])
 def test_kernel_checks_hold_bare_and_traced(traced):
     def new_env():
         env = Environment()
         if traced:
-            env.attach_trace(EventTrace())
+            env.observe(EventTrace())
         return env
 
     with pytest.raises(SimulationError, match="Negative delay"):

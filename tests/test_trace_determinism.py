@@ -18,7 +18,7 @@ def simple_run(delays):
 
     def run(trace):
         env = Environment()
-        env.attach_trace(trace)
+        env.observe(trace)
 
         def proc():
             for d in delays:
@@ -60,9 +60,8 @@ class TestEventTrace:
     def test_detach(self):
         env = Environment()
         trace = EventTrace()
-        env.attach_trace(trace)
-        assert env.trace is trace
-        env.detach_trace()
+        env.observe(trace)
+        env.unobserve(trace)
         env.timeout(1.0)
         env.run()
         assert trace.count == 0
