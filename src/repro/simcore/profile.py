@@ -3,10 +3,10 @@
 The hot-set ranking behind ``repro check --perf`` is *measured*, not
 guessed: attach a :class:`SimProfiler` to an
 :class:`~repro.simcore.Environment` with ``env.observe(profiler)`` and
-every fired event is attributed
-to a **component** — its :func:`~repro.simcore.trace.event_label` with
-digit runs collapsed (``Process:hvac3.svc`` → ``Process:hvac#.svc``) so
-per-entity instances aggregate.
+every fired event is attributed to a **component** — its
+:func:`~repro.simcore.trace.event_label` with digit runs collapsed
+(``Process:hvac3.svc`` → ``Process:hvac#.svc``) so per-entity instances
+aggregate.
 
 Deterministic by construction: the profiler counts kernel quantities
 only (events fired, callbacks run, child events scheduled) and reads
