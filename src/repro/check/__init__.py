@@ -1,6 +1,6 @@
 """``repro check`` — the determinism & sim-safety analyzer.
 
-Three layers, all runnable from the CLI and from tests:
+Four layers, all runnable from the CLI and from tests:
 
 * **Static, per-function**: an AST lint pass (:mod:`.rules`,
   :mod:`.linter`) with repro-specific rules guarding the engine's
@@ -14,9 +14,10 @@ Three layers, all runnable from the CLI and from tests:
 * **Static, whole-program**: a shared-state audit (:mod:`.cells`,
   :mod:`.cell_registry`) that walks the call graph from every
   process-spawn root, finds attribute writes reachable from two or
-  more concurrent roots, and diffs them against the declared
-  race-sanitizer cell inventory — proving the runtime sanitizer sees
-  every shared mutable cell (``repro check --cells``).
+  more concurrent roots, and diffs them against the race-sanitizer
+  cells each module declares in its ``RACE_CELLS`` — proving the
+  runtime sanitizer sees every shared mutable cell, and that every
+  noted cell is declared (``repro check --cells``).
 * **Runtime**: event-stream fingerprinting
   (:class:`repro.simcore.EventTrace`) plus a double-run comparison
   that, on divergence, bisects to the first divergent kernel event
@@ -48,12 +49,11 @@ from .perf import (
     perf_lint_tree,
 )
 from .cells import RACE_RULES, CellAudit, audit_source, audit_tree
-from .cell_registry import DECLARED_CELLS, CellDecl, registry_freshness
+from .cell_registry import CellDecl
 from .races import RaceReport, RaceSanitizer
 from .rules import RULES, Violation
 
 __all__ = [
-    "DECLARED_CELLS",
     "PERF_RULES",
     "RACE_RULES",
     "RULES",
@@ -77,13 +77,11 @@ __all__ = [
     "perf_lint_files",
     "perf_lint_source",
     "perf_lint_tree",
-    "registry_freshness",
     "scope_of",
     "default_lint_roots",
     "run_lint",
     "run_perf",
     "run_cells",
-    "run_cells_freshness",
     "run_determinism",
     "run_races",
     "run_check",
@@ -96,13 +94,15 @@ def default_lint_roots() -> list[str]:
     return [pkg_root]  # .../src/repro
 
 
-def _status(result) -> str:
-    """``"clean"`` or the violation / stale-waiver counts of a pass."""
+def _status(result, drift: int = 0) -> str:
+    """``"clean"`` or the violation / stale-waiver / drift counts of a pass."""
     bits = []
     if result.violations:
         bits.append(f"{len(result.violations)} violation(s)")
     if result.stale_waivers:
         bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
+    if drift:
+        bits.append(f"{drift} drift error(s)")
     return ", ".join(bits) or "clean"
 
 
@@ -143,11 +143,13 @@ def run_cells(
     output: str | None = None,
     verbose: bool = True,
 ) -> int:
-    """Run the shared-state audit; print findings; return exit code."""
+    """Run the shared-state audit; print findings and drift between
+    note sites and ``RACE_CELLS`` declarations; return exit code."""
     roots = paths or default_lint_roots()
     result = audit_tree(roots)
     lines = [v.render() for v in result.violations]
     lines += [w.render() for w in result.stale_waivers]
+    lines += result.freshness
     for line in lines:
         print(line)
     if output:
@@ -161,31 +163,12 @@ def run_cells(
                     f"{result.n_roots} root(s), {result.n_writes} write(s)\n"
                 )
     if verbose:
-        status = _status(result)
+        status = _status(result, drift=len(result.freshness))
         print(
             f"cells: {result.n_files} file(s), {result.n_roots} "
             f"concurrency root(s), {result.n_writes} write site(s), {status}"
         )
     return 0 if result.clean else 1
-
-
-def run_cells_freshness(
-    paths: list[str] | None = None, verbose: bool = True
-) -> int:
-    """Check registry drift only: every in-tree ``note_access`` family
-    must resolve to a declared cell template.  Separate from the audit
-    gate so CI can pinpoint 'you added a cell but not its declaration'."""
-    roots = paths or default_lint_roots()
-    result = audit_tree(roots)
-    for line in result.freshness:
-        print(line)
-    if verbose:
-        status = (
-            "fresh" if not result.freshness
-            else f"{len(result.freshness)} drift error(s)"
-        )
-        print(f"cells-registry: {result.n_files} file(s), {status}")
-    return 1 if result.freshness else 0
 
 
 def _epochs_run(seed: int, n_nodes: int, files_per_rank: int):
@@ -297,7 +280,6 @@ def run_check(
     perf: bool = False,
     cells: bool = False,
     cells_only: bool = False,
-    cells_freshness_only: bool = False,
     cells_output: str | None = None,
 ) -> int:
     """The full ``repro check``: lint (+taint), optionally the hot-path
@@ -308,8 +290,6 @@ def run_check(
         return run_races(seed=seed, output=races_output)
     if cells_only:
         return run_cells(paths, output=cells_output)
-    if cells_freshness_only:
-        return run_cells_freshness(paths)
     if not determinism_only:
         rc |= run_lint(paths, taint=taint)
         if perf:

@@ -4,29 +4,29 @@ The runtime race sanitizer (:mod:`.races`) watches exactly the cells
 the code remembers to ``note_access`` — its guarantee is as strong as
 that inventory.  This module makes the inventory a *checked contract*:
 
-* :data:`DECLARED_CELLS` is the registry — one :class:`CellDecl` per
-  cell family, mirroring the cell table in docs/INTERNALS.md §1, with
-  the attribute names each cell guards.  The static auditor
-  (:mod:`.cells`) diffs it against the code.
+* :func:`parse_race_cells` reads the declarations: each module that
+  notes a cell family declares it beside the code, in a module-level
+  ``RACE_CELLS`` literal — one :class:`CellDecl` per family, with the
+  attribute names the cell guards.  The in-tree declarations mirror
+  the cell table in docs/INTERNALS.md §1.
 * :func:`extract_note_sites` recovers the *actual* inventory from the
   AST: every ``note_access(...)`` call in a file set, with the cell
   name resolved — through f-strings, locals, attribute/dict stores,
   helper methods, and :func:`repro.simcore.cell_name` calls — into a
   :class:`Shape` (literal runs + ``<hole>`` placeholders).
-* :func:`registry_freshness` reports both drift directions: a noted
-  cell family no declaration covers, and (via RACE202 in the auditor)
-  a declaration no write site ever notes.
+* :func:`declaration_drift` reports a noted cell family no declaration
+  covers; the other direction, a declaration no write site ever notes,
+  is RACE202 in the auditor (:mod:`.cells`), which runs both.
 
 Name resolution is deliberately conservative: a cell-name expression
 the resolver cannot reduce to a string template is reported as
-*unresolved* rather than silently matched, so the registry can never
-look fresh by accident.
+*unresolved* rather than silently matched, so the declarations can
+never look complete by accident.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -35,12 +35,11 @@ from .callgraph import module_name_for
 
 __all__ = [
     "CellDecl",
-    "DECLARED_CELLS",
     "NoteSite",
     "Shape",
+    "declaration_drift",
     "extract_note_sites",
     "parse_race_cells",
-    "registry_freshness",
     "shape_of_pattern",
     "shapes_intersect",
 ]
@@ -150,137 +149,80 @@ def shapes_intersect(a: Shape, b: Shape) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the declared registry
+# declarations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CellDecl:
-    """One declared cell family."""
+    """One declared cell family: an entry of a module's ``RACE_CELLS``."""
 
     pattern: str  #: name template, ``<x>`` spans are entity-id holes
-    component: str  #: dotted module suffix owning the writers
+    module: str  #: dotted name of the declaring (and noting) module
     attrs: tuple[str, ...]  #: instance attributes the cell guards
     why: str  #: one-line rationale (mirrors the INTERNALS table)
-    path: str = ""  #: declaration site (fixture ``RACE_CELLS``) if any
-    line: int = 0
+    path: str  #: declaration site
+    line: int
 
     @property
     def shape(self) -> Shape:
         return shape_of_pattern(self.pattern)
 
 
-_REGISTRY_PATH = os.path.abspath(__file__)
-
-
-def _decl(pattern: str, component: str, attrs: tuple[str, ...], why: str) -> CellDecl:
-    return CellDecl(pattern, component, attrs, why, path=_REGISTRY_PATH, line=1)
-
-
-#: The in-tree inventory.  One entry per cell family in the INTERNALS
-#: §1 cell table; ``attrs`` lists the shared mutable attributes each
-#: cell guards (the auditor reports RACE203 when one is written in a
-#: function that never notes an access).  Entity-id formatting for the
-#: parameterized families comes from :func:`repro.simcore.cell_name`,
-#: the same helper the writers use, so the two cannot drift.
-DECLARED_CELLS: tuple[CellDecl, ...] = (
-    _decl(
-        "cache.<name>",
-        "core.cache",
-        ("_sizes", "_stored", "_used", "_raw_used"),
-        "the byte budget couples entries: any insert can evict any path",
-    ),
-    _decl(
-        "s<id>.inflight:<path>",
-        "core.server",
-        ("_inflight",),
-        "per-path fetch-dedup slot decides which request fetches and "
-        "which wait",
-    ),
-    _decl(
-        "view.<owner>.m<sid>",
-        "membership.view",
-        ("_state", "_inc", "_stamp", "_since"),
-        "one member's lattice slot in one membership view; adoptions "
-        "are tagged (sid, inc, state)",
-    ),
-    _decl(
-        "limiter.<name>",
-        "cluster.network",
-        ("_ready",),
-        "throttle is read-modify-write on the shared rate reservation",
-    ),
-    _decl(
-        cell_name("tenancy.quota", "t", "<j>"),
-        "tenancy.quota",
-        ("_used_bytes", "_used_files"),
-        "charges and releases land from whichever server's data mover "
-        "inserts or evicts; the byte budget couples the byte/file pair",
-    ),
-    _decl(
-        cell_name("prefetch.queue", "s", "<id>"),
-        "prefetch.scheduler",
-        ("_credits",),
-        "one staging worker's credit pool; single-writer by design, "
-        "celled so a second writer is caught",
-    ),
-    _decl(
-        "fuzz.reads.<label>",
-        "fuzz.executor",
-        ("started", "done"),
-        "per-reader invariant counters; the epoch watchdog reads them "
-        "all at the deadline",
-    ),
-    _decl(
-        "fuzz.autopilot.corpus",
-        "fuzz.autopilot",
-        ("corpus",),
-        "digest-keyed corpus folds; driver-side today, celled so "
-        "in-loop feedback stays sanitizer-visible",
-    ),
-)
-
-
-def parse_race_cells(tree: ast.Module, path: str) -> list[CellDecl]:
+def parse_race_cells(
+    tree: ast.Module, path: str
+) -> tuple[list[CellDecl], list[str]]:
     """Module-level ``RACE_CELLS`` declarations in one file.
 
-    The convention lets a module (or a lint fixture) declare cells
-    adjacent to the code that notes them::
+    A module declares the cells it notes beside the code that notes
+    them, one ``(pattern, attrs, why)`` entry per cell family::
 
         RACE_CELLS = (
             ("board.slot.k<k>", ("slots",), "why this is one cell"),
         )
 
-    Each entry is ``(pattern, attrs)`` or ``(pattern, attrs, why)``.
+    Returns the declarations and one drift error per ``RACE_CELLS``
+    that is not a literal or entry that is not of that form, so a
+    malformed declaration cannot pass silently.
     """
-    out: list[CellDecl] = []
+    module = module_name_for(path)
+    decls: list[CellDecl] = []
+    errors: list[str] = []
     for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(
+        if not isinstance(node, ast.Assign) or not any(
             isinstance(t, ast.Name) and t.id == "RACE_CELLS"
             for t in node.targets
         ):
             continue
         try:
             value = ast.literal_eval(node.value)
-        except (ValueError, SyntaxError):
+        except (ValueError, TypeError):
+            value = None
+        if not isinstance(value, (tuple, list)):
+            errors.append(
+                f"{path}:{node.lineno}: RACE_CELLS is not a literal "
+                "tuple — write each cell as a constant "
+                "(pattern, attrs, why) entry"
+            )
             continue
         for entry in value:
-            if not entry or not isinstance(entry[0], str):
-                continue
-            attrs = tuple(entry[1]) if len(entry) > 1 else ()
-            why = entry[2] if len(entry) > 2 else ""
-            out.append(
-                CellDecl(
-                    entry[0],
-                    module_name_for(path),
-                    attrs,
-                    why,
-                    path=path,
-                    line=node.lineno,
+            if not (
+                isinstance(entry, (tuple, list))
+                and len(entry) == 3
+                and isinstance(entry[0], str)
+                and isinstance(entry[1], (tuple, list))
+                and all(isinstance(a, str) for a in entry[1])
+                and isinstance(entry[2], str)
+            ):
+                errors.append(
+                    f"{path}:{node.lineno}: malformed RACE_CELLS entry "
+                    f"{entry!r} — expected (pattern, (attr, ...), why)"
                 )
+                continue
+            pattern, attrs, why = entry
+            decls.append(
+                CellDecl(pattern, module, tuple(attrs), why, path, node.lineno)
             )
-    return out
+    return decls, errors
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +269,7 @@ class _IndexBuilder(ast.NodeVisitor):
         self.index = index
         self._class_stack: list[str] = []
         self._self = "self"
+        self._func: Optional[str] = None  #: innermost enclosing def
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._class_stack.append(node.name)
@@ -338,22 +281,26 @@ class _IndexBuilder(ast.NodeVisitor):
         return self._class_stack[-1] if self._class_stack else ""
 
     def _visit_func(self, node) -> None:
+        # A nested def keeps its returns: they are filed under its own
+        # name, never under the enclosing function's.
         args = [*node.args.posonlyargs, *node.args.args]
-        saved, self._self = self._self, (args[0].arg if args else "self")
-        for stmt in ast.walk(node):
-            if (
-                isinstance(stmt, ast.Return)
-                and stmt.value is not None
-                and isinstance(stmt.value, (ast.JoinedStr, ast.Constant, ast.Call))
-            ):
-                self.index.returns.setdefault(
-                    (self._klass, node.name), []
-                ).append(stmt.value)
-                self._ctx(stmt.value)
+        saved = self._self, self._func
+        self._self = args[0].arg if args else "self"
+        self._func = node.name
         self.generic_visit(node)
-        self._self = saved
+        self._self, self._func = saved
 
     visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+
+    def visit_Return(self, node: ast.Return) -> None:
+        if self._func is not None and isinstance(
+            node.value, (ast.JoinedStr, ast.Constant, ast.Call)
+        ):
+            self.index.returns.setdefault(
+                (self._klass, self._func), []
+            ).append(node.value)
+            self._ctx(node.value)
+        self.generic_visit(node)
 
     def _ctx(self, expr: ast.expr) -> None:
         # simlint: waive SIM009 -- lookup-only map (AST node identity); never iterated
@@ -702,19 +649,17 @@ def extract_note_sites(
     return sites
 
 
-def registry_freshness(
-    parsed: Iterable[tuple[str, ast.Module]],
-    registry: Iterable[CellDecl] = DECLARED_CELLS,
+def declaration_drift(
+    sites: Iterable[NoteSite], decls: Iterable[CellDecl]
 ) -> list[str]:
-    """Drift between the declared registry and the noted inventory.
+    """Noted cell families that no declaration covers.
 
-    Returns human-readable error lines; empty means fresh.  Covers the
-    noted→declared direction (an undeclared family, or an unresolvable
-    name expression); the declared→noted direction is the auditor's
-    RACE202.
+    Returns human-readable error lines; empty means every note site
+    resolves to a declared template.  Covers the noted→declared
+    direction (an undeclared family, or an unresolvable name
+    expression); the declared→noted direction is the auditor's RACE202.
     """
-    sites = extract_note_sites(parsed)
-    declared = {d.shape.tokens for d in registry}
+    declared = {d.shape.tokens for d in decls}
     errors: list[str] = []
     for site in sites:
         if site.forwarded:
@@ -730,7 +675,7 @@ def registry_freshness(
             if shape.tokens not in declared:
                 errors.append(
                     f"{site.path}:{site.line}: note_access names cell "
-                    f"family '{shape.render()}' which no "
-                    "cell_registry.DECLARED_CELLS entry declares"
+                    f"family '{shape.render()}' which no RACE_CELLS "
+                    "entry declares"
                 )
     return errors

@@ -16,10 +16,12 @@ diffing two whole-program inventories:
    or more concurrent instances is shared-state by construction.
 2. **The declared cell inventory.**  :mod:`.cell_registry` extracts
    every ``note_access`` site with its cell-name *shape* resolved, and
-   carries the declared registry (``DECLARED_CELLS`` plus per-module
-   ``RACE_CELLS`` literals).
+   reads the module-level ``RACE_CELLS`` literals that declare each
+   cell family beside the code that notes it.
 
-The diff emits RACE2xx findings:
+The diff emits RACE2xx findings, and *drift* (:attr:`CellAudit.freshness`):
+a noted family no ``RACE_CELLS`` entry declares, a name the extractor
+cannot resolve, or a malformed ``RACE_CELLS``.  Both fail the audit:
 
 ========  ============================================================
 RACE201   multi-root-reachable attribute write in a function with no
@@ -55,13 +57,12 @@ import ast
 import re
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, module_matches, module_name_for
+from .callgraph import CallGraph, module_name_for
 from .cell_registry import (
-    DECLARED_CELLS,
     CellDecl,
+    declaration_drift,
     extract_note_sites,
     parse_race_cells,
-    registry_freshness,
     shapes_intersect,
 )
 from .linter import (
@@ -415,14 +416,14 @@ class CellAudit:
 
     violations: list[Violation]
     stale_waivers: list[StaleWaiver]
-    freshness: list[str]  #: registry-drift errors (separate CI gate)
+    freshness: list[str]  #: drift between note sites and declarations
     n_files: int
     n_roots: int  #: distinct concurrent root functions found
     n_writes: int  #: attribute write sites collected
 
     @property
     def clean(self) -> bool:
-        return not self.violations and not self.stale_waivers
+        return not (self.violations or self.stale_waivers or self.freshness)
 
 
 def _closure(graph: CallGraph, root: str) -> list[str]:
@@ -452,9 +453,12 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
     writes: list[_Write] = []
     spawns: list[_Spawn] = []
     decls: list[CellDecl] = []
+    freshness: list[str] = []
     for path, _, tree in parsed:
         module = module_name_for(path)
-        decls.extend(parse_race_cells(tree, path))
+        found, errors = parse_race_cells(tree, path)
+        decls.extend(found)
+        freshness.extend(errors)
         if scope_of(path) != "sim" or _is_kernel(module):
             continue
         scanner = _AuditScanner(module, path)
@@ -462,12 +466,8 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
         writes.extend(scanner.writes)
         spawns.extend(scanner.spawns)
 
-    # Registry declarations are in scope when their component is.
-    for decl in DECLARED_CELLS:
-        if any(module_matches(m, (decl.component,)) for m in graph.modules):
-            decls.append(decl)
-
     note_sites = extract_note_sites((p, t) for p, _, t in parsed)
+    freshness.extend(declaration_drift(note_sites, decls))
     noted_funcs = {f"{s.module}::{s.func}" for s in note_sites}
 
     # -- concurrency roots and their closures -------------------------------
@@ -506,11 +506,7 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
         if key in noted_funcs:
             continue  # the function notes a cell; runtime checks the rest
         decl = next(
-            (
-                d
-                for d in decls
-                if w.attr in d.attrs and module_matches(w.module, (d.component,))
-            ),
+            (d for d in decls if w.attr in d.attrs and w.module == d.module),
             None,
         )
         if decl is not None:
@@ -538,7 +534,6 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
             )
 
     # -- RACE202: dead declarations -----------------------------------------
-    path_of_module = {module_name_for(p): p for p, _, _ in parsed}
     write_shapes = {
         shape.tokens
         for site in note_sites
@@ -548,21 +543,9 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
     for decl in decls:
         if decl.shape.tokens in write_shapes:
             continue
-        if decl.line and decl.path in path_of_module.values():
-            anchor_path, anchor_line = decl.path, decl.line
-        else:
-            anchor_path = next(
-                (
-                    p
-                    for m, p in sorted(path_of_module.items())
-                    if module_matches(m, (decl.component,))
-                ),
-                decl.path,
-            )
-            anchor_line = 1
         raw.append(
             Violation(
-                "RACE202", anchor_path, anchor_line, 0,
+                "RACE202", decl.path, decl.line, 0,
                 f"declared cell '{decl.pattern}' (guarding "
                 f"{', '.join(decl.attrs) or 'no attrs'}) is never "
                 "write-noted anywhere in the file set — dead or stale "
@@ -603,10 +586,6 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
                     )
                 )
 
-    freshness = registry_freshness(
-        ((p, t) for p, _, t in parsed), registry=decls
-    )
-
     # -- waivers -------------------------------------------------------------
     by_path: dict[str, list[Violation]] = {}
     for v in raw:
@@ -627,12 +606,6 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
         ):
             if lineno not in used:
                 stale.append(StaleWaiver(path, lineno, frozenset(codes)))
-    violations.extend(
-        sorted(
-            (v for v in raw if v.path not in {p for p, _, _ in parsed}),
-            key=lambda v: (v.path, v.line, v.rule),
-        )
-    )
 
     return CellAudit(
         violations=violations,

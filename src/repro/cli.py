@@ -191,7 +191,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         perf=args.perf,
         cells=args.cells,
         cells_only=args.cells_only,
-        cells_freshness_only=args.cells_freshness,
         cells_output=args.cells_output,
     )
 
@@ -525,13 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write race reports (or a clean marker) to FILE")
     p.add_argument("--cells", action="store_true",
                    help="also run the static shared-state audit "
-                   "(RACE201-RACE204): prove every mutable cell reachable "
-                   "from two concurrent process roots is sanitizer-noted")
+                   "(RACE201-RACE204, RACE_CELLS drift): prove every mutable "
+                   "cell reachable from two concurrent roots is noted")
     p.add_argument("--cells-only", action="store_true",
                    help="run only the shared-state audit")
-    p.add_argument("--cells-freshness", action="store_true",
-                   help="run only the cell-registry drift check (every "
-                   "in-tree note_access family must have a declaration)")
     p.add_argument("--cells-output", metavar="FILE",
                    help="write the RACE report (or a clean marker) to FILE")
     p.add_argument("--seed", type=int, default=0)

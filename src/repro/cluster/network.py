@@ -40,6 +40,11 @@ from .specs import NetworkSpec
 
 __all__ = ["Fabric", "RateLimiter"]
 
+RACE_CELLS = (
+    ("limiter.<name>", ("_ready",),
+     "throttle is read-modify-write on the shared rate reservation"),
+)
+
 
 class _Port:
     """One direction of one NIC: a FIFO, capacity-1 bandwidth server."""

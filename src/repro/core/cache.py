@@ -21,6 +21,11 @@ from ..storage.localfs import LocalFS
 
 __all__ = ["CacheManager", "EvictionPolicy", "make_policy"]
 
+RACE_CELLS = (
+    ("cache.<name>", ("_sizes", "_stored", "_used", "_raw_used"),
+     "the byte budget couples entries: any insert can evict any path"),
+)
+
 
 class EvictionPolicy:
     """Victim selection strategy over the cached-file index.

@@ -40,6 +40,11 @@ from .cache import CacheManager, make_policy
 
 __all__ = ["HVACServer", "ReadRequest"]
 
+RACE_CELLS = (
+    ("s<id>.inflight:<path>", ("_inflight",),
+     "per-path fetch-dedup slot decides which request fetches and which wait"),
+)
+
 
 @dataclass(slots=True)
 class ReadRequest:

@@ -35,6 +35,12 @@ from .scenario import (
 
 __all__ = ["Autopilot", "CorpusEntry"]
 
+RACE_CELLS = (
+    ("fuzz.autopilot.corpus", ("corpus",),
+     "digest-keyed corpus folds; driver-side today, celled so in-loop "
+     "feedback stays sanitizer-visible"),
+)
+
 #: mutation kinds, drawn uniformly per proposal
 _MUTATIONS = (
     "reseed",

@@ -54,6 +54,12 @@ from .scenario import Scenario
 
 __all__ = ["EpochResult", "Observation", "execute"]
 
+RACE_CELLS = (
+    ("fuzz.reads.<label>", ("started", "done"),
+     "per-reader invariant counters; the epoch watchdog reads them all "
+     "at the deadline"),
+)
+
 #: metric counters snapshotted (post-fault deltas) into every observation
 _COUNTERS = (
     "client_hits",

@@ -36,6 +36,12 @@ from ..simcore import Environment
 
 __all__ = ["ALIVE", "RECOVERING", "SUSPECTED", "DEAD", "STATE_RANK", "MembershipView"]
 
+RACE_CELLS = (
+    ("view.<owner>.m<sid>", ("_state", "_inc", "_stamp", "_since"),
+     "one member's lattice slot in one membership view; adoptions are "
+     "tagged (sid, inc, state)"),
+)
+
 ALIVE = "alive"
 RECOVERING = "recovering"
 SUSPECTED = "suspected"

@@ -43,6 +43,12 @@ from .planner import ClairvoyantPlanner
 
 __all__ = ["LookaheadScheduler"]
 
+RACE_CELLS = (
+    ("prefetch.queue.s<id>", ("_credits",),
+     "one staging worker's credit pool; single-writer by design, celled "
+     "so a second writer is caught"),
+)
+
 
 class LookaheadScheduler:
     """Clairvoyant staging of a planner's schedules onto a deployment."""

@@ -27,6 +27,12 @@ from .tenant import TenantSpec
 
 __all__ = ["QuotaLedger"]
 
+RACE_CELLS = (
+    ("tenancy.quota.t<j>", ("_used_bytes", "_used_files"),
+     "charges and releases land from whichever server's data mover "
+     "inserts or evicts; the byte budget couples the byte/file pair"),
+)
+
 
 class QuotaLedger:
     """Per-tenant cached-byte/file accounting with quota enforcement."""

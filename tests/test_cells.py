@@ -1,5 +1,6 @@
 """Shared-state auditor: per-rule fixtures, waivers, shape model,
-registry round-trip, and the repo-audits-clean gate."""
+declaration drift, the RACE_CELLS round-trip, and the repo-audits-clean
+gate."""
 
 import ast
 import os
@@ -7,10 +8,11 @@ import re
 
 import pytest
 
-from repro.check import DECLARED_CELLS, run_cells, run_cells_freshness
+from repro.check import run_cells
 from repro.check.cell_registry import (
+    declaration_drift,
     extract_note_sites,
-    registry_freshness,
+    parse_race_cells,
     shape_of_pattern,
     shapes_intersect,
 )
@@ -36,6 +38,19 @@ def _src_files():
                 with open(path, encoding="utf-8") as fh:
                     out.append((path, fh.read()))
     return out
+
+
+@pytest.fixture(scope="module")
+def tree_cells():
+    """The in-tree ``RACE_CELLS`` declarations, their parse errors, and
+    the note sites, extracted once for the round-trip tests."""
+    parsed = [(p, ast.parse(s, filename=p)) for p, s in _src_files()]
+    decls, errors = [], []
+    for path, tree in parsed:
+        found, bad = parse_race_cells(tree, path)
+        decls.extend(found)
+        errors.extend(bad)
+    return decls, errors, extract_note_sites(parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -158,29 +173,119 @@ class TestShapes:
 
 
 # ---------------------------------------------------------------------------
-# Registry round-trip: the declared inventory, the extracted in-tree
-# note sites, and the INTERNALS cell table all agree.
+# Drift: every noted family needs a well-formed RACE_CELLS declaration,
+# and drift fails the audit like a violation does.
+# ---------------------------------------------------------------------------
+
+_NOTED = (
+    "{decl}"
+    "class Pool:\n"
+    "    def __init__(self, env):\n"
+    "        self.env = env\n"
+    "        self.total = 0\n\n"
+    "    def add(self, n):\n"
+    "        self.env.note_access(\"pool.total\", \"w\")\n"
+    "        self.total += n\n"
+)
+
+
+class TestDrift:
+    def test_undeclared_family_fails_the_audit_and_cli(self, tmp_path, capsys):
+        src = _NOTED.format(decl="")
+        audit = audit_files([("mod.py", src)])
+        assert audit.violations == [] and audit.stale_waivers == []
+        (line,) = audit.freshness
+        assert "'pool.total' which no RACE_CELLS entry declares" in line
+        assert not audit.clean
+
+        from repro.cli import main
+
+        mod = tmp_path / "mod.py"
+        mod.write_text(src)
+        out = tmp_path / "cells.txt"
+        argv = ["check", "--cells-only", "--cells-output", str(out), str(mod)]
+        assert main(argv) == 1
+        assert "no RACE_CELLS entry declares" in capsys.readouterr().out
+        assert "no RACE_CELLS entry declares" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "decl, message",
+        [
+            (
+                'RACE_CELLS = (("pool.total", "total", "fan-in counter"),)\n\n',
+                "malformed RACE_CELLS entry",
+            ),
+            (
+                "from repro.simcore import cell_name\n\n"
+                'RACE_CELLS = ((cell_name("pool", "t", "<j>"), ("total",), '
+                '"fan-in counter"),)\n\n',
+                "RACE_CELLS is not a literal",
+            ),
+        ],
+        ids=["bare-string-attrs", "not-a-literal"],
+    )
+    def test_malformed_race_cells_is_drift(self, decl, message):
+        audit = audit_files([("mod.py", _NOTED.format(decl=decl))])
+        assert any(
+            line.startswith("mod.py:") and message in line
+            for line in audit.freshness
+        ), audit.freshness
+        assert not audit.clean
+
+    def test_nested_def_keeps_its_returns(self):
+        """A nested def's ``return`` is not a return of the enclosing
+        helper, so it cannot add a phantom family to its note sites."""
+        src = (
+            'RACE_CELLS = (("a.<n>", ("n",), "one counter"),)\n\n'
+            "class A:\n"
+            "    def __init__(self, env, n):\n"
+            "        self.env = env\n"
+            "        self.n = n\n\n"
+            "    def cell(self):\n"
+            "        def label():\n"
+            "            return \"debug.label\"\n"
+            "        return f\"a.{self.n}\"\n\n"
+            "    def bump(self):\n"
+            "        self.env.note_access(self.cell(), \"w\")\n"
+            "        self.n += 1\n"
+        )
+        (site,) = extract_note_sites([("mod.py", ast.parse(src))])
+        assert [shape.render() for shape in site.shapes] == ["a.<…>"]
+        audit = audit_files([("mod.py", src)])
+        assert audit.freshness == []
+        assert audit.clean
+
+
+# ---------------------------------------------------------------------------
+# Round-trip: the in-tree RACE_CELLS declarations, the extracted note
+# sites, and the INTERNALS cell table all agree.
 # ---------------------------------------------------------------------------
 
 
 class TestRegistryRoundTrip:
-    def test_registry_matches_extracted_note_sites(self):
-        files = _src_files()
-        parsed = [(p, ast.parse(s, filename=p)) for p, s in files]
-        assert registry_freshness(parsed) == []
-        sites = [s for s in extract_note_sites(parsed) if not s.forwarded]
+    def test_registry_matches_extracted_note_sites(self, tree_cells):
+        decls, errors, sites = tree_cells
+        assert errors == []
+        assert declaration_drift(sites, decls) == []
+        sites = [s for s in sites if not s.forwarded]
         noted = {shape.tokens for s in sites for shape in s.shapes}
-        declared = {d.shape.tokens for d in DECLARED_CELLS}
+        declared = {d.shape.tokens for d in decls}
         # every declared family is noted somewhere in the tree, and
         # every noted family matches a declaration (no drift either way)
         assert declared <= noted
         for s in sites:
             for shape in s.shapes:
                 assert any(
-                    shapes_intersect(d.shape, shape) for d in DECLARED_CELLS
+                    shapes_intersect(d.shape, shape) for d in decls
                 ), shape.render()
+        # one declaration per family, in the one module that notes it
+        assert len(declared) == len(decls)
+        for decl in decls:
+            noting = {s.module for s in sites if decl.shape in s.shapes}
+            assert noting == {decl.module}, decl.pattern
 
-    def test_registry_matches_internals_cell_table(self):
+    def test_registry_matches_internals_cell_table(self, tree_cells):
+        decls, _, _ = tree_cells
         with open(INTERNALS, encoding="utf-8") as fh:
             text = fh.read()
         table = re.search(
@@ -191,12 +296,7 @@ class TestRegistryRoundTrip:
             m.group(1)
             for m in re.finditer(r"^\| `([^`]+)` \|", table.group(1), re.M)
         }
-        assert patterns == {d.pattern for d in DECLARED_CELLS}
-
-    def test_every_declared_component_exists(self):
-        for decl in DECLARED_CELLS:
-            rel = decl.component.replace(".", os.sep) + ".py"
-            assert os.path.exists(os.path.join(SRC_ROOT, rel)), decl.component
+        assert patterns == {d.pattern for d in decls}
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +364,6 @@ class TestCLI:
 
     def test_run_cells_repo_clean(self):
         assert run_cells([SRC_ROOT], verbose=False) == 0
-
-    def test_run_cells_freshness_repo_clean(self, capsys):
-        assert run_cells_freshness([SRC_ROOT]) == 0
-        assert "fresh" in capsys.readouterr().out
 
     def test_check_cli_cells_only_flag(self):
         from repro.cli import main
