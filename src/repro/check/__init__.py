@@ -1,6 +1,10 @@
 """``repro check`` — the determinism & sim-safety analyzer.
 
-Four layers, all runnable from the CLI and from tests:
+Four layers, all runnable from the CLI and from tests.  The static
+ones, and the ``--perf`` hot-path analyzer (:mod:`.perf`), share one
+front end, :class:`Program` (:mod:`.program`): per run every file is
+parsed once, its comments are tokenized once for the waiver scan, and
+the call graph is built once, on first use.
 
 * **Static, per-function**: an AST lint pass (:mod:`.rules`,
   :mod:`.linter`) with repro-specific rules guarding the engine's
@@ -30,17 +34,12 @@ Four layers, all runnable from the CLI and from tests:
 from __future__ import annotations
 
 import os
+import sys
+from collections.abc import Sequence
 
 from .divergence import DivergenceReport, find_first_divergence, fingerprint_run
-from .linter import (
-    StaleWaiver,
-    TreeLint,
-    lint_file,
-    lint_paths,
-    lint_source,
-    lint_tree,
-    scope_of,
-)
+from .linter import TreeLint, lint_program, lint_source, lint_tree
+from .program import Program, StaleWaiver, scope_of
 from .perf import (
     PERF_RULES,
     PerfLint,
@@ -48,7 +47,7 @@ from .perf import (
     perf_lint_source,
     perf_lint_tree,
 )
-from .cells import RACE_RULES, CellAudit, audit_source, audit_tree
+from .cells import RACE_RULES, CellAudit, audit_files, audit_source, audit_tree
 from .cell_registry import CellDecl
 from .races import RaceReport, RaceSanitizer
 from .rules import RULES, Violation
@@ -62,16 +61,17 @@ __all__ = [
     "CellDecl",
     "DivergenceReport",
     "PerfLint",
+    "Program",
     "RaceReport",
     "RaceSanitizer",
     "StaleWaiver",
     "TreeLint",
+    "audit_files",
     "audit_source",
     "audit_tree",
     "find_first_divergence",
     "fingerprint_run",
-    "lint_file",
-    "lint_paths",
+    "lint_program",
     "lint_source",
     "lint_tree",
     "perf_lint_files",
@@ -94,64 +94,53 @@ def default_lint_roots() -> list[str]:
     return [pkg_root]  # .../src/repro
 
 
-def _status(result, drift: int = 0) -> str:
-    """``"clean"`` or the violation / stale-waiver / drift counts of a pass."""
-    bits = []
-    if result.violations:
-        bits.append(f"{len(result.violations)} violation(s)")
-    if result.stale_waivers:
-        bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
-    if drift:
-        bits.append(f"{drift} drift error(s)")
-    return ", ".join(bits) or "clean"
-
-
-def run_lint(
-    paths: list[str] | None = None, verbose: bool = True, taint: bool = False
-) -> int:
-    """Lint the tree; print violations + stale waivers; return exit code."""
-    roots = paths or default_lint_roots()
-    result = lint_tree(roots, taint=taint)
-    for v in result.violations:
-        print(v.render())
-    for w in result.stale_waivers:
-        print(w.render())
+def _report(result, summary: str, verbose: bool, drift: Sequence[str] = ()) -> list[str]:
+    """Print a static pass's findings (violations, stale waivers, then
+    any drift lines) and, if ``verbose``, ``summary`` with the pass's
+    status; return the findings printed."""
+    lines = [v.render() for v in result.violations]
+    lines += [w.render() for w in result.stale_waivers]
+    lines += drift
+    for line in lines:
+        print(line)
     if verbose:
-        status = _status(result)
-        pass_name = "simlint+taint" if taint else "simlint"
-        print(f"{pass_name}: {result.n_files} file(s) checked, {status}")
+        counts = (
+            (result.violations, "violation(s)"),
+            (result.stale_waivers, "stale waiver(s)"),
+            (drift, "drift error(s)"),
+        )
+        status = ", ".join(f"{len(found)} {what}" for found, what in counts if found)
+        print(f"{summary}, {status or 'clean'}")
+    return lines
+
+
+def run_lint(program: Program, verbose: bool = True, taint: bool = False) -> int:
+    """Lint ``program``; print violations + stale waivers; return exit code."""
+    result = lint_program(program, taint=taint)
+    name = "simlint+taint" if taint else "simlint"
+    _report(result, f"{name}: {result.n_files} file(s) checked", verbose)
     return 0 if result.clean else 1
 
 
-def run_perf(paths: list[str] | None = None, verbose: bool = True) -> int:
+def run_perf(program: Program, verbose: bool = True) -> int:
     """Run the hot-path analyzer; print findings; return exit code."""
-    roots = paths or default_lint_roots()
-    result = perf_lint_tree(roots)
-    for v in result.violations:
-        print(v.render())
-    for w in result.stale_waivers:
-        print(w.render())
-    if verbose:
-        status = _status(result)
-        hot = "all functions hot" if result.all_hot else f"{result.n_hot} hot function(s)"
-        print(f"perf: {result.n_files} file(s) checked, {hot}, {status}")
+    result = perf_lint_files(program)
+    hot = "all functions hot" if result.all_hot else f"{result.n_hot} hot function(s)"
+    _report(result, f"perf: {result.n_files} file(s) checked, {hot}", verbose)
     return 0 if result.clean else 1
 
 
 def run_cells(
-    paths: list[str] | None = None,
-    output: str | None = None,
-    verbose: bool = True,
+    program: Program, output: str | None = None, verbose: bool = True
 ) -> int:
     """Run the shared-state audit; print findings and drift between
     note sites and ``RACE_CELLS`` declarations; return exit code."""
-    roots = paths or default_lint_roots()
-    result = audit_tree(roots)
-    lines = [v.render() for v in result.violations]
-    lines += [w.render() for w in result.stale_waivers]
-    lines += result.freshness
-    for line in lines:
-        print(line)
+    result = audit_files(program)
+    summary = (
+        f"cells: {result.n_files} file(s), {result.n_roots} concurrency "
+        f"root(s), {result.n_writes} write site(s)"
+    )
+    lines = _report(result, summary, verbose, drift=result.freshness)
     if output:
         os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
         with open(output, "w", encoding="utf-8") as fh:
@@ -162,12 +151,6 @@ def run_cells(
                     f"cells: clean — {result.n_files} file(s), "
                     f"{result.n_roots} root(s), {result.n_writes} write(s)\n"
                 )
-    if verbose:
-        status = _status(result, drift=len(result.freshness))
-        print(
-            f"cells: {result.n_files} file(s), {result.n_roots} "
-            f"concurrency root(s), {result.n_writes} write site(s), {status}"
-        )
     return 0 if result.clean else 1
 
 
@@ -284,18 +267,30 @@ def run_check(
 ) -> int:
     """The full ``repro check``: lint (+taint), optionally the hot-path
     analyzer (``--perf``), the shared-state audit (``--cells``), the
-    double-run comparison, and optionally the sim-time race sanitizer."""
+    double-run comparison, and optionally the sim-time race sanitizer.
+
+    The static passes share one :class:`Program` over ``paths``: one
+    parse per file, one call graph.  A path that does not exist, a
+    named non-``.py`` file, or a file set with no ``.py`` file is a
+    usage error (exit 2), so the gate cannot pass by checking nothing.
+    """
     rc = 0
     if races_only:
         return run_races(seed=seed, output=races_output)
+    if cells_only or not determinism_only:
+        try:
+            program = Program.read(paths or default_lint_roots())
+        except ValueError as exc:
+            print(f"repro check: error: {exc}", file=sys.stderr)
+            return 2
     if cells_only:
-        return run_cells(paths, output=cells_output)
+        return run_cells(program, output=cells_output)
     if not determinism_only:
-        rc |= run_lint(paths, taint=taint)
+        rc |= run_lint(program, taint=taint)
         if perf:
-            rc |= run_perf(paths)
+            rc |= run_perf(program)
         if cells:
-            rc |= run_cells(paths, output=cells_output)
+            rc |= run_cells(program, output=cells_output)
     if not lint_only:
         rc |= run_determinism(
             seed=seed,

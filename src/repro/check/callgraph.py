@@ -91,7 +91,7 @@ class FunctionInfo:
     qualname: str
     path: str
     line: int
-    scope: str  #: ``"sim"`` | ``"runtime"`` (from :func:`..linter.scope_of`)
+    scope: str  #: ``"sim"`` | ``"runtime"`` (from :func:`.program.scope_of`)
     params: tuple[str, ...]  #: positional params, ``self``/``cls`` stripped
     sources: list[TaintSource] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)

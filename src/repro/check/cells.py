@@ -54,7 +54,6 @@ the check (same machinery as simlint's and perf's).
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
 from .callgraph import CallGraph, module_name_for
@@ -65,13 +64,7 @@ from .cell_registry import (
     parse_race_cells,
     shapes_intersect,
 )
-from .linter import (
-    StaleWaiver,
-    _apply_waivers,
-    _waiver_comment_lines,
-    read_sources,
-    scope_of,
-)
+from .program import Program, StaleWaiver
 from .rules import Violation
 
 __all__ = [
@@ -98,9 +91,6 @@ RACE_RULES: dict[str, str] = {
     "literal) — distinct entities would share one cell and false-positive "
     "or mask each other",
 }
-
-_RACE_WAIVE_RE = re.compile(r"#\s*race:\s*waive\b([^#\n]*)")
-_RACE_CODE_RE = re.compile(r"RACE\d{3}")
 
 #: construction/teardown functions whose writes are setup, not shared
 #: mutation — they run before (or after) any concurrent root exists
@@ -440,33 +430,27 @@ def _closure(graph: CallGraph, root: str) -> list[str]:
     return sorted(seen)
 
 
-def audit_files(files: list[tuple[str, str]]) -> CellAudit:
-    """Run the shared-state audit over ``(path, source)`` pairs."""
-    parsed: list[tuple[str, str, ast.Module]] = []
-    for path, source in files:
-        parsed.append((path, source, ast.parse(source, filename=path)))
-
-    graph = CallGraph.build(
-        (path, tree, scope_of(path), None) for path, _, tree in parsed
-    )
+def audit_files(program: Program) -> CellAudit:
+    """Run the shared-state audit over a :class:`.program.Program`."""
+    graph = program.graph
 
     writes: list[_Write] = []
     spawns: list[_Spawn] = []
     decls: list[CellDecl] = []
     freshness: list[str] = []
-    for path, _, tree in parsed:
-        module = module_name_for(path)
-        found, errors = parse_race_cells(tree, path)
+    for f in program.files:
+        module = module_name_for(f.path)
+        found, errors = parse_race_cells(f.tree, f.path)
         decls.extend(found)
         freshness.extend(errors)
-        if scope_of(path) != "sim" or _is_kernel(module):
+        if f.scope != "sim" or _is_kernel(module):
             continue
-        scanner = _AuditScanner(module, path)
-        scanner.visit(tree)
+        scanner = _AuditScanner(module, f.path)
+        scanner.visit(f.tree)
         writes.extend(scanner.writes)
         spawns.extend(scanner.spawns)
 
-    note_sites = extract_note_sites((p, t) for p, _, t in parsed)
+    note_sites = extract_note_sites((f.path, f.tree) for f in program.files)
     freshness.extend(declaration_drift(note_sites, decls))
     noted_funcs = {f"{s.module}::{s.func}" for s in note_sites}
 
@@ -586,32 +570,12 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
                     )
                 )
 
-    # -- waivers -------------------------------------------------------------
-    by_path: dict[str, list[Violation]] = {}
-    for v in raw:
-        by_path.setdefault(v.path, []).append(v)
-    violations: list[Violation] = []
-    stale: list[StaleWaiver] = []
-    for path, source, _ in parsed:
-        lines = source.splitlines()
-        found = sorted(
-            by_path.get(path, ()), key=lambda v: (v.line, v.col, v.rule)
-        )
-        kept, used = _apply_waivers(
-            found, lines, _RACE_WAIVE_RE, _RACE_CODE_RE
-        )
-        violations.extend(kept)
-        for lineno, codes in sorted(
-            _waiver_comment_lines(source, _RACE_WAIVE_RE, _RACE_CODE_RE).items()
-        ):
-            if lineno not in used:
-                stale.append(StaleWaiver(path, lineno, frozenset(codes)))
-
+    violations, stale = program.waive(raw, "race")
     return CellAudit(
         violations=violations,
         stale_waivers=stale,
         freshness=freshness,
-        n_files=len(files),
+        n_files=len(program.files),
         n_roots=len(root_weight),
         n_writes=len(writes),
     )
@@ -619,9 +583,9 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
 
 def audit_tree(paths: list[str]) -> CellAudit:
     """Audit every ``.py`` file under the given files/directories."""
-    return audit_files(read_sources(paths))
+    return audit_files(Program.read(paths))
 
 
 def audit_source(source: str, path: str = "<string>") -> list[Violation]:
     """Audit one module's source text (the fixture-test entry point)."""
-    return audit_files([(path, source)]).violations
+    return audit_files(Program([(path, source)])).violations

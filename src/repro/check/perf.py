@@ -51,17 +51,10 @@ then behave as a plain per-function lint.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
 from .callgraph import CallGraph, module_matches, module_name_for
-from .linter import (
-    StaleWaiver,
-    _apply_waivers,
-    _waiver_comment_lines,
-    read_sources,
-    scope_of,
-)
+from .program import Program, SourceFile, StaleWaiver
 from .rules import Violation
 
 __all__ = [
@@ -111,9 +104,6 @@ DEFAULT_EXTRA_HOT = (
     "simcore.resources",
     "obs.spans",
 )
-
-_PERF_WAIVE_RE = re.compile(r"#\s*perf:\s*waive\b([^#\n]*)")
-_PERF_CODE_RE = re.compile(r"PERF\d{3}")
 
 #: call targets whose string arguments are metric/span/process labels
 _LABEL_SINKS = {
@@ -191,12 +181,12 @@ def _is_exceptionish(name: str, base_names: tuple[str, ...]) -> bool:
     return False
 
 
-def _scan_classes(parsed: list[tuple[str, str, ast.Module]]) -> dict[str, list[_ClassInfo]]:
+def _scan_classes(files: list[SourceFile]) -> dict[str, list[_ClassInfo]]:
     """Every class defined in the file set, keyed by bare name."""
     out: dict[str, list[_ClassInfo]] = {}
-    for path, _, tree in parsed:
-        module = module_name_for(path)
-        for node in ast.walk(tree):
+    for f in files:
+        module = module_name_for(f.path)
+        for node in ast.walk(f.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             bases = tuple(
@@ -206,7 +196,7 @@ def _scan_classes(parsed: list[tuple[str, str, ast.Module]]) -> dict[str, list[_
             info = _ClassInfo(
                 name=node.name,
                 module=module,
-                path=path,
+                path=f.path,
                 line=node.lineno,
                 slotted=_is_slotted(node),
                 exceptionish=_is_exceptionish(node.name, bases),
@@ -633,13 +623,13 @@ class _PerfVisitor(ast.NodeVisitor):
 # list-attribute inventory (PERF105 membership on self.<attr>)
 # ---------------------------------------------------------------------------
 
-def _scan_list_attrs(parsed: list[tuple[str, str, ast.Module]]) -> set[str]:
+def _scan_list_attrs(files: list[SourceFile]) -> set[str]:
     """Attribute names bound to lists (``self.x = []``) and never to a
     different container anywhere in the file set."""
     listish: set[str] = set()
     otherish: set[str] = set()
-    for _, _, tree in parsed:
-        for node in ast.walk(tree):
+    for f in files:
+        for node in ast.walk(f.tree):
             if isinstance(node, ast.Assign):
                 targets, value, ann = node.targets, node.value, None
             elif isinstance(node, ast.AnnAssign):
@@ -686,18 +676,12 @@ class PerfLint:
         return not self.violations and not self.stale_waivers
 
 
-def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
-    """Run the hot-path analyzer over ``(path, source)`` pairs."""
-    parsed: list[tuple[str, str, ast.Module]] = []
-    for path, source in files:
-        parsed.append((path, source, ast.parse(source, filename=path)))
-
-    graph = CallGraph.build(
-        (path, tree, scope_of(path), None) for path, _, tree in parsed
-    )
-    classes = _scan_classes(parsed)
+def perf_lint_files(program: Program) -> PerfLint:
+    """Run the hot-path analyzer over a :class:`.program.Program`."""
+    graph = program.graph
+    classes = _scan_classes(program.files)
     hot, churned, all_hot = _hot_set(graph, classes)
-    list_attrs = _scan_list_attrs(parsed)
+    list_attrs = _scan_list_attrs(program.files)
 
     # PERF101 candidates: churned classes that could take __slots__.
     slotless: dict[str, _ClassInfo] = {}
@@ -712,43 +696,28 @@ def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
         info = graph.functions[key]
         hot_by_path.setdefault(info.path, set()).add(info.qualname)
 
-    violations: list[Violation] = []
-    stale: list[StaleWaiver] = []
-    for path, source, tree in parsed:
+    # Dedupe (nested loops can re-count the same chain).
+    found: dict[tuple, Violation] = {}
+    for f in program.files:
         visitor = _PerfVisitor(
-            path,
-            hot_by_path.get(path, set()),
+            f.path,
+            hot_by_path.get(f.path, set()),
             all_hot,
             slotless,
             list_attrs,
         )
-        visitor.visit(tree)
-        lines = source.splitlines()
-        found = visitor.violations
-        # Dedupe (nested loops can re-count the same chain).
-        unique: dict[tuple, Violation] = {}
-        for v in found:
-            unique.setdefault((v.rule, v.line, v.col), v)
-        kept, used = _apply_waivers(
-            sorted(unique.values(), key=lambda v: (v.line, v.col, v.rule)),
-            lines,
-            _PERF_WAIVE_RE,
-            _PERF_CODE_RE,
-        )
-        violations.extend(kept)
-        for lineno, codes in sorted(
-            _waiver_comment_lines(source, _PERF_WAIVE_RE, _PERF_CODE_RE).items()
-        ):
-            if lineno not in used:
-                stale.append(StaleWaiver(path, lineno, frozenset(codes)))
+        visitor.visit(f.tree)
+        for v in visitor.violations:
+            found.setdefault((v.path, v.rule, v.line, v.col), v)
+    violations, stale = program.waive(found.values(), "perf")
     return PerfLint(
-        violations, stale, n_files=len(files), n_hot=len(hot), all_hot=all_hot
+        violations, stale, n_files=len(program.files), n_hot=len(hot), all_hot=all_hot
     )
 
 
 def perf_lint_tree(paths: list[str]) -> PerfLint:
     """Analyze every ``.py`` file under the given files/directories."""
-    return perf_lint_files(read_sources(paths))
+    return perf_lint_files(Program.read(paths))
 
 
 def perf_lint_source(source: str, path: str = "<string>") -> list[Violation]:
@@ -756,4 +725,4 @@ def perf_lint_source(source: str, path: str = "<string>") -> list[Violation]:
 
     With no kernel module present every function counts as hot.
     """
-    return perf_lint_files([(path, source)]).violations
+    return perf_lint_files(Program([(path, source)])).violations

@@ -43,11 +43,11 @@ consuming loop.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from typing import Iterable
 
 from .callgraph import CallGraph, FunctionInfo
+from .program import SourceFile, waived_at
 from .rules import Violation
 
 __all__ = ["FunctionTaint", "build_graph", "propagate", "taint_violations"]
@@ -62,24 +62,17 @@ class FunctionTaint:
     chain: tuple[str, ...]  #: qualnames from this function down to the source
 
 
-def _entry(path: str, source: str, tree: ast.AST, scope: str) -> tuple:
+def _entry(f: SourceFile) -> tuple:
     """A :meth:`CallGraph.build` entry whose waiver hook reads the same
     inline waivers as the per-file linter, so a waived primitive never
     becomes a taint source."""
-    from .linter import waived_at
-
-    lines = source.splitlines()
-    return (path, tree, scope, lambda line, rule: waived_at(lines, line, rule))
+    return (f.path, f.tree, f.scope, lambda line, rule: waived_at(f.lines, line, rule))
 
 
-def build_graph(parsed: Iterable[tuple[str, str, ast.AST]]) -> CallGraph:
-    """A :class:`CallGraph` over already-parsed ``(path, source, tree)``
-    triples, each in the scope :func:`..linter.scope_of` gives it."""
-    from .linter import scope_of
-
-    return CallGraph.build(
-        _entry(path, source, tree, scope_of(path)) for path, source, tree in parsed
-    )
+def build_graph(files: Iterable[SourceFile]) -> CallGraph:
+    """A :class:`CallGraph` over the parsed files of a
+    :class:`.program.Program`, each in its own scope."""
+    return CallGraph.build(_entry(f) for f in files)
 
 
 def propagate(graph: CallGraph) -> dict[str, dict[str, FunctionTaint]]:
@@ -270,12 +263,11 @@ def taint_violations(
     return out
 
 
-def module_taint_violations(
-    path: str, source: str, tree: ast.AST, scope: str
-) -> list[Violation]:
-    """Single-module taint (the :func:`..linter.lint_source` hook).
+def module_taint_violations(f: SourceFile) -> list[Violation]:
+    """Single-module taint (the per-file flavor :func:`..linter.lint_program`
+    runs without ``--taint``).
 
     Catches same-file helper indirection; the cross-module pass in
     ``repro check --taint`` subsumes this over a whole tree.
     """
-    return taint_violations(CallGraph.build([_entry(path, source, tree, scope)]))
+    return taint_violations(CallGraph.build([_entry(f)]))

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from repro.check import run_cells
+from repro.check import Program, run_cells
 from repro.check.cell_registry import (
     declaration_drift,
     extract_note_sites,
@@ -129,7 +129,7 @@ class TestWaivers:
         src = _UNNOTED.format(
             line="return job  # race: waive RACE201 -- suppresses nothing"
         )
-        audit = audit_files([("mod.py", src)])
+        audit = audit_files(Program([("mod.py", src)]))
         assert audit.violations == []
         (w,) = audit.stale_waivers
         assert w.codes == frozenset({"RACE201"})
@@ -192,7 +192,7 @@ _NOTED = (
 class TestDrift:
     def test_undeclared_family_fails_the_audit_and_cli(self, tmp_path, capsys):
         src = _NOTED.format(decl="")
-        audit = audit_files([("mod.py", src)])
+        audit = audit_files(Program([("mod.py", src)]))
         assert audit.violations == [] and audit.stale_waivers == []
         (line,) = audit.freshness
         assert "'pool.total' which no RACE_CELLS entry declares" in line
@@ -225,7 +225,7 @@ class TestDrift:
         ids=["bare-string-attrs", "not-a-literal"],
     )
     def test_malformed_race_cells_is_drift(self, decl, message):
-        audit = audit_files([("mod.py", _NOTED.format(decl=decl))])
+        audit = audit_files(Program([("mod.py", _NOTED.format(decl=decl))]))
         assert any(
             line.startswith("mod.py:") and message in line
             for line in audit.freshness
@@ -251,7 +251,7 @@ class TestDrift:
         )
         (site,) = extract_note_sites([("mod.py", ast.parse(src))])
         assert [shape.render() for shape in site.shapes] == ["a.<…>"]
-        audit = audit_files([("mod.py", src)])
+        audit = audit_files(Program([("mod.py", src)]))
         assert audit.freshness == []
         assert audit.clean
 
@@ -305,8 +305,8 @@ class TestRegistryRoundTrip:
 
 
 class TestRepoIsClean:
-    def test_tree_audits_clean(self):
-        audit = audit_tree([SRC_ROOT])
+    def test_tree_audits_clean(self, src_program):
+        audit = audit_files(src_program)
         assert audit.violations == [], "\n".join(
             v.render() for v in audit.violations
         )
@@ -334,7 +334,7 @@ class TestRepoIsClean:
                 found = True
             mutated.append((path, source))
         assert found
-        audit = audit_files(mutated)
+        audit = audit_files(Program(mutated))
         assert any(
             v.rule == "RACE201" and v.path == target
             for v in audit.violations
@@ -350,20 +350,20 @@ class TestRepoIsClean:
 class TestCLI:
     def test_run_cells_bad_fixture_nonzero(self, tmp_path, capsys):
         out = tmp_path / "cells.txt"
-        rc = run_cells([fixture("race201_bad.py")], output=str(out))
+        rc = run_cells(Program.read([fixture("race201_bad.py")]), output=str(out))
         assert rc == 1
         assert "RACE201" in capsys.readouterr().out
         assert "RACE201" in out.read_text()
 
     def test_run_cells_good_fixture_clean(self, tmp_path, capsys):
         out = tmp_path / "cells.txt"
-        rc = run_cells([fixture("race201_good.py")], output=str(out))
+        rc = run_cells(Program.read([fixture("race201_good.py")]), output=str(out))
         assert rc == 0
         assert "clean" in capsys.readouterr().out
         assert "clean" in out.read_text()
 
-    def test_run_cells_repo_clean(self):
-        assert run_cells([SRC_ROOT], verbose=False) == 0
+    def test_run_cells_repo_clean(self, src_program):
+        assert run_cells(src_program, verbose=False) == 0
 
     def test_check_cli_cells_only_flag(self):
         from repro.cli import main

@@ -6,7 +6,7 @@ import pytest
 
 from repro.check import (
     PERF_RULES,
-    default_lint_roots,
+    Program,
     perf_lint_files,
     perf_lint_source,
     perf_lint_tree,
@@ -48,7 +48,7 @@ class TestRuleFixtures:
 
     @pytest.mark.parametrize("rule", sorted(PERF_RULES))
     def test_cli_exits_nonzero_on_bad_fixture(self, rule, capsys):
-        rc = run_perf([fixture(f"{rule.lower()}_bad.py")])
+        rc = run_perf(Program.read([fixture(f"{rule.lower()}_bad.py")]))
         assert rc != 0
         out = capsys.readouterr().out
         assert rule in out
@@ -80,10 +80,12 @@ _UTIL_SRC = (
 class TestHotSet:
     def test_reachability_gates_the_rules(self):
         result = perf_lint_files(
-            [
-                ("src/repro/simcore/engine.py", _ENGINE_SRC),
-                ("src/repro/util.py", _UTIL_SRC),
-            ]
+            Program(
+                [
+                    ("src/repro/simcore/engine.py", _ENGINE_SRC),
+                    ("src/repro/util.py", _UTIL_SRC),
+                ]
+            )
         )
         assert not result.all_hot
         assert [v.rule for v in result.violations] == ["PERF102"]
@@ -138,7 +140,7 @@ class TestWaivers:
             "    while queue:\n"
             "        out.append(queue.pop())\n"
         )
-        result = perf_lint_files([("mod.py", src)])
+        result = perf_lint_files(Program([("mod.py", src)]))
         assert result.violations == []
         assert len(result.stale_waivers) == 1
         assert result.stale_waivers[0].line == 2
@@ -155,7 +157,7 @@ class TestWaivers:
             path = os.path.join(tmp, "mod.py")
             with open(path, "w") as fh:
                 fh.write(pass_through)
-            assert run_perf([path]) != 0
+            assert run_perf(Program.read([path])) != 0
         assert "stale" in capsys.readouterr().out
 
 
@@ -165,8 +167,8 @@ class TestWaivers:
 
 
 class TestRepoIsClean:
-    def test_tree_is_perf_clean(self):
-        result = perf_lint_tree(default_lint_roots())
+    def test_tree_is_perf_clean(self, src_program):
+        result = perf_lint_files(src_program)
         assert [v.render() for v in result.violations] == []
         assert [w.render() for w in result.stale_waivers] == []
         # the real tree must resolve a hot set, not fall back to all-hot

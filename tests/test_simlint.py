@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.check import RULES, lint_paths, lint_source, lint_tree, scope_of
+from repro.check import RULES, Program, lint_program, lint_source, lint_tree, scope_of
 
 SRC_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
@@ -479,7 +479,7 @@ class TestStaleWaivers:
 
         mod = tmp_path / "mod.py"
         mod.write_text("x = 1  # simlint: waive -- nothing here anymore\n")
-        assert run_lint([str(tmp_path)]) == 1
+        assert run_lint(Program.read([str(tmp_path)])) == 1
         assert "stale waiver" in capsys.readouterr().out
 
     def test_sim011_waiver_exempt_without_taint(self, tmp_path):
@@ -777,21 +777,21 @@ class TestScope:
 
     def test_unknown_rule_code_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
-            lint_paths([SRC_ROOT], rules=["SIM999"])
+            lint_tree([SRC_ROOT], rules=["SIM999"])
 
 
 class TestRepoIsClean:
-    def test_tree_lints_clean(self):
+    def test_tree_lints_clean(self, src_program):
         """The determinism contract holds for the shipped tree: every
         SIM violation has been fixed or explicitly waived inline."""
-        violations = lint_paths([SRC_ROOT])
+        violations = lint_program(src_program).violations
         assert violations == [], "\n".join(v.render() for v in violations)
 
-    def test_tree_is_clean_under_taint_and_waiver_hygiene(self):
+    def test_tree_is_clean_under_taint_and_waiver_hygiene(self, src_program):
         """The stronger CI gate: the cross-module taint pass finds no
         hidden primitive behind any sim-scope call, and no waiver has
         gone stale."""
-        result = lint_tree([SRC_ROOT], taint=True)
+        result = lint_program(src_program, taint=True)
         assert result.clean, "\n".join(
             [v.render() for v in result.violations]
             + [w.render() for w in result.stale_waivers]
