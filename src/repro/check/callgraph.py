@@ -20,7 +20,22 @@ and extracts, per function:
 * whether it *returns* an unordered container — directly, or verbatim
   through another call (resolved by a fixpoint in :mod:`.taint`) — and
   which of its call sites feed a ``for``/comprehension, so hash order
-  crossing a return boundary is flagged at the loop (SIM013).
+  crossing a return boundary is flagged at the loop (SIM013);
+* its ``self``-attribute *writes* (assign, augment, ``del``, in-place
+  mutator calls, through local aliases such as ``w = self._wakeups``)
+  and its concurrency *roots*: ``env.process(gen(...))`` spawns, which
+  point at the call site of ``gen(...)``, and RPC-handler registrations
+  (``endpoint.register(op, self._handle)``), whose handler references
+  are resolved like calls but never become call edges.
+
+Per module it also records what the shared-state audit
+(:mod:`.cells`, :mod:`.cell_registry`) needs to resolve cell names:
+every ``note_access`` call with its name expression, mode and the
+enclosing function's locals and parameters, and the string-template
+*stores* (``self`` attribute and element stores, template returns).
+
+One walk attributes every statement to a function: a nested def's body
+belongs to its enclosing top-level function, except its returns.
 
 Whether an expression is unordered is the per-module fact of
 :mod:`.unordered`, shared with the per-file rules.  :mod:`.taint` runs
@@ -45,16 +60,26 @@ from .rules import (
 from .unordered import qualname, strip_order_preserving, unordered_values
 
 __all__ = [
+    "AttrWrite",
     "CallGraph",
     "CallSite",
     "FunctionInfo",
+    "NoteCall",
+    "SpawnRoot",
     "TaintSource",
+    "TemplateStores",
     "module_matches",
     "module_name_for",
 ]
 
 #: maximum re-export hops followed when resolving ``from pkg import name``
 _REEXPORT_DEPTH = 3
+
+#: method names that mutate their receiver in place
+_MUTATORS = {
+    "add", "append", "appendleft", "clear", "discard", "extend",
+    "insert", "pop", "popleft", "remove", "setdefault", "update",
+}
 
 
 @dataclass(frozen=True)
@@ -82,6 +107,56 @@ class CallSite:
     iterated: bool = False  #: the call's result feeds a ``for``/comprehension
 
 
+@dataclass(frozen=True)
+class AttrWrite:
+    """One write to a ``self``-rooted attribute chain."""
+
+    line: int
+    col: int
+    attr: str  #: dotted chain below the receiver ("x" or "x.y")
+    verb: str  #: "assign" | "augment" | "del" | a mutator name
+
+
+@dataclass
+class SpawnRoot:
+    """A body that runs as its own process: a spawn or a handler."""
+
+    site: CallSite | None  #: ``gen(...)`` of ``env.process(gen(...))``, or
+    #: the handler reference of a registration; None when the spawned
+    #: body has no call site (its code runs in the enclosing function)
+    replicated: bool  #: spawned in a loop, or a re-entrant RPC handler
+
+
+@dataclass
+class NoteCall:
+    """One ``note_access(name, mode)`` call, its name not yet resolved."""
+
+    line: int
+    col: int
+    func: str  #: enclosing top-level qualname ("" at module level)
+    klass: str  #: innermost enclosing class ("" outside one)
+    receiver: str  #: the enclosing method's first parameter
+    name: ast.expr  #: the cell-name expression as written
+    mode: str  #: "r" | "w" | "?" when not a literal
+    forwarded: bool  #: the name is a bare parameter pass-through
+    local_assigns: dict[str, list[ast.expr]]  #: the function's local
+    #: assignments made before the call, name -> values
+
+
+@dataclass
+class TemplateStores:
+    """String-template stores, ``(class, name) -> [(class, receiver,
+    expr), ...]`` with ``receiver`` the storing function's first
+    parameter, for cell-name resolution."""
+
+    direct: dict = field(default_factory=dict)  #: ``self.attr = expr``
+    #: element stores: subscript stores, dict and dict-comp values,
+    #: ``setdefault`` defaults
+    elements: dict = field(default_factory=dict)
+    #: ``(class, def name)`` -> returned f-string/constant/call exprs
+    returns: dict = field(default_factory=dict)
+
+
 @dataclass
 class FunctionInfo:
     """One module- or class-level function and its taint-relevant facts."""
@@ -100,6 +175,10 @@ class FunctionInfo:
     #: fixpoint in :mod:`.taint`, passes through a callee that does)
     yields_unordered: bool = False  #: ``yield from``-s a set expr (or,
     #: after the fixpoint in :mod:`.taint`, delegates to one that does)
+    writes: list[AttrWrite] = field(default_factory=list)
+    roots: list[SpawnRoot] = field(default_factory=list)
+    #: handler references of registrations: resolved, never call edges
+    handlers: list[CallSite] = field(default_factory=list)
 
 
 def module_name_for(path: str) -> str:
@@ -141,8 +220,24 @@ def _never_waived(line: int, rule: str) -> bool:
     return False
 
 
+def _owner_name(node: ast.expr) -> str:
+    """The last name of a call's receiver (``env`` of ``self.env``)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
 class _ModuleScanner(ast.NodeVisitor):
-    """Extract :class:`FunctionInfo` records from one parsed module."""
+    """Extract :class:`FunctionInfo` records from one parsed module.
+
+    Three receiver rules apply, each in one place: call dispatch
+    follows only ``self.``/``cls.`` (:meth:`_record_call`); writes,
+    note sites and handler references follow the top-level method's
+    first parameter (:meth:`_is_receiver`); template stores follow the
+    innermost def's first parameter (:meth:`_is_store_receiver`).
+    """
 
     def __init__(self, module: str, path: str, scope: str, waived, tree: ast.AST):
         self.module = module
@@ -152,12 +247,24 @@ class _ModuleScanner(ast.NodeVisitor):
         self._facts = unordered_values(tree)
         self.functions: dict[str, FunctionInfo] = {}
         self.imports = _anchored_imports(self._facts.imports, module)
+        self.stores = TemplateStores()
+        self.notes: list[NoteCall] = []
         self._class_stack: list[str] = []
         self._func_stack: list[FunctionInfo] = []
         self._nested_depth = 0  # inside a nested def: returns belong to it
         self._return_calls: set[int] = set()  # id()s of return-position Calls
         self._yield_calls: set[int] = set()  # id()s of yield-from delegate Calls
         self._iterated_calls: set[int] = set()  # id()s of for/comp-iter Calls
+        self._spawned: dict[ast.Call, SpawnRoot] = {}  # gen(...) -> its root
+        self._loop_depth = 0  # inside a loop body: spawns are replicated
+        self._receiver = "self"  # the top-level method's first parameter
+        self._store_receiver = "self"  # the innermost def's first parameter
+        self._def_name: str | None = None  # the innermost def
+        #: local alias -> self attribute it names (``w = self._wakeups``)
+        self._aliases: dict[str, str] = {}
+        #: the top-level function's local assignments, name -> values
+        self._locals: dict[str, list[ast.expr]] = {}
+        self._params: set[str] = set()  # ... and all its parameter names
 
     # -- function / class structure ----------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -166,6 +273,10 @@ class _ModuleScanner(ast.NodeVisitor):
         self._class_stack.pop()
 
     def _visit_func(self, node) -> None:
+        args = [*node.args.posonlyargs, *node.args.args]
+        saved = self._store_receiver, self._def_name
+        self._store_receiver = args[0].arg if args else "self"
+        self._def_name = node.name
         if self._func_stack:
             # Nested def: attribute its body to the enclosing function
             # (conservative: a closure's primitives taint the parent) —
@@ -173,9 +284,15 @@ class _ModuleScanner(ast.NodeVisitor):
             self._nested_depth += 1
             self.generic_visit(node)
             self._nested_depth -= 1
-            return
+        else:
+            self._visit_top(node, args)
+        self._store_receiver, self._def_name = saved
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+
+    def _visit_top(self, node, args: list[ast.arg]) -> None:
         qual = ".".join([*self._class_stack, node.name])
-        params = [a.arg for a in (*node.args.posonlyargs, *node.args.args)]
+        params = [a.arg for a in args]
         if self._class_stack and params and params[0] in ("self", "cls"):
             params = params[1:]
         info = FunctionInfo(
@@ -188,11 +305,14 @@ class _ModuleScanner(ast.NodeVisitor):
             params=tuple(params),
         )
         self.functions[qual] = info
+        saved = self._receiver, self._aliases, self._locals, self._params, self._loop_depth
+        self._receiver = args[0].arg if (args and self._class_stack) else "self"
+        self._aliases, self._locals, self._loop_depth = {}, {}, 0
+        self._params = {a.arg for a in (*args, *node.args.kwonlyargs)}
         self._func_stack.append(info)
         self.generic_visit(node)
         self._func_stack.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+        self._receiver, self._aliases, self._locals, self._params, self._loop_depth = saved
 
     # -- primitives and call sites -----------------------------------------
     def _source(self, rule: str, kind: str, node: ast.AST) -> None:
@@ -219,7 +339,19 @@ class _ModuleScanner(ast.NodeVisitor):
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iteration(node.iter)
-        self.generic_visit(node)
+        self.visit(node.target)
+        self.visit(node.iter)
+        self._visit_loop_body(node)
+
+    def visit_While(self, node: ast.While) -> None:
+        self.visit(node.test)
+        self._visit_loop_body(node)
+
+    def _visit_loop_body(self, node: ast.For | ast.While) -> None:
+        self._loop_depth += 1
+        for stmt in (*node.body, *node.orelse):
+            self.visit(stmt)
+        self._loop_depth -= 1
 
     def visit_Return(self, node: ast.Return) -> None:
         # SIM013 bookkeeping: a function that returns a set expression
@@ -235,6 +367,10 @@ class _ModuleScanner(ast.NodeVisitor):
                 info.returns_unordered = True
             elif isinstance(node.value, ast.Call):
                 self._return_calls.add(id(node.value))
+        if self._def_name is not None and isinstance(
+            node.value, (ast.JoinedStr, ast.Constant, ast.Call)
+        ):
+            self._template("returns", self._def_name, node.value)
         self.generic_visit(node)
 
     def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
@@ -259,7 +395,9 @@ class _ModuleScanner(ast.NodeVisitor):
     def _visit_comp(self, node) -> None:
         for gen in node.generators:
             self._check_iteration(gen.iter)
+        self._loop_depth += 1
         self.generic_visit(node)
+        self._loop_depth -= 1
 
     visit_ListComp = visit_SetComp = visit_GeneratorExp = visit_DictComp = _visit_comp
 
@@ -276,6 +414,11 @@ class _ModuleScanner(ast.NodeVisitor):
         if isinstance(func, ast.Name) and func.id == "hash":
             self._source("SIM003", "salted builtin hash()", node)
         self._record_call(node)
+        if isinstance(func, ast.Attribute):
+            self._method_call(node, func)
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "note_access" and node.args:
+            self._note_call(node)
         self.generic_visit(node)
 
     def _record_call(self, node: ast.Call) -> None:
@@ -313,30 +456,187 @@ class _ModuleScanner(ast.NodeVisitor):
             for i, a in enumerate(node.args)
             if isinstance(a, ast.Name) and a.id in info.params
         )
-        info.calls.append(
-            CallSite(
+        site = CallSite(
+            line=node.lineno,
+            col=node.col_offset,
+            display=display,
+            ref=ref,
+            set_args=set_args,
+            param_args=param_args,
+            in_return=id(node) in self._return_calls,
+            in_yield_from=id(node) in self._yield_calls,
+            iterated=id(node) in self._iterated_calls,
+        )
+        info.calls.append(site)
+        root = self._spawned.pop(node, None)
+        if root is not None:
+            root.site = site
+
+    # -- writes, roots and cell-name facts ----------------------------------
+    def _is_receiver(self, node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and node.id in (self._receiver, "self", "cls")
+
+    def _is_store_receiver(self, node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and node.id in (
+            self._store_receiver, "self", "cls",
+        )
+
+    def _self_chain(self, node: ast.expr) -> str | None:
+        """Dotted attribute chain rooted at the receiver (``"x.y"``)."""
+        parts: list[str] = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and self._is_receiver(node):
+            return ".".join(reversed(parts))
+        return None
+
+    def _container_attr(self, node: ast.expr) -> str | None:
+        """The attribute ``node`` names: a receiver chain, or a local
+        alias of one."""
+        if isinstance(node, ast.Attribute):
+            return self._self_chain(node)
+        if isinstance(node, ast.Name):
+            return self._aliases.get(node.id)
+        return None
+
+    def _write(self, node: ast.stmt | ast.Call, attr: str | None, verb: str) -> None:
+        if attr is not None and self._func_stack:
+            self._func_stack[-1].writes.append(
+                AttrWrite(node.lineno, node.col_offset, attr, verb)
+            )
+
+    def _write_target(self, node: ast.stmt, target: ast.expr, verb: str) -> None:
+        if isinstance(target, ast.Attribute):
+            self._write(node, self._self_chain(target), verb)
+        elif isinstance(target, ast.Subscript):
+            self._write(node, self._container_attr(target.value), verb)
+
+    def _template(self, kind: str, name: str, expr: ast.expr) -> None:
+        klass = self._class_stack[-1] if self._class_stack else ""
+        getattr(self.stores, kind).setdefault((klass, name), []).append(
+            (klass, self._store_receiver, expr)
+        )
+
+    def _store(self, target: ast.expr, value: ast.expr) -> None:
+        if isinstance(target, ast.Attribute) and self._is_store_receiver(target.value):
+            if isinstance(value, ast.Dict):
+                for v in value.values:
+                    if v is not None:
+                        self._template("elements", target.attr, v)
+            elif isinstance(value, ast.DictComp):
+                self._template("elements", target.attr, value.value)
+            else:
+                self._template("direct", target.attr, value)
+        elif (
+            isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Attribute)
+            and self._is_store_receiver(target.value.value)
+        ):
+            self._template("elements", target.value.attr, value)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._write_target(node, target, "assign")
+            self._store(target, node.value)
+            if isinstance(target, ast.Name) and self._func_stack:
+                value = node.value
+                chain = self._self_chain(value) if isinstance(value, ast.Attribute) else None
+                if chain is not None and "." not in chain:
+                    self._aliases[target.id] = chain
+                else:
+                    self._aliases.pop(target.id, None)
+                self._locals.setdefault(target.id, []).append(value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            self._write_target(node, node.target, "assign")
+            self._store(node.target, node.value)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._write_target(node, node.target, "augment")
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            self._write_target(node, target, "del")
+        self.generic_visit(node)
+
+    def _method_call(self, node: ast.Call, func: ast.Attribute) -> None:
+        """Mutations, template stores and roots made by ``recv.m(...)``."""
+        verb, recv = func.attr, func.value
+        if verb in _MUTATORS:
+            base = recv.value if isinstance(recv, ast.Subscript) else recv
+            self._write(node, self._container_attr(base), verb)
+        if (
+            verb == "setdefault"
+            and isinstance(func.value, ast.Attribute)
+            and self._is_store_receiver(func.value.value)
+            and len(node.args) >= 2
+        ):
+            self._template("elements", func.value.attr, node.args[1])
+        if not self._func_stack:
+            return
+        info = self._func_stack[-1]
+        owner = _owner_name(recv)
+        if verb == "process" and node.args and (
+            owner.endswith("env") or owner == "environment"
+        ):
+            root = SpawnRoot(None, replicated=self._loop_depth > 0)
+            info.roots.append(root)
+            # The spawned generator's call site, once recorded, is the root.
+            self._spawned[node.args[0]] = root
+        elif verb == "register" and len(node.args) >= 2 and "endpoint" in owner.lower():
+            for arg in node.args[1:]:
+                if isinstance(arg, ast.Attribute) and self._is_receiver(arg.value) and self._class_stack:
+                    site = CallSite(arg.lineno, arg.col_offset, f"{arg.value.id}.{arg.attr}",
+                                    ("self", self._class_stack[-1], arg.attr))
+                elif isinstance(arg, ast.Name):
+                    site = CallSite(arg.lineno, arg.col_offset, arg.id, ("name", arg.id))
+                else:
+                    continue
+                # Handlers re-enter per incoming message: replicated.
+                info.handlers.append(site)
+                info.roots.append(SpawnRoot(site, replicated=True))
+
+    def _note_call(self, node: ast.Call) -> None:
+        cell = node.args[0]
+        mode = "?"
+        if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            mode = str(node.args[1].value)
+        for kw in node.keywords:
+            if kw.arg == "mode" and isinstance(kw.value, ast.Constant):
+                mode = str(kw.value.value)
+        self.notes.append(
+            NoteCall(
                 line=node.lineno,
                 col=node.col_offset,
-                display=display,
-                ref=ref,
-                set_args=set_args,
-                param_args=param_args,
-                in_return=id(node) in self._return_calls,
-                in_yield_from=id(node) in self._yield_calls,
-                iterated=id(node) in self._iterated_calls,
+                func=self._func_stack[0].qualname if self._func_stack else "",
+                klass=self._class_stack[-1] if self._class_stack else "",
+                receiver=self._receiver,
+                name=cell,
+                mode=mode,
+                forwarded=isinstance(cell, ast.Name)
+                and cell.id in self._params
+                and cell.id not in self._locals,
+                local_assigns={k: list(v) for k, v in self._locals.items()},
             )
         )
 
 
 class _Module:
-    __slots__ = ("name", "path", "scope", "functions", "imports")
+    __slots__ = ("name", "path", "scope", "functions", "imports", "stores", "notes")
 
-    def __init__(self, name, path, scope, functions, imports):
+    def __init__(self, name, path, scope, scanner: _ModuleScanner):
         self.name = name
         self.path = path
         self.scope = scope
-        self.functions = functions  # qualname -> FunctionInfo
-        self.imports = imports  # alias -> dotted target
+        self.functions = scanner.functions  # qualname -> FunctionInfo
+        self.imports = scanner.imports  # alias -> dotted target
+        self.stores: TemplateStores = scanner.stores
+        self.notes: list[NoteCall] = scanner.notes
 
 
 class CallGraph:
@@ -356,9 +656,7 @@ class CallGraph:
             module = module_name_for(path)
             scanner = _ModuleScanner(module, path, scope, waived, tree)
             scanner.visit(tree)
-            graph.modules[module] = _Module(
-                module, path, scope, scanner.functions, scanner.imports
-            )
+            graph.modules[module] = _Module(module, path, scope, scanner)
             for info in scanner.functions.values():
                 graph.functions[info.key] = info
         graph._resolve_calls()
@@ -429,7 +727,7 @@ class CallGraph:
     def _resolve_calls(self) -> None:
         for mod in self.modules.values():
             for info in mod.functions.values():
-                for call in info.calls:
+                for call in (*info.calls, *info.handlers):
                     target = self._resolve(mod, call.ref)
                     if target is not None and target.key != info.key:
                         call.target = target.key

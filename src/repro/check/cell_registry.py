@@ -9,11 +9,14 @@ that inventory.  This module makes the inventory a *checked contract*:
   ``RACE_CELLS`` literal — one :class:`CellDecl` per family, with the
   attribute names the cell guards.  The in-tree declarations mirror
   the cell table in docs/INTERNALS.md §1.
-* :func:`extract_note_sites` recovers the *actual* inventory from the
-  AST: every ``note_access(...)`` call in a file set, with the cell
-  name resolved — through f-strings, locals, attribute/dict stores,
-  helper methods, and :func:`repro.simcore.cell_name` calls — into a
-  :class:`Shape` (literal runs + ``<hole>`` placeholders).
+* :func:`extract_note_sites` recovers the *actual* inventory: every
+  ``note_access(...)`` call the call graph (:mod:`.callgraph`) recorded,
+  with the cell name resolved — through f-strings, locals,
+  attribute/dict stores, helper methods, and
+  :func:`repro.simcore.cell_name` calls — into a :class:`Shape`
+  (literal runs + ``<hole>`` placeholders).  The call sites, locals and
+  stores are facts of the graph's one walk; this module walks no
+  module itself, it only resolves names.
 * :func:`declaration_drift` reports a noted cell family no declaration
   covers; the other direction, a declaration no write site ever notes,
   is RACE202 in the auditor (:mod:`.cells`), which runs both.
@@ -27,11 +30,11 @@ never look complete by accident.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..simcore.cells import cell_name
-from .callgraph import module_name_for
+from .callgraph import CallGraph, TemplateStores, module_name_for
 
 __all__ = [
     "CellDecl",
@@ -249,121 +252,12 @@ class NoteSite:
         return bool(self.shapes)
 
 
-@dataclass
-class _TemplateIndex:
-    """File-set-wide stores feeding cell-name resolution."""
-
-    #: (class, attr) -> exprs directly assigned (self.attr = expr)
-    direct: dict[tuple[str, str], list[ast.expr]] = field(default_factory=dict)
-    #: (class, attr) -> element exprs (subscript stores, dict values,
-    #: dict-comp values, setdefault defaults)
-    elements: dict[tuple[str, str], list[ast.expr]] = field(default_factory=dict)
-    #: (class, func) -> returned string-template exprs
-    returns: dict[tuple[str, str], list[ast.expr]] = field(default_factory=dict)
-    #: per-expr context: id(expr) -> (class, self-name) where collected
-    ctx: dict[int, tuple[str, str]] = field(default_factory=dict)
-
-
-class _IndexBuilder(ast.NodeVisitor):
-    def __init__(self, index: _TemplateIndex):
-        self.index = index
-        self._class_stack: list[str] = []
-        self._self = "self"
-        self._func: Optional[str] = None  #: innermost enclosing def
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    @property
-    def _klass(self) -> str:
-        return self._class_stack[-1] if self._class_stack else ""
-
-    def _visit_func(self, node) -> None:
-        # A nested def keeps its returns: they are filed under its own
-        # name, never under the enclosing function's.
-        args = [*node.args.posonlyargs, *node.args.args]
-        saved = self._self, self._func
-        self._self = args[0].arg if args else "self"
-        self._func = node.name
-        self.generic_visit(node)
-        self._self, self._func = saved
-
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
-
-    def visit_Return(self, node: ast.Return) -> None:
-        if self._func is not None and isinstance(
-            node.value, (ast.JoinedStr, ast.Constant, ast.Call)
-        ):
-            self.index.returns.setdefault(
-                (self._klass, self._func), []
-            ).append(node.value)
-            self._ctx(node.value)
-        self.generic_visit(node)
-
-    def _ctx(self, expr: ast.expr) -> None:
-        # simlint: waive SIM009 -- lookup-only map (AST node identity); never iterated
-        self.index.ctx[id(expr)] = (self._klass, self._self)
-
-    def _is_self(self, node: ast.expr) -> bool:
-        return isinstance(node, ast.Name) and node.id in (self._self, "self", "cls")
-
-    def _store(self, target: ast.expr, value: ast.expr | None) -> None:
-        if value is None:
-            return
-        if isinstance(target, ast.Attribute) and self._is_self(target.value):
-            key = (self._klass, target.attr)
-            if isinstance(value, ast.Dict):
-                for v in value.values:
-                    if v is not None:
-                        self.index.elements.setdefault(key, []).append(v)
-                        self._ctx(v)
-            elif isinstance(value, ast.DictComp):
-                self.index.elements.setdefault(key, []).append(value.value)
-                self._ctx(value.value)
-            else:
-                self.index.direct.setdefault(key, []).append(value)
-                self._ctx(value)
-        elif (
-            isinstance(target, ast.Subscript)
-            and isinstance(target.value, ast.Attribute)
-            and self._is_self(target.value.value)
-        ):
-            key = (self._klass, target.value.attr)
-            self.index.elements.setdefault(key, []).append(value)
-            self._ctx(value)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._store(target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._store(node.target, node.value)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "setdefault"
-            and isinstance(func.value, ast.Attribute)
-            and self._is_self(func.value.value)
-            and len(node.args) >= 2
-        ):
-            key = (self._klass, func.value.attr)
-            self.index.elements.setdefault(key, []).append(node.args[1])
-            self._ctx(node.args[1])
-        self.generic_visit(node)
-
-
 class _Resolver:
     """Reduce a cell-name expression to its :class:`Shape` templates."""
 
     _MAX_DEPTH = 6
 
-    def __init__(self, index: _TemplateIndex):
+    def __init__(self, index: TemplateStores):
         self.index = index
 
     def resolve(
@@ -376,83 +270,70 @@ class _Resolver:
     ) -> list[Shape]:
         if depth > self._MAX_DEPTH:
             return []
-        rec = lambda e, k=klass, s=self_name: self.resolve(  # noqa: E731
-            e, k, s, local_assigns, depth + 1
-        )
+
+        def rec(values) -> list[Shape]:
+            out = []
+            for value in values:
+                out.extend(self.resolve(value, klass, self_name, local_assigns, depth + 1))
+            return _dedup(out)
+
+        def self_attr(node: ast.expr) -> str | None:
+            """``attr`` when ``node`` is ``<receiver>.attr``."""
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in (self_name, "self", "cls")
+            ):
+                return node.attr
+            return None
+
         if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
             return [_normalize([expr.value])]
         if isinstance(expr, ast.JoinedStr):
-            parts: list[str] = []
-            for piece in expr.values:
-                if isinstance(piece, ast.Constant):
-                    parts.append(str(piece.value))
-                else:
-                    parts.append(HOLE)
-            return [_normalize(parts)]
+            return [_normalize([
+                str(piece.value) if isinstance(piece, ast.Constant) else HOLE
+                for piece in expr.values
+            ])]
         if isinstance(expr, ast.Name):
-            out: list[Shape] = []
-            for value in local_assigns.get(expr.id, ()):
-                out.extend(rec(value))
-            return _dedup(out)
+            return rec(local_assigns.get(expr.id, ()))
         if isinstance(expr, ast.Attribute):
-            if isinstance(expr.value, ast.Name) and expr.value.id in (
-                self_name, "self", "cls",
-            ):
-                return self._from_store(
-                    expr.attr, klass, "direct", local_assigns, depth
-                )
+            if (attr := self_attr(expr)) is not None:
+                return self._from_store(attr, klass, "direct", local_assigns, depth)
             # foo.attr on a non-self object: fall back to any function/
             # property of that name returning a template (duck-typed
             # hop, e.g. a dict-comp over ``u.cell``).
             return self._from_returns(expr.attr, None, local_assigns, depth)
         if isinstance(expr, ast.Subscript):
             container = expr.value
-            if (
-                isinstance(container, ast.Attribute)
-                and isinstance(container.value, ast.Name)
-                and container.value.id in (self_name, "self", "cls")
-            ):
-                return self._from_store(
-                    container.attr, klass, "elements", local_assigns, depth
-                )
+            if (attr := self_attr(container)) is not None:
+                return self._from_store(attr, klass, "elements", local_assigns, depth)
             if isinstance(container, ast.Name):
-                out = []
+                elements: list[ast.expr] = []
                 for value in local_assigns.get(container.id, ()):
                     if isinstance(value, ast.Dict):
-                        for v in value.values:
-                            if v is not None:
-                                out.extend(rec(v))
+                        elements.extend(v for v in value.values if v is not None)
                     elif isinstance(value, ast.DictComp):
-                        out.extend(rec(value.value))
-                return _dedup(out)
+                        elements.append(value.value)
+                return rec(elements)
             return []
         if isinstance(expr, ast.Call):
             func = expr.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
+            name = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None
+            )
             if name == "cell_name":
                 return self._from_cell_name(expr)
             if (
                 name == "get"
                 and isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id in (self_name, "self", "cls")
+                and (attr := self_attr(func.value)) is not None
             ):
-                return self._from_store(
-                    func.value.attr, klass, "elements", local_assigns, depth
-                )
+                return self._from_store(attr, klass, "elements", local_assigns, depth)
             if name is not None:
                 # Helper method/function returning the template.
-                receiver_is_self = isinstance(func, ast.Attribute) and (
-                    isinstance(func.value, ast.Name)
-                    and func.value.id in (self_name, "self", "cls")
-                )
                 return self._from_returns(
-                    name, klass if receiver_is_self else None,
+                    name, klass if self_attr(func) is not None else None,
                     local_assigns, depth,
                 )
         return []
@@ -485,17 +366,12 @@ class _Resolver:
         depth: int,
     ) -> list[Shape]:
         table = getattr(self.index, kind)
-        exprs = table.get((klass, attr))
-        if exprs is None:
+        entries = table.get((klass, attr))
+        if entries is None:
             # Same attribute declared in a different class (duck-typed
-            # receiver): accept a unique cross-class match.
-            hits = [v for (k, a), vs in table.items() if a == attr for v in vs]
-            exprs = hits or None
-        out: list[Shape] = []
-        for value in exprs or ():
-            k, s = self.index.ctx.get(id(value), (klass, "self"))
-            out.extend(self.resolve(value, k, s, local_assigns, depth + 1))
-        return _dedup(out)
+            # receiver): accept a cross-class match.
+            entries = [e for (_k, a), es in table.items() if a == attr for e in es]
+        return self._resolve_all(entries, local_assigns, depth)
 
     def _from_returns(
         self,
@@ -504,20 +380,27 @@ class _Resolver:
         local_assigns: dict[str, list[ast.expr]],
         depth: int,
     ) -> list[Shape]:
-        exprs: list[ast.expr] = []
-        if klass is not None:
-            exprs = list(self.index.returns.get((klass, name), ()))
-        if not exprs:
-            exprs = [
-                v
-                for (_k, fname), vs in self.index.returns.items()
+        entries = self.index.returns.get((klass, name)) if klass is not None else None
+        if not entries:
+            entries = [
+                e
+                for (_k, fname), es in self.index.returns.items()
                 if fname == name
-                for v in vs
+                for e in es
             ]
+        return self._resolve_all(entries, local_assigns, depth)
+
+    def _resolve_all(
+        self,
+        entries: list[tuple[str, str, ast.expr]],
+        local_assigns: dict[str, list[ast.expr]],
+        depth: int,
+    ) -> list[Shape]:
+        """Shapes of stored ``(class, receiver, expr)`` templates, each
+        resolved in the context that stored it."""
         out: list[Shape] = []
-        for value in exprs:
-            k, s = self.index.ctx.get(id(value), ("", "self"))
-            out.extend(self.resolve(value, k, s, local_assigns, depth + 1))
+        for klass, receiver, value in entries:
+            out.extend(self.resolve(value, klass, receiver, local_assigns, depth + 1))
         return _dedup(out)
 
 
@@ -531,122 +414,38 @@ def _dedup(shapes: list[Shape]) -> list[Shape]:
     return out
 
 
-class _NoteScanner(ast.NodeVisitor):
-    """Find ``note_access`` calls and resolve their name argument."""
-
-    def __init__(self, path: str, module: str, index: _TemplateIndex):
-        self.path = path
-        self.module = module
-        self.index = index
-        self.resolver = _Resolver(index)
-        self.sites: list[NoteSite] = []
-        self._class_stack: list[str] = []
-        self._func_stack: list[str] = []
-        self._self = "self"
-        #: per-enclosing-function local assignments, name -> exprs
-        self._locals: list[dict[str, list[ast.expr]]] = []
-        #: the enclosing top-level function's parameter names
-        self._params: set[str] = set()
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _visit_func(self, node) -> None:
-        top_level = not self._func_stack
-        self._func_stack.append(node.name)
-        if top_level:
-            args = [*node.args.posonlyargs, *node.args.args]
-            self._saved_self = self._self
-            self._self = args[0].arg if (args and self._class_stack) else "self"
-            self._locals.append({})
-            self._saved_params = self._params
-            self._params = {
-                a.arg
-                for a in (
-                    *node.args.posonlyargs,
-                    *node.args.args,
-                    *node.args.kwonlyargs,
-                )
-            }
-        self.generic_visit(node)
-        self._func_stack.pop()
-        if top_level:
-            self._locals.pop()
-            self._self = self._saved_self
-            self._params = self._saved_params
-
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._locals:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self._locals[-1].setdefault(target.id, []).append(node.value)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name == "note_access" and node.args:
-            mode = "?"
-            if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
-                mode = str(node.args[1].value)
-            for kw in node.keywords:
-                if kw.arg == "mode" and isinstance(kw.value, ast.Constant):
-                    mode = str(kw.value.value)
-            klass = self._class_stack[-1] if self._class_stack else ""
-            cell_arg = node.args[0]
-            forwarded = (
-                isinstance(cell_arg, ast.Name)
-                and cell_arg.id in self._params
-                and cell_arg.id not in (
-                    self._locals[-1] if self._locals else {}
-                )
-            )
-            shapes = () if forwarded else self.resolver.resolve(
-                cell_arg,
-                klass,
-                self._self,
-                self._locals[-1] if self._locals else {},
-            )
-            qual = ".".join(
-                [*self._class_stack, *self._func_stack[:1]]
-            ) if self._func_stack else ""
-            self.sites.append(
-                NoteSite(
-                    path=self.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    module=self.module,
-                    func=qual,
-                    mode=mode,
-                    shapes=tuple(shapes),
-                    raw=ast.unparse(cell_arg),
-                    forwarded=forwarded,
-                )
-            )
-        self.generic_visit(node)
-
-
-def extract_note_sites(
-    parsed: Iterable[tuple[str, ast.Module]],
-) -> list[NoteSite]:
-    """Every ``note_access`` call across ``(path, tree)`` pairs, with
-    cell names resolved against a file-set-wide template index."""
-    parsed = list(parsed)
-    index = _TemplateIndex()
-    for path, tree in parsed:
-        _IndexBuilder(index).visit(tree)
+def extract_note_sites(graph: CallGraph) -> list[NoteSite]:
+    """Every ``note_access`` call the call graph recorded, with its cell
+    name resolved against the string-template stores of the whole file
+    set."""
+    index = TemplateStores()
+    for mod in graph.modules.values():
+        for kind in ("direct", "elements", "returns"):
+            table = getattr(index, kind)
+            for key, entries in getattr(mod.stores, kind).items():
+                table.setdefault(key, []).extend(entries)
+    resolver = _Resolver(index)
     sites: list[NoteSite] = []
-    for path, tree in parsed:
-        scanner = _NoteScanner(path, module_name_for(path), index)
-        scanner.visit(tree)
-        sites.extend(scanner.sites)
+    for mod in graph.modules.values():
+        for note in mod.notes:
+            shapes = () if note.forwarded else resolver.resolve(
+                note.name, note.klass, note.receiver, note.local_assigns
+            )
+            sites.append(
+                NoteSite(
+                    path=mod.path,
+                    line=note.line,
+                    col=note.col,
+                    module=mod.name,
+                    func=note.func,
+                    mode=note.mode,
+                    shapes=tuple(shapes),
+                    raw=ast.unparse(note.name),
+                    forwarded=note.forwarded,
+                )
+            )
     return sites
+
 
 
 def declaration_drift(

@@ -28,29 +28,16 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
-def _src_files():
-    out = []
-    for dirpath, dirnames, filenames in os.walk(SRC_ROOT):
-        dirnames.sort()
-        for fn in sorted(filenames):
-            if fn.endswith(".py"):
-                path = os.path.join(dirpath, fn)
-                with open(path, encoding="utf-8") as fh:
-                    out.append((path, fh.read()))
-    return out
-
-
 @pytest.fixture(scope="module")
-def tree_cells():
+def tree_cells(src_program):
     """The in-tree ``RACE_CELLS`` declarations, their parse errors, and
     the note sites, extracted once for the round-trip tests."""
-    parsed = [(p, ast.parse(s, filename=p)) for p, s in _src_files()]
     decls, errors = [], []
-    for path, tree in parsed:
-        found, bad = parse_race_cells(tree, path)
+    for f in src_program.files:
+        found, bad = parse_race_cells(f.tree, f.path)
         decls.extend(found)
         errors.extend(bad)
-    return decls, errors, extract_note_sites(parsed)
+    return decls, errors, extract_note_sites(src_program.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +72,31 @@ class TestRuleFixtures:
         messages = " ".join(v.message for v in audit.violations)
         assert "pool.<…>" in messages
         assert "no separating literal" in messages
+
+
+# ---------------------------------------------------------------------------
+# Setup bodies: writes made while constructing an object are not shared
+# mutation, but a process body spawned from the constructor is.
+# ---------------------------------------------------------------------------
+
+_SPAWNED_METHOD = (
+    "class Pool:\n"
+    "    def __init__(self, env, n):\n"
+    "        self.env = env\n"
+    "        self.done = 0\n"
+    "        for _ in range(n):\n"
+    "            env.process(self.worker())\n\n"
+    "    def worker(self):\n"
+    "        yield self.env.timeout(1)\n"
+    "        self.done += 1\n"
+)
+
+
+class TestSetupBodies:
+    def test_write_in_a_spawned_method_fires(self):
+        (v,) = audit_source(_SPAWNED_METHOD, "mod.py")
+        assert (v.rule, v.line) == ("RACE201", 10)
+        assert "Pool.worker" in v.message
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +261,10 @@ class TestDrift:
             "        self.env.note_access(self.cell(), \"w\")\n"
             "        self.n += 1\n"
         )
-        (site,) = extract_note_sites([("mod.py", ast.parse(src))])
+        program = Program([("mod.py", src)])
+        (site,) = extract_note_sites(program.graph)
         assert [shape.render() for shape in site.shapes] == ["a.<…>"]
-        audit = audit_files(Program([("mod.py", src)]))
+        audit = audit_files(program)
         assert audit.freshness == []
         assert audit.clean
 
@@ -316,15 +329,30 @@ class TestRepoIsClean:
         assert audit.n_roots > 20  # the spawn-root inventory is populated
         assert audit.n_writes > 100
 
-    def test_removing_one_note_flips_the_gate(self):
+    def test_audit_walks_no_module_again(self, src_program, monkeypatch):
+        """Writes, roots and note sites come from the call graph: once
+        it is built, the audit visits no module tree."""
+        src_program.graph
+        visited = []
+        real_visit = ast.NodeVisitor.visit
+
+        def visit(self, node):
+            if isinstance(node, ast.Module):
+                visited.append(type(self).__name__)
+            return real_visit(self, node)
+
+        monkeypatch.setattr(ast.NodeVisitor, "visit", visit)
+        assert audit_files(src_program).clean
+        assert visited == []
+
+    def test_removing_one_note_flips_the_gate(self, src_program):
         """Deleting the staging worker's note_access must fail the
         audit: its queue-head writes lose their only coverage."""
-        files = _src_files()
         target = os.path.join(SRC_ROOT, "prefetch", "scheduler.py")
         marker = "# staging-queue head advances"
         mutated = []
         found = False
-        for path, source in files:
+        for path, source in ((f.path, f.source) for f in src_program.files):
             if path == target:
                 assert marker in source
                 source = "\n".join(
