@@ -115,6 +115,7 @@ class AttrWrite:
     col: int
     attr: str  #: dotted chain below the receiver ("x" or "x.y")
     verb: str  #: "assign" | "augment" | "del" | a mutator name
+    nested: bool  #: made in a def nested in the function
 
 
 @dataclass
@@ -503,7 +504,7 @@ class _ModuleScanner(ast.NodeVisitor):
     def _write(self, node: ast.stmt | ast.Call, attr: str | None, verb: str) -> None:
         if attr is not None and self._func_stack:
             self._func_stack[-1].writes.append(
-                AttrWrite(node.lineno, node.col_offset, attr, verb)
+                AttrWrite(node.lineno, node.col_offset, attr, verb, self._nested_depth > 0)
             )
 
     def _write_target(self, node: ast.stmt, target: ast.expr, verb: str) -> None:

@@ -93,8 +93,9 @@ RACE_RULES: dict[str, str] = {
     "or mask each other",
 }
 
-#: construction/teardown functions whose writes are setup, not shared
-#: mutation — they run before (or after) any concurrent root exists
+#: construction functions whose own writes are setup, not shared
+#: mutation — they run before any concurrent root exists (a def nested
+#: in one is not exempt: it may run later, as a spawned process)
 _SETUP_EXEMPT = {"__init__", "__post_init__"}
 
 #: module parts exempt from write collection: the kernel's own
@@ -178,8 +179,8 @@ def audit_files(program: Program) -> CellAudit:
     writes = [
         (info, w)
         for info in audited
-        if info.qualname.rsplit(".", 1)[-1] not in _SETUP_EXEMPT
         for w in info.writes
+        if w.nested or info.qualname.rsplit(".", 1)[-1] not in _SETUP_EXEMPT
     ]
     raw: list[Violation] = []
     for info, w in writes:

@@ -92,11 +92,32 @@ _SPAWNED_METHOD = (
 )
 
 
+_SPAWNED_NESTED_DEF = (
+    "class Pool:\n"
+    "    def __init__(self, env, n):\n"
+    "        self.env = env\n"
+    "        self.done = 0\n\n"
+    "        def worker():\n"
+    "            yield env.timeout(1)\n"
+    "            self.done += 1\n\n"
+    "        for _ in range(n):\n"
+    "            env.process(worker())\n"
+)
+
+
 class TestSetupBodies:
     def test_write_in_a_spawned_method_fires(self):
         (v,) = audit_source(_SPAWNED_METHOD, "mod.py")
         assert (v.rule, v.line) == ("RACE201", 10)
         assert "Pool.worker" in v.message
+
+    def test_write_in_a_process_body_nested_in_init_fires(self):
+        """The generator runs after ``__init__`` returns, once per
+        spawn, so its writes are shared; the setup writes beside it in
+        ``__init__`` stay exempt."""
+        (v,) = audit_source(_SPAWNED_NESTED_DEF, "mod.py")
+        assert (v.rule, v.line) == ("RACE201", 8)
+        assert "self.done in Pool.__init__()" in v.message
 
 
 # ---------------------------------------------------------------------------
