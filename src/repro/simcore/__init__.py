@@ -16,8 +16,8 @@ from .cells import cell_name
 from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Series, Tally
 from .profile import ComponentProfile, SimProfiler
 from .rand import RandomStreams, stable_hash64
-from .resources import Container, PriorityResource, Resource
-from .stores import FilterStore, PriorityStore, Store, StoreFull
+from .resources import PriorityResource, Resource
+from .stores import Store, StoreFull
 from .trace import EventRecord, EventTrace, event_label
 
 __all__ = [
@@ -25,20 +25,17 @@ __all__ = [
     "AnyOf",
     "ComponentProfile",
     "Condition",
-    "Container",
     "Counter",
     "Environment",
     "Event",
     "EventRecord",
     "EventTrace",
     "event_label",
-    "FilterStore",
     "Histogram",
     "Interrupt",
     "MetricRegistry",
     "MetricScope",
     "PriorityResource",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "cell_name",

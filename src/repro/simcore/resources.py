@@ -1,13 +1,13 @@
 """Shared-resource primitives for the simulation kernel.
 
-Provides the classic trio used throughout the HVAC models:
+Provides the two resources used throughout the HVAC models:
 
 * :class:`Resource` — ``capacity`` concurrent holders, FIFO queueing.
   Models NVMe queue slots, MDS service threads, NIC DMA engines.
 * :class:`PriorityResource` — like :class:`Resource` but the wait queue
   is ordered by a numeric priority (lower = sooner).
-* :class:`Container` — a continuous quantity (bytes of cache capacity).
-* :class:`Store` / :class:`PriorityStore` live in :mod:`.stores`.
+
+Message queues (:class:`Store`) live in :mod:`.stores`.
 
 Requests are events; the idiomatic usage mirrors SimPy::
 
@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any
 
 from .engine import _PENDING, NORMAL, Environment, Event, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Preempted", "Container"]
+__all__ = ["Resource", "PriorityResource"]
 
 
 class _BaseRequest(Event):
@@ -60,15 +59,6 @@ class Release(Event):
     """Event for an explicit release; triggers immediately."""
 
     __slots__ = ()
-
-
-class Preempted(Exception):
-    """Cause delivered when a preemptive resource evicts a holder."""
-
-    def __init__(self, by: Any, usage_since: float):
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
 
 
 class Resource:
@@ -189,87 +179,3 @@ class PriorityResource(Resource):
             nxt = heappop(self.queue)
             self.users[nxt] = None
             nxt.succeed()
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous stock of some quantity, e.g. free bytes on an NVMe.
-
-    ``put(x)`` blocks while it would exceed ``capacity``; ``get(x)``
-    blocks while fewer than ``x`` units are available.  Waiters are
-    served FIFO but a blocked head-of-line request does not starve
-    later, satisfiable requests (bypass is intentional: cache inserts of
-    different sizes shouldn't convoy).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise SimulationError("capacity must be > 0")
-        if not 0 <= init <= capacity:
-            raise SimulationError("init must be within [0, capacity]")
-        self.env = env
-        self._capacity = float(capacity)
-        self._level = float(init)
-        self._puts: list[_ContainerPut] = []
-        self._gets: list[_ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> _ContainerPut:
-        if amount < 0:
-            raise SimulationError("amount must be >= 0")
-        evt = _ContainerPut(self.env, amount)
-        self._puts.append(evt)
-        self._settle()
-        return evt
-
-    def get(self, amount: float) -> _ContainerGet:
-        if amount < 0:
-            raise SimulationError("amount must be >= 0")
-        evt = _ContainerGet(self.env, amount)
-        self._gets.append(evt)
-        self._settle()
-        return evt
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for evt in list(self._puts):
-                if self._level + evt.amount <= self._capacity:
-                    self._level += evt.amount
-                    self._puts.remove(evt)
-                    evt.succeed()
-                    progressed = True
-            for evt in list(self._gets):
-                if evt.amount <= self._level:
-                    self._level -= evt.amount
-                    self._gets.remove(evt)
-                    evt.succeed(evt.amount)
-                    progressed = True

@@ -1,4 +1,4 @@
-"""Message-queue primitives: FIFO and priority stores.
+"""Message-queue primitive: the FIFO store.
 
 The HVAC server's *shared FIFO queue* (paper §III-C/D: every server
 spawns a data-mover thread draining a mutex-protected FIFO of forwarded
@@ -8,14 +8,12 @@ one :class:`Store` per mailbox.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any
 
 from .engine import _PENDING, Environment, Event, SimulationError
 
-__all__ = ["Store", "PriorityStore", "FilterStore", "StoreFull"]
+__all__ = ["Store", "StoreFull"]
 
 
 class StoreFull(Exception):
@@ -127,76 +125,3 @@ class Store:
             if self._gets and self._do_get(self._gets[0]):
                 self._gets.popleft()
                 progressed = True
-
-
-class PriorityStore(Store):
-    """Store whose items are retrieved lowest-first (heap order)."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._tiebreak = itertools.count()
-        self.items = []  # heapq needs a list, not the base deque
-
-    def _do_put(self, evt: _StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            heapq.heappush(self.items, (evt.item, next(self._tiebreak)))
-            evt.succeed()
-            return True
-        return False
-
-    def _do_get(self, evt: _StoreGet) -> bool:
-        if self.items:
-            item, _ = heapq.heappop(self.items)
-            evt.succeed(item)
-            return True
-        return False
-
-
-class _FilterStoreGet(_StoreGet):
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "Store", filt: Callable[[Any], bool]):
-        super().__init__(store)
-        self.filter = filt
-
-
-def _accept_any(item: Any) -> bool:
-    """Default FilterStore predicate (module-level: gets are per-event,
-    and a fresh lambda per get is pure hot-path allocation, PERF102)."""
-    return True
-
-
-class FilterStore(Store):
-    """Store supporting predicated gets: ``get(lambda item: ...)``.
-
-    Used by the HVAC server's in-flight-fetch table where a waiter only
-    wants the completion record of *its* file.
-    """
-
-    def get(self, filt: Optional[Callable[[Any], bool]] = None) -> _FilterStoreGet:  # type: ignore[override]
-        evt = _FilterStoreGet(self, filt or _accept_any)
-        self._gets.append(evt)
-        self._settle()
-        return evt
-
-    def _do_get(self, evt: _FilterStoreGet) -> bool:  # type: ignore[override]
-        for i, item in enumerate(self.items):
-            if evt.filter(item):
-                del self.items[i]
-                evt.succeed(item)
-                return True
-        return False
-
-    def _settle(self) -> None:
-        # Filtered gets can't use strict head-of-line matching: scan all
-        # waiting gets each round so a match deeper in the queue is served.
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._puts and self._do_put(self._puts[0]):
-                self._puts.popleft()
-                progressed = True
-            for evt in list(self._gets):
-                if self._do_get(evt):
-                    self._gets.remove(evt)
-                    progressed = True

@@ -1,5 +1,5 @@
 """Remaining kernel branches: trigger propagation, defusing, priority
-stores with structured items, monitor reductions under load."""
+resources, monitor reductions under load."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.simcore import (
     Environment,
     Event,
     PriorityResource,
-    PriorityStore,
     SimulationError,
 )
 
@@ -109,26 +108,6 @@ class TestEventPlumbing:
 
 
 class TestPriorityStructures:
-    def test_priority_store_tuples_stable(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def producer():
-            for prio, tag in [(2, "b1"), (1, "a"), (2, "b2")]:
-                yield store.put((prio, tag))
-
-        def consumer():
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item[1])
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert got == ["a", "b1", "b2"]  # priority then FIFO
-
     def test_priority_resource_release_regrants_in_order(self):
         env = Environment()
         res = PriorityResource(env, capacity=2)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.simcore import (
     AllOf,
-    Container,
     Environment,
     Resource,
     Store,
@@ -103,33 +102,6 @@ def test_property_causality_and_conservation(wl):
     assert set(consumed) <= set(produced)
     leftovers = [x for x in store.items if isinstance(x, tuple)]
     assert set(consumed) | set(leftovers) == set(produced)
-
-
-@given(
-    amounts=st.lists(
-        st.tuples(st.sampled_from(["put", "get"]),
-                  st.floats(min_value=0.1, max_value=50.0)),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_property_container_level_bounds(amounts):
-    """Container level stays within [0, capacity] under any traffic."""
-    env = Environment()
-    tank = Container(env, capacity=100.0, init=50.0)
-
-    def actor(op, amount):
-        if op == "put":
-            yield tank.put(amount)
-        else:
-            yield tank.get(amount)
-        assert -1e-9 <= tank.level <= tank.capacity + 1e-9
-
-    for op, amount in amounts:
-        env.process(actor(op, amount))
-    env.run(until=10)
-    assert -1e-9 <= tank.level <= tank.capacity + 1e-9
 
 
 @given(

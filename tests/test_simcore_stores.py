@@ -1,8 +1,8 @@
-"""Unit tests for Store / PriorityStore / FilterStore."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.simcore import Environment, FilterStore, PriorityStore, Store, StoreFull
+from repro.simcore import Environment, Store, StoreFull
 
 
 def test_store_fifo_order():
@@ -93,92 +93,6 @@ def test_multiple_consumers_fifo():
     env.process(producer())
     env.run()
     assert got == [(0, "x"), (1, "y"), (2, "z")]
-
-
-def test_priority_store_orders_items():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def producer():
-        yield store.put((5, "low"))
-        yield store.put((1, "high"))
-        yield store.put((3, "mid"))
-
-    def consumer():
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item[1])
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == ["high", "mid", "low"]
-
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def producer():
-        yield store.put({"file": "a", "v": 1})
-        yield store.put({"file": "b", "v": 2})
-
-    def consumer():
-        item = yield store.get(lambda it: it["file"] == "b")
-        got.append(item["v"])
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [2]
-    assert store.items[0]["file"] == "a"
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda it: it == "wanted")
-        got.append((env.now, item))
-
-    def producer():
-        yield store.put("other")
-        yield env.timeout(5)
-        yield store.put("wanted")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(5.0, "wanted")]
-
-
-def test_filter_store_deep_queue_match():
-    """A get deeper in the wait list must be served when its item arrives."""
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(want):
-        item = yield store.get(lambda it, w=want: it == w)
-        got.append((env.now, item))
-
-    env.process(consumer("a"))
-    env.process(consumer("b"))
-
-    def producer():
-        yield env.timeout(1)
-        yield store.put("b")  # matches the *second* waiter
-        yield env.timeout(1)
-        yield store.put("a")
-
-    env.process(producer())
-    env.run()
-    assert got == [(1.0, "b"), (2.0, "a")]
 
 
 def test_store_len():
