@@ -106,18 +106,19 @@ _SPAWNED_NESTED_DEF = (
 
 
 class TestSetupBodies:
-    def test_write_in_a_spawned_method_fires(self):
-        (v,) = audit_source(_SPAWNED_METHOD, "mod.py")
-        assert (v.rule, v.line) == ("RACE201", 10)
-        assert "Pool.worker" in v.message
-
-    def test_write_in_a_process_body_nested_in_init_fires(self):
-        """The generator runs after ``__init__`` returns, once per
-        spawn, so its writes are shared; the setup writes beside it in
-        ``__init__`` stay exempt."""
-        (v,) = audit_source(_SPAWNED_NESTED_DEF, "mod.py")
-        assert (v.rule, v.line) == ("RACE201", 8)
-        assert "self.done in Pool.__init__()" in v.message
+    @pytest.mark.parametrize(
+        "src, line, func",
+        [(_SPAWNED_METHOD, 10, "Pool.worker"), (_SPAWNED_NESTED_DEF, 8, "Pool.__init__")],
+        ids=["method", "def-nested-in-init"],
+    )
+    def test_spawned_body_write_fires(self, src, line, func):
+        """A process body runs after ``__init__`` returns, once per
+        spawn, so its writes are shared — also when it is defined inside
+        ``__init__``; the setup writes in ``__init__`` itself stay
+        exempt."""
+        (v,) = audit_source(src, "mod.py")
+        assert (v.rule, v.line) == ("RACE201", line)
+        assert f"self.done in {func}()" in v.message
 
 
 # ---------------------------------------------------------------------------
