@@ -573,11 +573,11 @@ class _ModuleScanner(ast.NodeVisitor):
             self._write(node, self._container_attr(base), verb)
         if (
             verb == "setdefault"
-            and isinstance(func.value, ast.Attribute)
-            and self._is_store_receiver(func.value.value)
+            and isinstance(recv, ast.Attribute)
+            and self._is_store_receiver(recv.value)
             and len(node.args) >= 2
         ):
-            self._template("elements", func.value.attr, node.args[1])
+            self._template("elements", recv.attr, node.args[1])
         if not self._func_stack:
             return
         info = self._func_stack[-1]
