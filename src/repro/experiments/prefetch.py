@@ -293,6 +293,10 @@ def _run_mode(
     )
     window = max(steady / windows, 1e-9)
     oc.slo = compute_slo(rec, window, origin=epoch1_end, horizon=t_end)
+    # The SLO is all this mode keeps of its timeline.  The finished
+    # deployment is cyclic and the next mode's run() pauses the
+    # collector (INTERNALS §1, "The collector"), so release it here.
+    rec.events.clear()
     oc.steady_p99 = oc.slo.totals.p99
     oc.steady_degraded_fraction = oc.slo.totals.degraded_fraction
     oc.pfs_bytes = _pfs_read_bytes(pfs.metrics)

@@ -22,6 +22,7 @@ Semantics
 
 from __future__ import annotations
 
+import gc
 import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -642,6 +643,13 @@ class Environment:
 
         ``until`` may be ``None`` (run until the queue drains), a time,
         or an :class:`Event` (run until it triggers; returns its value).
+
+        The cyclic garbage collector is paused while the loop runs and
+        the caller's state is restored on the way out, even when an
+        unhandled failure escapes.  The hot path makes no cycles
+        (``tests/test_gc_pause.py`` checks it), so a collection mid-run
+        would only traverse the reads in flight and find nothing; see
+        ``docs/INTERNALS.md`` §1, "The collector".
         """
         if until is None:
             stop_at = float("inf")
@@ -659,27 +667,34 @@ class Environment:
                     f"until={stop_at} must be greater than now={self._now}"
                 )
 
-        # Hoisted loop-invariant lookups: run() drives every experiment,
-        # so the per-step overhead here multiplies by the event count.
-        queue = self._queue
-        step = self.step
-        if stop_evt is not None:
-            done = []
-            stop_evt.callbacks.append(done.append)
-            while queue and not done:
-                step()
-            if done:
-                evt = done[0]
-                if not evt._ok:
-                    evt._defused = True
-                    raise evt._value
-                return evt._value
-            raise SimulationError("Event was never triggered: queue ran dry")
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # Hoisted loop-invariant lookups: run() drives every
+            # experiment, so the per-step overhead here multiplies by
+            # the event count.
+            queue = self._queue
+            step = self.step
+            if stop_evt is not None:
+                done = []
+                stop_evt.callbacks.append(done.append)
+                while queue and not done:
+                    step()
+                if done:
+                    evt = done[0]
+                    if not evt._ok:
+                        evt._defused = True
+                        raise evt._value
+                    return evt._value
+                raise SimulationError("Event was never triggered: queue ran dry")
 
-        while queue and queue[0][0] < stop_at:
-            step()
-        if stop_at != float("inf"):
-            # The clock reaches ``until`` even when the queue drains
-            # first: a caller waiting out a period must see it pass.
-            self._now = stop_at
-        return None
+            while queue and queue[0][0] < stop_at:
+                step()
+            if stop_at != float("inf"):
+                # The clock reaches ``until`` even when the queue drains
+                # first: a caller waiting out a period must see it pass.
+                self._now = stop_at
+            return None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
