@@ -8,9 +8,10 @@ port and the receiver's RX port simultaneously for
 so a single flow sees full NIC bandwidth while competing flows through
 either endpoint queue up — the contention that matters for HVAC remote
 cache reads (many clients hashing to one server).  The switch core is
-treated as non-blocking, which matches Summit's fat tree; rack-level
-oversubscription can be modelled by lowering
-``bisection_bandwidth_per_node`` (enforced as a fabric-wide token pool).
+treated as non-blocking, which matches Summit's fat tree: a flow holds
+a TX port first, so at most ``n_nodes`` flows are ever in the core.
+Oversubscription is modelled by racks (``rack_size``): inter-rack flows
+also cross per-rack uplink ports of ``rack_uplink_bandwidth``.
 
 Same-node transfers model the shared-memory path: endpoint overhead plus
 a copy at ``loopback_bandwidth``.
@@ -74,12 +75,6 @@ class Fabric:
         self.metrics = metrics or MetricRegistry()
         self._tx = [_Port(env) for _ in range(n_nodes)]
         self._rx = [_Port(env) for _ in range(n_nodes)]
-        # Core capacity: a pool of "flow" tokens.  With the default
-        # non-blocking spec this is one token per possible endpoint and
-        # never binds; an oversubscribed fabric gets fewer tokens.
-        ratio = spec.bisection_bandwidth_per_node / spec.nic_bandwidth
-        core_flows = max(1, int(n_nodes * min(ratio, 1.0)))
-        self._core = Resource(env, capacity=core_flows)
         # Optional rack topology: per-rack uplink ports (each direction
         # a serial bandwidth server) that inter-rack flows must cross.
         self._rack_size = spec.rack_size
@@ -194,14 +189,12 @@ class Fabric:
             yield tx
             with self._rx[dst].res.request() as rx:
                 yield rx
-                with self._core.request() as flow:
-                    yield flow
-                    if self._crosses_racks(src, dst):
-                        yield from self._inter_rack_leg(src, dst, nbytes)
-                    else:
-                        yield self.env.timeout(
-                            spec.link_latency + nbytes / spec.nic_bandwidth
-                        )
+                if self._crosses_racks(src, dst):
+                    yield from self._inter_rack_leg(src, dst, nbytes)
+                else:
+                    yield self.env.timeout(
+                        spec.link_latency + nbytes / spec.nic_bandwidth
+                    )
         self.metrics.counter("fabric.remote_transfers").incr()
         self.metrics.tally("fabric.remote_bytes").add(nbytes)
         return True

@@ -71,9 +71,6 @@ class NetworkSpec:
 
     nic_bandwidth: float = 12.5e9  # bytes/s per node per direction
     link_latency: float = 1.5e-6  # propagation + switching, seconds
-    #: full-bisection core capacity per node pair share; Summit's fat
-    #: tree is non-blocking, so default to effectively unconstrained.
-    bisection_bandwidth_per_node: float = 12.5e9
     #: per-message software overhead at each endpoint (verbs post, IRQ)
     per_message_overhead: float = 0.8e-6
     #: same-node (shared-memory) transport bandwidth for co-located

@@ -98,7 +98,6 @@ class RPCEndpoint:
         # label once, not once per call (PERF103).
         self._span_names: dict[str, str] = {}
         self._serve_names: dict[str, str] = {}
-        self._handler_names: dict[str, str] = {}
         #: optional membership piggyback hooks.  ``digest_provider()``
         #: returns ``(digest, extra_bytes)`` attached to every outbound
         #: request and every reply this endpoint sends;
@@ -118,7 +117,8 @@ class RPCEndpoint:
     def register(self, op: str, handler: Callable[..., Generator]) -> None:
         """Register ``handler(payload, src_node) -> generator`` for ``op``.
 
-        The generator's return value becomes the RPC response.
+        The handler runs inline in the ``{endpoint}.{op}`` process that
+        serves the call, and its return value becomes the RPC response.
         """
         if op in self._handlers:
             raise SimulationError(f"handler for {op!r} already registered on {self.name}")
@@ -162,12 +162,6 @@ class RPCEndpoint:
         name = self._serve_names.get(op)
         if name is None:
             name = self._serve_names[op] = f"{self.name}.{op}"
-        return name
-
-    def _handler_name(self, op: str) -> str:
-        name = self._handler_names.get(op)
-        if name is None:
-            name = self._handler_names[op] = f"{self.name}.{op}.h"
         return name
 
     # -- client side -----------------------------------------------------
@@ -313,9 +307,7 @@ class RPCEndpoint:
             )
             return
         try:
-            value = yield self.env.process(
-                handler(payload, src), name=self._handler_name(op)
-            )
+            value = yield from handler(payload, src)
         except Exception as err:  # noqa: BLE001 — relayed to caller
             done.succeed((False, err, None))
             return

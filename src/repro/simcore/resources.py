@@ -70,8 +70,7 @@ class Resource:
         self.env = env
         self._capacity = int(capacity)
         # Insertion-ordered dict used as a set: holder lookup and
-        # removal are O(1) even for the fabric core pool, whose capacity
-        # is the node count.
+        # removal are O(1) whatever the capacity.
         self.users: dict[Request, None] = {}
         # Deque: NVMe/NIC queues grant from the head once per service
         # completion, and list.pop(0) is O(n) per event (PERF105).

@@ -177,7 +177,6 @@ class TestFabric:
         spec = NetworkSpec(
             nic_bandwidth=bw,
             link_latency=lat,
-            bisection_bandwidth_per_node=bw,
             per_message_overhead=overhead,
             loopback_bandwidth=1000.0,
         )
@@ -252,6 +251,19 @@ class TestFabric:
         env.process(proc(1, 0))
         env.run()
         assert env.now == pytest.approx(2.0)  # TX and RX are separate ports
+
+    def test_permutation_of_flows_sees_no_core_contention(self):
+        env = Environment()
+        n = 8
+        fab = self.make(env, n=n)
+
+        def proc(src, dst):
+            yield from fab.transfer(src, dst, 100)
+
+        for i in range(n):
+            env.process(proc(i, (i + 1) % n))
+        env.run()
+        assert env.now == pytest.approx(2.0)  # one transfer time
 
     def test_invalid_node_rejected(self):
         env = Environment()

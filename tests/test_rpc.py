@@ -11,7 +11,6 @@ def make_fabric(env, n=4):
     spec = NetworkSpec(
         nic_bandwidth=1e6,
         link_latency=0.001,
-        bisection_bandwidth_per_node=1e6,
         per_message_overhead=0.0,
         loopback_bandwidth=1e7,
     )
@@ -110,6 +109,54 @@ def test_handler_exception_propagates_as_rpcerror():
     env.process(caller())
     env.run()
     assert caught and isinstance(caught[0].__cause__, ValueError)
+
+
+def test_handler_raising_before_first_yield_propagates_as_rpcerror():
+    env = Environment()
+    fab = make_fabric(env)
+    server = RPCEndpoint(env, fab, node_id=1)
+    client = RPCEndpoint(env, fab, node_id=0)
+
+    def handler(payload, src):
+        if payload is None:
+            raise KeyError("no payload")
+        yield env.timeout(0.1)
+
+    server.register("bad", handler)
+    caught = []
+
+    def caller():
+        try:
+            yield from client.call(server, "bad")
+        except RPCError as e:
+            caught.append(e)
+
+    env.process(caller())
+    env.run()
+    assert caught and isinstance(caught[0].__cause__, KeyError)
+
+
+def test_handler_runs_inside_the_serving_process():
+    env = Environment()
+    fab = make_fabric(env)
+    server = RPCEndpoint(env, fab, node_id=1, name="srv")
+    client = RPCEndpoint(env, fab, node_id=0, name="cli")
+    names = []
+
+    def handler(payload, src):
+        names.append(env.active_process.name)
+        yield env.timeout(0.1)
+        names.append(env.active_process.name)
+        return payload
+
+    server.register("echo", handler)
+
+    def caller():
+        yield from client.call(server, "echo", payload=1)
+
+    env.process(caller())
+    env.run()
+    assert names == [f"{server.name}.echo"] * 2
 
 
 def test_call_to_dead_endpoint_raises():

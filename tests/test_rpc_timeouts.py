@@ -12,7 +12,6 @@ def make_fabric(env, n=4):
     spec = NetworkSpec(
         nic_bandwidth=1e6,
         link_latency=0.001,
-        bisection_bandwidth_per_node=1e6,
         per_message_overhead=0.0,
         loopback_bandwidth=1e7,
     )

@@ -27,7 +27,6 @@ class TestRackedFabric:
         spec = NetworkSpec(
             nic_bandwidth=100.0,
             link_latency=0.0,
-            bisection_bandwidth_per_node=100.0,
             per_message_overhead=0.0,
             loopback_bandwidth=1000.0,
             rack_size=rack_size,
