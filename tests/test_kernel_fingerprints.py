@@ -15,12 +15,12 @@ from repro.simcore import EventTrace
 from .pinned_scenarios import SCENARIOS
 
 PINNED = {
-    "epochs": (1864, "a5f8ed43c373bb9b57ca5a4ab0fe6f3d"),
-    "membership": (12913, "70cc297c3982c94e76e09a82e9871aa3"),
-    "resilience": (21623, "217a75bdaadd68210be27912feacddd5"),
-    "tenancy": (102432, "d072f6f136d10b469e07b194e46b1363"),
-    "prefetch": (55936, "2382f0ec1c4ad9151fab35a9cce294f3"),
-    "fuzz_single": (9377, "7f09cc2523242fa662b761d444069e05"),
+    "epochs": (1656, "a2572ca56b3403871f26becf3c9f3f2f"),
+    "membership": (11041, "0f45b5d30f87cd8a0ad1ebcbea313f04"),
+    "resilience": (18841, "9098d58dedef51ce1d8af0dbd174d172"),
+    "tenancy": (92074, "def9306477fd5599f9cc90ef037eb47d"),
+    "prefetch": (50471, "47b79fc35ff11f90e8b1523bb776cb1d"),
+    "fuzz_single": (8072, "a07f3d801cdefb2dfeacaf1ea3ac2f3b"),
 }
 
 
