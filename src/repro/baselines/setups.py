@@ -73,15 +73,12 @@ class StorageSetup(abc.ABC):
         """Construct the system for ``n_nodes`` and the given dataset."""
 
 
-def _make_pfs(
-    env: Environment, spec: ClusterSpec, n_nodes: int, metrics: MetricRegistry
-) -> GPFS:
+def _make_pfs(env: Environment, spec: ClusterSpec, n_nodes: int) -> GPFS:
     return GPFS(
         env,
         spec.pfs,
         n_client_nodes=n_nodes,
         client_link_bandwidth=spec.network.nic_bandwidth,
-        metrics=metrics,
     )
 
 
@@ -91,12 +88,11 @@ class GPFSSetup(StorageSetup):
     label = "GPFS"
 
     def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        metrics = MetricRegistry()
-        pfs = _make_pfs(env, spec, n_nodes, metrics)
+        pfs = _make_pfs(env, spec, n_nodes)
         return SystemHandle(
             label=self.label,
             backend_for_node=lambda node_id: pfs,
-            metrics=metrics,
+            metrics=env.metrics,
             pfs=pfs,
         )
 
@@ -117,14 +113,11 @@ class XFSSetup(StorageSetup):
         self.instant_stage = instant_stage
 
     def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        metrics = MetricRegistry()
         alloc = Allocation(
-            env, spec, n_nodes, metrics=metrics,
-            rand=RandomStreams(seed).child("cluster"),
+            env, spec, n_nodes, rand=RandomStreams(seed).child("cluster")
         )
         backends = [
-            LocalFS(env, node.node_id, node.nvme, metrics=metrics,
-                    track_namespace=False)
+            LocalFS(env, node.node_id, node.nvme, track_namespace=False)
             for node in alloc
         ]
         # Analytic stage-in estimate: the whole dataset flows once from
@@ -136,21 +129,21 @@ class XFSSetup(StorageSetup):
         handle = SystemHandle(
             label=self.label,
             backend_for_node=lambda node_id: backends[node_id],
-            metrics=metrics,
+            metrics=env.metrics,
             stage_time=max(pfs_bound, nvme_bound),
         )
         if not self.instant_stage:
             handle.run_stage = self._make_stage(
-                env, spec, n_nodes, dataset, backends, metrics, handle
+                env, spec, n_nodes, dataset, backends, handle
             )
         return handle
 
     @staticmethod
-    def _make_stage(env, spec, n_nodes, dataset, backends, metrics, handle):
+    def _make_stage(env, spec, n_nodes, dataset, backends, handle):
         """Event-driven stage-in: every node pulls every file from the
         PFS and writes it to its NVMe (released space accounting so the
         untracked namespace doesn't double-count)."""
-        pfs = _make_pfs(env, spec, n_nodes, metrics)
+        pfs = _make_pfs(env, spec, n_nodes)
 
         def node_stage(node_id):
             fs = backends[node_id]
@@ -185,18 +178,16 @@ class HVACSetup(StorageSetup):
         self.label = f"HVAC({instances}x1)"
 
     def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        metrics = MetricRegistry()
         spec = spec.with_hvac(instances_per_node=self.instances)
         alloc = Allocation(
-            env, spec, n_nodes, metrics=metrics,
-            rand=RandomStreams(seed).child("cluster"),
+            env, spec, n_nodes, rand=RandomStreams(seed).child("cluster")
         )
-        pfs = _make_pfs(env, spec, n_nodes, metrics)
-        dep = HVACDeployment(alloc, pfs, seed=seed, metrics=metrics)
+        pfs = _make_pfs(env, spec, n_nodes)
+        dep = HVACDeployment(alloc, pfs, seed=seed)
         return SystemHandle(
             label=self.label,
             backend_for_node=dep.client,
-            metrics=metrics,
+            metrics=env.metrics,
             teardown=dep.teardown,
             pfs=pfs,
             deployment=dep,
@@ -215,19 +206,17 @@ class LPCCLikeSetup(StorageSetup):
     label = "LPCC-like"
 
     def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        metrics = MetricRegistry()
         alloc = Allocation(
-            env, spec, n_nodes, metrics=metrics,
-            rand=RandomStreams(seed).child("cluster"),
+            env, spec, n_nodes, rand=RandomStreams(seed).child("cluster")
         )
-        pfs = _make_pfs(env, spec, n_nodes, metrics)
+        pfs = _make_pfs(env, spec, n_nodes)
         dep = HVACDeployment.with_locality_split(
             alloc, pfs, local_fraction=1.0, seed=seed
         )
         return SystemHandle(
             label=self.label,
             backend_for_node=dep.client,
-            metrics=metrics,
+            metrics=env.metrics,
             teardown=dep.teardown,
             pfs=pfs,
             deployment=dep,

@@ -32,7 +32,6 @@ from typing import Generator
 
 from ..simcore import (
     Environment,
-    MetricRegistry,
     RandomStreams,
     Resource,
     SimulationError,
@@ -64,7 +63,6 @@ class Fabric:
         env: Environment,
         spec: NetworkSpec,
         n_nodes: int,
-        metrics: MetricRegistry | None = None,
         rand: RandomStreams | None = None,
     ):
         if n_nodes <= 0:
@@ -72,7 +70,7 @@ class Fabric:
         self.env = env
         self.spec = spec
         self.n_nodes = n_nodes
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = env.metrics
         self._tx = [_Port(env) for _ in range(n_nodes)]
         self._rx = [_Port(env) for _ in range(n_nodes)]
         # Optional rack topology: per-rack uplink ports (each direction

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..simcore import Environment, MetricRegistry, RandomStreams
+from ..simcore import Environment, RandomStreams
 from .network import Fabric
 from .nvme import NVMeDevice
 from .specs import ClusterSpec
@@ -26,19 +26,11 @@ class ComputeNode:
     pure delay there); the node object carries the stateful local device.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        node_id: int,
-        spec: ClusterSpec,
-        metrics: MetricRegistry,
-    ):
+    def __init__(self, env: Environment, node_id: int, spec: ClusterSpec):
         self.env = env
         self.node_id = node_id
         self.spec = spec
-        self.nvme = NVMeDevice(
-            env, spec.node.nvme, metrics=metrics, name=f"node{node_id}.nvme"
-        )
+        self.nvme = NVMeDevice(env, spec.node.nvme, name=f"node{node_id}.nvme")
 
     def __repr__(self) -> str:
         return f"<ComputeNode {self.node_id}>"
@@ -52,7 +44,6 @@ class Allocation:
         env: Environment,
         spec: ClusterSpec,
         n_nodes: int,
-        metrics: MetricRegistry | None = None,
         rand: RandomStreams | None = None,
     ):
         if n_nodes <= 0:
@@ -63,13 +54,9 @@ class Allocation:
             )
         self.env = env
         self.spec = spec
-        self.metrics = metrics or MetricRegistry()
-        self.fabric = Fabric(
-            env, spec.network, n_nodes, metrics=self.metrics, rand=rand
-        )
-        self.nodes = [
-            ComputeNode(env, i, spec, self.metrics) for i in range(n_nodes)
-        ]
+        self.metrics = env.metrics
+        self.fabric = Fabric(env, spec.network, n_nodes, rand=rand)
+        self.nodes = [ComputeNode(env, i, spec) for i in range(n_nodes)]
 
     @property
     def n_nodes(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..simcore import Environment, MetricRegistry, Resource
+from ..simcore import Environment, Resource
 from .specs import NVMeSpec
 
 __all__ = ["NVMeDevice", "DeviceFull"]
@@ -33,17 +33,11 @@ class DeviceFull(Exception):
 class NVMeDevice:
     """One NVMe SSD attached to one compute node."""
 
-    def __init__(
-        self,
-        env: Environment,
-        spec: NVMeSpec,
-        metrics: MetricRegistry | None = None,
-        name: str = "nvme",
-    ):
+    def __init__(self, env: Environment, spec: NVMeSpec, name: str = "nvme"):
         self.env = env
         self.spec = spec
         self.name = name
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = env.metrics
         # All collectors live under the device's own dotted scope
         # (``nvme.reads``, ``nvme.read_seconds``, ...).
         self._scope = self.metrics.scope(name)

@@ -16,7 +16,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..simcore import Environment, MetricRegistry
+from ..simcore import Environment
 from ..storage.localfs import LocalFS
 
 __all__ = ["CacheManager", "EvictionPolicy", "make_policy"]
@@ -186,7 +186,6 @@ class CacheManager:
         localfs: LocalFS,
         capacity_bytes: int,
         policy: EvictionPolicy,
-        metrics: MetricRegistry | None = None,
         name: str = "cache",
         compression_ratio: float = 1.0,
         decompress_cost_per_byte: float = 0.0,
@@ -201,7 +200,7 @@ class CacheManager:
         self.localfs = localfs
         self.capacity_bytes = capacity_bytes
         self.policy = policy
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = env.metrics
         self.name = name
         self.compression_ratio = compression_ratio
         self.decompress_cost_per_byte = decompress_cost_per_byte

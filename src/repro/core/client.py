@@ -40,7 +40,6 @@ from ..rpc import RPCEndpoint, RPCError, RPCTimeout
 from ..simcore import (
     AllOf,
     Environment,
-    MetricRegistry,
     RandomStreams,
     stable_hash64,
 )
@@ -75,10 +74,8 @@ class HVACClient(FileBackend):
         placement: Placement,
         pfs: FileBackend,
         spec: ClusterSpec,
-        metrics: MetricRegistry | None = None,
         spread_replica_reads: bool = True,
         rand: RandomStreams | None = None,
-        spans=None,
         tenant: Optional[int] = None,
     ):
         self.env = env
@@ -87,11 +84,11 @@ class HVACClient(FileBackend):
         self.placement = placement
         self.pfs = pfs
         self.spec = spec
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = env.metrics
         self.spread_replica_reads = spread_replica_reads
         self.rand = rand or RandomStreams(stable_hash64("hvac-client", node_id))
-        #: optional :class:`~repro.obs.SpanRecorder`
-        self.spans = spans
+        #: the run's :class:`~repro.obs.SpanRecorder`, or None
+        self.spans = env.spans
         #: tenant this client reads on behalf of (multi-tenant fleets);
         #: None = the classic single-job deployment, byte-identical paths
         self.tenant = tenant
@@ -127,7 +124,6 @@ class HVACClient(FileBackend):
             node_id,
             name=f"hvac-c@n{node_id}",
             metrics=self._cscope.scope("rpc"),
-            spans=spans,
         )
         #: optional :class:`~repro.membership.MembershipView` (see
         #: :meth:`attach_membership`); None = detector-only liveness

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cluster.node import Allocation
-from ..simcore import MetricRegistry, RandomStreams
+from ..simcore import RandomStreams
 from ..storage.base import FileBackend
 from ..storage.localfs import LocalFS
 from .client import HVACClient
@@ -48,18 +48,13 @@ class HVACDeployment:
         allocation: Allocation,
         pfs: FileBackend,
         seed: int = 0,
-        metrics: MetricRegistry | None = None,
         placement: Optional[Placement] = None,
-        spans=None,
     ):
         self.allocation = allocation
         self.env = allocation.env
         self.spec = allocation.spec
         self.pfs = pfs
-        self.metrics = metrics or allocation.metrics
-        #: optional :class:`~repro.obs.SpanRecorder` shared by every
-        #: server and client of this deployment
-        self.spans = spans
+        self.metrics = self.env.metrics
         hvac = self.spec.hvac
         self.instances_per_node = hvac.instances_per_node
         n_servers = allocation.n_nodes * hvac.instances_per_node
@@ -106,7 +101,6 @@ class HVACDeployment:
                 self.env,
                 node.node_id,
                 node.nvme,
-                metrics=self.metrics,
                 track_namespace=False,
             )
             self.localfs.append(fs)
@@ -125,8 +119,6 @@ class HVACDeployment:
                         spec=self.spec,
                         cache_capacity=per_instance_capacity,
                         rand=rand.child(f"server{server_id}"),
-                        metrics=self.metrics,
-                        spans=spans,
                     )
                 )
         self._clients: dict[int, HVACClient] = {}
@@ -151,10 +143,6 @@ class HVACDeployment:
                     owner=f"s{server.server_id}",
                     probation=hvac.probation_period,
                     dead_after=hvac.suspect_to_dead,
-                    spans=spans,
-                    metrics=self.metrics.scope(
-                        f"hvac.s{server.server_id}.membership"
-                    ),
                 )
                 server.enable_membership(
                     board, repair=self.repair, peers=self.servers
@@ -189,9 +177,7 @@ class HVACDeployment:
                 self.placement,
                 self.pfs,
                 self.spec,
-                metrics=self.metrics,
                 rand=self.rand.child(f"client{node_id}{suffix}"),
-                spans=self.spans,
                 tenant=tenant,
             )
             self._clients[key] = cli
@@ -226,8 +212,6 @@ class HVACDeployment:
             owner=owner,
             probation=hvac.probation_period,
             dead_after=hvac.suspect_to_dead,
-            spans=self.spans,
-            metrics=self.metrics.scope(f"hvac.{owner}.membership"),
         )
         cli.attach_membership(view, remap=hvac.remap_enabled)
         self.views[key] = view

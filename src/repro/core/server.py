@@ -29,7 +29,6 @@ from ..simcore import (
     AllOf,
     Environment,
     Event,
-    MetricRegistry,
     RandomStreams,
     Resource,
     Store,
@@ -86,8 +85,6 @@ class HVACServer:
         spec: ClusterSpec,
         cache_capacity: int,
         rand: RandomStreams,
-        metrics: MetricRegistry | None = None,
-        spans=None,
     ):
         self.env = env
         self.server_id = server_id
@@ -95,9 +92,9 @@ class HVACServer:
         self.instance_index = instance_index
         self.pfs = pfs
         self.spec = spec
-        self.metrics = metrics or MetricRegistry()
-        #: optional :class:`~repro.obs.SpanRecorder`
-        self.spans = spans
+        self.metrics = env.metrics
+        #: the run's :class:`~repro.obs.SpanRecorder`, or None
+        self.spans = env.spans
         # Deployment-wide aggregates keep their historical names
         # (``hvac.cache_hits`` …); the per-server scope shadows them
         # under ``hvac.s<id>.…`` for SLO attribution.
@@ -109,7 +106,6 @@ class HVACServer:
             node_id,
             name=f"hvac-s{server_id}@n{node_id}",
             metrics=self._sscope.scope("rpc"),
-            spans=spans,
         )
         self.cache = CacheManager(
             env,
@@ -119,7 +115,6 @@ class HVACServer:
             # the experiment tree, so victim choices replay bit-for-bit
             # and never perturb another component's draw sequence.
             policy=make_policy(spec.hvac.eviction_policy, rand.stream("evict")),
-            metrics=self.metrics,
             name=f"hvac{server_id}.cache",
             compression_ratio=spec.hvac.compression_ratio,
             decompress_cost_per_byte=spec.hvac.decompress_cost_per_byte,

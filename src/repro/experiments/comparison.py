@@ -53,15 +53,18 @@ def build_deployment(
     spec: ClusterSpec, n_nodes: int, seed: int, spans=None, trace=None
 ):
     """A fresh environment with an HVAC deployment over GPFS; returns
-    ``(env, deployment, pfs)``."""
+    ``(env, deployment, pfs)``.  ``spans`` (an optional
+    :class:`~repro.obs.SpanRecorder`) becomes the env's recorder before
+    anything is built, so every server, client and view records to it."""
     env = Environment()
+    env.spans = spans
     if trace is not None:
         env.observe(trace)
     alloc = Allocation(
         env, spec, n_nodes=n_nodes, rand=RandomStreams(seed).child("cluster")
     )
     pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs, seed=seed, spans=spans)
+    dep = HVACDeployment(alloc, pfs, seed=seed)
     return env, dep, pfs
 
 

@@ -71,9 +71,12 @@ class FailureDetector:
         #: on every suspicion (onset *and* repeat offences), which is how
         #: first-hand timeout evidence enters a MembershipView
         self.listener = None
-        #: optional :class:`~repro.simcore.MetricScope` (e.g.
-        #: ``hvac.c3.detector``): strikes/suspicions/reprobes counters
-        #: plus a blacklist-dwell tally
+        #: :class:`~repro.simcore.MetricScope` the owner names (e.g.
+        #: ``hvac.c3.detector``; ``detector`` when unowned):
+        #: strikes/suspicions/reprobes counters plus a blacklist-dwell
+        #: tally
+        if metrics is None:
+            metrics = env.metrics.scope("detector")
         self.metrics = metrics
 
     # -- observations ---------------------------------------------------
@@ -83,11 +86,10 @@ class FailureDetector:
             self.n_reprobes += 1
             self._note_expiry(server_id)
             self.transitions.append((self.env.now, "reprobe_ok", server_id))
-            if self.metrics is not None:
-                self.metrics.counter("reprobes").incr()
-                self.metrics.tally("blacklist_dwell_seconds").add(
-                    self.env.now - self._since[server_id]
-                )
+            self.metrics.counter("reprobes").incr()
+            self.metrics.tally("blacklist_dwell_seconds").add(
+                self.env.now - self._since[server_id]
+            )
         self._strikes[server_id] = 0
         self._until[server_id] = 0.0
         self._expiry_logged[server_id] = True
@@ -95,8 +97,7 @@ class FailureDetector:
     def record_failure(self, server_id: int) -> None:
         """An RPC to ``server_id`` timed out or errored."""
         self._strikes[server_id] += 1
-        if self.metrics is not None:
-            self.metrics.counter("strikes").incr()
+        self.metrics.counter("strikes").incr()
         over = self._strikes[server_id] - self.suspect_after
         if over < 0:
             return
@@ -105,8 +106,7 @@ class FailureDetector:
             self._since[server_id] = self.env.now
             self.suspicion_log.append((self.env.now, server_id))
             self.transitions.append((self.env.now, "suspect", server_id))
-            if self.metrics is not None:
-                self.metrics.counter("suspicions").incr()
+            self.metrics.counter("suspicions").incr()
         elif self.env.now >= self._until[server_id]:
             # a strike past the bar normally lands only after probation
             # let a request through: a failed half-open re-probe.  (A

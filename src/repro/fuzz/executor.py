@@ -260,6 +260,7 @@ def execute(
     n_nodes = scenario.n_nodes
 
     env = Environment()
+    env.spans = SpanRecorder()
     if trace is None:
         trace = EventTrace()
     env.observe(trace)
@@ -271,8 +272,7 @@ def execute(
         rand=RandomStreams(scenario.seed).child("cluster"),
     )
     pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-    spans = SpanRecorder()
-    dep = HVACDeployment(alloc, pfs, seed=scenario.seed, spans=spans)
+    dep = HVACDeployment(alloc, pfs, seed=scenario.seed)
 
     files = scenario.files()
     if dep.repair is not None:
@@ -280,7 +280,7 @@ def execute(
 
     obs = Observation(
         scenario=scenario,
-        spans=spans,
+        spans=env.spans,
         allowed_strikes=spec.hvac.rpc_max_retries,
     )
     multi = scenario.tenants > 1
@@ -451,7 +451,7 @@ def execute(
     if obs.t_end > obs.t_fault and not obs.aborted:
         window = (obs.t_end - obs.t_fault) / config.windows
         obs.slo = compute_slo(
-            spans, window, origin=obs.t_fault, horizon=obs.t_end
+            env.spans, window, origin=obs.t_fault, horizon=obs.t_end
         )
     obs.fingerprint = trace.fingerprint
     return obs

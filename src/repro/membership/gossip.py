@@ -37,7 +37,7 @@ _HANDLER_COST = 2e-6
 class GossipAgent:
     """Background anti-entropy + recovery-probe loop for one client."""
 
-    def __init__(self, env, client, view: MembershipView, registry, spec, metrics=None):
+    def __init__(self, env, client, view: MembershipView, registry, spec):
         self.env = env
         self.client = client
         self.view = view
@@ -45,9 +45,7 @@ class GossipAgent:
         #: late-binding so peers created after us are still gossip targets
         self.registry = registry
         self.hvac = spec.hvac
-        self.metrics = metrics if metrics is not None else client.metrics.scope(
-            f"hvac.c{client.node_id}.gossip"
-        )
+        self.metrics = env.metrics.scope(f"hvac.c{client.node_id}.gossip")
         self.running = True
         self._tick = 0
         #: per-target recovery-ping backoff: sid -> (next allowed t, delay)

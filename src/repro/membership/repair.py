@@ -58,7 +58,7 @@ class RepairReport:
 class RepairManager:
     """Plans and runs background shard repair for one deployment."""
 
-    def __init__(self, deployment, bandwidth: float = 0.0, metrics=None):
+    def __init__(self, deployment, bandwidth: float = 0.0):
         self.dep = deployment
         self.env = deployment.env
         #: one shared pacer for every concurrent repair stream
@@ -71,11 +71,7 @@ class RepairManager:
         #: recoveries seen this instant, started as one sorted batch
         self._pending: list = []
         self._starter_active = False
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else deployment.metrics.scope("hvac.repair")
-        )
+        self.metrics = self.env.metrics.scope("hvac.repair")
 
     def attach_manifest(self, files) -> None:
         """Register the dataset so PFS-sourced repair knows what a

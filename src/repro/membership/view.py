@@ -26,8 +26,9 @@ server's own rejoin announcement).
 
 Everything is sim-clock timestamped and allocation-free on the merge
 path; state transitions are appended to :attr:`transitions` (the
-determinism artifact) and optionally emitted as zero-duration
-``membership.transition`` spans.
+determinism artifact), counted under ``hvac.<owner>.membership``, and
+emitted as zero-duration ``membership.transition`` spans when the run
+is traced.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ class MembershipView:
         owner: str = "",
         probation: float = 2.0,
         dead_after: float = 10.0,
-        spans=None,
-        metrics=None,
     ):
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
@@ -76,8 +75,8 @@ class MembershipView:
         self.owner = owner
         self.probation = probation
         self.dead_after = dead_after
-        self.spans = spans
-        self.metrics = metrics
+        self.spans = env.spans
+        self.metrics = env.metrics.scope(f"hvac.{owner}.membership")
         self._inc = [0] * n_servers
         self._state = [ALIVE] * n_servers
         #: latest supporting evidence (probation countdown base)
@@ -105,8 +104,7 @@ class MembershipView:
         self._state[sid] = state
         self._stamp[sid] = now
         self.transitions.append((now, sid, old, state, inc, why))
-        if self.metrics is not None:
-            self.metrics.counter("transitions").incr()
+        self.metrics.counter("transitions").incr()
         if self.spans is not None:
             mark = self.spans.begin(
                 "membership.transition",
@@ -226,7 +224,7 @@ class MembershipView:
             elif theirs == ours and stamp > self._stamp[sid]:
                 # race: waive RACE203 -- guarded max-fold of peer stamps converges in any order
                 self._stamp[sid] = stamp
-        if adopted and self.metrics is not None:
+        if adopted:
             self.metrics.counter("merge_adopted").incr(adopted)
         return adopted
 

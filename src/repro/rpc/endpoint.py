@@ -63,7 +63,6 @@ class RPCEndpoint:
         node_id: int,
         name: str = "",
         metrics=None,
-        spans=None,
     ):
         self.env = env
         self.fabric = fabric
@@ -72,27 +71,25 @@ class RPCEndpoint:
         self._handlers: dict[str, Callable[..., Generator]] = {}
         self._alive = True
         self._hung = False
-        #: optional :class:`~repro.simcore.MetricScope` for call outcome
-        #: counters and a call-latency histogram
+        #: :class:`~repro.simcore.MetricScope` for call outcome counters
+        #: and a call-latency histogram; the owner names it, and an
+        #: unowned endpoint files under ``rpc.<name>``
+        if metrics is None:
+            metrics = env.metrics.scope(f"rpc.{self.name}")
         self.metrics = metrics
         # Hoisted collectors: every successful call increments these, so
         # the per-call name lookups must not rebuild dotted labels
         # (PERF103).
-        if metrics is not None:
-            self._m_calls = metrics.counter("calls")
-            self._m_call_seconds = metrics.histogram("call_seconds")
-            self._m_status = {
-                "timeout": metrics.counter("timeouts"),
-                "error": metrics.counter("errors"),
-            }
-        else:
-            self._m_calls = None
-            self._m_call_seconds = None
-            self._m_status = None
-        #: optional :class:`~repro.obs.SpanRecorder`; when set, every
-        #: outbound call records an ``rpc.<op>`` span under the caller's
-        #: parent span
-        self.spans = spans
+        self._m_calls = metrics.counter("calls")
+        self._m_call_seconds = metrics.histogram("call_seconds")
+        self._m_status = {
+            "timeout": metrics.counter("timeouts"),
+            "error": metrics.counter("errors"),
+        }
+        #: the run's :class:`~repro.obs.SpanRecorder` (``env.spans``);
+        #: when set, every outbound call records an ``rpc.<op>`` span
+        #: under the caller's parent span
+        self.spans = env.spans
         # Per-op string memos (span names, process names): ops are a
         # small fixed vocabulary, calls are per-event — build each
         # label once, not once per call (PERF103).
@@ -210,14 +207,12 @@ class RPCEndpoint:
             )
         except RPCError as err:
             status = "timeout" if isinstance(err, RPCTimeout) else "error"
-            if self._m_status is not None:
-                self._m_status[status].incr()
+            self._m_status[status].incr()
             if rec is not None:
                 rec.end(sid, self.env.now, status=status)
             raise
-        if self._m_calls is not None:
-            self._m_calls.incr()
-            self._m_call_seconds.add(self.env.now - t0)
+        self._m_calls.incr()
+        self._m_call_seconds.add(self.env.now - t0)
         if rec is not None:
             rec.end(sid, self.env.now)
         return value

@@ -27,6 +27,7 @@ import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from .monitor import MetricRegistry
 from .trace import event_label
 
 __all__ = [
@@ -497,6 +498,12 @@ class Environment:
         #: True while some observer takes :meth:`note_access` calls;
         #: callers that build a cell name per call guard on it.
         self.noting = False
+        #: The run's one metric registry; every component's ``.metrics``.
+        self.metrics = MetricRegistry()
+        #: The run's :class:`~repro.obs.SpanRecorder`, or None (untraced).
+        #: An entry point sets it before building anything: components
+        #: read it once, in their constructors (docs/INTERNALS.md §5).
+        self.spans = None
 
     # -- observers -----------------------------------------------------
     def observe(self, observer) -> None:

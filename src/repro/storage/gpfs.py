@@ -26,7 +26,6 @@ from ..cluster.specs import PFSSpec
 from ..simcore import (
     AllOf,
     Environment,
-    MetricRegistry,
     Resource,
     stable_hash64,
 )
@@ -91,11 +90,10 @@ class GPFS(FileBackend):
         spec: PFSSpec,
         n_client_nodes: int,
         client_link_bandwidth: float,
-        metrics: MetricRegistry | None = None,
     ):
         self.env = env
         self.spec = spec
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = env.metrics
         self._scope = self.metrics.scope("gpfs")
         self._mds = [
             _MetadataServer(env, spec.metadata_ops_per_sec)

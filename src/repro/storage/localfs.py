@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..cluster.nvme import NVMeDevice
-from ..simcore import Environment, MetricRegistry
+from ..simcore import Environment
 from .base import FileBackend, FileNotCached, OpenFile
 
 __all__ = ["LocalFS"]
@@ -29,13 +29,12 @@ class LocalFS(FileBackend):
         env: Environment,
         node_id: int,
         device: NVMeDevice,
-        metrics: MetricRegistry | None = None,
         track_namespace: bool = True,
     ):
         self.env = env
         self.node_id = node_id
         self.device = device
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = env.metrics
         self._scope = self.metrics.scope(f"localfs{node_id}")
         #: path -> size; ``track_namespace=False`` skips bookkeeping for
         #: workloads that pre-declare staging (saves memory at scale).

@@ -28,7 +28,6 @@ from typing import Generator
 
 from ..simcore import (
     Environment,
-    MetricRegistry,
     Resource,
     stable_hash64,
 )
@@ -117,11 +116,10 @@ class Lustre(FileBackend):
         spec: LustreSpec,
         n_client_nodes: int,
         client_link_bandwidth: float,
-        metrics: MetricRegistry | None = None,
     ):
         self.env = env
         self.spec = spec
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = env.metrics
         self._mds = [_MDS(env, spec.mds_ops_per_sec) for _ in range(spec.n_mds)]
         self._osts = [
             _OST(

@@ -252,12 +252,13 @@ class TestDashboard:
 # ---------------------------------------------------------------------------
 def build(n_nodes=3, spans=None, trace=None, **hvac):
     env = Environment()
+    env.spans = spans
     if trace is not None:
         env.observe(trace)
     spec = TESTING.with_hvac(**hvac) if hvac else TESTING
     alloc = Allocation(env, spec, n_nodes=n_nodes)
     pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs, spans=spans)
+    dep = HVACDeployment(alloc, pfs)
     return env, dep
 
 
