@@ -36,7 +36,7 @@ __all__ = ["Program", "SourceFile", "StaleWaiver", "scope_of", "waived_at"]
 
 #: package path fragments whose code legitimately touches real clocks,
 #: threads, and files — SIM001/SIM007 do not apply there
-_RUNTIME_PARTS = ("runtime", "posix")
+_RUNTIME_PARTS = ("runtime",)
 
 #: directories never descended into
 _SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache", "build", "dist"}

@@ -393,8 +393,8 @@ def collect_violations(
 
     ``scope`` is ``"sim"`` for code that runs under the DES kernel and
     ``"runtime"`` for code that legitimately touches real clocks and
-    threads (``repro.runtime``, ``repro.posix``); the wall-clock and
-    blocking rules only apply to sim scope.
+    threads (``repro.runtime``); the wall-clock and blocking rules only
+    apply to sim scope.
     """
     active = set(rules) if rules is not None else set(RULES)
     visitor = _SimVisitor(path, scope, active, unordered_values(tree))

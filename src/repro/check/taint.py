@@ -9,7 +9,7 @@ salted builtin ``hash()`` (SIM003), iteration of an unordered value
 the per-function AST rules effectively fire at the call site inside sim
 code even when the primitive lives in a helper function or another
 module — the case the single-function pass is blind to (notably:
-helpers in ``runtime``/``posix`` scope, where SIM001/SIM007 are exempt
+helpers in ``runtime`` scope, where SIM001/SIM007 are exempt
 at the definition but calling them from sim code is still a bug).
 
 Each diagnostic is emitted as **SIM011** at the sim-scope call site and

@@ -1,13 +1,10 @@
-"""Virtual POSIX layer, LD_PRELOAD-style interposition, I/O tracing."""
+"""Virtual POSIX layer, I/O tracing and trace replay on the sim clock."""
 
-from .interpose import Interposition, interpose_view, unload
 from .replay import ReplayResult, replay_trace
 from .tracing import TraceLog, TraceRecord, TracingBackend
 from .vfs import MountTable, Namespace, PosixError, ProcessView
 
 __all__ = [
-    "Interposition",
-    "interpose_view",
     "MountTable",
     "Namespace",
     "PosixError",
@@ -17,5 +14,4 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
     "TracingBackend",
-    "unload",
 ]

@@ -6,10 +6,8 @@ the reproduction those calls land here: a :class:`ProcessView` gives
 each simulated application process a file-descriptor table and resolves
 paths through a :class:`MountTable` to whichever backend (GPFS, local
 XFS, HVAC) owns the prefix — exactly the role the VFS plays under a
-real libc.
-
-The :mod:`.interpose` module then layers HVAC's ``LD_PRELOAD``
-redirection on top, *without the application or the mounts changing*.
+real libc.  HVAC's ``LD_PRELOAD`` redirection over real files is
+:func:`repro.runtime.client.interposed_open`.
 """
 
 from __future__ import annotations
@@ -107,12 +105,7 @@ class MountTable:
 
 
 class ProcessView:
-    """One application process's POSIX interface (fd table included).
-
-    ``redirect`` is the hook the interposer uses: a callable
-    ``(path) -> FileBackend | None`` consulted *before* the mount table,
-    mirroring how an ``LD_PRELOAD`` shim sees the call before the kernel.
-    """
+    """One application process's POSIX interface (fd table included)."""
 
     def __init__(
         self,
@@ -127,17 +120,12 @@ class ProcessView:
         self.node_id = node_id
         self._fds: dict[int, OpenFile] = {}
         self._next_fd = 3  # 0-2 are stdio, as tradition demands
-        self.redirect = None  # type: Optional[callable]
 
     # -- syscalls ---------------------------------------------------------
     def open(self, path: str) -> Generator:
         """``open(path, O_RDONLY)`` → fd (event-valued generator)."""
         size = self.namespace.size_of(path)
-        backend: Optional[FileBackend] = None
-        if self.redirect is not None:
-            backend = self.redirect(path)
-        if backend is None:
-            backend = self.mounts.resolve(path)
+        backend = self.mounts.resolve(path)
         handle = yield from backend.open(path, size, self.node_id)
         fd = self._next_fd
         self._next_fd += 1

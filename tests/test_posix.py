@@ -1,18 +1,9 @@
-"""Unit tests for the virtual POSIX layer and LD_PRELOAD-style interposer."""
+"""Unit tests for the virtual POSIX layer."""
 
 import pytest
 
-from repro.cluster import Allocation, TESTING
-from repro.core import HVACDeployment
-from repro.posix import (
-    Interposition,
-    MountTable,
-    Namespace,
-    PosixError,
-    ProcessView,
-    interpose_view,
-    unload,
-)
+from repro.cluster import TESTING
+from repro.posix import MountTable, Namespace, PosixError, ProcessView
 from repro.simcore import Environment
 from repro.storage import GPFS
 
@@ -178,84 +169,3 @@ class TestProcessView:
         fd1, fd2 = env.run(env.process(proc()))
         assert fd1 != fd2
 
-
-class TestInterposition:
-    def build_hvac(self, env, n_nodes=2):
-        alloc = Allocation(env, TESTING, n_nodes=n_nodes)
-        pfs = GPFS(env, TESTING.pfs, n_nodes, TESTING.network.nic_bandwidth)
-        dep = HVACDeployment(alloc, pfs)
-        return pfs, dep
-
-    def test_dataset_paths_redirected(self):
-        env, ns, mounts, _ = make_stack()
-        pfs, dep = self.build_hvac(env)
-        ns.add_file("/gpfs/dataset/img1", 1000)
-        ns.add_file("/gpfs/other/config", 10)
-        view = ProcessView(env, ns, mounts, node_id=0)
-        shim = interpose_view(view, "/gpfs/dataset", dep.client(0))
-
-        def proc():
-            yield from view.read_file("/gpfs/dataset/img1")
-            yield from view.read_file("/gpfs/other/config")
-
-        env.run(env.process(proc()))
-        assert shim.intercepted_calls == 1
-        assert shim.passthrough_calls == 1
-        # The dataset file went through HVAC (it's now cached).
-        assert dep.total_cached_files == 1
-
-    def test_prefix_matching_exact_dir(self):
-        env = Environment()
-        _, dep = self.build_hvac(env)
-        shim = Interposition("/gpfs/data", dep.client(0))
-        assert shim.matches("/gpfs/data/f")
-        assert shim.matches("/gpfs/data")
-        assert not shim.matches("/gpfs/database/f")
-
-    def test_relative_dataset_dir_rejected(self):
-        env = Environment()
-        _, dep = self.build_hvac(env)
-        with pytest.raises(ValueError):
-            Interposition("relative/dir", dep.client(0))
-
-    def test_double_interpose_rejected(self):
-        env, ns, mounts, _ = make_stack()
-        _, dep = self.build_hvac(env)
-        view = ProcessView(env, ns, mounts, node_id=0)
-        interpose_view(view, "/gpfs/data", dep.client(0))
-        with pytest.raises(RuntimeError):
-            interpose_view(view, "/gpfs/data", dep.client(0))
-
-    def test_unload_restores_passthrough(self):
-        env, ns, mounts, pfs = make_stack()
-        _, dep = self.build_hvac(env)
-        ns.add_file("/gpfs/data/f", 100)
-        view = ProcessView(env, ns, mounts, node_id=0)
-        interpose_view(view, "/gpfs/data", dep.client(0))
-        unload(view)
-
-        def proc():
-            yield from view.read_file("/gpfs/data/f")
-
-        env.run(env.process(proc()))
-        assert dep.total_cached_files == 0  # went straight to GPFS
-        assert pfs.metrics.counter("gpfs.opens").value == 1
-
-    def test_application_code_is_unmodified(self):
-        """The same loop works with and without the shim — portability."""
-        def application(view, paths):
-            for p in paths:
-                yield from view.read_file(p)
-
-        env, ns, mounts, pfs = make_stack()
-        _, dep = self.build_hvac(env)
-        for i in range(4):
-            ns.add_file(f"/gpfs/data/f{i}", 100)
-        paths = [f"/gpfs/data/f{i}" for i in range(4)]
-
-        view_plain = ProcessView(env, ns, mounts, node_id=0)
-        env.run(env.process(application(view_plain, paths)))
-        view_hvac = ProcessView(env, ns, mounts, node_id=0)
-        interpose_view(view_hvac, "/gpfs/data", dep.client(0))
-        env.run(env.process(application(view_hvac, paths)))
-        assert dep.total_cached_files == 4

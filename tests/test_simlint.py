@@ -773,7 +773,7 @@ class TestScope:
     def test_scope_classification(self):
         assert scope_of("src/repro/simcore/engine.py") == "sim"
         assert scope_of("src/repro/runtime/server.py") == "runtime"
-        assert scope_of("src/repro/posix/interpose.py") == "runtime"
+        assert scope_of("src/repro/posix/tracing.py") == "sim"
 
     def test_unknown_rule_code_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
