@@ -71,6 +71,12 @@ class Fabric:
         self.spec = spec
         self.n_nodes = n_nodes
         self.metrics = env.metrics
+        # Hoisted collectors, as in CacheManager: transfer() bumps one
+        # per message, so it must not look a name up per call.
+        self._m_remote = self.metrics.counter("fabric.remote_transfers")
+        self._m_local = self.metrics.counter("fabric.local_transfers")
+        self._m_dropped = self.metrics.counter("fabric.dropped_messages")
+        self._m_remote_bytes = self.metrics.tally("fabric.remote_bytes")
         self._tx = [_Port(env) for _ in range(n_nodes)]
         self._rx = [_Port(env) for _ in range(n_nodes)]
         # Optional rack topology: per-rack uplink ports (each direction
@@ -168,7 +174,7 @@ class Fabric:
             yield self.env.timeout(
                 spec.per_message_overhead + nbytes / spec.loopback_bandwidth
             )
-            self.metrics.counter("fabric.local_transfers").incr()
+            self._m_local.incr()
             return True
 
         drop_prob, extra_delay = self._link_state(src, dst)
@@ -181,7 +187,7 @@ class Fabric:
             # The message dies in the fabric after its propagation time,
             # without ever occupying the receiver's port.
             yield self.env.timeout(spec.link_latency)
-            self.metrics.counter("fabric.dropped_messages").incr()
+            self._m_dropped.incr()
             return False
         with self._tx[src].res.request() as tx:
             yield tx
@@ -193,8 +199,8 @@ class Fabric:
                     yield self.env.timeout(
                         spec.link_latency + nbytes / spec.nic_bandwidth
                     )
-        self.metrics.counter("fabric.remote_transfers").incr()
-        self.metrics.tally("fabric.remote_bytes").add(nbytes)
+        self._m_remote.incr()
+        self._m_remote_bytes.add(nbytes)
         return True
 
     # -- topology --------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -139,7 +140,7 @@ class Event:
         self._value = value
         env = self.env
         seq = next(env._seq)
-        heappush(env._queue, (env._now, NORMAL, seq, self))
+        env._normal.append((seq, self))
         if env._observed:
             env._note_schedule(seq, 0.0)
         return self
@@ -159,7 +160,7 @@ class Event:
         self._value = exception
         env = self.env
         seq = next(env._seq)
-        heappush(env._queue, (env._now, NORMAL, seq, self))
+        env._normal.append((seq, self))
         if env._observed:
             env._note_schedule(seq, 0.0)
         return self
@@ -195,10 +196,13 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"Negative delay {delay!r}")
+        if not delay >= 0:  # NaN too, which `delay < 0` lets through
+            raise SimulationError(f"Negative delay {delay!r}" if delay < 0
+                                  else f"Delay {delay!r} is not a number")
         # Built and scheduled in place: the hottest constructor in every
-        # model (see "Scheduling sites" in docs/INTERNALS.md §1).
+        # model (see "Scheduling sites" in docs/INTERNALS.md §1).  Always
+        # on the heap, even at zero delay: cancelled entries live only
+        # there.
         self.env = env
         self.callbacks = []
         self._value = value
@@ -238,7 +242,7 @@ class Initialize(Event):
         self._ok = True
         self._defused = False
         seq = next(env._seq)
-        heappush(env._queue, (env._now, URGENT, seq, self))
+        env._urgent.append((seq, self))
         if env._observed:
             env._note_schedule(seq, 0.0)
 
@@ -290,7 +294,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True
         event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT, 0.0)
+        self.env._schedule(event, URGENT)
 
     # -- engine internals ---------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -364,7 +368,7 @@ class Process(Event):
             # If nobody is waiting on this process the error must surface.
             self._defused = bool(self.callbacks)
         seq = next(env._seq)
-        heappush(env._queue, (env._now, URGENT, seq, self))
+        env._urgent.append((seq, self))
         if env._observed:
             env._note_schedule(seq, 0.0)
         env._active_proc = None
@@ -479,7 +483,15 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list = []  # heap of (time, priority, seq, event)
+        # Timeouts, the one kind of event scheduled with a delay, go on a
+        # heap of (time, NORMAL, seq, event).  Every other event is
+        # scheduled at `now` and appended as (seq, event) to the FIFO
+        # lane of its priority; `seq` only grows, so each lane is sorted
+        # and step() merges the three in (time, priority, seq) order
+        # ("Scheduling sites" in docs/INTERNALS.md §1).
+        self._queue: list = []
+        self._urgent: deque = deque()
+        self._normal: deque = deque()
         # Cancelled timeouts still in the heap.  They leave it lazily
         # (see _note_cancel), but the head of the heap is never one.
         self._cancelled = 0
@@ -571,13 +583,14 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling / stepping ----------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        """Push ``event`` at ``now + delay``.  The hot constructors and
-        :meth:`Event.succeed`/:meth:`Event.fail` do the same inline."""
+    def _schedule(self, event: Event, priority: int) -> None:
+        """Schedule ``event`` at ``now`` on the lane of ``priority``.  The
+        hot constructors and :meth:`Event.succeed`/:meth:`Event.fail` do
+        the same inline; :class:`Timeout` alone pushes onto the heap."""
         seq = next(self._seq)
-        heappush(self._queue, (self._now + delay, priority, seq, event))
+        (self._urgent if priority == URGENT else self._normal).append((seq, event))
         if self._observed:
-            self._note_schedule(seq, delay)
+            self._note_schedule(seq, 0.0)
 
     def _note_schedule(self, seq: int, delay: float) -> None:
         """Tell the observers about a scheduled event; every scheduling
@@ -612,19 +625,38 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue empty."""
+        if self._urgent or self._normal:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next scheduled event.
+
+        The urgent lane goes first: the heap holds only NORMAL entries.
+        The normal lane's head goes next unless the heap's head is due
+        now with a smaller seq (a ``Timeout(0)``, or a timeout that falls
+        due at this instant, scheduled before it).
+        """
         queue = self._queue
-        try:
-            self._now, priority, seq, event = heappop(queue)
-        except IndexError:
-            raise SimulationError("No scheduled events") from None
-        if self._cancelled and queue and queue[0][3].callbacks is None:
-            # Keep the head live, so peek() and run()'s stop test read
-            # the time of an event that will really fire.
-            self._drop_cancelled_head()
+        urgent = self._urgent
+        normal = self._normal
+        if urgent:
+            priority = URGENT
+            seq, event = urgent.popleft()
+        elif normal and not (
+            queue and queue[0][0] == self._now and queue[0][2] < normal[0][0]
+        ):
+            priority = NORMAL
+            seq, event = normal.popleft()
+        else:
+            try:
+                self._now, priority, seq, event = heappop(queue)
+            except IndexError:
+                raise SimulationError("No scheduled events") from None
+            if self._cancelled and queue and queue[0][3].callbacks is None:
+                # Keep the head live, so peek() and run()'s stop test
+                # read the time of an event that will really fire.
+                self._drop_cancelled_head()
 
         observed = self._observed
         if observed:
@@ -665,6 +697,9 @@ class Environment:
             stop_evt = until
             stop_at = float("inf")
             if stop_evt.callbacks is None:  # already processed
+                if not stop_evt._ok:
+                    stop_evt._defused = True
+                    raise stop_evt._value
                 return stop_evt._value
         else:
             stop_at = float(until)
@@ -681,11 +716,13 @@ class Environment:
             # experiment, so the per-step overhead here multiplies by
             # the event count.
             queue = self._queue
+            urgent = self._urgent
+            normal = self._normal
             step = self.step
             if stop_evt is not None:
                 done = []
                 stop_evt.callbacks.append(done.append)
-                while queue and not done:
+                while (urgent or normal or queue) and not done:
                     step()
                 if done:
                     evt = done[0]
@@ -695,7 +732,8 @@ class Environment:
                     return evt._value
                 raise SimulationError("Event was never triggered: queue ran dry")
 
-            while queue and queue[0][0] < stop_at:
+            # A lane entry is due now, and now < stop_at.
+            while urgent or normal or (queue and queue[0][0] < stop_at):
                 step()
             if stop_at != float("inf"):
                 # The clock reaches ``until`` even when the queue drains

@@ -22,7 +22,7 @@ import itertools
 from collections import deque
 from heapq import heapify, heappop, heappush
 
-from .engine import _PENDING, NORMAL, Environment, Event, SimulationError
+from .engine import _PENDING, Environment, Event, SimulationError
 
 __all__ = ["Resource", "PriorityResource"]
 
@@ -93,13 +93,13 @@ class Resource:
     def request(self) -> Request:
         req = Request(self)
         if len(self.users) < self._capacity:
-            # Granted on the spot: trigger and schedule in place, as
-            # Event.succeed would.
+            # Granted on the spot: trigger it and append it to the
+            # normal lane in place, as Event.succeed would.
             self.users[req] = None
             req._value = None
             env = self.env
             seq = next(env._seq)
-            heappush(env._queue, (env._now, NORMAL, seq, req))
+            env._normal.append((seq, req))
             if env._observed:
                 env._note_schedule(seq, 0.0)
         else:
