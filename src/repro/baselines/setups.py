@@ -116,10 +116,7 @@ class XFSSetup(StorageSetup):
         alloc = Allocation(
             env, spec, n_nodes, rand=RandomStreams(seed).child("cluster")
         )
-        backends = [
-            LocalFS(env, node.node_id, node.nvme, track_namespace=False)
-            for node in alloc
-        ]
+        backends = [LocalFS(env, node.node_id, node.nvme) for node in alloc]
         # Analytic stage-in estimate: the whole dataset flows once from
         # the PFS to each node, bounded by PFS aggregate bandwidth and
         # per-node NVMe write bandwidth (whichever binds).
@@ -141,8 +138,8 @@ class XFSSetup(StorageSetup):
     @staticmethod
     def _make_stage(env, spec, n_nodes, dataset, backends, handle):
         """Event-driven stage-in: every node pulls every file from the
-        PFS and writes it to its NVMe (released space accounting so the
-        untracked namespace doesn't double-count)."""
+        PFS and writes it to its NVMe (device time only; staged files
+        take no space in the device's allocation accounting)."""
         pfs = _make_pfs(env, spec, n_nodes)
 
         def node_stage(node_id):

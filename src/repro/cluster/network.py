@@ -106,10 +106,6 @@ class Fabric:
         ).child("fabric").stream("drops")
 
     # -- fault injection -------------------------------------------------
-    def seed_faults(self, seed: int) -> None:
-        """Re-seed the drop-decision stream (deterministic experiments)."""
-        self._fault_rng = RandomStreams(seed).child("fabric").stream("drops")
-
     def set_link_fault(
         self,
         src: int,
@@ -124,7 +120,7 @@ class Fabric:
         self._check_node(dst)
         if not 0.0 <= drop_prob <= 1.0:
             raise SimulationError("drop_prob must be in [0, 1]")
-        if extra_delay < 0:
+        if not extra_delay >= 0:
             raise SimulationError("extra_delay must be >= 0")
         self._link_faults[(src, dst)] = (drop_prob, extra_delay)
         if symmetric:
@@ -142,10 +138,6 @@ class Fabric:
 
     def heal(self, node_id: int) -> None:
         self._partitioned.discard(node_id)
-
-    def clear_faults(self) -> None:
-        self._link_faults.clear()
-        self._partitioned.clear()
 
     def _link_state(self, src: int, dst: int) -> tuple[float, float]:
         if src in self._partitioned or dst in self._partitioned:
@@ -227,14 +219,6 @@ class Fabric:
     def message(self, src: int, dst: int) -> Generator:
         """A small control message (RPC header-sized): latency only."""
         yield from self.transfer(src, dst, 256)
-
-    def tx_queue_len(self, node_id: int) -> int:
-        self._check_node(node_id)
-        return self._tx[node_id].res.queued
-
-    def rx_queue_len(self, node_id: int) -> int:
-        self._check_node(node_id)
-        return self._rx[node_id].res.queued
 
 
 class RateLimiter:

@@ -85,7 +85,7 @@ class NVMeDevice:
     def degrade(self, factor: float) -> None:
         """Throttle the device to ``1/factor`` of rated bandwidth (§III-H
         gray failure: the server stays up but every I/O slows down)."""
-        if factor < 1.0:
+        if not factor >= 1.0:
             raise ValueError("degradation factor must be >= 1")
         self._slow_factor = float(factor)
         self._scope.counter("degradations").incr()

@@ -17,12 +17,12 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..simcore import Environment
-from ..storage.localfs import LocalFS
+from ..cluster.nvme import NVMeDevice
 
 __all__ = ["CacheManager", "EvictionPolicy", "make_policy"]
 
 RACE_CELLS = (
-    ("cache.<name>", ("_sizes", "_stored", "_used", "_raw_used"),
+    ("cache.<name>", ("_sizes", "_stored", "_used"),
      "the byte budget couples entries: any insert can evict any path"),
 )
 
@@ -170,7 +170,8 @@ def make_policy(name: str, rng: np.random.Generator) -> EvictionPolicy:
 
 
 class CacheManager:
-    """Byte-budgeted cache of whole files on one server's LocalFS slice.
+    """Byte-budgeted cache of whole files on one server's slice of its
+    node's NVMe device.
 
     With ``compression_ratio < 1`` the cache becomes a FanStore-style
     compressed tier: residents occupy ``ratio × raw`` bytes on the
@@ -183,7 +184,7 @@ class CacheManager:
     def __init__(
         self,
         env: Environment,
-        localfs: LocalFS,
+        device: NVMeDevice,
         capacity_bytes: int,
         policy: EvictionPolicy,
         name: str = "cache",
@@ -197,7 +198,7 @@ class CacheManager:
         if decompress_cost_per_byte < 0:
             raise ValueError("decompress_cost_per_byte must be >= 0")
         self.env = env
-        self.localfs = localfs
+        self.device = device
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.metrics = env.metrics
@@ -220,7 +221,6 @@ class CacheManager:
         #: device-resident (possibly compressed) size per path
         self._stored: dict[str, int] = {}
         self._used = 0
-        self._raw_used = 0
         #: optional :class:`~repro.tenancy.TenantCacheArbiter`; when set
         #: it owns admission and victim selection on the insert path
         self.arbiter = None
@@ -239,17 +239,8 @@ class CacheManager:
         return self._used
 
     @property
-    def raw_bytes(self) -> int:
-        """Uncompressed bytes the residents represent."""
-        return self._raw_used
-
-    @property
     def n_files(self) -> int:
         return len(self._sizes)
-
-    def stored_size(self, path: str) -> int:
-        """Device-resident size of ``path`` (raises KeyError if absent)."""
-        return self._stored[path]
 
     def contents(self) -> list[tuple[str, int]]:
         """``(path, size)`` of every resident file, in sorted order —
@@ -307,25 +298,23 @@ class CacheManager:
         # Bookkeeping happens eagerly, before the timed device write, so
         # the index and device accounting can never diverge (a purge or
         # failure mid-write still sees the reservation).
-        self.localfs.device.allocate(stored)
+        self.device.allocate(stored)
         self._sizes[path] = size
         self._stored[path] = stored
         self._used += stored
-        self._raw_used += size
         self.policy.on_insert(path)
         if arb is not None:
             arb.on_insert(tenant, path, stored)
         self._m_inserts.incr()
-        yield from self.localfs.device.write(stored)
+        yield from self.device.write(stored)
         return True
 
     def _evict(self, path: str) -> None:
         self.env.note_access(self._cell, "w")
-        size = self._sizes.pop(path)
+        del self._sizes[path]
         stored = self._stored.pop(path)
         self._used -= stored
-        self._raw_used -= size
-        self.localfs.device.release(stored)
+        self.device.release(stored)
         self.policy.on_delete(path)
         if self.arbiter is not None:
             self.arbiter.on_evict(path)
@@ -354,7 +343,7 @@ class CacheManager:
         # No per-read open/close: the data mover keeps cache-file
         # descriptors open across requests (unlike the client-visible
         # XFS path, which pays the full <open, read, close> each time).
-        yield from self.localfs.device.read(self._stored[path])
+        yield from self.device.read(self._stored[path])
         if self._compressed:
             cost = self.decompress_cost_per_byte * size
             if cost > 0:

@@ -4,7 +4,7 @@ On Summit, ``alloc_flags "hvac"`` in the job script initializes the
 NVMe on every allocated node and spawns the HVAC server processes; the
 cache lives exactly as long as the job.  :class:`HVACDeployment` is that
 step: it builds ``instances_per_node`` servers on each node of an
-:class:`~repro.cluster.Allocation`, shares each node's XFS among its
+:class:`~repro.cluster.Allocation`, shares each node's NVMe among its
 instances (with per-instance capacity budgets), constructs the placement
 function every client will use, and hands out per-node clients.
 """
@@ -16,7 +16,6 @@ from typing import Optional
 from ..cluster.node import Allocation
 from ..simcore import RandomStreams
 from ..storage.base import FileBackend
-from ..storage.localfs import LocalFS
 from .client import HVACClient
 from .hashing import (
     LocalityPlacement,
@@ -88,8 +87,6 @@ class HVACDeployment:
 
         rand = RandomStreams(seed)
         self.rand = rand
-        self.localfs: list[LocalFS] = []
-        self._fs_by_node: dict[int, LocalFS] = {}
         self.servers: list[HVACServer] = []
         per_instance_capacity = int(
             hvac.cache_fraction
@@ -97,14 +94,6 @@ class HVACDeployment:
             / hvac.instances_per_node
         )
         for node in allocation:
-            fs = LocalFS(
-                self.env,
-                node.node_id,
-                node.nvme,
-                track_namespace=False,
-            )
-            self.localfs.append(fs)
-            self._fs_by_node[node.node_id] = fs
             for inst in range(hvac.instances_per_node):
                 server_id = len(self.servers)
                 self.servers.append(
@@ -113,7 +102,7 @@ class HVACDeployment:
                         server_id=server_id,
                         node_id=node.node_id,
                         instance_index=inst,
-                        localfs=fs,
+                        device=node.nvme,
                         pfs=pfs,
                         fabric=allocation.fabric,
                         spec=self.spec,
@@ -269,10 +258,10 @@ class HVACDeployment:
 
     def degrade_node(self, node_id: int, factor: float) -> None:
         """Throttle a node's NVMe to 1/``factor`` of rated performance."""
-        self._fs_by_node[node_id].device.degrade(factor)
+        self.allocation[node_id].nvme.degrade(factor)
 
     def restore_node(self, node_id: int) -> None:
-        self._fs_by_node[node_id].device.restore()
+        self.allocation[node_id].nvme.restore()
 
     def inject(self, schedule) -> "object":
         """Start a fault :class:`~repro.faults.Injector` replaying

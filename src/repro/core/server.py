@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Generator
 
 from ..cluster import Fabric
+from ..cluster.nvme import NVMeDevice
 from ..cluster.specs import ClusterSpec
 from ..rpc import RPCEndpoint, RPCError, RPCTimeout
 from ..simcore import (
@@ -34,7 +35,6 @@ from ..simcore import (
     Store,
 )
 from ..storage.base import FileBackend
-from ..storage.localfs import LocalFS
 from .cache import CacheManager, make_policy
 
 __all__ = ["HVACServer", "ReadRequest"]
@@ -79,7 +79,7 @@ class HVACServer:
         server_id: int,
         node_id: int,
         instance_index: int,
-        localfs: LocalFS,
+        device: NVMeDevice,
         pfs: FileBackend,
         fabric: Fabric,
         spec: ClusterSpec,
@@ -109,7 +109,7 @@ class HVACServer:
         )
         self.cache = CacheManager(
             env,
-            localfs,
+            device,
             capacity_bytes=cache_capacity,
             # Eviction draws come from this server's own named stream of
             # the experiment tree, so victim choices replay bit-for-bit

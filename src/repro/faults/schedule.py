@@ -63,20 +63,20 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.time < 0:
+        if not self.time >= 0:
             raise ValueError("fault time must be >= 0")
         if self.kind == "flaky_link":
             if self.link is None:
                 raise ValueError("flaky_link needs link=(src, dst)")
         elif self.node is None:
             raise ValueError(f"{self.kind} needs a target node")
-        if self.duration is not None and self.duration < 0:
+        if self.duration is not None and not self.duration >= 0:
             raise ValueError("duration must be >= 0")
-        if self.factor < 1.0:
+        if not self.factor >= 1.0:
             raise ValueError("degrade factor must be >= 1")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must be in [0, 1]")
-        if self.extra_delay < 0 or self.period < 0 or self.cycles < 0:
+        if not (self.extra_delay >= 0 and self.period >= 0 and self.cycles >= 0):
             raise ValueError("delay/period/cycles must be >= 0")
 
     def describe(self) -> str:

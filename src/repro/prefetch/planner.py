@@ -116,10 +116,6 @@ class ClairvoyantPlanner:
     def schedules(self) -> dict[object, ClientSchedule]:
         return {key: self._schedules[key] for key in self.keys}
 
-    @property
-    def total_entries(self) -> int:
-        return sum(len(s) for s in self._schedules.values())
-
     def digest(self) -> int:
         """Stable fingerprint of the full schedule (plan identity)."""
         parts: list[str] = []

@@ -16,7 +16,7 @@ import abc
 from dataclasses import dataclass
 from typing import Generator
 
-__all__ = ["FileBackend", "OpenFile", "FileNotCached"]
+__all__ = ["FileBackend", "OpenFile"]
 
 
 @dataclass(slots=True)
@@ -32,10 +32,6 @@ class OpenFile:
     client_node: int
     offset: int = 0
     closed: bool = False
-
-
-class FileNotCached(Exception):
-    """Backend does not hold the requested file (cache miss signal)."""
 
 
 class FileBackend(abc.ABC):

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..simcore import (
+    AllOf,
     Environment,
     Resource,
     stable_hash64,
 )
 from .base import FileBackend, OpenFile
+from .gpfs import _DataServer, _MetadataServer
 
 __all__ = ["LustreSpec", "Lustre"]
 
@@ -74,39 +76,6 @@ class LustreSpec:
         return self.n_mds * self.mds_ops_per_sec
 
 
-class _MDS:
-    __slots__ = ("env", "res", "op_time")
-
-    def __init__(self, env: Environment, ops_per_sec: float):
-        self.env = env
-        self.res = Resource(env, capacity=1)
-        self.op_time = 1.0 / ops_per_sec
-
-    def do_ops(self, n_ops: float) -> Generator:
-        with self.res.request() as slot:
-            yield slot
-            yield self.env.timeout(n_ops * self.op_time)
-
-
-class _OST:
-    __slots__ = ("env", "res", "latency", "overhead", "bandwidth")
-
-    def __init__(
-        self, env: Environment, latency: float, overhead: float, bandwidth: float
-    ):
-        self.env = env
-        self.res = Resource(env, capacity=1)
-        self.latency = latency  # interference: pure delay, no occupancy
-        self.overhead = overhead
-        self.bandwidth = bandwidth
-
-    def serve(self, nbytes: int) -> Generator:
-        yield self.env.timeout(self.latency)
-        with self.res.request() as slot:
-            yield slot
-            yield self.env.timeout(self.overhead + nbytes / self.bandwidth)
-
-
 class Lustre(FileBackend):
     """The Lustre personality; drop-in wherever GPFS is used."""
 
@@ -120,9 +89,11 @@ class Lustre(FileBackend):
         self.env = env
         self.spec = spec
         self.metrics = env.metrics
-        self._mds = [_MDS(env, spec.mds_ops_per_sec) for _ in range(spec.n_mds)]
+        self._mds = [
+            _MetadataServer(env, spec.mds_ops_per_sec) for _ in range(spec.n_mds)
+        ]
         self._osts = [
-            _OST(
+            _DataServer(
                 env,
                 spec.data_latency,
                 spec.ost_request_overhead,
@@ -201,8 +172,6 @@ class Lustre(FileBackend):
         with link.request() as slot:
             yield slot
             yield self.env.timeout(nbytes / self._client_bw)
-        from ..simcore import AllOf
-
         yield AllOf(self.env, fetches)
         handle.offset += nbytes
         self.metrics.counter("lustre.reads").incr()

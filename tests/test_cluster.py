@@ -51,6 +51,17 @@ class TestSpecs:
             HVACSpec(hash_scheme="broken")
         with pytest.raises(ValueError):
             HVACSpec(replication_factor=0)
+        # Each of these used to pass here and fail only at build time or
+        # inside the first read.
+        for kw in (
+            dict(data_mover_concurrency=0),
+            dict(consistent_vnodes=0),
+            dict(server_request_overhead=-1e-6),
+            dict(client_request_overhead=-1e-6),
+            dict(server_request_overhead=float("nan")),
+        ):
+            with pytest.raises(ValueError):
+                HVACSpec(**kw)
 
     def test_nvme_spec_validation(self):
         with pytest.raises(ValueError):
@@ -160,6 +171,13 @@ class TestNVMeDevice:
         with pytest.raises(ValueError):
             env.run()
 
+    @pytest.mark.parametrize("factor", [0.5, float("nan")])
+    def test_degrade_rejects_factor_below_one(self, factor):
+        dev = self.make(Environment())
+        with pytest.raises(ValueError):
+            dev.degrade(factor)
+        assert dev.slow_factor == 1.0
+
     def test_metrics_recorded(self):
         env = Environment()
         dev = self.make(env)
@@ -192,6 +210,12 @@ class TestFabric:
         env.process(proc())
         env.run()
         assert env.now == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_link_fault_rejects_bad_extra_delay(self, delay):
+        fab = self.make(Environment())
+        with pytest.raises(SimulationError):
+            fab.set_link_fault(0, 1, extra_delay=delay)
 
     def test_local_transfer_uses_loopback(self):
         env = Environment()

@@ -14,7 +14,6 @@ from repro.core.cache import (
     RandomEviction,
 )
 from repro.simcore import Environment
-from repro.storage import LocalFS
 
 
 def make_cache(env, capacity=1000, policy="random", seed=0):
@@ -27,9 +26,8 @@ def make_cache(env, capacity=1000, policy="random", seed=0):
         queue_depth=8,
         fs_open_close_latency=1e-6,
     )
-    fs = LocalFS(env, 0, NVMeDevice(env, spec), track_namespace=False)
     rng = np.random.default_rng(seed)
-    return CacheManager(env, fs, capacity, make_policy(policy, rng))
+    return CacheManager(env, NVMeDevice(env, spec), capacity, make_policy(policy, rng))
 
 
 def run(env, gen):
@@ -118,7 +116,7 @@ class TestCacheManager:
         cache.purge()
         assert cache.n_files == 0
         assert cache.used_bytes == 0
-        assert cache.localfs.device.used_bytes == 0
+        assert cache.device.used_bytes == 0
 
     def test_explicit_evict_missing_raises(self):
         env = Environment()
@@ -270,7 +268,7 @@ def test_property_cache_never_exceeds_capacity(sizes, policy):
         for i, size in enumerate(sizes):
             yield from cache.insert(f"/f{i}", size)
             assert cache.used_bytes <= cache.capacity_bytes
-            assert cache.used_bytes == cache.localfs.device.used_bytes
+            assert cache.used_bytes == cache.device.used_bytes
 
     env.run(env.process(proc()))
 

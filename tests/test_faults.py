@@ -85,6 +85,16 @@ class TestFaultEvent:
             FaultEvent(0.0, "degrade", node=0, factor=0.5)
         with pytest.raises(ValueError):
             FaultEvent(0.0, "flaky_link", link=(0, 1), drop_prob=1.5)
+        nan = float("nan")
+        for kw in (
+            dict(time=nan),
+            dict(duration=nan),
+            dict(factor=nan),
+            dict(extra_delay=nan),
+            dict(period=nan),
+        ):
+            with pytest.raises(ValueError):
+                FaultEvent(**{"time": 0.0, "kind": "degrade", "node": 0, **kw})
 
     def test_describe_mentions_target(self):
         assert "node 3" in crash(0.5, 3).describe()
@@ -236,7 +246,7 @@ class TestInjector:
 
     def test_degrade_throttles_nvme_and_restores(self):
         env, dep, _ = build()
-        device = dep._fs_by_node[0].device
+        device = dep.allocation[0].nvme
         dep.inject(FaultSchedule([degrade(0.0, 0, factor=8.0, duration=0.05)]))
         env.run(env.timeout(0.01))
         assert device.slow_factor == 8.0

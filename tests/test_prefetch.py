@@ -10,7 +10,7 @@ from repro.dl import SyntheticDataset, make_epoch_plan
 from repro.dl.dataset import DatasetSpec
 from repro.prefetch import ClairvoyantPlanner, LookaheadScheduler
 from repro.simcore import AllOf, Environment, EventTrace
-from repro.storage import GPFS, LocalFS
+from repro.storage import GPFS
 
 
 def dataset(n_files=24, size=20_000, seed=3):
@@ -242,10 +242,9 @@ def compressed_cache(env, capacity=10_000, ratio=0.5, cost=1e-9):
         queue_depth=8,
         fs_open_close_latency=1e-6,
     )
-    fs = LocalFS(env, 0, NVMeDevice(env, spec), track_namespace=False)
     return CacheManager(
         env,
-        fs,
+        NVMeDevice(env, spec),
         capacity,
         make_policy("lru", np.random.default_rng(0)),
         name="comp",

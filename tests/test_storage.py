@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import MiB, NVMeDevice, NVMeSpec, PFSSpec
 from repro.simcore import Environment
-from repro.storage import GPFS, FileNotCached, LocalFS
+from repro.storage import GPFS, LocalFS
 
 
 def make_gpfs(env, **overrides):
@@ -174,83 +174,29 @@ class TestLocalFS:
         got = []
 
         def proc():
-            yield from fs.write_file("/nvme/f", 1000)
             n = yield from fs.read_file("/nvme/f", 1000, client_node=0)
             got.append(n)
 
         env.process(proc())
         env.run()
         assert got == [1000]
-        assert fs.contains("/nvme/f")
-        assert fs.used_bytes == 1000
-
-    def test_open_missing_file_raises(self):
-        env = Environment()
-        fs = make_localfs(env)
-
-        def proc():
-            yield from fs.open("/nope", 10, client_node=0)
-
-        env.process(proc())
-        with pytest.raises(FileNotCached):
-            env.run()
 
     def test_cross_node_access_rejected(self):
         env = Environment()
         fs = make_localfs(env, node_id=0)
 
         def proc():
-            yield from fs.write_file("/f", 10)
             yield from fs.open("/f", 10, client_node=1)
 
         env.process(proc())
         with pytest.raises(ValueError):
             env.run()
 
-    def test_delete_frees_space(self):
-        env = Environment()
-        fs = make_localfs(env)
-
-        def proc():
-            yield from fs.write_file("/f", 1000)
-
-        env.process(proc())
-        env.run()
-        fs.delete_file("/f")
-        assert fs.used_bytes == 0
-        assert not fs.contains("/f")
-
-    def test_delete_missing_raises(self):
-        env = Environment()
-        fs = make_localfs(env)
-        with pytest.raises(FileNotCached):
-            fs.delete_file("/ghost")
-
-    def test_overwrite_replaces_allocation(self):
-        env = Environment()
-        fs = make_localfs(env)
-
-        def proc():
-            yield from fs.write_file("/f", 1000)
-            yield from fs.write_file("/f", 2000)
-
-        env.process(proc())
-        env.run()
-        assert fs.used_bytes == 2000
-        assert fs.file_size("/f") == 2000
-
-    def test_file_size_of_missing_raises(self):
-        env = Environment()
-        fs = make_localfs(env)
-        with pytest.raises(FileNotCached):
-            fs.file_size("/ghost")
-
     def test_transaction_timing(self):
         env = Environment()
         fs = make_localfs(env)
 
         def proc():
-            yield from fs.write_file("/f", 1000)
             t0 = env.now
             yield from fs.read_file("/f", 1000, client_node=0)
             return env.now - t0
@@ -266,7 +212,6 @@ class TestLocalFS:
         lfs = make_localfs(env1)
 
         def local():
-            yield from lfs.write_file("/f", 10)
             t0 = env1.now
             for _ in range(10):
                 yield from lfs.read_file("/f", 10, client_node=0)
