@@ -3,8 +3,10 @@
 Four layers, all runnable from the CLI and from tests.  The static
 ones, and the ``--perf`` hot-path analyzer (:mod:`.perf`), share one
 front end, :class:`Program` (:mod:`.program`): per run every file is
-parsed once, its comments are tokenized once for the waiver scan, and
-the call graph is built once, on first use.
+parsed once and walked once into a flat node list, only a file whose
+text holds a waiver marker is tokenized for the waiver scan, and the
+call graph is built once, on first use, with a dotted-suffix index for
+its import resolution.
 
 * **Static, per-function**: an AST lint pass (:mod:`.rules`,
   :mod:`.linter`) with repro-specific rules guarding the engine's

@@ -640,12 +640,29 @@ class _Module:
         self.notes: list[NoteCall] = scanner.notes
 
 
+def _suffix_index(modules: dict[str, _Module]) -> dict[str, list[_Module]]:
+    """Every module filed under each ``dotted`` its name ends with — in
+    ``"." + dotted`` or in ``"." + dotted + ".__init__"`` — so a suffix
+    lookup is one dict read, not a scan of the whole file set."""
+    index: dict[str, list[_Module]] = {}
+    for name, m in modules.items():
+        parts = name.split(".")
+        keys = [".".join(parts[i:]) for i in range(1, len(parts))]
+        if parts[-1] == "__init__":
+            keys += [".".join(parts[i:-1]) for i in range(1, len(parts) - 1)]
+        for key in dict.fromkeys(keys):
+            index.setdefault(key, []).append(m)
+    return index
+
+
 class CallGraph:
     """All functions across a file set, with resolved call edges."""
 
     def __init__(self):
         self.modules: dict[str, _Module] = {}
         self.functions: dict[str, FunctionInfo] = {}
+        #: dotted suffix -> the modules it names (see :func:`_suffix_index`)
+        self._by_suffix: dict[str, list[_Module]] = {}
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -660,22 +677,18 @@ class CallGraph:
             graph.modules[module] = _Module(module, path, scope, scanner)
             for info in scanner.functions.values():
                 graph.functions[info.key] = info
+        graph._by_suffix = _suffix_index(graph.modules)
         graph._resolve_calls()
         return graph
 
     # -- import / call resolution -------------------------------------------
     def _find_module(self, dotted: str) -> _Module | None:
-        """Exact key, dotted-suffix match, or the package ``__init__``."""
+        """Exact key, the package ``__init__``, or the one module whose
+        name ends in the dotted suffix (``None`` when several do)."""
         for candidate in (dotted, f"{dotted}.__init__"):
             if candidate in self.modules:
                 return self.modules[candidate]
-        tail = "." + dotted
-        init_tail = tail + ".__init__"
-        hits = [
-            m
-            for name, m in self.modules.items()
-            if name.endswith(tail) or name.endswith(init_tail)
-        ]
+        hits = self._by_suffix.get(dotted, ())
         return hits[0] if len(hits) == 1 else None
 
     def _function_in(self, mod: _Module, name: str, depth: int = 0):

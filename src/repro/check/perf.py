@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from .callgraph import CallGraph, module_matches, module_name_for
 from .program import Program, SourceFile, StaleWaiver
 from .rules import Violation
+from .unordered import walk_nodes
 
 __all__ = [
     "PERF_RULES",
@@ -186,7 +187,7 @@ def _scan_classes(files: list[SourceFile]) -> dict[str, list[_ClassInfo]]:
     out: dict[str, list[_ClassInfo]] = {}
     for f in files:
         module = module_name_for(f.path)
-        for node in ast.walk(f.tree):
+        for node in walk_nodes(f.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             bases = tuple(
@@ -629,7 +630,7 @@ def _scan_list_attrs(files: list[SourceFile]) -> set[str]:
     listish: set[str] = set()
     otherish: set[str] = set()
     for f in files:
-        for node in ast.walk(f.tree):
+        for node in walk_nodes(f.tree):
             if isinstance(node, ast.Assign):
                 targets, value, ann = node.targets, node.value, None
             elif isinstance(node, ast.AnnAssign):

@@ -4,8 +4,10 @@ A :class:`Program` is one file set, read and parsed once.  simlint
 (:func:`.linter.lint_program`), the hot-path analyzer
 (:func:`.perf.perf_lint_files`) and the shared-state audit
 (:func:`.cells.audit_files`) all take one, so ``repro check --taint
---perf --cells`` parses each file once, tokenizes its comments once and
-builds the module-level call graph (:mod:`.callgraph`) once.
+--perf --cells`` parses each file once, walks each tree once
+(:func:`.unordered.walk_nodes`), tokenizes only the files whose text
+holds a waiver marker, and builds the module-level call graph
+(:mod:`.callgraph`) once.
 
 It also owns the inline waivers of all three passes.  Each pass has its
 own dialect — ``simlint``, ``perf`` or ``race`` before ``: waive``
@@ -49,6 +51,9 @@ _DIALECTS = {
     )
     for dialect, prefix in (("simlint", "SIM"), ("perf", "PERF"), ("race", "RACE"))
 }
+
+#: text every waiver comment of any dialect contains
+_WAIVER_MARK = re.compile(r"(simlint|perf|race):\s*waive")
 
 
 def scope_of(path: str) -> str:
@@ -119,9 +124,13 @@ class SourceFile:
 
     @cached_property
     def comments(self) -> dict[int, str]:
-        """Every real comment, ``line -> text``.  Tokenize-based, so
-        waiver syntax quoted inside a docstring is not mistaken for a
-        live waiver; every line counts when the file does not tokenize."""
+        """Every comment that may hold a waiver, ``line -> text``.
+        Tokenize-based, so waiver syntax quoted inside a docstring is
+        not mistaken for a live waiver; every line counts when the file
+        does not tokenize.  A file with no waiver marker anywhere has no
+        waiver comment, so it is not tokenized at all."""
+        if _WAIVER_MARK.search(self.source) is None:
+            return {}
         try:
             return {
                 tok.start[0]: tok.string

@@ -24,7 +24,10 @@ arguments feed the interprocedural SIM011/SIM013/SIM014.
 
 The same walk records the module's import aliases, which both
 consumers resolve call targets against.  The fact is cached per parsed
-tree, so a lint run and a call-graph build over one tree share it.
+tree, so a lint run and a call-graph build over one tree share it, and
+so is the flat node list of :func:`walk_nodes`, which the module-wide
+pre-pass here and the class and list-attribute inventories of
+:mod:`.perf` read instead of walking the tree again.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "qualname",
     "strip_order_preserving",
     "unordered_values",
+    "walk_nodes",
 ]
 
 #: annotation heads that denote an unordered set type
@@ -194,7 +198,7 @@ class UnorderedValues(ast.NodeVisitor):
         containers ever given a set element, and record classes with the
         fields that ever carry a set."""
         later: list[ast.AST] = []
-        for node in ast.walk(tree):
+        for node in walk_nodes(tree):
             if isinstance(node, ast.ClassDef):
                 self._collect_record(node)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -528,6 +532,20 @@ class UnorderedValues(ast.NodeVisitor):
 
 
 _CACHE: WeakKeyDictionary[ast.AST, UnorderedValues] = WeakKeyDictionary()
+
+#: tree -> its nodes below the root.  The root stays out: an entry whose
+#: value held its own key would keep every tree alive for good.
+_NODES: WeakKeyDictionary[ast.AST, list[ast.AST]] = WeakKeyDictionary()
+
+
+def walk_nodes(tree: ast.AST) -> list[ast.AST]:
+    """``list(ast.walk(tree))``, walked once per tree."""
+    below = _NODES.get(tree)
+    if below is None:
+        nodes = ast.walk(tree)
+        next(nodes)  # the root
+        below = _NODES[tree] = list(nodes)
+    return [tree, *below]
 
 
 def unordered_values(tree: ast.AST) -> UnorderedValues:

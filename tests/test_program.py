@@ -3,7 +3,11 @@ graph per ``repro check`` run, each file checked once, and no clean
 verdict from a file set that holds no Python source."""
 
 import ast
+import gc
 import os
+import re
+import tokenize
+import weakref
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO_ROOT, "tests", "fixtures")
+SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 
 #: pass -> (tree entry point, a fixture it flags)
 PASSES = {
@@ -22,12 +27,16 @@ PASSES = {
 }
 
 
-def _fixture_files() -> list[str]:
+def _py_files(root: str) -> list[str]:
     out = []
-    for dirpath, dirnames, filenames in os.walk(FIXTURES):
+    for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d != "__pycache__"]
         out += [os.path.join(dirpath, n) for n in filenames if n.endswith(".py")]
     return out
+
+
+def _fixture_files() -> list[str]:
+    return _py_files(FIXTURES)
 
 
 class TestEachFileOnce:
@@ -92,3 +101,45 @@ def test_one_parse_and_one_call_graph_per_run(monkeypatch, capsys):
     counted = {p: n for p, n in parses.items() if p.startswith(FIXTURES)}
     assert counted == {p: 1 for p in _fixture_files()}
     assert len(builds) == 1
+
+
+def test_only_files_holding_a_waiver_marker_are_tokenized(monkeypatch):
+    """The stale-waiver scan tokenizes a file only when some waiver
+    dialect's marker appears in its text."""
+    calls: list[object] = []
+    real = tokenize.generate_tokens
+
+    def generate_tokens(readline):
+        calls.append(readline)
+        return real(readline)
+
+    monkeypatch.setattr(tokenize, "generate_tokens", generate_tokens)
+    lint_tree([SRC_ROOT], taint=True)
+    marker = re.compile(r"(simlint|perf|race):\s*waive")
+    files = _py_files(SRC_ROOT)
+    marked = 0
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            marked += marker.search(fh.read()) is not None
+    assert 0 < len(calls) == marked < len(files)
+
+
+def test_no_parsed_tree_outlives_its_program(monkeypatch):
+    """Nothing a pass caches per tree (the unordered-value fact, the
+    flat node list) keeps the tree alive once the run's results go."""
+    trees: list[weakref.ref] = []
+    real_parse = ast.parse
+
+    def parse(source, filename="<unknown>", *args, **kwargs):
+        tree = real_parse(source, filename, *args, **kwargs)
+        if filename.startswith(FIXTURES):
+            trees.append(weakref.ref(tree))
+        return tree
+
+    monkeypatch.setattr(ast, "parse", parse)
+    results = [run([FIXTURES]) for run, _ in PASSES.values()]
+    assert all(r.violations for r in results)
+    assert len(trees) == len(PASSES) * len(_fixture_files())
+    del results
+    gc.collect()
+    assert [ref for ref in trees if ref() is not None] == []

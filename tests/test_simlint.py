@@ -1,6 +1,7 @@
 """simlint: per-rule good/bad fixtures, waivers, taint, repo cleanliness."""
 
 import os
+import tokenize
 
 import pytest
 
@@ -488,6 +489,33 @@ class TestStaleWaivers:
         mod = tmp_path / "mod.py"
         mod.write_text("y = helper()  # simlint: waive SIM011 -- sanctioned\n")
         assert lint_tree([str(tmp_path)], taint=False).stale_waivers == []
+
+
+class TestWaiverTokenizing:
+    """Only a file whose text holds a waiver marker is tokenized for
+    the stale-waiver scan; the verdict is the same as tokenizing all."""
+
+    @staticmethod
+    def stale(source):
+        result = lint_program(Program([("mod.py", source)]), taint=True)
+        assert result.violations == []
+        return [(w.line, w.codes) for w in result.stale_waivers]
+
+    def test_waiver_quoted_only_in_a_docstring(self):
+        source = '"""Waive with ``# simlint: waive SIM001 -- reason``."""\n\nx = 1\n'
+        assert self.stale(source) == []
+
+    def test_real_stale_waiver_still_reported(self):
+        source = "def cost(n):\n    return n + 1  # simlint: waive SIM001 -- clock gone\n"
+        assert self.stale(source) == [(2, frozenset({"SIM001"}))]
+
+    def test_untokenizable_file_reports_its_waiver_line(self, monkeypatch):
+        def fail(readline):
+            raise tokenize.TokenError("EOF in multi-line statement", (3, 0))
+
+        monkeypatch.setattr(tokenize, "generate_tokens", fail)
+        source = "x = 1\n# simlint: waive SIM001 -- clock gone\ny = 2\n"
+        assert self.stale(source) == [(2, frozenset({"SIM001"}))]
 
 
 class TestCrossModuleTaint:
