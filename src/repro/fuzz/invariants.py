@@ -155,13 +155,15 @@ def check_observation(
 ) -> InvariantReport:
     """Evaluate every invariant against one executed scenario."""
     report = InvariantReport()
+    # Assembled once: three checks walk the same span tree.
+    tree = obs.spans.spans()
     _check_hung(obs, config, report)
-    _check_retries(obs, config, report)
-    _check_conservation(obs, config, report)
+    _check_retries(obs, tree, config, report)
+    _check_conservation(tree, report)
     _check_determinism(obs, report, second_fingerprint)
     _check_slo(obs, config, report)
     _check_convergence(obs, config, report)
-    _check_isolation(obs, config, report)
+    _check_isolation(obs, tree, config, report)
     return report
 
 
@@ -183,10 +185,10 @@ def _check_hung(obs, config, report) -> None:
     report.margins["hung_read"] = _clip(1.0 - worst)
 
 
-def _check_retries(obs, config, report) -> None:
+def _check_retries(obs, tree, config, report) -> None:
     allowed = obs.allowed_strikes + config.retry_slack
     worst = 0
-    for span in obs.spans.spans().values():
+    for span in tree.values():
         if span.name not in ("client.read", "client.segment"):
             continue
         strikes = sum(1 for _, key, _v in span.annotations if key == "strike")
@@ -201,10 +203,10 @@ def _check_retries(obs, config, report) -> None:
     report.margins["retry_bound"] = _clip(1.0 - worst / allowed) if allowed else 1.0
 
 
-def _check_conservation(obs, config, report) -> None:
+def _check_conservation(tree, report) -> None:
     worst = 0.0
     checked = 0
-    for span in obs.spans.spans().values():
+    for span in tree.values():
         if span.name != "client.read" or span.t1 is None:
             continue
         requested = int(span.attrs.get("bytes", 0))
@@ -317,7 +319,7 @@ def _check_convergence(obs, config, report) -> None:
         report.margins["repair_convergence"] = _clip(1.0 - lag)
 
 
-def _check_isolation(obs, config, report) -> None:
+def _check_isolation(obs, tree, config, report) -> None:
     if obs.scenario.tenants < 2:
         report.skipped.append("tenant_isolation")
         return
@@ -325,7 +327,7 @@ def _check_isolation(obs, config, report) -> None:
 
     mismatches = 0
     checked = 0
-    for span in obs.spans.spans().values():
+    for span in tree.values():
         if span.name != "client.read" or span.t1 is None:
             continue
         tenant = span.attrs.get("tenant")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -141,7 +142,7 @@ class Event:
         env = self.env
         seq = next(env._seq)
         env._normal.append((seq, self))
-        if env._observed:
+        if env._schedules:
             env._note_schedule(seq, 0.0)
         return self
 
@@ -161,7 +162,7 @@ class Event:
         env = self.env
         seq = next(env._seq)
         env._normal.append((seq, self))
-        if env._observed:
+        if env._schedules:
             env._note_schedule(seq, 0.0)
         return self
 
@@ -211,7 +212,7 @@ class Timeout(Event):
         self.delay = delay
         seq = next(env._seq)
         heappush(env._queue, (env._now + delay, NORMAL, seq, self))
-        if env._observed:
+        if env._schedules:
             env._note_schedule(seq, delay)
 
     def cancel(self) -> None:
@@ -243,7 +244,7 @@ class Initialize(Event):
         self._defused = False
         seq = next(env._seq)
         env._urgent.append((seq, self))
-        if env._observed:
+        if env._schedules:
             env._note_schedule(seq, 0.0)
 
 
@@ -369,7 +370,7 @@ class Process(Event):
             self._defused = bool(self.callbacks)
         seq = next(env._seq)
         env._urgent.append((seq, self))
-        if env._observed:
+        if env._schedules:
             env._note_schedule(seq, 0.0)
         env._active_proc = None
 
@@ -483,6 +484,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        if math.isnan(self._now):
+            raise SimulationError(f"initial_time={initial_time!r} is not a number")
         # Timeouts, the one kind of event scheduled with a delay, go on a
         # heap of (time, NORMAL, seq, event).  Every other event is
         # scheduled at `now` and appended as (seq, event) to the FIFO
@@ -498,9 +501,10 @@ class Environment:
         self._seq = itertools.count()
         self._active_proc: Optional[Process] = None
         # Opt-in observers (see "Observers" in docs/INTERNALS.md §1).
-        # The kernel keeps one tuple of bound hooks per protocol method,
-        # and the hot path tests the one `_observed` flag, so a bare run
-        # pays a single attribute test per event and builds no label.
+        # The kernel keeps one tuple of bound hooks per protocol method.
+        # The scheduling sites test `_schedules` and step() tests the
+        # `_observed` flag, so a bare run pays one attribute test per
+        # site and builds no label.
         self._observers: tuple = ()
         self._begins: tuple = ()
         self._schedules: tuple = ()
@@ -541,7 +545,7 @@ class Environment:
         self._schedules = _hooks(observers, "note_schedule")
         self._ends = _hooks(observers, "end_event")
         self._notes = _hooks(observers, "note")
-        self._observed = bool(self._begins or self._schedules or self._ends)
+        self._observed = bool(self._begins or self._ends)
         self.noting = bool(self._notes)
 
     def note_access(self, cell: str, mode: str, tag=None) -> None:
@@ -589,12 +593,13 @@ class Environment:
         the same inline; :class:`Timeout` alone pushes onto the heap."""
         seq = next(self._seq)
         (self._urgent if priority == URGENT else self._normal).append((seq, event))
-        if self._observed:
+        if self._schedules:
             self._note_schedule(seq, 0.0)
 
     def _note_schedule(self, seq: int, delay: float) -> None:
         """Tell the observers about a scheduled event; every scheduling
-        site calls this while ``_observed`` is set."""
+        site calls this while some observer defines ``note_schedule``
+        (``_schedules`` is non-empty), and only then."""
         for note_schedule in self._schedules:
             note_schedule(seq, delay)
 
@@ -704,7 +709,7 @@ class Environment:
         else:
             stop_at = float(until)
             stop_evt = None
-            if stop_at <= self._now:
+            if not stop_at > self._now:  # NaN too, which `<=` lets through
                 raise SimulationError(
                     f"until={stop_at} must be greater than now={self._now}"
                 )

@@ -100,7 +100,7 @@ class Resource:
             env = self.env
             seq = next(env._seq)
             env._normal.append((seq, req))
-            if env._observed:
+            if env._schedules:
                 env._note_schedule(seq, 0.0)
         else:
             self.queue.append(req)

@@ -27,6 +27,7 @@ from repro.fuzz import (
     shrink,
 )
 from repro.membership import MembershipView
+from repro.obs import SpanRecorder
 from repro.simcore import EventTrace
 
 
@@ -253,6 +254,25 @@ class TestTenantIsolation:
         report, _obs = run_and_check(self._scenario())
         assert "tenant_isolation" not in report.violated
         assert report.margins["tenant_isolation"] > 0.0
+
+    def test_one_check_assembles_the_span_tree_once(self, monkeypatch):
+        # retry_bound, read_conservation and tenant_isolation all walk
+        # the spans; a multi-tenant run reaches all three
+        config = InvariantConfig()
+        obs = execute(self._scenario(), config, trace=EventTrace())
+        calls = []
+        assemble = SpanRecorder.spans
+
+        def counting(self):
+            calls.append(self)
+            return assemble(self)
+
+        monkeypatch.setattr(SpanRecorder, "spans", counting)
+        report = check_observation(obs, config)
+        assert calls == [obs.spans]
+        assert {"retry_bound", "read_conservation", "tenant_isolation"} <= set(
+            report.margins
+        )
 
     def test_margin_narrows_when_a_fault_lands_on_one_tenant(self):
         # a mid-epoch crash degrades whichever tenant sits on the dead

@@ -142,6 +142,20 @@ def test_run_until_past_time_raises():
         env.run(until=5)
 
 
+def test_nan_times_are_rejected():
+    env = Environment()
+    fired = []
+    env.timeout(1).callbacks.append(fired.append)
+    with pytest.raises(SimulationError, match="must be greater than now"):
+        env.run(until=float("nan"))
+    # Nothing fired and the clock did not move.
+    assert env.now == 0.0 and not fired
+    env.run(until=2)
+    assert env.now == 2.0 and len(fired) == 1
+    with pytest.raises(SimulationError, match="not a number"):
+        Environment(initial_time=float("nan"))
+
+
 def iter_timeout(env):
     while True:
         yield env.timeout(1)

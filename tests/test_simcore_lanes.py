@@ -9,12 +9,13 @@ urgent lane, the normal lane and the heap head (docs/INTERNALS.md §1,
 
 import heapq
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import Environment, Interrupt, Resource, SimulationError
+from repro.simcore import Environment, EventTrace, Interrupt, Resource, SimulationError
 from repro.simcore.engine import NORMAL, URGENT, Process, Timeout
 
 
@@ -256,3 +257,73 @@ def test_nan_delay_is_rejected():
     with pytest.raises(SimulationError, match="not a number"):
         env.timeout(float("nan"))
     assert env.peek() == math.inf
+
+
+#: The seven sites that schedule an event, by the qualified name of the
+#: function that calls ``Environment._note_schedule``.
+SCHEDULING_SITES = {
+    "Event.succeed",
+    "Event.fail",
+    "Timeout.__init__",
+    "Initialize.__init__",
+    "Process._resume",
+    "Environment._schedule",
+    "Resource.request",
+}
+
+
+def every_site_run(monkeypatch, *observers):
+    """Run a model that schedules through every site, with the observers
+    that ``observers`` (each a callable ``env -> observer``) make
+    attached; returns the env and the callers of each schedule note."""
+    callers = []
+    note = Environment._note_schedule
+
+    def counting(self, seq, delay):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        note(self, seq, delay)
+
+    monkeypatch.setattr(Environment, "_note_schedule", counting)
+    env = Environment()
+    for make in observers:
+        env.observe(make(env))
+    res = Resource(env, capacity=1)
+
+    def sleeper():
+        try:
+            yield env.timeout(5)
+        except Interrupt:
+            pass
+
+    def actor(victim):
+        with res.request() as req:
+            yield req
+            yield env.timeout(1)
+        yield env.event().succeed()
+        try:
+            yield env.event().fail(ValueError())
+        except ValueError:
+            pass
+        victim.interrupt()
+
+    env.process(actor(env.process(sleeper())))
+    env.run()
+    return env, callers
+
+
+def test_a_trace_alone_takes_no_schedule_notes(monkeypatch):
+    trace = EventTrace()
+    _, callers = every_site_run(monkeypatch, lambda env: trace)
+    assert trace.count > 0 and callers == []
+
+
+def test_a_schedule_observer_hears_every_site(monkeypatch):
+    alone = EventTrace()
+    every_site_run(monkeypatch, lambda env: alone)
+    trace = EventTrace()
+    env, callers = every_site_run(monkeypatch, lambda env: trace, Ledger)
+    assert set(callers) == SCHEDULING_SITES
+    # one note per scheduled event, and the stream is the same as with
+    # the trace alone
+    assert len(callers) == next(env._seq)
+    assert (trace.count, trace.fingerprint) == (alone.count, alone.fingerprint)

@@ -1,6 +1,11 @@
 """Event-stream fingerprinting, the divergence bisector, and the
 double-run determinism guarantee on a real experiment."""
 
+import hashlib
+import random
+
+import pytest
+
 from repro.check import (
     find_first_divergence,
     fingerprint_run,
@@ -10,7 +15,7 @@ from repro.check.divergence import _divergent_block
 from repro.cli import main
 from repro.dl import IMAGENET21K, ALL_MODELS
 from repro.experiments import Scale, run_training
-from repro.simcore import Environment, EventTrace
+from repro.simcore import Environment, EventRecord, EventTrace
 
 
 def simple_run(delays):
@@ -65,6 +70,111 @@ class TestEventTrace:
         env.timeout(1.0)
         env.run()
         assert trace.count == 0
+
+
+class ReferenceTrace:
+    """The unbuffered fold: one hash ``update`` per event, and the
+    keep/checkpoint tests made on every event.  :class:`EventTrace` must
+    produce the same bytes."""
+
+    def __init__(self, checkpoint_every=0, keep_window=None, keep_all=False):
+        self.checkpoint_every = checkpoint_every
+        self.keep_window = keep_window
+        self.keep_all = keep_all
+        self.count = 0
+        self.checkpoints = []
+        self.records = []
+        self._h = hashlib.blake2b(digest_size=16)
+
+    def begin_event(self, time, priority, seq, label):
+        self._h.update(f"{time!r}|{priority}|{seq}|{label}\n".encode())
+        if self.keep_all or (
+            self.keep_window is not None
+            and self.keep_window[0] <= self.count < self.keep_window[1]
+        ):
+            self.records.append(EventRecord(self.count, time, priority, seq, label))
+        self.count += 1
+        if self.checkpoint_every and self.count % self.checkpoint_every == 0:
+            self.checkpoints.append(self._h.copy().hexdigest())
+
+    @property
+    def fingerprint(self):
+        return self._h.copy().hexdigest()
+
+
+def random_stream(seed, n):
+    """``n`` events as the kernel passes them: runs of events share one
+    float object for the time (a lane drain at ``now``), some times are
+    equal floats that are distinct objects, and labels include non-ASCII
+    process names."""
+    rng = random.Random(seed)
+    labels = ["Timeout", "Initialize", "Event", "Process:p", "Process:hvac3.svc", "Process:é→ü"]
+    now = 0.0
+    for seq in range(n):
+        roll = rng.random()
+        if roll < 0.25:
+            now = now + rng.choice([0.1, 1e-9, 0.3, 2.5])
+        elif roll < 0.35:
+            now = float(repr(now))  # the same value, a new object
+        yield now, rng.randrange(2), seq, rng.choice(labels)
+
+
+FOLD_CASES = [
+    (every, window, keep_all)
+    for every in (0, 1, 3, 1024, 2048)
+    for window, keep_all in (
+        (None, False),
+        ((0, 0), False),
+        ((5, 17), False),
+        ((1020, 1030), False),
+        ((2047, 10**9), False),
+        (None, True),
+    )
+]
+
+
+@pytest.mark.parametrize("every,window,keep_all", FOLD_CASES)
+def test_buffered_fold_matches_one_update_per_event(every, window, keep_all):
+    seed = FOLD_CASES.index((every, window, keep_all))
+    n = 4500 if every != 1 else 2100
+    # fingerprint reads mid-stream: at a flush boundary, next to one,
+    # back to back, and at random
+    rng = random.Random(seed)
+    reads = {1, 1023, 1024, 1025, 1026, 2048} | {rng.randrange(n) for _ in range(6)}
+    trace = EventTrace(checkpoint_every=every, keep_window=window, keep_all=keep_all)
+    ref = ReferenceTrace(checkpoint_every=every, keep_window=window, keep_all=keep_all)
+    for i, event in enumerate(random_stream(seed, n)):
+        trace.begin_event(*event)
+        ref.begin_event(*event)
+        assert trace.count == ref.count
+        if i in reads:
+            assert trace.fingerprint == ref.fingerprint
+    assert trace.fingerprint == ref.fingerprint
+    assert trace.checkpoints == ref.checkpoints
+    assert trace.records == ref.records
+    assert trace.count == ref.count == n
+    if every:
+        assert len(trace.checkpoints) == n // every
+
+
+def test_buffered_fold_matches_on_a_real_run():
+    ref = ReferenceTrace(checkpoint_every=7, keep_window=(3, 40))
+    trace = EventTrace(checkpoint_every=7, keep_window=(3, 40))
+    env = Environment()
+    env.observe(ref)
+    env.observe(trace)
+
+    def proc(k):
+        for d in range(40):
+            yield env.timeout((d * k) % 3 / 4)
+
+    for k in range(30):
+        env.process(proc(k), name=f"p{k}")
+    env.run()
+    assert trace.count == ref.count > 1024
+    assert trace.fingerprint == ref.fingerprint
+    assert trace.checkpoints == ref.checkpoints
+    assert trace.records == ref.records
 
 
 class TestBisector:
