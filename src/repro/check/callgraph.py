@@ -51,6 +51,7 @@ import ast
 import os
 from dataclasses import dataclass, field
 
+from .astwalk import NodeVisitor
 from .rules import (
     _BLOCKING,
     _RNG_CONSTRUCT,
@@ -230,7 +231,7 @@ def _owner_name(node: ast.expr) -> str:
     return ""
 
 
-class _ModuleScanner(ast.NodeVisitor):
+class _ModuleScanner(NodeVisitor):
     """Extract :class:`FunctionInfo` records from one parsed module.
 
     Three receiver rules apply, each in one place: call dispatch

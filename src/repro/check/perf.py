@@ -53,6 +53,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from .astwalk import NodeVisitor, walk
 from .callgraph import CallGraph, module_matches, module_name_for
 from .program import Program, SourceFile, StaleWaiver
 from .rules import Violation
@@ -315,7 +316,7 @@ def _attr_chain(node: ast.expr) -> tuple[str, int] | None:
     return ".".join(reversed(parts)), links
 
 
-class _PerfVisitor(ast.NodeVisitor):
+class _PerfVisitor(NodeVisitor):
     """PERF101–PERF105 over one module, restricted to hot functions."""
 
     def __init__(
@@ -371,7 +372,7 @@ class _PerfVisitor(ast.NodeVisitor):
         for default in (*node.args.defaults, *node.args.kw_defaults):
             if default is None:
                 continue
-            for sub in ast.walk(default):
+            for sub in walk(default):
                 if isinstance(sub, ast.Lambda):
                     self._default_lambdas.add(id(sub))
 
@@ -454,31 +455,31 @@ class _PerfVisitor(ast.NodeVisitor):
         """PERF104: count repeated attribute chains within one loop."""
         # Names whose binding legitimately changes per iteration.
         rebound: set[str] = set()
-        for n in ast.walk(loop):
+        for n in walk(loop):
             if isinstance(n, ast.For):
-                for t in ast.walk(n.target):
+                for t in walk(n.target):
                     if isinstance(t, ast.Name):
                         rebound.add(t.id)
             elif isinstance(n, ast.Assign):
                 for t in n.targets:
-                    for sub in ast.walk(t):
+                    for sub in walk(t):
                         if isinstance(sub, ast.Name):
                             rebound.add(sub.id)
             elif isinstance(n, (ast.AnnAssign, ast.AugAssign)):
                 if isinstance(n.target, ast.Name):
                     rebound.add(n.target.id)
             elif isinstance(n, ast.withitem) and n.optional_vars is not None:
-                for sub in ast.walk(n.optional_vars):
+                for sub in walk(n.optional_vars):
                     if isinstance(sub, ast.Name):
                         rebound.add(sub.id)
 
         counts: dict[str, list[ast.expr]] = {}
         iter_nodes = set()
         if iter_node is not None:
-            iter_nodes = {id(sub) for sub in ast.walk(iter_node)}
+            iter_nodes = {id(sub) for sub in walk(iter_node)}
         seen: set[int] = set()
         for stmt in body:
-            for n in ast.walk(stmt):
+            for n in walk(stmt):
                 if id(n) in iter_nodes or not isinstance(n, ast.Attribute):
                     continue
                 if id(n) in seen:
@@ -488,7 +489,7 @@ class _PerfVisitor(ast.NodeVisitor):
                     continue
                 dotted, links = chain
                 # Mark sub-chains visited so a.b.c doesn't also count a.b.
-                for sub in ast.walk(n):
+                for sub in walk(n):
                     seen.add(id(sub))
                 if links < 2:
                     continue
@@ -564,7 +565,7 @@ class _PerfVisitor(ast.NodeVisitor):
         ):
             # Walk the whole return expression: conditional returns
             # (``f"..." if x else y``) still build the label eagerly.
-            for sub in ast.walk(node.value):
+            for sub in walk(node.value):
                 if isinstance(sub, ast.expr) and _is_label_expr(sub):
                     self._emit(
                         "PERF103", sub,

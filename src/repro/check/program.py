@@ -7,7 +7,9 @@ A :class:`Program` is one file set, read and parsed once.  simlint
 --perf --cells`` parses each file once, walks each tree once
 (:func:`.unordered.walk_nodes`), tokenizes only the files whose text
 holds a waiver marker, and builds the module-level call graph
-(:mod:`.callgraph`) once.
+(:mod:`.callgraph`) once.  Every visitor and subtree scan runs on
+:mod:`.astwalk`.  Sources decode as ``python`` decodes them; a file
+that does not decode or parse is a usage error, never a finding.
 
 It also owns the inline waivers of all three passes.  Each pass has its
 own dialect — ``simlint``, ``perf`` or ``race`` before ``: waive``
@@ -141,24 +143,33 @@ class SourceFile:
             return dict(enumerate(self.lines, start=1))
 
 
+def _unparseable(path: str, line: int | None, reason: object) -> ValueError:
+    """The usage error (exit 2) for a file that does not parse."""
+    return ValueError(f"{path}:{line or 0}: cannot parse: {reason}")
+
+
 class Program:
     """A file set, parsed once and shared by every static pass."""
 
     def __init__(self, files: Iterable[tuple[str, str]], scope: str | None = None):
         """``files`` is ``(path, source)`` pairs; ``scope`` overrides
         :func:`scope_of` for every file."""
-        self.files = [
-            SourceFile(path, source, scope or scope_of(path)) for path, source in files
-        ]
+        self.files: list[SourceFile] = []
+        for path, source in files:
+            try:
+                self.files.append(SourceFile(path, source, scope or scope_of(path)))
+            except SyntaxError as exc:
+                raise _unparseable(path, exc.lineno, exc.msg) from None
 
     @classmethod
     def read(cls, paths: Iterable[str]) -> Program:
         """Every ``.py`` file under the given files/directories, in a
         stable walk order, each file once however often it is reached.
 
-        A missing path, a named file that is not ``.py``, and a set with
-        no ``.py`` file at all raise :class:`ValueError`: checking zero
-        files must never pass for a clean verdict.
+        A missing path, a named file that is not ``.py``, a set with no
+        ``.py`` file at all and a file that does not decode or parse
+        raise :class:`ValueError`: checking zero files must never pass
+        for a clean verdict, and a crash must never pass for a finding.
         """
         paths = list(paths)
         found: dict[str, str] = {}  #: real path -> path as first reached
@@ -179,8 +190,13 @@ class Program:
             raise ValueError(f"no .py file under {' '.join(paths) or '(no paths)'}")
         sources = []
         for path in found.values():
-            with open(path, encoding="utf-8") as fh:
-                sources.append((path, fh.read()))
+            try:  # honours a BOM and a PEP 263 coding cookie, as python does
+                with tokenize.open(path) as fh:
+                    sources.append((path, fh.read()))
+            except SyntaxError as exc:  # an unknown coding cookie
+                raise _unparseable(path, exc.lineno, exc.msg) from None
+            except UnicodeDecodeError as exc:
+                raise _unparseable(path, exc.object.count(b"\n", 0, exc.start) + 1, exc) from None
         return cls(sources)
 
     @cached_property

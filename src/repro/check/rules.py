@@ -40,6 +40,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable
 
+from .astwalk import NodeVisitor, child_nodes
 from .unordered import (
     ITERATING_CALLS,
     LOCAL,
@@ -181,7 +182,7 @@ def _root_name(node: ast.expr) -> str | None:
     return None
 
 
-class _SimVisitor(ast.NodeVisitor):
+class _SimVisitor(NodeVisitor):
     """One file's worth of rule checks."""
 
     def __init__(self, path: str, scope: str, active: set[str],
@@ -268,14 +269,14 @@ class _SimVisitor(ast.NodeVisitor):
     def _is_generator(node) -> bool:
         """Does this function contain a yield of its own (ignoring
         nested defs/lambdas)?"""
-        stack = list(ast.iter_child_nodes(node))
+        stack = child_nodes(node)
         while stack:
             child = stack.pop()
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             if isinstance(child, (ast.Yield, ast.YieldFrom)):
                 return True
-            stack.extend(ast.iter_child_nodes(child))
+            stack.extend(child_nodes(child))
         return False
 
     def _visit_func(self, node) -> None:

@@ -35,6 +35,8 @@ from __future__ import annotations
 import ast
 from weakref import WeakKeyDictionary
 
+from .astwalk import NodeVisitor, walk
+
 __all__ = [
     "ITERATING_CALLS",
     "LOCAL",
@@ -162,7 +164,7 @@ class _ClassScope:
         self.sites: list[tuple[ast.Attribute, str, str]] = []  #: (node, attr, method)
 
 
-class UnorderedValues(ast.NodeVisitor):
+class UnorderedValues(NodeVisitor):
     """One module's unordered-value fact; see the module docstring."""
 
     def __init__(self, tree: ast.AST):
@@ -539,12 +541,11 @@ _NODES: WeakKeyDictionary[ast.AST, list[ast.AST]] = WeakKeyDictionary()
 
 
 def walk_nodes(tree: ast.AST) -> list[ast.AST]:
-    """``list(ast.walk(tree))``, walked once per tree."""
+    """Every node of ``tree``, root first and breadth first
+    (:func:`.astwalk.walk`), walked once per tree."""
     below = _NODES.get(tree)
     if below is None:
-        nodes = ast.walk(tree)
-        next(nodes)  # the root
-        below = _NODES[tree] = list(nodes)
+        below = _NODES[tree] = walk(tree)[1:]
     return [tree, *below]
 
 

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from repro.check import Program, run_cells
+from repro.check import Program, astwalk, run_cells
 from repro.check.cell_registry import (
     declaration_drift,
     extract_note_sites,
@@ -17,6 +17,7 @@ from repro.check.cell_registry import (
     shapes_intersect,
 )
 from repro.check.cells import RACE_RULES, audit_files, audit_source, audit_tree
+from repro.check.unordered import UnorderedValues
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
@@ -353,19 +354,24 @@ class TestRepoIsClean:
 
     def test_audit_walks_no_module_again(self, src_program, monkeypatch):
         """Writes, roots and note sites come from the call graph: once
-        it is built, the audit visits no module tree."""
+        it is built, the audit visits no module tree.  Every checker
+        visitor dispatches through the traversal engine's ``visit``, so
+        that is where the spy sits."""
         src_program.graph
         visited = []
-        real_visit = ast.NodeVisitor.visit
+        real_visit = astwalk.NodeVisitor.visit
 
         def visit(self, node):
             if isinstance(node, ast.Module):
                 visited.append(type(self).__name__)
             return real_visit(self, node)
 
-        monkeypatch.setattr(ast.NodeVisitor, "visit", visit)
+        monkeypatch.setattr(astwalk.NodeVisitor, "visit", visit)
         assert audit_files(src_program).clean
         assert visited == []
+        # the spy sees a visit: a fresh fact over one module tree
+        UnorderedValues(src_program.files[0].tree)
+        assert visited == ["UnorderedValues"]
 
     def test_removing_one_note_flips_the_gate(self, src_program):
         """Deleting the staging worker's note_access must fail the

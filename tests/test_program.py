@@ -77,6 +77,49 @@ class TestUsageErrors:
         self._rejected(capsys, "--lint-only", "--perf", "--cells", str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "head", [b"\xef\xbb\xbf", b"# -*- coding: latin-1 -*-\n"], ids=["bom", "cookie"]
+)
+def test_source_read_as_python_decodes_it(tmp_path, head):
+    """A UTF-8 BOM or a PEP 263 coding cookie is honoured, as ``python``
+    honours it, and line numbers stay those of the file."""
+    path = tmp_path / "encoded.py"
+    body = "import time\n\nLABEL = '\u00e9'\n\n\ndef f():\n    time.sleep(1)\n"
+    path.write_bytes(head + body.encode("latin-1" if b"latin" in head else "utf-8"))
+    line = body.count("\n") + head.count(b"\n")
+    assert [(v.rule, v.line) for v in lint_tree([str(path)]).violations] == [("SIM007", line)]
+
+
+class TestUnparseable:
+    """A file that does not parse is a usage error (exit 2) naming the
+    file and line, never a traceback under the "violations found" code."""
+
+    CASES = {
+        "syntax": (b"x = 1\ndef f(:\n", 2),
+        "undecodable": (b"x = 1\ny = '\xff'\n", 2),
+        "unknown_cookie": (b"# -*- coding: no-such-codec -*-\n", 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_check(self, tmp_path, capsys, case):
+        data, line = self.CASES[case]
+        path = tmp_path / "bad.py"
+        path.write_bytes(data)
+        assert run_check([str(path)], lint_only=True, perf=True, cells=True) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"repro check: error: {path}:{line}: cannot parse: ")
+        assert len(err.splitlines()) == 1
+
+    def test_cli(self, tmp_path, capsys):
+        (tmp_path / "good.py").write_text("x = 1\n")
+        (tmp_path / "bad.py").write_text("def f(:\n")
+        assert main(["check", "--lint-only", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"repro check: error: {tmp_path / 'bad.py'}:1: cannot parse: invalid syntax\n"
+
+
 def test_one_parse_and_one_call_graph_per_run(monkeypatch, capsys):
     """lint+taint, perf and cells share one parse of every file and one
     call graph."""
