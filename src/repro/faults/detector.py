@@ -25,7 +25,8 @@ __all__ = ["FailureDetector"]
 
 
 class FailureDetector:
-    """Per-client suspicion state over ``n_servers`` cache servers."""
+    """Per-client suspicion state over ``n_servers`` cache servers;
+    only servers with a strike hold any."""
 
     def __init__(
         self,
@@ -49,9 +50,16 @@ class FailureDetector:
         self.probation = probation
         self.probation_growth = probation_growth
         self.probation_cap = probation * probation_cap_factor
-        self._strikes = [0] * n_servers
-        self._until = [0.0] * n_servers  # blacklisted while now < until
-        self._since = [0.0] * n_servers  # when the current blacklist began
+        # Sparse state: only servers with a strike hold an entry, so a
+        # client that sees no failure holds nothing whatever the fleet
+        # size.  ``_until``/``_since``/``_expiry_due`` keys are a subset
+        # of ``_strikes`` keys: an episode opens only at the suspicion
+        # bar, and a success clears all four containers together.
+        self._strikes: dict[int, int] = {}
+        #: blacklisted while now < until; kept past expiry until pardon
+        self._until: dict[int, float] = {}
+        #: when the current blacklist began
+        self._since: dict[int, float] = {}
         #: lifetime counters, for metrics/introspection
         self.n_suspicions = 0
         self.n_reprobes = 0
@@ -65,8 +73,8 @@ class FailureDetector:
         #: These land on the SLO window grid next to the membership
         #: transitions, and the fuzzer's SLO invariant reads them.
         self.transitions: list[tuple[float, str, int]] = []
-        #: has this probation episode's expiry been logged yet?
-        self._expiry_logged = [True] * n_servers
+        #: servers whose current probation expiry is not logged yet
+        self._expiry_due: dict[int, None] = {}
         #: optional membership hook: ``listener.on_suspect(sid)`` fires
         #: on every suspicion (onset *and* repeat offences), which is how
         #: first-hand timeout evidence enters a MembershipView
@@ -82,7 +90,9 @@ class FailureDetector:
     # -- observations ---------------------------------------------------
     def record_success(self, server_id: int) -> None:
         """An RPC to ``server_id`` completed: full pardon."""
-        if self._until[server_id] > 0.0 and self._strikes[server_id] >= self.suspect_after:
+        if server_id not in self._strikes:
+            return
+        if self._until.get(server_id, 0.0) > 0.0:
             self.n_reprobes += 1
             self._note_expiry(server_id)
             self.transitions.append((self.env.now, "reprobe_ok", server_id))
@@ -90,15 +100,16 @@ class FailureDetector:
             self.metrics.tally("blacklist_dwell_seconds").add(
                 self.env.now - self._since[server_id]
             )
-        self._strikes[server_id] = 0
-        self._until[server_id] = 0.0
-        self._expiry_logged[server_id] = True
+        del self._strikes[server_id]
+        self._until.pop(server_id, None)
+        self._since.pop(server_id, None)
+        self._expiry_due.pop(server_id, None)
 
     def record_failure(self, server_id: int) -> None:
         """An RPC to ``server_id`` timed out or errored."""
-        self._strikes[server_id] += 1
+        strikes = self._strikes[server_id] = self._strikes.get(server_id, 0) + 1
         self.metrics.counter("strikes").incr()
-        over = self._strikes[server_id] - self.suspect_after
+        over = strikes - self.suspect_after
         if over < 0:
             return
         if over == 0:
@@ -114,7 +125,7 @@ class FailureDetector:
             # ``usable()`` — is neither an expiry nor a probe outcome.)
             self._note_expiry(server_id)
             self.transitions.append((self.env.now, "reprobe_fail", server_id))
-        self._expiry_logged[server_id] = False
+        self._expiry_due[server_id] = None
         term = min(
             self.probation * self.probation_growth**over, self.probation_cap
         )
@@ -127,8 +138,8 @@ class FailureDetector:
         at the term's end (not at the observing query's time).  A pardon
         arriving mid-term clamps the stamp to *now* — the episode ended
         early, and the log must stay time-ordered."""
-        if not self._expiry_logged[server_id]:
-            self._expiry_logged[server_id] = True
+        if server_id in self._expiry_due:
+            del self._expiry_due[server_id]
             self.transitions.append(
                 (min(self._until[server_id], self.env.now),
                  "probation_expired", server_id)
@@ -141,7 +152,7 @@ class FailureDetector:
         True while the server is unsuspected, and again once its
         probation has expired (that request is the re-probe).
         """
-        if self._strikes[server_id] < self.suspect_after:
+        if self._strikes.get(server_id, 0) < self.suspect_after:
             return True
         if self.env.now >= self._until[server_id]:
             self._note_expiry(server_id)
@@ -149,16 +160,17 @@ class FailureDetector:
         return False
 
     def strikes(self, server_id: int) -> int:
-        return self._strikes[server_id]
+        return self._strikes.get(server_id, 0)
 
     def suspects(self) -> list[int]:
         """Servers currently blacklisted (probation still running)."""
-        return [
-            sid
-            for sid in range(self.n_servers)
-            if self._strikes[sid] >= self.suspect_after
-            and self.env.now < self._until[sid]
-        ]
+        now = self.env.now
+        return sorted(sid for sid, until in self._until.items() if now < until)
+
+    def probation_end(self) -> float:
+        """The latest probation end still held, or 0.0 when there is
+        none.  An expired term counts until its server is pardoned."""
+        return max(self._until.values(), default=0.0)
 
     def __repr__(self) -> str:
         return (

@@ -411,8 +411,7 @@ def execute(
         _force_heal(dep, scenario)
         settle = obs.t_heal + 2 * spec.hvac.probation_period
         for node in sorted(dep._clients, key=client_key_order):
-            det = dep._clients[node].detector
-            settle = max(settle, max(det._until, default=0.0))
+            settle = max(settle, dep._clients[node].detector.probation_end())
         if scenario.membership:
             settle += 3 * spec.hvac.gossip_interval + spec.hvac.suspect_to_dead
         if settle > env.now:

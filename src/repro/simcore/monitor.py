@@ -161,8 +161,10 @@ class Histogram:
         self.lo = lo
         self._log_growth = math.log(10.0) / bins_per_decade
         self._n_bins = max(1, math.ceil(math.log10(hi / lo) * bins_per_decade))
-        # counts[0] = underflow (x <= lo), counts[-1] = overflow (x > hi)
-        self.counts = [0] * (self._n_bins + 2)
+        # counts[0] = underflow (x <= lo), counts[-1] = overflow (x > hi);
+        # allocated on the first ``add``, since many histograms in a
+        # large fleet never see a sample.
+        self.counts: list[int] | tuple[()] = ()
         self.n = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -174,7 +176,10 @@ class Histogram:
         else:
             b = int(math.log(x / self.lo) / self._log_growth) + 1
             idx = b if b <= self._n_bins else self._n_bins + 1
-        self.counts[idx] += 1
+        counts = self.counts
+        if not counts:
+            counts = self.counts = [0] * (self._n_bins + 2)
+        counts[idx] += 1
         self.n += 1
         self._sum += x
         if x < self._min:

@@ -18,13 +18,18 @@ import numpy as np
 __all__ = ["RandomStreams", "stable_hash64"]
 
 
+#: Never updated: each call hashes into a copy, which skips the
+#: constructor's parameter parsing and state setup.
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+
+
 def stable_hash64(*parts: object) -> int:
     """A process-stable 64-bit hash of the given parts.
 
     ``hash()`` is salted per-interpreter for strings, so it cannot be
     used for cross-run-deterministic placement; this can.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = _BLAKE2B_64.copy()
     for part in parts:
         h.update(repr(part).encode())
         h.update(b"\x1f")

@@ -73,8 +73,10 @@ class Resource:
         # removal are O(1) whatever the capacity.
         self.users: dict[Request, None] = {}
         # Deque: NVMe/NIC queues grant from the head once per service
-        # completion, and list.pop(0) is O(n) per event (PERF105).
-        self.queue: deque[Request] = deque()
+        # completion, and list.pop(0) is O(n) per event (PERF105).  It
+        # is built on first contention: most resources in a large fleet
+        # never queue, and an empty deque costs 760 B.
+        self.queue: deque[Request] | None = None
 
     @property
     def capacity(self) -> int:
@@ -88,7 +90,7 @@ class Resource:
     @property
     def queued(self) -> int:
         """Number of waiting requests."""
-        return len(self.queue)
+        return len(self.queue) if self.queue else 0
 
     def request(self) -> Request:
         req = Request(self)
@@ -103,6 +105,8 @@ class Resource:
             if env._schedules:
                 env._note_schedule(seq, 0.0)
         else:
+            if self.queue is None:
+                self.queue = deque()
             self.queue.append(req)
         return req
 
@@ -119,7 +123,7 @@ class Resource:
             del self.users[request]
             if self.queue:
                 self._grant_next()
-        else:
+        elif self.queue:
             try:
                 self.queue.remove(request)
             except ValueError:

@@ -1,5 +1,7 @@
 """Unit tests for random streams and metric collectors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,28 @@ class TestStableHash:
     def test_64bit_range(self):
         h = stable_hash64("x")
         assert 0 <= h < 2**64
+
+
+def _fresh_hash64(*parts):
+    """``stable_hash64`` with a freshly constructed hasher per call."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b"\x1f")
+    return int.from_bytes(h.digest(), "little")
+
+
+@pytest.mark.parametrize("parts", [
+    ("hvac-home", "/gpfs/imagenet/train/n0001/img_17.JPEG"),
+    ("hvac-ring", 3, 127),
+    (0, "child", "cluster"),
+    (1.5, -0.0, float("inf"), 2**70),
+    (("nested", 1), ("a", ("b", 2.25))),
+    ("données", "画像", "\x1f", ""),
+    ("x",),
+])
+def test_stable_hash64_matches_a_fresh_hasher(parts):
+    assert stable_hash64(*parts) == _fresh_hash64(*parts)
 
 
 class TestRandomStreams:
