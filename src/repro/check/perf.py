@@ -109,7 +109,7 @@ DEFAULT_EXTRA_HOT = (
 
 #: call targets whose string arguments are metric/span/process labels
 _LABEL_SINKS = {
-    "counter", "tally", "histogram", "get_series", "scope",
+    "counter", "tally", "histogram", "scope",
     "begin", "annotate", "end", "process", "note_access", "_incr", "incr",
 }
 

@@ -184,8 +184,6 @@ class HVACSpec:
     #: virtual nodes per server for consistent hashing
     consistent_vnodes: int = 64
     replication_factor: int = 1  # >1 enables §III-H replication
-    #: whether clients fail over to replicas when a server has failed
-    failover_enabled: bool = True
     #: segment-level caching for large files (§III-E / conclusion:
     #: "data layout options for large files across multiple nodes"):
     #: files above ``stripe_threshold`` are cached as independent
@@ -231,15 +229,7 @@ class HVACSpec:
     repair_enabled: bool = True
     #: repair throttle in bytes/s; 0 = unthrottled
     repair_bandwidth: float = 0.0
-    #: cap on RPC attempts per striped *segment* (0 = use
-    #: rpc_max_retries); segments give up early and count a
-    #: ``client_seg_fallbacks`` instead of burning the full backoff walk
-    segment_retry_budget: int = 0
     # -- clairvoyant prefetch & compressed tier (§IV-C future work) -----
-    #: ``off`` = demand reads only; ``reactive`` = bulk pre-population
-    #: at job start (CachePrefetcher); ``clairvoyant`` = look-ahead
-    #: staging driven by the seeded per-epoch access plan (NoPFS-style)
-    prefetch_mode: str = "off"
     #: files staged ahead of each client's plan cursor (clairvoyant)
     prefetch_lookahead: int = 4
     #: outstanding staged requests allowed per server at once — the
@@ -289,10 +279,6 @@ class HVACSpec:
             raise ValueError("suspect_to_dead must be >= 0")
         if self.repair_bandwidth < 0:
             raise ValueError("repair_bandwidth must be >= 0")
-        if self.segment_retry_budget < 0:
-            raise ValueError("segment_retry_budget must be >= 0")
-        if self.prefetch_mode not in ("off", "reactive", "clairvoyant"):
-            raise ValueError(f"unknown prefetch mode {self.prefetch_mode!r}")
         if self.prefetch_lookahead < 1:
             raise ValueError("prefetch_lookahead must be >= 1")
         if self.prefetch_outstanding < 1:

@@ -74,7 +74,6 @@ class HVACClient(FileBackend):
         placement: Placement,
         pfs: FileBackend,
         spec: ClusterSpec,
-        spread_replica_reads: bool = True,
         rand: RandomStreams | None = None,
         tenant: Optional[int] = None,
     ):
@@ -85,7 +84,6 @@ class HVACClient(FileBackend):
         self.pfs = pfs
         self.spec = spec
         self.metrics = env.metrics
-        self.spread_replica_reads = spread_replica_reads
         self.rand = rand or RandomStreams(stable_hash64("hvac-client", node_id))
         #: the run's :class:`~repro.obs.SpanRecorder`, or None
         self.spans = env.spans
@@ -187,7 +185,7 @@ class HVACClient(FileBackend):
             # placement order so failover stays deterministic.  The key
             # is a bound method, not a per-call closure (PERF102).
             replicas = sorted(replicas, key=self._rack_pref)
-        elif self.spread_replica_reads:
+        else:
             # Distribute read load across the replica set: stable per
             # (client, path) so an epoch's access pattern is deterministic.
             start = stable_hash64("hvac-spread", self.node_id, path) % len(replicas)
@@ -204,13 +202,10 @@ class HVACClient(FileBackend):
         Liveness is pure client-side suspicion — observed timeouts and
         errors — never a peek at server state.
         """
-        order = self.replica_order(path)
-        if not self.spec.hvac.failover_enabled:
-            order = order[:1]
         view = self.view
         return [
             sid
-            for sid in order
+            for sid in self.replica_order(path)
             if self.detector.usable(sid)
             and (view is None or view.routable(sid))
         ]
@@ -320,7 +315,6 @@ class HVACClient(FileBackend):
         size: int,
         client_node: int,
         parent: Optional[int] = None,
-        max_retries: Optional[int] = None,
     ) -> Generator:
         """One forwarded read transaction (whole file or one segment).
 
@@ -331,8 +325,6 @@ class HVACClient(FileBackend):
         walks the detector-approved replicas; every retry path
         terminates in the PFS — a flapping server can cost at most
         ``rpc_max_retries`` strikes, never an unbounded recursion.
-        ``max_retries`` caps the walk below the spec default (per-segment
-        retry budgets).
         """
         hvac = self.spec.hvac
         rec = self.spans
@@ -341,7 +333,7 @@ class HVACClient(FileBackend):
         env = self.env
         detector = self.detector
         failures = 0
-        retries = max_retries if max_retries is not None else hvac.rpc_max_retries
+        retries = hvac.rpc_max_retries
         for attempt in range(retries):
             candidates = self._candidates(path)
             if not candidates:
@@ -424,13 +416,8 @@ class HVACClient(FileBackend):
                 path=seg_path,
                 bytes=length,
             )
-        budget = self.spec.hvac.segment_retry_budget
         hit, route, failures = yield from self._forward_read(
-            seg_path,
-            length,
-            client_node,
-            parent=sp if sp is not None else root,
-            max_retries=budget if budget > 0 else None,
+            seg_path, length, client_node, parent=sp if sp is not None else root
         )
         if hit is None:
             self._incr("client_seg_fallbacks")

@@ -202,7 +202,6 @@ def _run_mode(
     n_nodes: int,
     epochs: int,
     windows: int,
-    lookahead: int,
     outstanding: int,
     seed: int,
     fault: bool,
@@ -229,9 +228,7 @@ def _run_mode(
         planner = ClairvoyantPlanner.from_epoch_plans(
             dataset, n_nodes, epochs, shuffle_seed=seed
         )
-        scheduler = LookaheadScheduler(
-            dep, planner, lookahead=lookahead, outstanding=outstanding
-        )
+        scheduler = LookaheadScheduler(dep, planner)
         dep.attach_prefetch(scheduler)
         scheduler.start()
 
@@ -373,11 +370,8 @@ def prefetch_comparison(
                 compression_ratio=compression_ratio,
                 decompress_cost_per_byte=decompress_cost_per_byte,
             )
-        mode_spec = mode_spec.with_hvac(
-            prefetch_mode="reactive" if mode == "reactive" else "clairvoyant"
-        )
         result.outcomes[mode] = _run_mode(
             mode, mode_spec, dataset, n_nodes, epochs, windows,
-            lookahead, outstanding, seed, fault, outage, trace=trace,
+            outstanding, seed, fault, outage, trace=trace,
         )
     return result

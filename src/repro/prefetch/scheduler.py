@@ -33,9 +33,9 @@ PFS fallback), so a fault costs staging coverage, never correctness.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from ..core.deployment import HVACDeployment, client_key_order
+from ..core.deployment import HVACDeployment
 from ..core.server import HVACServer, ReadRequest
 from ..rpc import RPCError, RPCTimeout
 from ..simcore import Environment, cell_name
@@ -57,21 +57,13 @@ class LookaheadScheduler:
         self,
         deployment: HVACDeployment,
         planner: ClairvoyantPlanner,
-        lookahead: Optional[int] = None,
-        outstanding: Optional[int] = None,
     ):
         hvac = deployment.spec.hvac
         self.deployment = deployment
         self.env: Environment = deployment.env
         self.planner = planner
-        self.lookahead = int(lookahead if lookahead is not None else hvac.prefetch_lookahead)
-        self.outstanding = int(
-            outstanding if outstanding is not None else hvac.prefetch_outstanding
-        )
-        if self.lookahead < 1:
-            raise ValueError("lookahead must be >= 1")
-        if self.outstanding < 1:
-            raise ValueError("outstanding must be >= 1")
+        self.lookahead = hvac.prefetch_lookahead
+        self.outstanding = hvac.prefetch_outstanding
         keys = planner.keys
         #: per-client demand cursor: how many planned reads have been issued
         self._consumed: dict[object, int] = {key: 0 for key in keys}

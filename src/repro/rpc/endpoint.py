@@ -168,7 +168,6 @@ class RPCEndpoint:
         op: str,
         payload: Any = None,
         payload_bytes: int = 0,
-        response_bytes: int = 0,
         timeout: Optional[float] = None,
         span: Optional[int] = None,
         tenant: Optional[int] = None,
@@ -202,9 +201,7 @@ class RPCEndpoint:
                     src=self.node_id, dst=target.node_id, tenant=tenant,
                 )
         try:
-            value = yield from self._call(
-                target, op, payload, payload_bytes, response_bytes, timeout
-            )
+            value = yield from self._call(target, op, payload, payload_bytes, timeout)
         except RPCError as err:
             status = "timeout" if isinstance(err, RPCTimeout) else "error"
             self._m_status[status].incr()
@@ -223,7 +220,6 @@ class RPCEndpoint:
         op: str,
         payload: Any,
         payload_bytes: int,
-        response_bytes: int,
         timeout: Optional[float],
     ) -> Generator:
         """The uninstrumented call path (see :meth:`call`)."""
@@ -253,9 +249,7 @@ class RPCEndpoint:
 
         done = env.event()
         env.process(
-            target._serve(
-                op, payload, self.node_id, response_bytes, done, piggyback=piggyback
-            ),
+            target._serve(op, payload, self.node_id, done, piggyback=piggyback),
             name=target._serve_name(op),
         )
         if timeout is None:
@@ -283,7 +277,6 @@ class RPCEndpoint:
         op: str,
         payload: Any,
         src: int,
-        response_bytes: int,
         done: Event,
         piggyback: Any = None,
     ) -> Generator:
@@ -317,7 +310,7 @@ class RPCEndpoint:
         if self.digest_provider is not None:
             reply_extra, reply_bytes = self.digest_provider()
         delivered = yield from self.fabric.transfer(
-            self.node_id, src, _HEADER_BYTES + response_bytes + reply_bytes
+            self.node_id, src, _HEADER_BYTES + reply_bytes
         )
         if not delivered:
             # Reply lost in the fabric (Mercury cancel semantics): the

@@ -9,15 +9,14 @@ from .engine import (
     Interrupt,
     Process,
     SimulationError,
-    StopProcess,
     Timeout,
 )
 from .cells import cell_name
-from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Series, Tally
+from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Tally
 from .profile import ComponentProfile, SimProfiler
 from .rand import RandomStreams, stable_hash64
 from .resources import PriorityResource, Resource
-from .stores import Store, StoreFull
+from .stores import Store
 from .trace import EventRecord, EventTrace, event_label
 
 __all__ = [
@@ -40,13 +39,10 @@ __all__ = [
     "RandomStreams",
     "cell_name",
     "Resource",
-    "Series",
     "SimProfiler",
     "SimulationError",
     "stable_hash64",
-    "StopProcess",
     "Store",
-    "StoreFull",
     "Tally",
     "Timeout",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "StopProcess",
 ]
 
 # Event state markers (kept as module-level singletons for cheap checks).
@@ -58,14 +57,6 @@ NORMAL = 1
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class StopProcess(Exception):
-    """Legacy-style early return from a process: ``raise StopProcess(v)``."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
 
 
 class Interrupt(Exception):
@@ -312,9 +303,9 @@ class Process(Event):
                     target.callbacks.remove(self._resume)
                 except (ValueError, AttributeError):
                     pass
-                # Waiting-list events (store gets/puts, container ops) must
-                # also leave their wait queue, or they become phantom
-                # consumers that swallow items nobody receives.
+                # Waiting-list events (store gets) must also leave their
+                # wait queue, or they become phantom consumers that
+                # swallow items nobody receives.
                 withdraw = getattr(target, "_withdraw", None)
                 if withdraw is not None:
                     withdraw()
@@ -329,9 +320,6 @@ class Process(Event):
                     exc = event._value
                     next_evt = self._generator.throw(type(exc), exc, None)
             except StopIteration as stop:
-                outcome, ok = stop.value, True
-                break
-            except StopProcess as stop:
                 outcome, ok = stop.value, True
                 break
             except BaseException as err:

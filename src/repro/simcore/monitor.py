@@ -1,7 +1,7 @@
 """Lightweight instrumentation for simulation components.
 
-Collectors are plain append-only series with numpy-backed reduction, so
-hot paths pay one ``list.append`` per sample.  Everything downstream
+Collectors are O(1)-memory streaming reductions, so hot paths pay a
+few arithmetic operations per sample.  Everything downstream
 (tables, CDFs, confidence intervals) reads from these.
 
 Names are hierarchical, dot-joined strings.  A :class:`MetricScope` is a
@@ -16,55 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
-    "Series",
     "Counter",
     "Tally",
     "Histogram",
     "MetricScope",
     "MetricRegistry",
 ]
-
-
-class Series:
-    """Timestamped samples ``(t, value)``."""
-
-    __slots__ = ("name", "_t", "_v")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._t: list[float] = []
-        self._v: list[float] = []
-
-    def record(self, t: float, value: float) -> None:
-        self._t.append(t)
-        self._v.append(value)
-
-    def __len__(self) -> int:
-        return len(self._v)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._t, dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._v, dtype=float)
-
-    def mean(self) -> float:
-        return float(np.mean(self._v)) if self._v else float("nan")
-
-    def total(self) -> float:
-        return float(np.sum(self._v)) if self._v else 0.0
-
-    def rate(self) -> float:
-        """Samples per unit time over the observed window."""
-        if len(self._t) < 2:
-            return 0.0
-        span = self._t[-1] - self._t[0]
-        return (len(self._t) - 1) / span if span > 0 else float("inf")
 
 
 class Counter:
@@ -131,11 +89,20 @@ class Tally:
         return self._max if self.n else float("nan")
 
 
+#: :class:`Histogram` binning: geometric bins between ``_LO`` and
+#: ``_HI`` seconds, ``_BINS_PER_DECADE`` per power of ten.
+_LO = 1e-7
+_HI = 1e4
+_BINS_PER_DECADE = 8
+_LOG_GROWTH = math.log(10.0) / _BINS_PER_DECADE
+_N_BINS = math.ceil(math.log10(_HI / _LO) * _BINS_PER_DECADE)
+
+
 class Histogram:
     """Geometric-binned distribution with O(1) memory and quantiles.
 
-    Bins grow by a constant factor (``bins_per_decade`` per power of
-    ten) between ``lo`` and ``hi``, with explicit under/overflow bins,
+    Bins grow by a constant factor (``_BINS_PER_DECADE`` per power of
+    ten) between ``_LO`` and ``_HI``, with explicit under/overflow bins,
     so latencies spanning microseconds to seconds all resolve.  ``add``
     is O(1) (one log, one increment) and never touches the kernel, so
     histograms are safe on hot paths.  Quantiles interpolate at the
@@ -143,25 +110,11 @@ class Histogram:
     min/max — deterministic, and within one bin width of exact.
     """
 
-    __slots__ = (
-        "name", "lo", "_log_growth", "_n_bins", "counts",
-        "n", "_sum", "_min", "_max",
-    )
+    __slots__ = ("name", "counts", "n", "_sum", "_min", "_max")
 
-    def __init__(
-        self,
-        name: str,
-        lo: float = 1e-7,
-        hi: float = 1e4,
-        bins_per_decade: int = 8,
-    ):
-        if lo <= 0 or hi <= lo or bins_per_decade < 1:
-            raise ValueError("need 0 < lo < hi and bins_per_decade >= 1")
+    def __init__(self, name: str):
         self.name = name
-        self.lo = lo
-        self._log_growth = math.log(10.0) / bins_per_decade
-        self._n_bins = max(1, math.ceil(math.log10(hi / lo) * bins_per_decade))
-        # counts[0] = underflow (x <= lo), counts[-1] = overflow (x > hi);
+        # counts[0] = underflow (x <= _LO), counts[-1] = overflow (x > _HI);
         # allocated on the first ``add``, since many histograms in a
         # large fleet never see a sample.
         self.counts: list[int] | tuple[()] = ()
@@ -171,14 +124,14 @@ class Histogram:
         self._max = float("-inf")
 
     def add(self, x: float) -> None:
-        if x <= self.lo:
+        if x <= _LO:
             idx = 0
         else:
-            b = int(math.log(x / self.lo) / self._log_growth) + 1
-            idx = b if b <= self._n_bins else self._n_bins + 1
+            b = int(math.log(x / _LO) / _LOG_GROWTH) + 1
+            idx = b if b <= _N_BINS else _N_BINS + 1
         counts = self.counts
         if not counts:
-            counts = self.counts = [0] * (self._n_bins + 2)
+            counts = self.counts = [0] * (_N_BINS + 2)
         counts[idx] += 1
         self.n += 1
         self._sum += x
@@ -215,12 +168,12 @@ class Histogram:
             cum += c
             if cum >= target:
                 if idx == 0:
-                    value = self.lo
-                elif idx == self._n_bins + 1:
+                    value = _LO
+                elif idx == _N_BINS + 1:
                     value = self._max  # overflow: all we know is the max
                 else:
-                    b_lo = self.lo * math.exp((idx - 1) * self._log_growth)
-                    value = b_lo * math.exp(self._log_growth / 2.0)
+                    b_lo = _LO * math.exp((idx - 1) * _LOG_GROWTH)
+                    value = b_lo * math.exp(_LOG_GROWTH / 2.0)
                 return min(max(value, self._min), self._max)
         return self._max  # pragma: no cover — cum always reaches n
 
@@ -245,15 +198,13 @@ class MetricScope:
     plain dict hit (PERF103).
     """
 
-    __slots__ = ("registry", "prefix", "_counters", "_tallies",
-                 "_series", "_histograms")
+    __slots__ = ("registry", "prefix", "_counters", "_tallies", "_histograms")
 
     def __init__(self, registry: "MetricRegistry", prefix: str):
         self.registry = registry
         self.prefix = prefix
         self._counters: dict[str, Counter] = {}
         self._tallies: dict[str, Tally] = {}
-        self._series: dict[str, Series] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def _name(self, name: str) -> str:
@@ -274,17 +225,7 @@ class MetricScope:
             t = self._tallies[name] = self.registry.tally(self._name(name))
         return t
 
-    def get_series(self, name: str) -> Series:
-        s = self._series.get(name)
-        if s is None:
-            s = self._series[name] = self.registry.get_series(self._name(name))
-        return s
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        if kwargs:
-            # Custom binning must reach the registry (first caller wins
-            # there, same as before) — don't cache past the kwargs.
-            return self.registry.histogram(self._name(name), **kwargs)
+    def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
             h = self._histograms[name] = self.registry.histogram(self._name(name))
@@ -298,16 +239,9 @@ class MetricScope:
 class MetricRegistry:
     """Namespaced container of collectors shared across one simulation."""
 
-    series: dict[str, Series] = field(default_factory=dict)
     counters: dict[str, Counter] = field(default_factory=dict)
     tallies: dict[str, Tally] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
-
-    def get_series(self, name: str) -> Series:
-        s = self.series.get(name)
-        if s is None:
-            s = self.series[name] = Series(name)
-        return s
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -321,10 +255,10 @@ class MetricRegistry:
             t = self.tallies[name] = Tally(name)
         return t
 
-    def histogram(self, name: str, **kwargs) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = Histogram(name, **kwargs)
+            h = self.histograms[name] = Histogram(name)
         return h
 
     def scope(self, prefix: str) -> MetricScope:
@@ -335,7 +269,7 @@ class MetricRegistry:
         """Every collector whose name sits under ``prefix.``."""
         dot = prefix + "."
         out: dict[str, object] = {}
-        for pool in (self.counters, self.tallies, self.histograms, self.series):
+        for pool in (self.counters, self.tallies, self.histograms):
             for name, collector in pool.items():
                 if name.startswith(dot) or name == prefix:
                     out[name] = collector
@@ -364,7 +298,4 @@ class MetricRegistry:
                 "max": h.max,
                 **h.percentiles(),
             }
-        for name, s in self.series.items():
-            # perf: waive PERF105 -- post-run snapshot assembly, not per-event
-            out[name] = {"n": len(s), "mean": s.mean(), "total": s.total()}
         return out

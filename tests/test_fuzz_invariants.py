@@ -88,10 +88,15 @@ class TestRetryBound:
         # accrues strikes (so the dead server stays an approved target)
         orig = HVACClient._forward_read
 
-        def over_budget(self, path, size, client_node, parent=None,
-                        max_retries=None):
-            return orig(self, path, size, client_node, parent=parent,
-                        max_retries=2 * self.spec.hvac.rpc_max_retries)
+        def over_budget(self, *args, **kwargs):
+            spec = self.spec
+            self.spec = spec.with_hvac(
+                rpc_max_retries=2 * spec.hvac.rpc_max_retries
+            )
+            try:
+                return (yield from orig(self, *args, **kwargs))
+            finally:
+                self.spec = spec
 
         monkeypatch.setattr(HVACClient, "_forward_read", over_budget)
         monkeypatch.setattr(

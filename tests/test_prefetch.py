@@ -92,7 +92,7 @@ class TestLookaheadScheduler:
             env.observe(trace)
         ds = dataset()
         planner = ClairvoyantPlanner.from_epoch_plans(ds, 2, epochs=2, shuffle_seed=1)
-        sched = LookaheadScheduler(dep, planner, lookahead=4, outstanding=2)
+        sched = LookaheadScheduler(dep, planner)
         dep.attach_prefetch(sched)
         sched.start()
         results = {0: [], 1: []}
@@ -172,9 +172,9 @@ class TestLookaheadScheduler:
         env, dep, _ = build()
         planner = ClairvoyantPlanner.from_plans({0: [("/pfs/x", 10)]})
         with pytest.raises(ValueError):
-            LookaheadScheduler(dep, planner, lookahead=0)
+            TESTING.with_hvac(prefetch_lookahead=0)
         with pytest.raises(ValueError):
-            LookaheadScheduler(dep, planner, outstanding=0)
+            TESTING.with_hvac(prefetch_outstanding=0)
         sched = LookaheadScheduler(dep, planner)
         sched.start()
         with pytest.raises(RuntimeError):
@@ -368,7 +368,7 @@ class TestFuzzPrefetchDimension:
                 ds, 2, epochs=1, shuffle_seed=2
             )
             if on:
-                sched = LookaheadScheduler(dep, planner, lookahead=4, outstanding=2)
+                sched = LookaheadScheduler(dep, planner)
                 dep.attach_prefetch(sched)
                 sched.start()
             results = {0: [], 1: []}

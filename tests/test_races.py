@@ -346,7 +346,7 @@ class TestPrefetchCellRegression:
             for n in range(2)
         }
         planner = ClairvoyantPlanner.from_plans(plans)
-        sched = LookaheadScheduler(dep, planner, lookahead=4, outstanding=2)
+        sched = LookaheadScheduler(dep, planner)
         return dep, sched, plans
 
     def test_unsynchronized_credit_updates_race(self):

@@ -12,7 +12,6 @@ from repro.simcore import (
     Resource,
     SimProfiler,
     SimulationError,
-    StopProcess,
     Store,
 )
 
@@ -65,16 +64,6 @@ def test_process_return_value_via_run():
         return 42
 
     assert env.run(env.process(proc())) == 42
-
-
-def test_stopprocess_return_value():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(1)
-        raise StopProcess(7)
-
-    assert env.run(env.process(proc())) == 7
 
 
 def test_sequential_timeouts_accumulate():
@@ -466,7 +455,7 @@ def _model(env):
     manually triggered event.  Returns the list it logs into."""
     out = []
     res = Resource(env, capacity=2)
-    store = Store(env, capacity=2)
+    store = Store(env)
     n_workers, n_items = 5, 3
 
     def worker(i):

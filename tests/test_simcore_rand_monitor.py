@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.simcore import MetricRegistry, RandomStreams, Series, Tally, stable_hash64
+from repro.simcore import MetricRegistry, RandomStreams, Tally, stable_hash64
 
 
 class TestStableHash:
@@ -100,28 +100,6 @@ class TestRandomStreams:
         assert rs.choice("c", ["only"]) == "only"
 
 
-class TestSeries:
-    def test_record_and_reduce(self):
-        s = Series("lat")
-        for t, v in [(0, 1.0), (1, 3.0), (2, 5.0)]:
-            s.record(t, v)
-        assert s.mean() == 3.0
-        assert s.total() == 9.0
-        assert len(s) == 3
-
-    def test_rate(self):
-        s = Series("tx")
-        for t in range(11):
-            s.record(float(t), 1)
-        assert s.rate() == pytest.approx(1.0)
-
-    def test_empty_series(self):
-        s = Series("e")
-        assert np.isnan(s.mean())
-        assert s.total() == 0.0
-        assert s.rate() == 0.0
-
-
 class TestTally:
     def test_welford_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -156,8 +134,6 @@ class TestMetricRegistry:
         reg = MetricRegistry()
         reg.counter("c").incr()
         reg.tally("t").add(2.0)
-        reg.get_series("s").record(0.0, 1.0)
         snap = reg.snapshot()
         assert snap["c"] == 1
         assert snap["t"]["mean"] == 2.0
-        assert snap["s"]["n"] == 1

@@ -13,6 +13,7 @@ import pytest
 
 from repro.faults import FailureDetector
 from repro.simcore import Environment, Histogram, MetricRegistry, Resource
+from repro.simcore.monitor import _N_BINS
 
 
 class DenseDetector:
@@ -226,4 +227,4 @@ def test_histogram_quantiles_unchanged_by_lazy_bins():
     ]
     got = [h.quantile(q) for q in (0.0, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0)]
     assert got == pytest.approx(expected, rel=1e-12)
-    assert len(h.counts) == h._n_bins + 2 and sum(h.counts) == h.n == 303
+    assert len(h.counts) == _N_BINS + 2 and sum(h.counts) == h.n == 303
