@@ -39,6 +39,7 @@ import os
 import sys
 from collections.abc import Sequence
 
+from ..simcore import CollectorPause
 from .divergence import DivergenceReport, find_first_divergence, fingerprint_run
 from .linter import TreeLint, lint_program, lint_source, lint_tree
 from .program import Program, StaleWaiver, scope_of
@@ -272,7 +273,8 @@ def run_check(
     double-run comparison, and optionally the sim-time race sanitizer.
 
     The static passes share one :class:`Program` over ``paths``: one
-    parse per file, one call graph.  A path that does not exist, a
+    parse per file, one call graph, and one collector pause from the
+    parse through the last of them.  A path that does not exist, a
     named non-``.py`` file, or a file set with no ``.py`` file is a
     usage error (exit 2), so the gate cannot pass by checking nothing.
     """
@@ -280,19 +282,19 @@ def run_check(
     if races_only:
         return run_races(seed=seed, output=races_output)
     if cells_only or not determinism_only:
-        try:
-            program = Program.read(paths or default_lint_roots())
-        except ValueError as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
-    if cells_only:
-        return run_cells(program, output=cells_output)
-    if not determinism_only:
-        rc |= run_lint(program, taint=taint)
-        if perf:
-            rc |= run_perf(program)
-        if cells:
-            rc |= run_cells(program, output=cells_output)
+        with CollectorPause():
+            try:
+                program = Program.read(paths or default_lint_roots())
+            except ValueError as exc:
+                print(f"repro check: error: {exc}", file=sys.stderr)
+                return 2
+            if cells_only:
+                return run_cells(program, output=cells_output)
+            rc |= run_lint(program, taint=taint)
+            if perf:
+                rc |= run_perf(program)
+            if cells:
+                rc |= run_cells(program, output=cells_output)
     if not lint_only:
         rc |= run_determinism(
             seed=seed,

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..simcore import CollectorPause
 from .callgraph import CallGraph
 from .cell_registry import (
     CellDecl,
@@ -280,8 +281,10 @@ def audit_files(program: Program) -> CellAudit:
 
 
 def audit_tree(paths: list[str]) -> CellAudit:
-    """Audit every ``.py`` file under the given files/directories."""
-    return audit_files(Program.read(paths))
+    """Audit every ``.py`` file under the given files/directories, the
+    collector paused from the parse through the last pass."""
+    with CollectorPause():
+        return audit_files(Program.read(paths))
 
 
 def audit_source(source: str, path: str = "<string>") -> list[Violation]:

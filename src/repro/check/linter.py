@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..simcore import CollectorPause
 from .program import Program, StaleWaiver
 from .rules import RULES, Violation, collect_violations
 
@@ -92,8 +93,10 @@ def lint_tree(
     rules: Iterable[str] | None = None,
     taint: bool = False,
 ) -> TreeLint:
-    """Lint every ``.py`` file under the given files/directories."""
-    return lint_program(Program.read(paths), rules=rules, taint=taint)
+    """Lint every ``.py`` file under the given files/directories, the
+    collector paused from the parse through the last pass."""
+    with CollectorPause():
+        return lint_program(Program.read(paths), rules=rules, taint=taint)
 
 
 def lint_source(

@@ -53,6 +53,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from ..simcore import CollectorPause
 from .astwalk import NodeVisitor, walk
 from .callgraph import CallGraph, module_matches, module_name_for
 from .program import Program, SourceFile, StaleWaiver
@@ -718,8 +719,10 @@ def perf_lint_files(program: Program) -> PerfLint:
 
 
 def perf_lint_tree(paths: list[str]) -> PerfLint:
-    """Analyze every ``.py`` file under the given files/directories."""
-    return perf_lint_files(Program.read(paths))
+    """Analyze every ``.py`` file under the given files/directories, the
+    collector paused from the parse through the last pass."""
+    with CollectorPause():
+        return perf_lint_files(Program.read(paths))
 
 
 def perf_lint_source(source: str, path: str = "<string>") -> list[Violation]:

@@ -516,8 +516,3 @@ class HVACServer:
             yield cslot
             yield from self.pfs.read_file(req.path, req.size, self.node_id)
         req.done.succeed()
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self.queue)

@@ -43,6 +43,7 @@ from ..obs import SLOReport, SpanRecorder, compute_slo
 from ..simcore import (
     AllOf,
     AnyOf,
+    CollectorPause,
     Environment,
     EventTrace,
     Interrupt,
@@ -254,8 +255,21 @@ def execute(
     sanitizer=None,
 ) -> Observation:
     """Run one scenario end to end; never raises on scenario behavior
-    (hung epochs are recorded and interrupted, not waited out)."""
-    config = config or InvariantConfig()
+    (hung epochs are recorded and interrupted, not waited out).
+
+    The whole execution, from building the deployment to its teardown,
+    runs under one :class:`CollectorPause`: the finished deployment is
+    cyclic and is freed by the first collection after it."""
+    with CollectorPause():
+        return _execute(scenario, config or InvariantConfig(), trace, sanitizer)
+
+
+def _execute(
+    scenario: Scenario,
+    config: InvariantConfig,
+    trace: EventTrace | None,
+    sanitizer,
+) -> Observation:
     spec = scenario.spec()
     n_nodes = scenario.n_nodes
 

@@ -3,6 +3,7 @@
 from .engine import (
     AllOf,
     AnyOf,
+    CollectorPause,
     Condition,
     Environment,
     Event,
@@ -22,6 +23,7 @@ from .trace import EventRecord, EventTrace, event_label
 __all__ = [
     "AllOf",
     "AnyOf",
+    "CollectorPause",
     "ComponentProfile",
     "Condition",
     "Counter",

@@ -33,6 +33,7 @@ from .monitor import MetricRegistry
 from .trace import event_label
 
 __all__ = [
+    "CollectorPause",
     "Environment",
     "Event",
     "Timeout",
@@ -467,6 +468,32 @@ def _hooks(observers: tuple, name: str) -> tuple:
     )
 
 
+class CollectorPause:
+    """Pause Python's cyclic garbage collector for one unit of work.
+
+    ``with CollectorPause():`` saves :func:`gc.isenabled`, disables the
+    collector and restores the saved state on exit, also when an
+    exception escapes; a caller that had disabled the collector keeps
+    it disabled.  Take it once around work that builds a large,
+    long-lived object graph and leaves (almost) no cyclic garbage: a
+    simulation run, a static check from ``Program.read`` through its
+    last pass, one fuzz execution.  Released between its parts, the
+    collector would sweep the freshly built graph again; see
+    ``docs/INTERNALS.md`` §1, "The collector".
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> "CollectorPause":
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+        return self
+
+    def __exit__(self, exc_type, exc_val, exc_tb) -> None:
+        if self._was_enabled:
+            gc.enable()
+
+
 class Environment:
     """The simulation kernel: clock + event queue + process scheduler."""
 
@@ -567,12 +594,6 @@ class Environment:
     def event(self) -> Event:
         """A bare, manually-triggered event."""
         return Event(self)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling / stepping ----------------------------------------
     def _schedule(self, event: Event, priority: int) -> None:
@@ -676,9 +697,12 @@ class Environment:
         ``until`` may be ``None`` (run until the queue drains), a time,
         or an :class:`Event` (run until it triggers; returns its value).
 
-        The cyclic garbage collector is paused while the loop runs and
-        the caller's state is restored on the way out, even when an
-        unhandled failure escapes.  The hot path makes no cycles
+        An event of another environment raises :class:`SimulationError`.
+
+        The loop runs under a :class:`CollectorPause`: the cyclic
+        garbage collector is off while it runs and the caller's state
+        comes back on the way out, even when an unhandled failure
+        escapes.  The hot path makes no cycles
         (``tests/test_gc_pause.py`` checks it), so a collection mid-run
         would only traverse the reads in flight and find nothing; see
         ``docs/INTERNALS.md`` §1, "The collector".
@@ -689,6 +713,8 @@ class Environment:
         elif isinstance(until, Event):
             stop_evt = until
             stop_at = float("inf")
+            if stop_evt.env is not self:
+                raise SimulationError("Event belongs to a different Environment")
             if stop_evt.callbacks is None:  # already processed
                 if not stop_evt._ok:
                     stop_evt._defused = True
@@ -702,9 +728,7 @@ class Environment:
                     f"until={stop_at} must be greater than now={self._now}"
                 )
 
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with CollectorPause():
             # Hoisted loop-invariant lookups: run() drives every
             # experiment, so the per-step overhead here multiplies by
             # the event count.
@@ -733,6 +757,3 @@ class Environment:
                 # first: a caller waiting out a period must see it pass.
                 self._now = stop_at
             return None
-        finally:
-            if gc_was_enabled:
-                gc.enable()

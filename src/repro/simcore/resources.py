@@ -55,12 +55,6 @@ class Request(_BaseRequest):
     __slots__ = ()
 
 
-class Release(Event):
-    """Event for an explicit release; triggers immediately."""
-
-    __slots__ = ()
-
-
 class Resource:
     """FIFO resource with fixed integer capacity."""
 
@@ -109,13 +103,6 @@ class Resource:
                 self.queue = deque()
             self.queue.append(req)
         return req
-
-    def release(self, request: Request) -> Release:
-        """Explicitly release a granted request."""
-        self._cancel(request)
-        rel = Release(self.env)
-        rel.succeed()
-        return rel
 
     # -- internals -----------------------------------------------------
     def _cancel(self, request: Request) -> None:

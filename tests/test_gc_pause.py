@@ -1,11 +1,16 @@
-"""``Environment.run`` pauses the cyclic collector.
+"""One collector pause per unit of work (``CollectorPause``).
 
-The pause is sound only while the simulation makes no cyclic garbage per
-read: whatever cycles a run leaves must be the fixed cost of tearing a
-deployment down, not a cost that grows with the reads.  The acyclicity
-tests measure that with the collector off, and a toy model with one
-cycle per read shows the measure catches the bad case.  The contract
-tests pin what ``run()`` does to the caller's collector state.
+``Environment.run``, each static-check entry point (``lint_tree``,
+``perf_lint_tree``, ``audit_tree`` and ``run_check``'s static block)
+and each fuzz ``execute`` pause the cyclic collector.  The pause is
+sound only while the work makes no cyclic garbage per unit of input:
+whatever cycles a simulation leaves must be the fixed cost of tearing a
+deployment down, not a cost that grows with the reads, and a static
+pass must leave no more over the whole source tree than over
+``simcore/``.  The acyclicity tests measure that with the collector off,
+and toy passes with one cycle per read or per file show the measures
+catch the bad case.  The contract tests pin what each paused unit does
+to the caller's collector state.
 """
 
 import ast
@@ -14,9 +19,19 @@ import os
 
 import pytest
 
-from repro.check import _epochs_run
+import repro.fuzz.executor
+from repro.check import (
+    Program,
+    _epochs_run,
+    audit_tree,
+    lint_tree,
+    perf_lint_tree,
+    run_check,
+)
 from repro.check.races import membership_smoke
 from repro.experiments import prefetch, tenancy
+from repro.faults import FaultEvent
+from repro.fuzz import Scenario, Workload, execute
 from repro.obs import SpanRecorder
 from repro.simcore import Environment
 
@@ -24,6 +39,12 @@ from .conftest import SRC_ROOT
 
 #: largest growth in cyclic garbage from the smaller run to the larger
 MAX_GROWTH = 1.25
+
+#: most cyclic garbage a static pass over ``src/repro`` may leave beyond
+#: its pass over ``simcore/``.  ``audit_tree`` leaves 88 objects today:
+#: ``ast.literal_eval`` ties 11 closures into a cycle per parsed
+#: ``RACE_CELLS``, and 8 modules outside ``simcore/`` declare one.
+MAX_STATIC_GARBAGE = 128
 
 
 @pytest.fixture
@@ -72,6 +93,25 @@ def _membership(n_files):
     return lambda: membership_smoke(seed=0, n_nodes=4, n_files=n_files)
 
 
+def _fuzz(reads_per_client):
+    """One faulted fuzz execution on the membership stack.  The run
+    keeps the :class:`Observation` it returns, as a campaign does: the
+    observation holds the run's span timeline, which is per-read data by
+    design, not a cycle."""
+    scenario = Scenario(
+        seed=3,
+        n_nodes=4,
+        replication=2,
+        membership=True,
+        n_files=12,
+        mean_file_size=20_000,
+        workload=Workload(clients=(0, 1, 2), reads_per_client=reads_per_client),
+        faults=(FaultEvent(time=0.001, kind="crash", node=1, duration=0.02),),
+    )
+    kept = []
+    return lambda: kept.append(execute(scenario))
+
+
 def _cycle_per_read(n_reads):
     """A toy model whose every read leaves one cycle behind."""
 
@@ -100,6 +140,9 @@ class TestAcyclicity:
         # most easily tie themselves into cycles.
         assert growth(_membership, 12, 96) <= MAX_GROWTH
 
+    def test_fuzz_execution_makes_no_per_read_cycles(self):
+        assert growth(_fuzz, 12, 48) <= MAX_GROWTH
+
     def test_negative_control_one_cycle_per_read_fails_the_measure(self):
         assert growth(_cycle_per_read, 64, 256) > MAX_GROWTH
 
@@ -118,6 +161,57 @@ class TestAcyclicity:
         cyclic_garbage(compare)
         recorders = [o for o in gc.garbage if isinstance(o, SpanRecorder)]
         assert [len(r.events) for r in recorders] == [0] * len(recorders)
+
+
+SIMCORE = os.path.join(SRC_ROOT, "simcore")
+
+
+def _run_check(paths):
+    return run_check(paths, lint_only=True, taint=True, perf=True, cells=True)
+
+
+#: every static-check entry point that holds one pause, by name
+STATIC_ENTRY_POINTS = {
+    "lint_tree": lambda paths: lint_tree(paths, taint=True),
+    "perf_lint_tree": perf_lint_tree,
+    "audit_tree": audit_tree,
+    "run_check": _run_check,
+}
+
+
+def static_growth(check) -> int:
+    """Cyclic garbage of one ``check`` over ``src/repro`` minus one over
+    ``simcore/``.  A first ``simcore/`` pass warms the one-time costs."""
+    check([SIMCORE])
+    small = cyclic_garbage(lambda: check([SIMCORE]))
+    return cyclic_garbage(lambda: check([SRC_ROOT])) - small
+
+
+class _CachingVisitor:
+    """A toy visitor that caches a bound method on itself: a cycle."""
+
+    def __init__(self, path):
+        self.path = path
+        self.visit = self.generic_visit
+
+    def generic_visit(self, node):
+        pass
+
+
+def _cycle_per_file(paths):
+    """A toy static pass whose every file leaves one cycle behind."""
+    for f in Program.read(paths).files:
+        _CachingVisitor(f.path).visit(f.tree)
+
+
+@pytest.mark.usefixtures("collector_off")
+class TestStaticAcyclicity:
+    @pytest.mark.parametrize("name", sorted(STATIC_ENTRY_POINTS))
+    def test_garbage_does_not_grow_with_the_file_count(self, name, capsys):
+        assert static_growth(STATIC_ENTRY_POINTS[name]) <= MAX_STATIC_GARBAGE
+
+    def test_negative_control_one_cycle_per_file_fails_the_measure(self):
+        assert static_growth(_cycle_per_file) > MAX_STATIC_GARBAGE
 
 
 @pytest.fixture
@@ -202,6 +296,127 @@ class TestRunContract:
         outer.run()
         assert seen == [False, False, False]
         assert gc.isenabled()
+
+
+@pytest.fixture
+def unparseable(tmp_path):
+    path = tmp_path / "unparseable.py"
+    path.write_text("def f(:\n")
+    return str(path)
+
+
+COLLECTION = "collection"
+
+
+@pytest.fixture
+def probe_log(monkeypatch):
+    """A log of the collector state at each probe, and of each
+    collection that starts (:data:`COLLECTION`).  ``probe_log.at(obj,
+    name)`` wraps a callable attribute with a probe."""
+
+    class Log(list):
+        def at(self, obj, name):
+            call = getattr(obj, name)
+
+            def probe(*args, **kwargs):
+                self.append(gc.isenabled())
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(obj, name, probe)
+
+    log = Log()
+
+    def note(phase, info):
+        if phase == "start":
+            log.append(COLLECTION)
+
+    gc.callbacks.append(note)
+    try:
+        yield log
+    finally:
+        gc.callbacks.remove(note)
+
+
+def first_to_last_probe(log) -> list:
+    """The log from the first probe through the last: a collection
+    before the unit of work or after its pause is not the unit's."""
+    probes = [i for i, entry in enumerate(log) if entry is not COLLECTION]
+    return log[probes[0] : probes[-1] + 1]
+
+
+@pytest.fixture
+def static_probe(probe_log):
+    """Probes ``Program`` construction and each pass's closing waiver
+    filter, the last step of every pass."""
+    probe_log.at(Program, "__init__")
+    probe_log.at(Program, "waive")
+    return probe_log
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestStaticCheckContract:
+    @pytest.mark.parametrize("name", sorted(STATIC_ENTRY_POINTS))
+    def test_paused_from_the_parse_through_the_last_pass(
+        self, name, static_probe, capsys
+    ):
+        STATIC_ENTRY_POINTS[name]([SIMCORE])
+        span = first_to_last_probe(static_probe)
+        # One parse, then a waiver filter per pass (run_check has three).
+        # A pause per part would let a collection run between them.
+        assert len(span) >= 2
+        assert span == [False] * len(span)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", sorted(set(STATIC_ENTRY_POINTS) - {"run_check"}))
+    def test_restored_after_an_unparseable_file(self, name, unparseable):
+        with pytest.raises(ValueError, match="cannot parse"):
+            STATIC_ENTRY_POINTS[name]([unparseable])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("cells_only", [False, True], ids=["lint", "cells-only"])
+    def test_restored_after_run_check_exits_2(self, cells_only, unparseable, capsys):
+        for paths in ([unparseable], ["no_such_dir"]):
+            assert run_check(paths, lint_only=True, cells_only=cells_only) == 2
+            assert gc.isenabled()
+
+    def test_cells_only_returns_from_inside_the_pause(self, static_probe, capsys):
+        assert run_check([SIMCORE], cells_only=True) == 0
+        span = first_to_last_probe(static_probe)
+        assert len(span) == 2 and span == [False, False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", sorted(STATIC_ENTRY_POINTS))
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(
+        self, name, capsys
+    ):
+        gc.disable()
+        STATIC_ENTRY_POINTS[name]([SIMCORE])
+        assert not gc.isenabled()
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestExecuteContract:
+    def test_paused_from_the_build_through_the_last_step(self, probe_log):
+        # execute builds the deployment first and reduces the spans last
+        probe_log.at(repro.fuzz.executor, "HVACDeployment")
+        probe_log.at(repro.fuzz.executor, "compute_slo")
+        _fuzz(4)()
+        assert first_to_last_probe(probe_log) == [False, False]
+        assert gc.isenabled()
+
+    def test_restored_when_an_exception_escapes(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(repro.fuzz.executor, "compute_slo", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            _fuzz(4)()
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self):
+        gc.disable()
+        _fuzz(4)()
+        assert not gc.isenabled()
 
 
 def _references_gc(tree: ast.AST) -> bool:

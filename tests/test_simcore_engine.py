@@ -441,6 +441,25 @@ def test_cross_environment_event_rejected():
         env1.run()
 
 
+@pytest.mark.parametrize("processed", [False, True], ids=["pending", "processed"])
+def test_run_until_a_foreign_event_is_rejected(processed):
+    env, other = Environment(), Environment()
+    foreign = other.timeout(1, value="x")
+    if processed:
+        other.run()
+    ran = []
+
+    def proc():
+        yield env.timeout(5)
+        ran.append(env.now)
+
+    env.process(proc())
+    with pytest.raises(SimulationError, match="different Environment"):
+        env.run(until=foreign)
+    assert env.now == 0.0
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # Bare runs match observed runs.  Every observed run goes through step()
 # and the scheduling sites' observer branch, so the fingerprint oracle

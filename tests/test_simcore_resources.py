@@ -77,7 +77,7 @@ def test_explicit_release():
         req = res.request()
         yield req
         yield env.timeout(2)
-        res.release(req)
+        req.cancel()
         log.append(("a-released", env.now))
         yield env.timeout(10)
 
