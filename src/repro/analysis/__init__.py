@@ -2,7 +2,6 @@
 
 from .charts import ascii_chart
 from .dashboard import count_strip, degradation_dashboard, degradation_strip
-from .persist import load_results, save_results, to_jsonable
 from .stats import MeanCI, empirical_cdf, gini, load_imbalance, mean_ci
 from .tables import format_kv, format_series, format_table
 
@@ -15,9 +14,6 @@ __all__ = [
     "format_kv",
     "format_series",
     "format_table",
-    "load_results",
-    "save_results",
-    "to_jsonable",
     "gini",
     "load_imbalance",
     "MeanCI",

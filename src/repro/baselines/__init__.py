@@ -4,7 +4,6 @@ from .setups import (
     SYSTEM_SETUPS,
     GPFSSetup,
     HVACSetup,
-    LPCCLikeSetup,
     StorageSetup,
     SystemHandle,
     XFSSetup,
@@ -13,7 +12,6 @@ from .setups import (
 __all__ = [
     "GPFSSetup",
     "HVACSetup",
-    "LPCCLikeSetup",
     "StorageSetup",
     "SystemHandle",
     "SYSTEM_SETUPS",

@@ -5,10 +5,7 @@ Each setup builds one of the systems the paper compares —
 * **GPFS** — every transaction goes to the shared PFS;
 * **XFS-on-NVMe** — the dataset is fully staged to every node's NVMe
   before the run; the linear-scaling upper bound;
-* **HVAC(i×1)** — the proposed cache with ``i`` server instances/node;
-* **LPCC-like** — a single-node read-only client cache (the Lustre
-  LPCC comparison point from §II-D): hits only from the local NVMe,
-  no remote peers, so cache capacity = one NVMe, not the aggregate
+* **HVAC(i×1)** — the proposed cache with ``i`` server instances/node
 
 — behind one interface: ``backend_for_node(node_id) -> FileBackend``.
 Experiments and benchmarks construct a setup, hand its backends to a
@@ -33,7 +30,6 @@ __all__ = [
     "GPFSSetup",
     "XFSSetup",
     "HVACSetup",
-    "LPCCLikeSetup",
     "SYSTEM_SETUPS",
 ]
 
@@ -181,35 +177,6 @@ class HVACSetup(StorageSetup):
         )
         pfs = _make_pfs(env, spec, n_nodes)
         dep = HVACDeployment(alloc, pfs, seed=seed)
-        return SystemHandle(
-            label=self.label,
-            backend_for_node=dep.client,
-            metrics=env.metrics,
-            teardown=dep.teardown,
-            pfs=pfs,
-            deployment=dep,
-        )
-
-
-class LPCCLikeSetup(StorageSetup):
-    """LPCC-style single-node read cache (§II-D comparison point).
-
-    Implemented as an HVAC deployment whose placement pins every file to
-    the reading node: hits come only from local NVMe, capacity is one
-    device, and there is no cross-node aggregation — the two limitations
-    the paper calls out for LPCC.
-    """
-
-    label = "LPCC-like"
-
-    def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        alloc = Allocation(
-            env, spec, n_nodes, rand=RandomStreams(seed).child("cluster")
-        )
-        pfs = _make_pfs(env, spec, n_nodes)
-        dep = HVACDeployment.with_locality_split(
-            alloc, pfs, local_fraction=1.0, seed=seed
-        )
         return SystemHandle(
             label=self.label,
             backend_for_node=dep.client,

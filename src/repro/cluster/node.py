@@ -67,11 +67,3 @@ class Allocation:
 
     def __getitem__(self, node_id: int) -> ComputeNode:
         return self.nodes[node_id]
-
-    @property
-    def aggregate_nvme_capacity(self) -> int:
-        return sum(n.nvme.spec.capacity_bytes for n in self.nodes)
-
-    @property
-    def aggregate_nvme_read_bandwidth(self) -> float:
-        return sum(n.nvme.spec.read_bandwidth for n in self.nodes)

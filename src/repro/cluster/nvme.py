@@ -124,8 +124,3 @@ class NVMeDevice:
             with self._bandwidth.request() as bw:
                 yield bw
                 yield self.env.timeout(nbytes * self._slow_factor / bandwidth)
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently holding a queue slot."""
-        return self._queue.count

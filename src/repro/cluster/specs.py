@@ -47,6 +47,27 @@ GB = 1000**3
 TB = 1000**4
 
 
+def _positive(spec: object, *names: str) -> None:
+    """Raise unless every named field is > 0 (so NaN fails too)."""
+    for name in names:
+        if not getattr(spec, name) > 0:
+            raise ValueError(f"{type(spec).__name__}.{name} must be > 0")
+
+
+def _non_negative(spec: object, *names: str) -> None:
+    """Raise unless every named field is >= 0 (so NaN fails too)."""
+    for name in names:
+        if not getattr(spec, name) >= 0:
+            raise ValueError(f"{type(spec).__name__}.{name} must be >= 0")
+
+
+def _at_least_one(spec: object, *names: str) -> None:
+    """Raise unless every named count is >= 1."""
+    for name in names:
+        if not getattr(spec, name) >= 1:
+            raise ValueError(f"{type(spec).__name__}.{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class NVMeSpec:
     """A node-local NVMe SSD (Summit: 1.6 TB Samsung PM1725a, XFS)."""
@@ -61,8 +82,11 @@ class NVMeSpec:
     fs_open_close_latency: float = 15e-6
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.read_bandwidth <= 0:
-            raise ValueError("NVMe capacity and bandwidth must be positive")
+        _positive(self, "capacity_bytes", "read_bandwidth", "write_bandwidth")
+        _non_negative(
+            self, "read_latency", "write_latency", "fs_open_close_latency"
+        )
+        _at_least_one(self, "queue_depth")
 
 
 @dataclass(frozen=True)
@@ -85,10 +109,14 @@ class NetworkSpec:
     rack_uplink_bandwidth: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.nic_bandwidth <= 0:
-            raise ValueError("NIC bandwidth must be positive")
-        if self.rack_size < 0 or self.rack_uplink_bandwidth < 0:
-            raise ValueError("rack parameters must be >= 0")
+        _positive(self, "nic_bandwidth", "loopback_bandwidth")
+        _non_negative(
+            self,
+            "link_latency",
+            "per_message_overhead",
+            "rack_size",
+            "rack_uplink_bandwidth",
+        )
 
 
 @dataclass(frozen=True)
@@ -129,12 +157,20 @@ class PFSSpec:
     #: n_data_servers / (overhead + transfer) — high enough that small
     #: files stay metadata-bound, as on the real system.
     data_server_overhead: float = 100e-6
-    #: concurrent requests a single data server can overlap
-    data_server_concurrency: int = 48
-    #: concurrent RPCs a single MDS can overlap (token server threads)
-    mds_concurrency: int = 16
     #: client-side software path length per call (GPFS client daemon)
     client_overhead: float = 25e-6
+
+    def __post_init__(self) -> None:
+        _at_least_one(self, "n_metadata_servers", "n_data_servers", "stripe_size")
+        _positive(self, "metadata_ops_per_sec", "data_server_bandwidth")
+        _non_negative(
+            self,
+            "ops_per_open",
+            "ops_per_close",
+            "data_latency",
+            "data_server_overhead",
+            "client_overhead",
+        )
 
     @property
     def aggregate_bandwidth(self) -> float:
@@ -150,8 +186,6 @@ class NodeSpec:
     """A compute node (Summit AC922, Table I)."""
 
     n_gpus: int = 6
-    n_cores: int = 44  # 2 × POWER9 22 cores
-    memory_bytes: int = 512 * GiB
     nvme: NVMeSpec = field(default_factory=NVMeSpec)
 
 
@@ -304,12 +338,6 @@ class ClusterSpec:
         """A copy with HVAC tunables overridden."""
         return replace(self, hvac=replace(self.hvac, **kwargs))
 
-    def with_pfs(self, **kwargs) -> "ClusterSpec":
-        return replace(self, pfs=replace(self.pfs, **kwargs))
-
-    def with_network(self, **kwargs) -> "ClusterSpec":
-        return replace(self, network=replace(self.network, **kwargs))
-
 
 #: Summit / Alpine as evaluated in the paper.
 SUMMIT = ClusterSpec()
@@ -321,7 +349,6 @@ FRONTIER = ClusterSpec(
     total_nodes=9408,
     node=NodeSpec(
         n_gpus=8,
-        n_cores=64,
         nvme=NVMeSpec(
             capacity_bytes=int(3.84e12),
             read_bandwidth=11e9,
@@ -344,7 +371,6 @@ TESTING = ClusterSpec(
     total_nodes=16,
     node=NodeSpec(
         n_gpus=1,
-        n_cores=4,
         nvme=NVMeSpec(
             capacity_bytes=10_000_000,
             read_bandwidth=1e9,

@@ -54,8 +54,9 @@ class CachePrefetcher:
             home = placement.home(path)
             self._per_server.setdefault(home, []).append((path, int(size)))
         self._proc: Optional[Process] = None
-        self.files_prefetched = 0
-        self.bytes_prefetched = 0
+        scope = deployment.metrics.scope("prefetch")
+        self._m_staged = scope.counter("staged_files")
+        self._m_staged_bytes = scope.counter("staged_bytes")
 
     # -- driving -----------------------------------------------------------
     def start(self) -> Process:
@@ -115,10 +116,8 @@ class CachePrefetcher:
             )
             yield server.queue.put(req)
             outstanding.append(req.done)
-            # race: waive RACE201 -- commutative counter increment; worker order never surfaces
-            self.files_prefetched += 1
-            # race: waive RACE201 -- commutative counter increment
-            self.bytes_prefetched += size
+            self._m_staged.incr()
+            self._m_staged_bytes.incr(size)
         while outstanding:
             try:
                 yield outstanding.pop(0)

@@ -48,10 +48,6 @@ class DatasetSpec:
     size_sigma: float
     pfs_dir: str = "/gpfs/alpine/dataset"
 
-    @property
-    def total_train_bytes(self) -> float:
-        return self.n_train_files * self.mean_file_bytes
-
     def scaled_to(self, n_files: int) -> "DatasetSpec":
         """Same distribution, fewer files (validation scales along)."""
         if n_files < 1:

@@ -13,7 +13,6 @@ Reproduces the access pattern that makes DL I/O hard for a PFS:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -28,12 +27,6 @@ class Shard:
 
     rank: int
     indices: np.ndarray  # file indices, in read order
-
-    def batches(self, batch_size: int) -> Iterator[np.ndarray]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        for start in range(0, len(self.indices), batch_size):
-            yield self.indices[start : start + batch_size]
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -47,12 +47,6 @@ class Scale:
     #: saturated systems from small per-rank samples.
     epoch_estimator: str = "barrier"
 
-    def smaller(self) -> "Scale":
-        """A unit-test-sized variant."""
-        return replace(
-            self, files_per_rank=4, sim_batch_size=2, repetitions=1, procs_per_node=2
-        )
-
 
 def resolve_setup(system: str | StorageSetup) -> StorageSetup:
     if isinstance(system, StorageSetup):

@@ -300,7 +300,7 @@ def _run_mode(
     oc.hit_rate = dep.hit_rate()
     oc.decompress_seconds = _decompress_seconds(dep)
     if scheduler is not None:
-        oc.files_staged = scheduler.files_staged
+        oc.files_staged = m.counter("prefetch.staged_files").value
         oc.invalidations = len(scheduler.invalidated)
         oc.divergences = m.counter("prefetch.divergences").value
     dep.teardown()

@@ -112,12 +112,6 @@ class FaultSchedule:
     def __add__(self, other: "FaultSchedule") -> "FaultSchedule":
         return FaultSchedule(self.events + other.events)
 
-    def shifted(self, dt: float) -> "FaultSchedule":
-        """The same schedule with every onset moved ``dt`` later."""
-        from dataclasses import replace
-
-        return FaultSchedule([replace(e, time=e.time + dt) for e in self.events])
-
     def describe(self) -> str:
         if not self.events:
             return "(no faults)"

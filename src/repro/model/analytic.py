@@ -44,10 +44,6 @@ class EpochPrediction:
     bottleneck: str
     achieved_files_per_sec: float
 
-    @property
-    def epoch_minutes(self) -> float:
-        return self.epoch_seconds / 60.0
-
 
 class AnalyticModel:
     """Bottleneck analysis for one (cluster, model, dataset, scale) tuple."""

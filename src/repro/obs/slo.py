@@ -106,10 +106,6 @@ class SLOReport:
     tenants: dict[int, EntitySLO] = field(default_factory=dict)
     totals: EntitySLO = field(default_factory=lambda: EntitySLO("total"))
 
-    def window_times(self) -> list[float]:
-        """Window midpoints of the totals row (chart x-axis)."""
-        return [(w.t0 + w.t1) / 2.0 for w in self.totals.windows]
-
 
 def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
     if not latencies:

@@ -33,10 +33,6 @@ class ReplayResult:
     think_time: float
     n_transactions: int
 
-    @property
-    def mean_transaction_latency(self) -> float:
-        return self.io_time / self.n_transactions if self.n_transactions else 0.0
-
 
 def replay_trace(
     env: Environment,

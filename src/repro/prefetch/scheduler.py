@@ -106,8 +106,6 @@ class LookaheadScheduler:
         self._started = False
         #: servers whose plan slice a fault invalidated
         self.invalidated: set[int] = set()
-        self.files_staged = 0
-        self.bytes_staged = 0
         scope = deployment.metrics.scope("prefetch")
         self._m_staged = scope.counter("staged_files")
         self._m_staged_bytes = scope.counter("staged_bytes")
@@ -139,10 +137,6 @@ class LookaheadScheduler:
         """End staging: parked workers drain and exit."""
         self._stopped = True
         self._wake_all()
-
-    @property
-    def plan_valid(self) -> bool:
-        return not self.invalidated
 
     # -- demand notifications ----------------------------------------------
     def on_demand_read(self, key, path: str) -> None:
@@ -276,8 +270,6 @@ class LookaheadScheduler:
                 done=env.event(),
             )
             yield server.queue.put(req)
-            self.files_staged += 1
-            self.bytes_staged += size
             self._m_staged.incr()
             self._m_staged_bytes.incr(size)
             window.append(

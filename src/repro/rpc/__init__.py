@@ -1,5 +1,5 @@
 """Mercury-like RPC + bulk transfer substrate."""
 
-from .endpoint import BulkHandle, RPCEndpoint, RPCError, RPCTimeout
+from .endpoint import RPCEndpoint, RPCError, RPCTimeout
 
-__all__ = ["BulkHandle", "RPCEndpoint", "RPCError", "RPCTimeout"]
+__all__ = ["RPCEndpoint", "RPCError", "RPCTimeout"]

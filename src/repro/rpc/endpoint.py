@@ -19,13 +19,12 @@ how a Mercury progress loop hands work to server threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from ..cluster import Fabric
 from ..simcore import Environment, Event, SimulationError
 
-__all__ = ["RPCEndpoint", "RPCError", "RPCTimeout", "BulkHandle"]
+__all__ = ["RPCEndpoint", "RPCError", "RPCTimeout"]
 
 #: wire size of an RPC header (op id, cookies, bulk descriptors)
 _HEADER_BYTES = 192
@@ -39,14 +38,6 @@ class RPCError(Exception):
 
 class RPCTimeout(RPCError):
     """The call did not complete within the caller's deadline."""
-
-
-@dataclass(frozen=True)
-class BulkHandle:
-    """Descriptor for an exposed remote buffer (RDMA registration)."""
-
-    node_id: int
-    nbytes: int
 
 
 class RPCEndpoint:
@@ -319,11 +310,6 @@ class RPCEndpoint:
         done.succeed((True, value, reply_extra))
 
     # -- bulk ------------------------------------------------------------
-    def bulk_pull(self, handle: BulkHandle) -> Generator:
-        """RDMA-read the remote buffer described by ``handle`` to here."""
-        yield self.env.timeout(_BULK_SETUP)
-        yield from self.fabric.transfer(handle.node_id, self.node_id, handle.nbytes)
-
     def bulk_push(self, dst_node: int, nbytes: int) -> Generator:
         """RDMA-write ``nbytes`` from here into an exposed buffer on ``dst_node``."""
         yield self.env.timeout(_BULK_SETUP)

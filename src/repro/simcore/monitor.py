@@ -265,16 +265,6 @@ class MetricRegistry:
         """A nestable dotted-prefix view (see :class:`MetricScope`)."""
         return MetricScope(self, prefix)
 
-    def under(self, prefix: str) -> dict[str, object]:
-        """Every collector whose name sits under ``prefix.``."""
-        dot = prefix + "."
-        out: dict[str, object] = {}
-        for pool in (self.counters, self.tallies, self.histograms):
-            for name, collector in pool.items():
-                if name.startswith(dot) or name == prefix:
-                    out[name] = collector
-        return out
-
     def snapshot(self) -> dict:
         """A plain-dict view of every collector (for result records)."""
         out: dict = {}

@@ -20,6 +20,7 @@ read transactions the paper's Figures 3–4 do.
 
 from __future__ import annotations
 
+import abc
 from typing import Generator
 
 from ..cluster.specs import PFSSpec
@@ -81,78 +82,61 @@ class _DataServer:
             yield self.env.timeout(self.overhead + nbytes / self.bandwidth)
 
 
-class GPFS(FileBackend):
-    """The shared parallel file system, sized by a :class:`PFSSpec`."""
+class _StripedFS(FileBackend):
+    """The read path GPFS and Lustre share.
+
+    A read fetches the stripes it covers in parallel from their data
+    servers while the client node's own storage-network link bounds
+    delivery.  A subclass supplies the layout: :meth:`layout_of` (stripe
+    count and size of a file) and ``_server_for`` (the index into
+    ``_servers`` of a file's ``i``-th stripe).
+    """
 
     def __init__(
         self,
         env: Environment,
-        spec: PFSSpec,
+        spec,
+        scope: str,
+        servers: list[_DataServer],
         n_client_nodes: int,
         client_link_bandwidth: float,
     ):
         self.env = env
         self.spec = spec
         self.metrics = env.metrics
-        self._scope = self.metrics.scope("gpfs")
-        self._mds = [
-            _MetadataServer(env, spec.metadata_ops_per_sec)
-            for _ in range(spec.n_metadata_servers)
-        ]
-        self._nsd = [
-            _DataServer(
-                env,
-                spec.data_latency,
-                spec.data_server_overhead,
-                spec.data_server_bandwidth,
-            )
-            for _ in range(spec.n_data_servers)
-        ]
+        self._scope = self.metrics.scope(scope)
+        self._servers = servers
         # One storage-network link per client node (shared by all the
-        # node's processes): GPFS traffic rides the node NIC.
+        # node's processes): PFS traffic rides the node NIC.
         self._client_links = [Resource(env, capacity=1) for _ in range(n_client_nodes)]
         self._client_bw = client_link_bandwidth
 
-    # -- placement -------------------------------------------------------
-    def mds_for(self, path: str) -> int:
-        return stable_hash64("gpfs-mds", path) % len(self._mds)
+    @abc.abstractmethod
+    def layout_of(self, size: int) -> tuple[int, int]:
+        """``(stripe_count, stripe_size)`` of a ``size``-byte file."""
 
-    def nsd_for(self, path: str, stripe_index: int) -> int:
-        # GPFS round-robins stripes from a per-file random start.
-        start = stable_hash64("gpfs-nsd", path) % len(self._nsd)
-        return (start + stripe_index) % len(self._nsd)
-
-    def stripes_of(self, size: int) -> int:
-        return max(1, -(-size // self.spec.stripe_size))
-
-    # -- FileBackend -------------------------------------------------------
-    def open(self, path: str, size: int, client_node: int) -> Generator:
-        """Lookup + read-token acquisition at the owning MDS."""
-        t0 = self.env.now
-        yield self.env.timeout(self.spec.client_overhead)
-        yield from self._mds[self.mds_for(path)].do_ops(self.spec.ops_per_open)
-        self._scope.counter("opens").incr()
-        self._scope.tally("open_seconds").add(self.env.now - t0)
-        return OpenFile(path=path, size=size, backend=self, client_node=client_node)
+    @abc.abstractmethod
+    def _server_for(self, path: str, stripe_index: int) -> int:
+        """Index into ``_servers`` of the file's ``stripe_index``-th stripe."""
 
     def read(self, handle: OpenFile, nbytes: int) -> Generator:
-        """Fetch the stripes covering ``nbytes`` from their NSD servers."""
+        """Fetch the stripes covering ``nbytes`` from their data servers."""
         if handle.closed:
             raise ValueError(f"read on closed handle {handle.path}")
         nbytes = min(nbytes, handle.size - handle.offset)
         if nbytes <= 0:
             return 0
         t0 = self.env.now
-        spec = self.spec
-        first = handle.offset // spec.stripe_size
-        last = (handle.offset + nbytes - 1) // spec.stripe_size
+        stripe_count, stripe_size = self.layout_of(handle.size)
+        first = handle.offset // stripe_size
+        last = (handle.offset + nbytes - 1) // stripe_size
 
         # Stripe fetches proceed in parallel on their servers …
         fetches = []
         for stripe in range(first, last + 1):
-            lo = max(handle.offset, stripe * spec.stripe_size)
-            hi = min(handle.offset + nbytes, (stripe + 1) * spec.stripe_size)
-            server = self._nsd[self.nsd_for(handle.path, stripe)]
+            lo = max(handle.offset, stripe * stripe_size)
+            hi = min(handle.offset + nbytes, (stripe + 1) * stripe_size)
+            server = self._servers[self._server_for(handle.path, stripe % stripe_count)]
             fetches.append(self.env.process(server.serve(hi - lo)))
         # … while the client's own link constrains total delivery.
         link = self._client_links[handle.client_node]
@@ -167,6 +151,61 @@ class GPFS(FileBackend):
         self._scope.histogram("read_seconds").add(self.env.now - t0)
         return nbytes
 
+    @property
+    def aggregate_bandwidth(self) -> float:
+        return self.spec.aggregate_bandwidth
+
+
+class GPFS(_StripedFS):
+    """The shared parallel file system, sized by a :class:`PFSSpec`."""
+
+    def __init__(
+        self,
+        env: Environment,
+        spec: PFSSpec,
+        n_client_nodes: int,
+        client_link_bandwidth: float,
+    ):
+        self._mds = [
+            _MetadataServer(env, spec.metadata_ops_per_sec)
+            for _ in range(spec.n_metadata_servers)
+        ]
+        nsd = [
+            _DataServer(
+                env,
+                spec.data_latency,
+                spec.data_server_overhead,
+                spec.data_server_bandwidth,
+            )
+            for _ in range(spec.n_data_servers)
+        ]
+        super().__init__(env, spec, "gpfs", nsd, n_client_nodes, client_link_bandwidth)
+
+    # -- placement -------------------------------------------------------
+    def mds_for(self, path: str) -> int:
+        return stable_hash64("gpfs-mds", path) % len(self._mds)
+
+    def nsd_for(self, path: str, stripe_index: int) -> int:
+        # GPFS round-robins stripes from a per-file random start.
+        start = stable_hash64("gpfs-nsd", path) % len(self._servers)
+        return (start + stripe_index) % len(self._servers)
+
+    _server_for = nsd_for
+
+    def layout_of(self, size: int) -> tuple[int, int]:
+        """Every file is striped round-robin over all the NSD servers."""
+        return len(self._servers), self.spec.stripe_size
+
+    # -- FileBackend -------------------------------------------------------
+    def open(self, path: str, size: int, client_node: int) -> Generator:
+        """Lookup + read-token acquisition at the owning MDS."""
+        t0 = self.env.now
+        yield self.env.timeout(self.spec.client_overhead)
+        yield from self._mds[self.mds_for(path)].do_ops(self.spec.ops_per_open)
+        self._scope.counter("opens").incr()
+        self._scope.tally("open_seconds").add(self.env.now - t0)
+        return OpenFile(path=path, size=size, backend=self, client_node=client_node)
+
     def close(self, handle: OpenFile) -> Generator:
         """Token release at the owning MDS."""
         if handle.closed:
@@ -176,10 +215,6 @@ class GPFS(FileBackend):
         self._scope.counter("closes").incr()
 
     # -- capacity questions ----------------------------------------------
-    @property
-    def aggregate_bandwidth(self) -> float:
-        return self.spec.aggregate_bandwidth
-
     @property
     def aggregate_metadata_ops(self) -> float:
         return self.spec.aggregate_metadata_ops

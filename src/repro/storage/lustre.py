@@ -26,14 +26,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Generator
 
-from ..simcore import (
-    AllOf,
-    Environment,
-    Resource,
-    stable_hash64,
-)
-from .base import FileBackend, OpenFile
-from .gpfs import _DataServer, _MetadataServer
+from ..cluster.specs import _at_least_one, _non_negative, _positive
+from ..simcore import Environment, stable_hash64
+from .base import OpenFile
+from .gpfs import _DataServer, _MetadataServer, _StripedFS
 
 __all__ = ["LustreSpec", "Lustre"]
 
@@ -63,6 +59,22 @@ class LustreSpec:
     ost_request_overhead: float = 100e-6
     client_overhead: float = 20e-6
 
+    def __post_init__(self) -> None:
+        _at_least_one(
+            self, "n_mds", "n_oss", "osts_per_oss", "stripe_count", "stripe_size"
+        )
+        _positive(self, "mds_ops_per_sec", "ost_bandwidth")
+        _non_negative(
+            self,
+            "ops_per_open",
+            "ops_per_close",
+            "client_lock_cache",
+            "stripe_threshold",
+            "data_latency",
+            "ost_request_overhead",
+            "client_overhead",
+        )
+
     @property
     def n_osts(self) -> int:
         return self.n_oss * self.osts_per_oss
@@ -76,7 +88,7 @@ class LustreSpec:
         return self.n_mds * self.mds_ops_per_sec
 
 
-class Lustre(FileBackend):
+class Lustre(_StripedFS):
     """The Lustre personality; drop-in wherever GPFS is used."""
 
     def __init__(
@@ -86,13 +98,10 @@ class Lustre(FileBackend):
         n_client_nodes: int,
         client_link_bandwidth: float,
     ):
-        self.env = env
-        self.spec = spec
-        self.metrics = env.metrics
         self._mds = [
             _MetadataServer(env, spec.mds_ops_per_sec) for _ in range(spec.n_mds)
         ]
-        self._osts = [
+        osts = [
             _DataServer(
                 env,
                 spec.data_latency,
@@ -101,8 +110,9 @@ class Lustre(FileBackend):
             )
             for _ in range(spec.n_osts)
         ]
-        self._client_links = [Resource(env, capacity=1) for _ in range(n_client_nodes)]
-        self._client_bw = client_link_bandwidth
+        super().__init__(
+            env, spec, "lustre", osts, n_client_nodes, client_link_bandwidth
+        )
         # Per-client-node ldlm lock caches: path -> None, LRU order.
         self._lock_caches: list[OrderedDict] = [
             OrderedDict() for _ in range(n_client_nodes)
@@ -113,8 +123,10 @@ class Lustre(FileBackend):
         return stable_hash64("lustre-mds", path) % len(self._mds)
 
     def ost_for(self, path: str, stripe_index: int) -> int:
-        start = stable_hash64("lustre-ost", path) % len(self._osts)
-        return (start + stripe_index) % len(self._osts)
+        start = stable_hash64("lustre-ost", path) % len(self._servers)
+        return (start + stripe_index) % len(self._servers)
+
+    _server_for = ost_for
 
     def layout_of(self, size: int) -> tuple[int, int]:
         """(stripe_count, stripe_size) per the PFL-style policy."""
@@ -144,39 +156,13 @@ class Lustre(FileBackend):
         yield self.env.timeout(self.spec.client_overhead)
         if self._lock_cached(client_node, path):
             # ldlm lock still held by this client: no MDS round-trip.
-            self.metrics.counter("lustre.lock_hits").incr()
+            self._scope.counter("lock_hits").incr()
         else:
             yield from self._mds[self.mds_for(path)].do_ops(self.spec.ops_per_open)
             self._lock_insert(client_node, path)
-            self.metrics.counter("lustre.lock_misses").incr()
-        self.metrics.counter("lustre.opens").incr()
+            self._scope.counter("lock_misses").incr()
+        self._scope.counter("opens").incr()
         return OpenFile(path=path, size=size, backend=self, client_node=client_node)
-
-    def read(self, handle: OpenFile, nbytes: int) -> Generator:
-        if handle.closed:
-            raise ValueError(f"read on closed handle {handle.path}")
-        nbytes = min(nbytes, handle.size - handle.offset)
-        if nbytes <= 0:
-            return 0
-        stripe_count, stripe_size = self.layout_of(handle.size)
-
-        fetches = []
-        first = handle.offset // stripe_size
-        last = (handle.offset + nbytes - 1) // stripe_size
-        for stripe in range(first, last + 1):
-            lo = max(handle.offset, stripe * stripe_size)
-            hi = min(handle.offset + nbytes, (stripe + 1) * stripe_size)
-            ost = self._osts[self.ost_for(handle.path, stripe % stripe_count)]
-            fetches.append(self.env.process(ost.serve(hi - lo)))
-        link = self._client_links[handle.client_node]
-        with link.request() as slot:
-            yield slot
-            yield self.env.timeout(nbytes / self._client_bw)
-        yield AllOf(self.env, fetches)
-        handle.offset += nbytes
-        self.metrics.counter("lustre.reads").incr()
-        self.metrics.tally("lustre.read_bytes").add(nbytes)
-        return nbytes
 
     def close(self, handle: OpenFile) -> Generator:
         if handle.closed:
@@ -190,8 +176,4 @@ class Lustre(FileBackend):
             yield from self._mds[self.mds_for(handle.path)].do_ops(
                 self.spec.ops_per_close
             )
-        self.metrics.counter("lustre.closes").incr()
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        return self.spec.aggregate_bandwidth
+        self._scope.counter("closes").incr()

@@ -113,9 +113,6 @@ class TenantCacheArbiter:
             return 0
         return int(self.cache.capacity_bytes * w / self._total_weight)
 
-    def resident_bytes(self, tenant: int) -> int:
-        return self._used_by.get(tenant, 0)
-
     def _resolve(self, tenant: Optional[int], path: str) -> Optional[int]:
         if tenant is None and self.resolver is not None:
             tenant = self.resolver(path)

@@ -75,14 +75,6 @@ class TenantFleet:
         )
 
     # -- fleet-wide queries -------------------------------------------------
-    def resident_bytes(self, tenant_id: int) -> int:
-        """Bytes ``tenant_id`` has cached across every server."""
-        return self.ledger.used_bytes(tenant_id)
-
     def occupancy(self) -> dict[int, int]:
         """Per-tenant resident bytes (the partition table the report prints)."""
         return {tid: self.ledger.used_bytes(tid) for tid in sorted(self.tenants)}
-
-    def tenant_client_keys(self) -> list[tuple[int, int]]:
-        """(node, tenant) keys of every tenant client built so far."""
-        return sorted(k for k in self.dep._clients if isinstance(k, tuple))

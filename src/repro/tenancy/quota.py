@@ -76,9 +76,6 @@ class QuotaLedger:
         self._used_files[tid] = 0
         self._refusals[tid] = 0
 
-    def knows(self, tenant: int) -> bool:
-        return tenant in self._cells
-
     # -- queries -----------------------------------------------------------
     def used_bytes(self, tenant: int) -> int:
         return self._used_bytes.get(tenant, 0)

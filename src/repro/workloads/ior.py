@@ -53,10 +53,6 @@ class IORResult:
         """bytes/s across all ranks."""
         return self.config.total_bytes / self.elapsed if self.elapsed > 0 else 0.0
 
-    @property
-    def per_node_bandwidth(self) -> float:
-        return self.aggregate_bandwidth / self.config.n_nodes
-
 
 def run_ior(
     env: Environment,

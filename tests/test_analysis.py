@@ -160,45 +160,3 @@ class TestAsciiChart:
 
         out = ascii_chart([1, 2, 3], {"flat": [5, 5, 5]})
         assert "o flat" in out
-
-
-class TestPersistence:
-    def test_roundtrip_figure_result(self, tmp_path):
-        from repro.analysis import load_results, save_results
-        from repro.experiments import SMALL_FILE, mdtest_scaling_analytic
-
-        res = mdtest_scaling_analytic(SMALL_FILE, [1, 4])
-        target = tmp_path / "fig3.json"
-        save_results(res, str(target), label="fig3")
-        loaded = load_results(str(target))
-        assert loaded["label"] == "fig3"
-        assert loaded["data"]["node_counts"] == [1, 4]
-        assert "GPFS" in loaded["data"]["tx_per_sec"]
-
-    def test_ndarray_and_numpy_scalars(self, tmp_path):
-        import numpy as np
-
-        from repro.analysis import save_results, load_results
-
-        payload = {"arr": np.arange(3), "i": np.int64(7), "f": np.float32(0.5)}
-        target = tmp_path / "x.json"
-        save_results(payload, str(target))
-        loaded = load_results(str(target))["data"]
-        assert loaded == {"arr": [0, 1, 2], "i": 7, "f": 0.5}
-
-    def test_training_result_serializes(self, tmp_path):
-        from repro.analysis import save_results, load_results
-        from repro.dl import TrainingResult
-
-        res = TrainingResult(config_label="c", system_label="s")
-        res.epoch_times = [3.0, 1.0]
-        target = tmp_path / "t.json"
-        save_results(res, str(target))
-        loaded = load_results(str(target))["data"]
-        assert loaded["epoch_times"] == [3.0, 1.0]
-
-    def test_unserializable_raises(self):
-        from repro.analysis import to_jsonable
-
-        with pytest.raises(TypeError):
-            to_jsonable(object())

@@ -6,7 +6,6 @@ from repro.baselines import (
     SYSTEM_SETUPS,
     GPFSSetup,
     HVACSetup,
-    LPCCLikeSetup,
     XFSSetup,
 )
 from repro.cluster import SUMMIT, TESTING
@@ -54,21 +53,6 @@ class TestSetups:
         assert h.deployment.n_servers == 8
         h.teardown()
         assert all(not s.alive for s in h.deployment.servers)
-
-    def test_lpcc_like_pins_locally(self):
-        env = Environment()
-        h = LPCCLikeSetup().build(env, TESTING, 4, dataset(32))
-        files = [(f"/d/f{i}", 10_000) for i in range(20)]
-
-        def reader():
-            cli = h.backend_for_node(2)
-            for path, size in files:
-                yield from cli.read_file(path, size, 2)
-
-        env.run(env.process(reader()))
-        for server in h.deployment.servers:
-            if server.node_id != 2:
-                assert server.cache.n_files == 0
 
 
 class TestMDTest:

@@ -1,5 +1,7 @@
 """Unit tests for the cluster hardware models."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import (
@@ -12,6 +14,7 @@ from repro.cluster import (
     NetworkSpec,
     NVMeDevice,
     NVMeSpec,
+    PFSSpec,
     SUMMIT,
     TESTING,
 )
@@ -37,8 +40,11 @@ class TestSpecs:
         assert SUMMIT.hvac.instances_per_node == 1  # original untouched
 
     def test_with_pfs_override(self):
-        s = SUMMIT.with_pfs(n_metadata_servers=8)
+        s = replace(SUMMIT, pfs=replace(SUMMIT.pfs, n_metadata_servers=8))
         assert s.pfs.n_metadata_servers == 8
+        assert SUMMIT.pfs.n_metadata_servers == 32  # original untouched
+        with pytest.raises(ValueError):  # an override is validated too
+            replace(SUMMIT.pfs, n_metadata_servers=0)
 
     def test_hvac_spec_validation(self):
         with pytest.raises(ValueError):
@@ -64,12 +70,48 @@ class TestSpecs:
                 HVACSpec(**kw)
 
     def test_nvme_spec_validation(self):
-        with pytest.raises(ValueError):
-            NVMeSpec(capacity_bytes=0)
+        nan = float("nan")
+        for kw in (
+            dict(capacity_bytes=0),
+            dict(write_bandwidth=0),
+            dict(capacity_bytes=nan),
+            dict(read_bandwidth=nan),
+            dict(write_bandwidth=nan),
+            dict(read_latency=-1e-6),
+            dict(queue_depth=0),
+        ):
+            with pytest.raises(ValueError):
+                NVMeSpec(**kw)
 
     def test_network_spec_validation(self):
-        with pytest.raises(ValueError):
-            NetworkSpec(nic_bandwidth=0)
+        for kw in (
+            dict(nic_bandwidth=0),
+            dict(nic_bandwidth=float("nan")),
+            dict(loopback_bandwidth=0),
+            dict(link_latency=-1e-6),
+            dict(per_message_overhead=float("nan")),
+        ):
+            with pytest.raises(ValueError):
+                NetworkSpec(**kw)
+        # 0 keeps meaning "no oversubscription"
+        NetworkSpec(rack_size=4, rack_uplink_bandwidth=0.0)
+
+    def test_pfs_spec_validation(self):
+        # Each of these used to pass here and die inside the first read
+        # (ZeroDivisionError) or as a kernel SimulationError (NaN).
+        for kw in (
+            dict(n_metadata_servers=0),
+            dict(n_data_servers=0),
+            dict(stripe_size=0),
+            dict(metadata_ops_per_sec=0),
+            dict(data_server_bandwidth=0),
+            dict(metadata_ops_per_sec=float("nan")),
+            dict(data_server_bandwidth=float("nan")),
+            dict(data_latency=-1e-6),
+            dict(ops_per_open=float("nan")),
+        ):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                PFSSpec(**kw)
 
 
 class TestNVMeDevice:
@@ -334,10 +376,7 @@ class TestAllocation:
     def test_aggregates(self):
         env = Environment()
         alloc = Allocation(env, TESTING, n_nodes=3)
-        assert alloc.aggregate_nvme_capacity == 3 * TESTING.node.nvme.capacity_bytes
-        assert alloc.aggregate_nvme_read_bandwidth == pytest.approx(
-            3 * TESTING.node.nvme.read_bandwidth
-        )
+        assert [n.nvme.spec for n in alloc] == [TESTING.node.nvme] * 3
 
     def test_nodes_have_independent_devices(self):
         env = Environment()

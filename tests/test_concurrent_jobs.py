@@ -1,5 +1,7 @@
 """Tests for the paper's two-concurrent-jobs-per-node methodology (§IV-B)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import SUMMIT
@@ -27,7 +29,10 @@ class TestConcurrentJobs:
     def test_contention_slows_shared_storage(self):
         """Two jobs hammering GPFS run slower per job than one job with
         the same per-job rank count (the PFS is shared)."""
-        spec = SUMMIT.with_pfs(metadata_ops_per_sec=500.0, n_metadata_servers=2)
+        spec = replace(
+            SUMMIT,
+            pfs=replace(SUMMIT.pfs, metadata_ops_per_sec=500.0, n_metadata_servers=2),
+        )
         half = Scale(files_per_rank=8, sim_batch_size=4, repetitions=1,
                      procs_per_node=2)
         solo = run_training("gpfs", RESNET50, IMAGENET21K, 4, half, spec=spec)
@@ -38,7 +43,10 @@ class TestConcurrentJobs:
     def test_xfs_isolates_jobs_better_than_gpfs(self):
         """Node-local storage scales with the node; the shared PFS
         doesn't — the contention penalty is smaller on XFS."""
-        spec = SUMMIT.with_pfs(metadata_ops_per_sec=500.0, n_metadata_servers=2)
+        spec = replace(
+            SUMMIT,
+            pfs=replace(SUMMIT.pfs, metadata_ops_per_sec=500.0, n_metadata_servers=2),
+        )
         half = Scale(files_per_rank=8, sim_batch_size=4, repetitions=1,
                      procs_per_node=2)
 

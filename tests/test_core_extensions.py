@@ -43,8 +43,10 @@ class TestPrefetcher:
         env.run(pre.start())
         assert pre.done
         assert dep.total_cached_files == len(FILES)
-        assert pre.files_prefetched == len(FILES)
-        assert pre.bytes_prefetched == sum(s for _, s in FILES)
+        assert dep.metrics.counter("prefetch.staged_files").value == len(FILES)
+        assert dep.metrics.counter("prefetch.staged_bytes").value == sum(
+            s for _, s in FILES
+        )
 
     def test_prefetched_epoch_is_all_hits(self):
         env, dep, pfs = build()
@@ -82,7 +84,7 @@ class TestPrefetcher:
         read_epoch(env, dep, FILES[:10], [0])
         pre = CachePrefetcher(dep, [p for p, _ in FILES], [s for _, s in FILES])
         env.run(pre.start())
-        assert pre.files_prefetched == len(FILES) - 10
+        assert dep.metrics.counter("prefetch.staged_files").value == len(FILES) - 10
 
     def test_dead_server_is_skipped(self):
         env, dep, _ = build(n_nodes=2)

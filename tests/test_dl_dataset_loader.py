@@ -23,12 +23,14 @@ class TestDatasetSpecs:
         assert IMAGENET21K.n_train_files == 11_797_632
         assert IMAGENET21K.n_valid_files == 561_052
         # ≈1.1 TB stated total wants ≈163 KB averages
-        assert IMAGENET21K.total_train_bytes == pytest.approx(1.1e12, rel=0.8)
+        total = IMAGENET21K.n_train_files * IMAGENET21K.mean_file_bytes
+        assert total == pytest.approx(1.1e12, rel=0.8)
 
     def test_cosmouniverse_matches_paper(self):
         assert COSMOUNIVERSE.n_train_files == 524_288
         assert COSMOUNIVERSE.n_valid_files == 65_536
-        assert COSMOUNIVERSE.total_train_bytes == pytest.approx(1.3e12, rel=0.05)
+        total = COSMOUNIVERSE.n_train_files * COSMOUNIVERSE.mean_file_bytes
+        assert total == pytest.approx(1.3e12, rel=0.05)
 
     def test_scaled_to(self):
         s = IMAGENET21K.scaled_to(1000)
@@ -99,19 +101,10 @@ class TestEpochPlan:
         lengths = {len(s) for s in plan.shards}
         assert lengths == {25}
 
-    def test_batches(self):
-        ds = SyntheticDataset(IMAGENET21K.scaled_to(10))
-        plan = make_epoch_plan(ds, 0, n_ranks=1)
-        batches = list(plan.shards[0].batches(4))
-        assert [len(b) for b in batches] == [4, 4, 2]
-
     def test_invalid_args(self):
         ds = SyntheticDataset(IMAGENET21K.scaled_to(10))
         with pytest.raises(ValueError):
             make_epoch_plan(ds, 0, n_ranks=0)
-        plan = make_epoch_plan(ds, 0, n_ranks=1)
-        with pytest.raises(ValueError):
-            list(plan.shards[0].batches(0))
 
     @given(
         n_files=st.integers(min_value=1, max_value=500),

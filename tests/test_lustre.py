@@ -38,6 +38,22 @@ class TestLustreSpec:
     def test_n_osts(self):
         assert LustreSpec(n_oss=3, osts_per_oss=4).n_osts == 12
 
+    def test_validation(self):
+        # Each of these used to build and then fail inside a run.
+        for kw in (
+            dict(n_mds=0),
+            dict(n_oss=0),
+            dict(osts_per_oss=0),
+            dict(stripe_count=0),
+            dict(stripe_size=0),
+            dict(mds_ops_per_sec=0),
+            dict(ost_bandwidth=float("nan")),
+            dict(data_latency=-1e-6),
+            dict(client_lock_cache=-1),
+        ):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                LustreSpec(**kw)
+
 
 class TestLustreSemantics:
     def test_first_open_pays_mds(self):

@@ -82,10 +82,6 @@ class TestPredictions:
         e4 = m.predict_hvac(4).epoch_seconds
         assert e1 > e2 > e4 >= xfs * 0.999
 
-    def test_epoch_minutes_property(self):
-        p = model_at(64).predict_xfs()
-        assert p.epoch_minutes == pytest.approx(p.epoch_seconds / 60)
-
     def test_mdtest_prediction_regimes(self):
         m = model_at(1024)
         small_gpfs = m.predict_mdtest("gpfs", 32 * 1024)

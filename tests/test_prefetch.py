@@ -131,8 +131,8 @@ class TestLookaheadScheduler:
 
     def test_staging_warms_the_cache(self):
         dep, sched, results = self._run()
-        assert sched.files_staged > 0
-        assert sched.plan_valid
+        assert dep.metrics.counter("prefetch.staged_files").value > 0
+        assert not sched.invalidated
         assert dep.metrics.counter("hvac.cache_hits").value > 0
         # Every read delivered its full size.
         for node, got in results.items():
@@ -149,7 +149,7 @@ class TestLookaheadScheduler:
         dep, sched, results = self._run(fault_at=0.002)
         # The dead server's slice is invalidated; demand degrades to
         # failover/PFS and every read still completes in full.
-        assert not sched.plan_valid
+        assert sched.invalidated
         assert dep.metrics.counter("prefetch.invalidations").value >= 1
         for node, got in results.items():
             assert len(got) == len(sched.planner.schedule(node).entries)
@@ -158,14 +158,14 @@ class TestLookaheadScheduler:
     def test_recovery_resumes_staging(self):
         dep, sched, _ = self._run(fault_at=0.002, recover_at=0.01)
         assert dep.metrics.counter("prefetch.resumes").value >= 1
-        assert sched.plan_valid  # the resumed slice re-armed
+        assert not sched.invalidated  # the resumed slice re-armed
 
     def test_off_plan_read_freezes_only_that_client(self):
         dep, sched, results = self._run(off_plan=True)
         assert dep.metrics.counter("prefetch.divergences").value == 1
         # The diverged client still completes reactively; the other
         # client's staging keeps running.
-        assert sched.files_staged > 0
+        assert dep.metrics.counter("prefetch.staged_files").value > 0
         assert all(n > 0 for _, n in results[1])
 
     def test_validation(self):
@@ -229,7 +229,7 @@ class TestReactiveStarvation:
         env.process(crasher(), name="crasher")
         env.run()  # an unhandled RPCError here would raise out of run()
         assert pre.done
-        assert 0 < pre.files_prefetched <= len(self.FILES)
+        assert 0 < dep.metrics.counter("prefetch.staged_files").value <= len(self.FILES)
 
 
 def compressed_cache(env, capacity=10_000, ratio=0.5, cost=1e-9):

@@ -424,7 +424,8 @@ class TestPrefetchCellRegression:
     def test_real_staging_run_is_sanitizer_clean(self):
         san = RaceSanitizer()
         sched = self._run_clairvoyant(sanitizer=san)
-        assert sched.files_staged > 0, "fixture must actually stage files"
+        staged = sched.deployment.metrics.counter("prefetch.staged_files").value
+        assert staged > 0, "fixture must actually stage files"
         assert san.reports == [], "\n\n".join(
             r.describe() for r in san.reports
         )

@@ -84,9 +84,9 @@ class TestReplay:
         env = Environment()
         pfs = GPFS(env, TESTING.pfs, 2, TESTING.network.nic_bandwidth)
         res = replay_trace(env, log, pfs)
-        assert res.mean_transaction_latency == pytest.approx(
-            res.io_time / 10
-        )
+        assert res.n_transactions == 10
+        # each open-read-close pays at least the PFS's observed data latency
+        assert res.io_time / res.n_transactions >= TESTING.pfs.data_latency
 
 
 class TestEventDrivenStaging:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Fabric, NetworkSpec
-from repro.rpc import BulkHandle, RPCEndpoint, RPCError, RPCTimeout
+from repro.rpc import RPCEndpoint, RPCError, RPCTimeout
 from repro.simcore import Environment
 
 
@@ -224,20 +224,6 @@ def test_duplicate_registration_rejected():
     ep.register("op", h)
     with pytest.raises(Exception):
         ep.register("op", h)
-
-
-def test_bulk_pull_transfers_at_bandwidth():
-    env = Environment()
-    fab = make_fabric(env)
-    puller = RPCEndpoint(env, fab, node_id=0)
-
-    def proc():
-        yield from puller.bulk_pull(BulkHandle(node_id=1, nbytes=1_000_000))
-
-    env.process(proc())
-    env.run()
-    # ~1 second at 1e6 B/s plus small latencies.
-    assert 1.0 < env.now < 1.1
 
 
 def test_bulk_push():

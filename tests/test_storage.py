@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import MiB, NVMeDevice, NVMeSpec, PFSSpec
 from repro.simcore import Environment
 from repro.storage import GPFS, LocalFS
+from repro.storage import gpfs as gpfs_module
 
 
 def make_gpfs(env, **overrides):
@@ -104,13 +105,29 @@ class TestGPFS:
         fs = make_gpfs(env)
         assert fs.mds_for("/a/b") == fs.mds_for("/a/b")
 
-    def test_stripes_of(self):
+    def test_stripes_of(self, monkeypatch):
+        """A whole-file read fetches one slice per stripe it covers."""
+        served = []
+        serve = gpfs_module._DataServer.serve
+
+        def spy(server, nbytes):
+            served.append(nbytes)
+            return serve(server, nbytes)
+
+        monkeypatch.setattr(gpfs_module._DataServer, "serve", spy)
         env = Environment()
         fs = make_gpfs(env)
-        assert fs.stripes_of(1) == 1
-        assert fs.stripes_of(1 * MiB) == 1
-        assert fs.stripes_of(1 * MiB + 1) == 2
-        assert fs.stripes_of(10 * MiB) == 10
+        slices = {}
+        for size in (1, 1 * MiB, 1 * MiB + 1, 10 * MiB):
+            served.clear()
+            env.run(env.process(fs.read_file(f"/d/{size}", size, client_node=0)))
+            slices[size] = list(served)
+        assert slices == {
+            1: [1],
+            1 * MiB: [MiB],
+            1 * MiB + 1: [MiB, 1],
+            10 * MiB: [MiB] * 10,
+        }
 
     def test_double_close_rejected(self):
         env = Environment()

@@ -136,7 +136,7 @@ class TestIOR:
         cfg = IORConfig(n_nodes=2, ranks_per_node=4,
                         file_size=256 * 1024**2, block_size=16 * 1024**2)
         res = run_ior(env, cfg, h.backend_for_node, h.label)
-        assert res.per_node_bandwidth == pytest.approx(5.5e9, rel=0.1)
+        assert res.aggregate_bandwidth / cfg.n_nodes == pytest.approx(5.5e9, rel=0.1)
 
     def test_gpfs_single_node_limited_by_client_link(self):
         env = Environment()
