@@ -28,14 +28,12 @@ def _run():
     def training(prefetch: bool):
         env = Environment()
         dataset, factor = SyntheticDataset.scaled(IMAGENET21K, sample)
-        alloc = Allocation(env, SUMMIT, n_nodes)
+        alloc = Allocation(env, SUMMIT.with_hvac(prefetch_outstanding=8), n_nodes)
         pfs = GPFS(env, SUMMIT.pfs, n_nodes, SUMMIT.network.nic_bandwidth)
         dep = HVACDeployment(alloc, pfs)
         prefetch_time = 0.0
         if prefetch:
-            pre = CachePrefetcher(
-                dep, dataset.paths(), dataset.sizes, max_outstanding=8
-            )
+            pre = CachePrefetcher(dep, dataset.paths(), dataset.sizes)
             t0 = env.now
             env.run(pre.start())
             prefetch_time = (env.now - t0) * factor

@@ -17,9 +17,7 @@ from repro.dl import (
     RESNET50,
     TRESNET_M,
 )
-from repro.experiments import node_scaling, node_scaling_analytic
-
-from conftest import bench_nodes, bench_scale, paper_nodes
+from conftest import node_sweep
 
 PANELS = [
     ("a", RESNET50, IMAGENET21K),
@@ -29,25 +27,14 @@ PANELS = [
 ]
 
 
-def _run_panel(model, dataset):
-    des = node_scaling(
-        model,
-        dataset,
-        bench_nodes(),
-        bench_scale(),
-        systems=("gpfs", "hvac1", "hvac2", "hvac4", "xfs"),
-        total_epochs=10,
-    )
-    analytic = node_scaling_analytic(model, dataset, paper_nodes(), total_epochs=10)
-    return des, analytic
-
-
 @pytest.mark.parametrize("panel,model,dataset", PANELS, ids=[p[0] for p in PANELS])
 @pytest.mark.benchmark(group="fig08")
-def test_fig08_panel(benchmark, capsys, panel, model, dataset):
-    des, analytic = benchmark.pedantic(
-        _run_panel, args=(model, dataset), rounds=1, iterations=1
-    )
+def test_fig08_panel(benchmark, capsys, panel, model, dataset, resnet50_sweep):
+    if panel == "a":
+        run, args = resnet50_sweep, ()
+    else:
+        run, args = node_sweep, (model, dataset)
+    des, analytic = benchmark.pedantic(run, args=args, rounds=1, iterations=1)
     with capsys.disabled():
         print()
         print(f"--- Fig 8({panel}) ---")

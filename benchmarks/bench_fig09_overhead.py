@@ -9,35 +9,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_series
-from repro.dl import IMAGENET21K, RESNET50
-from repro.experiments import (
-    node_scaling,
-    node_scaling_analytic,
-    normalized_to_gpfs,
-    overhead_vs_xfs,
-)
-
-from conftest import bench_nodes, bench_scale, paper_nodes
-
-
-def _run():
-    des = node_scaling(
-        RESNET50,
-        IMAGENET21K,
-        bench_nodes(),
-        bench_scale(),
-        systems=("gpfs", "hvac1", "hvac2", "hvac4", "xfs"),
-        total_epochs=10,
-    )
-    analytic = node_scaling_analytic(
-        RESNET50, IMAGENET21K, paper_nodes(), total_epochs=10
-    )
-    return des, analytic
+from repro.experiments import normalized_to_gpfs, overhead_vs_xfs
 
 
 @pytest.mark.benchmark(group="fig09")
-def test_fig09_normalized_views(benchmark, capsys):
-    des, analytic = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig09_normalized_views(benchmark, capsys, resnet50_sweep):
+    # Fig 8(a)'s sweep: the session fixture simulates it once for both.
+    des, analytic = benchmark.pedantic(resnet50_sweep, rounds=1, iterations=1)
     des_gain = normalized_to_gpfs(des)
     des_ovh = overhead_vs_xfs(des)
     full_gain = normalized_to_gpfs(analytic)

@@ -22,7 +22,6 @@ def _run():
         IMAGENET21K,
         bench_scale(),
         n_nodes=n_nodes,
-        batch_size=4,
         epochs=4,
     ), n_nodes
 

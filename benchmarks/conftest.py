@@ -14,7 +14,8 @@ import os
 
 import pytest
 
-from repro.experiments import Scale
+from repro.dl import IMAGENET21K, RESNET50
+from repro.experiments import Scale, node_scaling, node_scaling_analytic
 
 BENCH_SCALE = os.environ.get("HVAC_BENCH_SCALE", "small")
 
@@ -48,3 +49,33 @@ def paper_nodes() -> list[int]:
 @pytest.fixture(scope="session")
 def scale() -> Scale:
     return bench_scale()
+
+
+def node_sweep(model, dataset):
+    """One Fig 8 panel: the DES sweep over :func:`bench_nodes` and the
+    analytic sweep over :func:`paper_nodes`, ``(des, analytic)``."""
+    des = node_scaling(
+        model,
+        dataset,
+        bench_nodes(),
+        bench_scale(),
+        systems=("gpfs", "hvac1", "hvac2", "hvac4", "xfs"),
+        total_epochs=10,
+    )
+    analytic = node_scaling_analytic(model, dataset, paper_nodes(), total_epochs=10)
+    return des, analytic
+
+
+@pytest.fixture(scope="session")
+def resnet50_sweep():
+    """Fig 8(a)'s sweep, simulated once per session and held in memory:
+    Fig 9 normalizes the same runs.  Calling it returns the sweep; the
+    first caller pays for the simulation."""
+    memo = []
+
+    def sweep():
+        if not memo:
+            memo.append(node_sweep(RESNET50, IMAGENET21K))
+        return memo[0]
+
+    return sweep

@@ -75,7 +75,7 @@ def main() -> None:
 
     # -- 3. deploy HVAC with prefetch ------------------------------------------
     env = Environment()
-    alloc = Allocation(env, SUMMIT, N_NODES)
+    alloc = Allocation(env, SUMMIT.with_hvac(prefetch_outstanding=4), N_NODES)
     pfs = GPFS(env, SUMMIT.pfs, N_NODES, SUMMIT.network.nic_bandwidth)
     dep = HVACDeployment(alloc, pfs)
     prefetcher = CachePrefetcher(dep, dataset.paths(), dataset.sizes)

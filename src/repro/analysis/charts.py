@@ -14,6 +14,9 @@ from typing import Mapping, Sequence
 __all__ = ["ascii_chart"]
 
 _MARKERS = "ox+*#%@&"
+#: plot area, in characters
+WIDTH = 60
+HEIGHT = 16
 
 
 def _fmt(v: float) -> str:
@@ -30,8 +33,6 @@ def ascii_chart(
     x_values: Sequence[float],
     series: Mapping[str, Sequence[float]],
     title: str = "",
-    width: int = 60,
-    height: int = 16,
     log_x: bool = False,
     log_y: bool = False,
     x_label: str = "",
@@ -48,8 +49,6 @@ def ascii_chart(
     for name, ys in series.items():
         if len(ys) != len(x_values):
             raise ValueError(f"series {name!r} length mismatch")
-    if width < 10 or height < 4:
-        raise ValueError("chart too small")
 
     xs = [float(x) for x in x_values]
     all_y = [float(y) for ys in series.values() for y in ys]
@@ -69,6 +68,7 @@ def ascii_chart(
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
+    width, height = WIDTH, HEIGHT
     grid = [[" "] * width for _ in range(height)]
     for s_idx, (name, ys) in enumerate(series.items()):
         marker = _MARKERS[s_idx % len(_MARKERS)]

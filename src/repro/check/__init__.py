@@ -97,45 +97,42 @@ def default_lint_roots() -> list[str]:
     return [pkg_root]  # .../src/repro
 
 
-def _report(result, summary: str, verbose: bool, drift: Sequence[str] = ()) -> list[str]:
+def _report(result, summary: str, drift: Sequence[str] = ()) -> list[str]:
     """Print a static pass's findings (violations, stale waivers, then
-    any drift lines) and, if ``verbose``, ``summary`` with the pass's
-    status; return the findings printed."""
+    any drift lines) and ``summary`` with the pass's status; return the
+    findings printed."""
     lines = [v.render() for v in result.violations]
     lines += [w.render() for w in result.stale_waivers]
     lines += drift
     for line in lines:
         print(line)
-    if verbose:
-        counts = (
-            (result.violations, "violation(s)"),
-            (result.stale_waivers, "stale waiver(s)"),
-            (drift, "drift error(s)"),
-        )
-        status = ", ".join(f"{len(found)} {what}" for found, what in counts if found)
-        print(f"{summary}, {status or 'clean'}")
+    counts = (
+        (result.violations, "violation(s)"),
+        (result.stale_waivers, "stale waiver(s)"),
+        (drift, "drift error(s)"),
+    )
+    status = ", ".join(f"{len(found)} {what}" for found, what in counts if found)
+    print(f"{summary}, {status or 'clean'}")
     return lines
 
 
-def run_lint(program: Program, verbose: bool = True, taint: bool = False) -> int:
+def run_lint(program: Program, taint: bool = False) -> int:
     """Lint ``program``; print violations + stale waivers; return exit code."""
     result = lint_program(program, taint=taint)
     name = "simlint+taint" if taint else "simlint"
-    _report(result, f"{name}: {result.n_files} file(s) checked", verbose)
+    _report(result, f"{name}: {result.n_files} file(s) checked")
     return 0 if result.clean else 1
 
 
-def run_perf(program: Program, verbose: bool = True) -> int:
+def run_perf(program: Program) -> int:
     """Run the hot-path analyzer; print findings; return exit code."""
     result = perf_lint_files(program)
     hot = "all functions hot" if result.all_hot else f"{result.n_hot} hot function(s)"
-    _report(result, f"perf: {result.n_files} file(s) checked, {hot}", verbose)
+    _report(result, f"perf: {result.n_files} file(s) checked, {hot}")
     return 0 if result.clean else 1
 
 
-def run_cells(
-    program: Program, output: str | None = None, verbose: bool = True
-) -> int:
+def run_cells(program: Program, output: str | None = None) -> int:
     """Run the shared-state audit; print findings and drift between
     note sites and ``RACE_CELLS`` declarations; return exit code."""
     result = audit_files(program)
@@ -143,7 +140,7 @@ def run_cells(
         f"cells: {result.n_files} file(s), {result.n_roots} concurrency "
         f"root(s), {result.n_writes} write site(s)"
     )
-    lines = _report(result, summary, verbose, drift=result.freshness)
+    lines = _report(result, summary, drift=result.freshness)
     if output:
         os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
         with open(output, "w", encoding="utf-8") as fh:
@@ -189,7 +186,6 @@ def run_determinism(
     n_nodes: int = 2,
     files_per_rank: int = 4,
     block: int = 2048,
-    verbose: bool = True,
 ) -> int:
     """Run the epochs experiment twice with one seed; compare fingerprints."""
     run = _epochs_run(seed, n_nodes, files_per_rank)
@@ -197,34 +193,26 @@ def run_determinism(
     b = fingerprint_run(run, checkpoint_every=block)
     report = find_first_divergence(run, block=block, traces=(a, b))
     if report is None:
-        if verbose:
-            print(
-                f"determinism: OK — two seed={seed} runs produced identical "
-                f"event streams ({a.count} events, fingerprint {a.fingerprint})"
-            )
+        print(
+            f"determinism: OK — two seed={seed} runs produced identical "
+            f"event streams ({a.count} events, fingerprint {a.fingerprint})"
+        )
         return 0
     print(f"determinism: FAILED (seed={seed})")
     print(report.describe())
     return 1
 
 
-def run_races(
-    seed: int = 0,
-    n_nodes: int = 4,
-    n_files: int = 12,
-    output: str | None = None,
-    verbose: bool = True,
-) -> int:
+def run_races(seed: int = 0, output: str | None = None) -> int:
     """Run the membership smoke scenario under the race sanitizer with
     two seeds (different jitter landscapes); report every same-timestamp
     shared-state conflict found."""
-    from .races import membership_smoke
+    from .races import SMOKE_FILES, SMOKE_NODES, membership_smoke
 
     reports: list[tuple[int, RaceReport]] = []
     for s in (seed, seed + 1):
         sanitizer = RaceSanitizer()
-        membership_smoke(seed=s, n_nodes=n_nodes, n_files=n_files,
-                         sanitizer=sanitizer)
+        membership_smoke(seed=s, sanitizer=sanitizer)
         reports.extend((s, r) for r in sanitizer.reports)
 
     text_blocks = [
@@ -240,14 +228,13 @@ def run_races(
             else:
                 fh.write(
                     f"races: clean — seeds {seed},{seed + 1}, "
-                    f"{n_nodes} nodes, {n_files} files\n"
+                    f"{SMOKE_NODES} nodes, {SMOKE_FILES} files\n"
                 )
-    if verbose:
-        status = "clean" if not reports else f"{len(reports)} race(s)"
-        print(
-            f"races: seeds {seed},{seed + 1} on the membership smoke "
-            f"scenario — {status}"
-        )
+    status = "clean" if not reports else f"{len(reports)} race(s)"
+    print(
+        f"races: seeds {seed},{seed + 1} on the membership smoke "
+        f"scenario — {status}"
+    )
     return 1 if reports else 0
 
 

@@ -88,15 +88,12 @@ def lint_program(
     return TreeLint(violations, stale, n_files=len(program.files))
 
 
-def lint_tree(
-    paths: Iterable[str],
-    rules: Iterable[str] | None = None,
-    taint: bool = False,
-) -> TreeLint:
-    """Lint every ``.py`` file under the given files/directories, the
-    collector paused from the parse through the last pass."""
+def lint_tree(paths: Iterable[str], taint: bool = False) -> TreeLint:
+    """Lint every ``.py`` file under the given files/directories with
+    every rule, the collector paused from the parse through the last
+    pass."""
     with CollectorPause():
-        return lint_program(Program.read(paths), rules=rules, taint=taint)
+        return lint_program(Program.read(paths), taint=taint)
 
 
 def lint_source(

@@ -46,6 +46,13 @@ __all__ = ["RaceReport", "RaceSanitizer", "membership_smoke"]
 
 #: frames whose basenames are plumbing, not interesting access sites
 _PLUMBING = ("races.py", "engine.py")
+#: distinct races reported per run; later ones are dropped
+MAX_REPORTS = 100
+#: non-plumbing frames captured per access site
+STACK_DEPTH = 4
+#: the membership smoke scenario's fleet, and its default file count
+SMOKE_NODES = 4
+SMOKE_FILES = 12
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,7 @@ class RaceSanitizer:
     only analyzable once no more events can join it).
     """
 
-    def __init__(self, max_reports: int = 100, stack_depth: int = 4):
-        self.max_reports = max_reports
-        self.stack_depth = stack_depth
+    def __init__(self):
         self.reports: list[RaceReport] = []
         self._time: float | None = None
         self._cur: _EventAccesses | None = None
@@ -160,7 +165,7 @@ class RaceSanitizer:
     def _capture_sites(self) -> tuple[str, ...]:
         sites: list[str] = []
         frame = sys._getframe(2)
-        while frame is not None and len(sites) < self.stack_depth:
+        while frame is not None and len(sites) < STACK_DEPTH:
             base = os.path.basename(frame.f_code.co_filename)
             if base not in _PLUMBING:
                 sites.append(f"{base}:{frame.f_lineno} in {frame.f_code.co_name}")
@@ -222,7 +227,7 @@ class RaceSanitizer:
         a_sites = tuple(s for _m, s in sorted(ra[2].items()))[:1]
         b_sites = tuple(s for _m, s in sorted(rb[2].items()))[:1]
         key = (cell, ea.label, eb.label, a_sites, b_sites)
-        if key in self._seen or len(self.reports) >= self.max_reports:
+        if key in self._seen or len(self.reports) >= MAX_REPORTS:
             return
         self._seen.add(key)
         self.reports.append(
@@ -245,8 +250,7 @@ class RaceSanitizer:
 # ---------------------------------------------------------------------------
 def membership_smoke(
     seed: int = 0,
-    n_nodes: int = 4,
-    n_files: int = 12,
+    n_files: int = SMOKE_FILES,
     sanitizer: RaceSanitizer | None = None,
     trace=None,
 ):
@@ -274,6 +278,7 @@ def membership_smoke(
         **MEMBERSHIP_MODES["gossip+remap+repair"],
         repair_bandwidth=50e6,
     )
+    n_nodes = SMOKE_NODES
     env, dep, _ = build_deployment(spec, n_nodes, seed, trace=trace)
     if sanitizer is not None:
         env.observe(sanitizer)

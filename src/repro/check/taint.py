@@ -206,15 +206,11 @@ _YIELD_MESSAGE = (
 )
 
 
-def taint_violations(
-    graph: CallGraph,
-    taints: dict[str, dict[str, FunctionTaint]] | None = None,
-) -> list[Violation]:
+def taint_violations(graph: CallGraph) -> list[Violation]:
     """SIM011 diagnostics at every sim-scope call site of a tainted
     function (plus set-argument hand-offs into param-iterating helpers),
     and SIM013 at loops iterating an unordered producer's return."""
-    if taints is None:
-        taints = propagate(graph)
+    taints = propagate(graph)
     out: list[Violation] = []
     seen: set[tuple] = set()
     for info in graph.functions.values():

@@ -48,12 +48,17 @@ _MODEL_DATASET = {
 
 
 def _scale(args: argparse.Namespace) -> Scale:
-    return Scale(
-        files_per_rank=args.files_per_rank,
-        sim_batch_size=8,
-        repetitions=args.repetitions,
-        procs_per_node=args.procs_per_node,
-    )
+    """The run's Scale; a bad size exits 2 with the message."""
+    try:
+        return Scale(
+            files_per_rank=args.files_per_rank,
+            sim_batch_size=8,
+            repetitions=args.repetitions,
+            procs_per_node=args.procs_per_node,
+        )
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _add_scale_args(p: argparse.ArgumentParser) -> None:

@@ -112,10 +112,8 @@ class Fabric:
         dst: int,
         drop_prob: float = 0.0,
         extra_delay: float = 0.0,
-        symmetric: bool = True,
     ) -> None:
-        """Make the ``src → dst`` link flaky (and ``dst → src`` too when
-        ``symmetric``)."""
+        """Make the link between ``src`` and ``dst`` flaky, both ways."""
         self._check_node(src)
         self._check_node(dst)
         if not 0.0 <= drop_prob <= 1.0:
@@ -123,13 +121,11 @@ class Fabric:
         if not extra_delay >= 0:
             raise SimulationError("extra_delay must be >= 0")
         self._link_faults[(src, dst)] = (drop_prob, extra_delay)
-        if symmetric:
-            self._link_faults[(dst, src)] = (drop_prob, extra_delay)
+        self._link_faults[(dst, src)] = (drop_prob, extra_delay)
 
-    def clear_link_fault(self, src: int, dst: int, symmetric: bool = True) -> None:
+    def clear_link_fault(self, src: int, dst: int) -> None:
         self._link_faults.pop((src, dst), None)
-        if symmetric:
-            self._link_faults.pop((dst, src), None)
+        self._link_faults.pop((dst, src), None)
 
     def isolate(self, node_id: int) -> None:
         """Transient partition: every message to or from ``node_id`` is lost."""

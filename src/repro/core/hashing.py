@@ -48,9 +48,9 @@ class Placement:
         self.n_servers = n_servers
         self.replication_factor = replication_factor
 
-    def home(self, path: str, client: int | None = None) -> int:
+    def home(self, path: str) -> int:
         """The primary server for ``path``."""
-        return self.replicas(path, client)[0]
+        return self.replicas(path)[0]
 
     def replicas(self, path: str, client: int | None = None) -> list[int]:
         """Ordered replica set: primary first, then failover targets."""

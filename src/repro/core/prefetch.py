@@ -13,8 +13,10 @@ prefetch is in flight dedup against it via the server's existing
 in-flight table, so prefetching composes with epoch-1 instead of racing
 it.
 
-``max_outstanding`` throttles each server's prefetch stream so demand
-requests queued behind it on the shared FIFO are not starved.
+``HVACSpec.prefetch_outstanding`` — the window the clairvoyant
+``LookaheadScheduler`` also holds — throttles each server's prefetch
+stream so demand requests queued behind it on the shared FIFO are not
+starved.
 """
 
 from __future__ import annotations
@@ -37,15 +39,12 @@ class CachePrefetcher:
         deployment: HVACDeployment,
         paths: Sequence[str],
         sizes: Sequence[int],
-        max_outstanding: int = 4,
     ):
         if len(paths) != len(sizes):
             raise ValueError("paths and sizes must have equal length")
-        if max_outstanding < 1:
-            raise ValueError("max_outstanding must be >= 1")
         self.deployment = deployment
         self.env: Environment = deployment.env
-        self.max_outstanding = max_outstanding
+        self.outstanding = deployment.spec.hvac.prefetch_outstanding
         # Partition the file list by home server — each server's worker
         # computes this from the placement alone (metadata-free).
         self._per_server: dict[int, list[tuple[str, int]]] = {}
@@ -84,14 +83,14 @@ class CachePrefetcher:
         self, server: HVACServer, files: list[tuple[str, int]]
     ) -> Generator:
         """Issue this server's homed files through its data-mover FIFO,
-        ``max_outstanding`` at a time (a sliding window, not batch
+        ``prefetch_outstanding`` at a time (a sliding window, not batch
         drain: the old drain-all-then-refill loop re-enqueued a full
         wave at the completion instant, so a demand read landing at
         that same instant was ordered behind it by heap-insertion
         accident)."""
         outstanding: list[Event] = []
         for path, size in files:
-            if len(outstanding) >= self.max_outstanding:
+            if len(outstanding) >= self.outstanding:
                 try:
                     yield outstanding.pop(0)
                 except (RPCError, RPCTimeout):

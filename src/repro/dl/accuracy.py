@@ -24,6 +24,11 @@ from ..simcore import RandomStreams
 
 __all__ = ["ClassificationTask", "SGDTrainer", "AccuracyCurve", "sharded_orders"]
 
+#: SGD step size, minibatch size and initial-weight seed of every trainer
+LEARNING_RATE = 0.15
+BATCH_SIZE = 32
+WEIGHT_SEED = 7
+
 
 @dataclass
 class ClassificationTask:
@@ -81,17 +86,9 @@ class AccuracyCurve:
 class SGDTrainer:
     """Minibatch-SGD multinomial logistic regression (pure NumPy)."""
 
-    def __init__(
-        self,
-        task: ClassificationTask,
-        lr: float = 0.15,
-        batch_size: int = 32,
-        weight_seed: int = 7,
-    ):
+    def __init__(self, task: ClassificationTask):
         self.task = task
-        self.lr = lr
-        self.batch_size = batch_size
-        rng = RandomStreams(weight_seed).stream("weights")
+        rng = RandomStreams(WEIGHT_SEED).stream("weights")
         self.w = rng.normal(
             0.0, 0.01, size=(task.n_features + 1, task.n_classes)
         )
@@ -112,7 +109,7 @@ class SGDTrainer:
         probs = self._softmax(x @ self.w)
         probs[np.arange(len(y)), y] -= 1.0
         grad = x.T @ probs / len(y)
-        self.w -= self.lr * grad
+        self.w -= LEARNING_RATE * grad
 
     def evaluate(self) -> tuple[float, float]:
         """(top-1, top-5) accuracy on the held-out test split."""
@@ -139,8 +136,8 @@ class SGDTrainer:
         iteration = 0
         for order in epoch_orders:
             order = np.asarray(order)
-            for start in range(0, len(order), self.batch_size):
-                self._step(order[start : start + self.batch_size])
+            for start in range(0, len(order), BATCH_SIZE):
+                self._step(order[start : start + BATCH_SIZE])
                 iteration += 1
                 if iteration % eval_every == 0:
                     top1, top5 = self.evaluate()
@@ -158,17 +155,17 @@ def sharded_orders(
     n_samples: int,
     n_epochs: int,
     n_shards: int,
-    visible_shard: int = 0,
     seed: int = 0,
 ) -> list[np.ndarray]:
     """Per-epoch orders under *static sharding* (the technique Fig 14
-    warns about): the worker only ever sees its own fixed shard,
-    reshuffled each epoch — same sample count per epoch, biased content."""
-    if not 0 <= visible_shard < n_shards:
-        raise ValueError("visible_shard out of range")
+    warns about): the worker only ever sees its own fixed shard (shard
+    0), reshuffled each epoch — same sample count per epoch, biased
+    content."""
+    if n_shards < 1:
+        raise ValueError("n_shards must be >= 1")
     rand = RandomStreams(seed)
     base = rand.shuffled("shard-split", n_samples)
-    shard = np.sort(base[visible_shard::n_shards])
+    shard = np.sort(base[::n_shards])
     orders = []
     for epoch in range(n_epochs):
         perm = rand.child(f"e{epoch}").shuffled("order", len(shard))

@@ -55,7 +55,7 @@ def make_epoch_plan(
     """Shuffle globally, shard round-robin.
 
     ``drop_remainder=True`` truncates so every rank gets the same count
-    (what synchronous SGD actually does to keep allreduce aligned).
+    (what synchronous SGD actually does to keep gradient exchange aligned).
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")

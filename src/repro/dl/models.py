@@ -1,11 +1,12 @@
 """DNN model cost specifications (paper §IV-A2).
 
 The four applications evaluated on Summit.  For the I/O study, a model
-is characterized by what it costs *between* reads:
-
-* per-sample forward+backward GPU time (V100-class throughput), and
-* the gradient volume all-reduced each iteration (data-parallel SGD
-  with Horovod: ring allreduce after every batch).
+is characterized by what it costs *between* reads: per-sample
+forward+backward GPU time (V100-class throughput) plus a fixed
+per-iteration framework cost amortized over the batch.  The gradient
+exchange is not charged: Horovod hides it behind backward compute, and
+the paper's flat Fig 12 (batch size 4→128 moves training time only
+2–4%) shows it was not visible per iteration on Summit.
 
 Parameter counts follow the paper where it states them (ResNet50:
 25.6 M; CosmoFlow: "more than 51 K") and MLPerf-HPC reference
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
+    "ITERATION_OVERHEAD",
     "ModelSpec",
     "RESNET50",
     "TRESNET_M",
@@ -26,9 +28,15 @@ __all__ = [
 ]
 
 
+#: fixed per-iteration framework cost (data-loader step, kernel
+#: launches) — the "round-trips" the paper says bigger batches amortize,
+#: producing its observed 2–4% improvement (Fig 12).
+ITERATION_OVERHEAD = 0.5e-3
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Compute/communication cost model for one DNN."""
+    """Per-sample compute cost model for one DNN."""
 
     name: str
     n_parameters: int
@@ -37,41 +45,15 @@ class ModelSpec:
     #: the per-GPU batch size used in the paper's figures
     default_batch_size: int
 
-    @property
-    def gradient_bytes(self) -> int:
-        """Bytes all-reduced per iteration (fp32 gradients)."""
-        return 4 * self.n_parameters
+    def sample_seconds(self, batch: int) -> float:
+        """GPU seconds charged per sample at per-GPU batch size ``batch``.
 
-    def compute_time(self, batch_size: int) -> float:
-        """Seconds of GPU compute for one local batch."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return batch_size / self.samples_per_sec_per_gpu
-
-    def allreduce_time(
-        self,
-        n_ranks: int,
-        nic_bandwidth: float,
-        link_latency: float = 1.5e-6,
-    ) -> float:
-        """Allreduce time across ``n_ranks`` data-parallel workers.
-
-        Bandwidth term is the ring bound ``2 (p-1)/p · bytes / bw``;
-        the latency term uses hierarchical (tree) step counts
-        ``2 log2(p)``, matching how NCCL/Horovod compose intra-node
-        rings with inter-node trees — a pure ring's ``2(p-1)`` latency
-        steps would dominate unrealistically at thousands of ranks.
+        The one compute cost both the event simulation and the analytic
+        model charge between reads.
         """
-        if n_ranks < 1:
-            raise ValueError("n_ranks must be >= 1")
-        if n_ranks == 1:
-            return 0.0
-        import math
-
-        p = n_ranks
-        bw_term = 2 * (p - 1) / p * self.gradient_bytes / nic_bandwidth
-        lat_term = 2 * math.log2(p) * link_latency
-        return bw_term + lat_term
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
+        return 1.0 / self.samples_per_sec_per_gpu + ITERATION_OVERHEAD / batch
 
 
 #: ResNet50 — "a large network with 228 layers and 25.6M parameters".

@@ -2,15 +2,14 @@
 
 The simulation executes the *I/O* of training faithfully — every file
 read is a real simulated transaction against GPFS / XFS / HVAC — while
-GPU compute and gradient allreduce are charged as analytic virtual time
-per iteration (their costs don't depend on storage and modelling them
-as events would add nothing but overhead).
+GPU compute is charged as analytic virtual time per sample
+(``ModelSpec.sample_seconds``; its cost doesn't depend on storage and
+modelling it as events would add nothing but overhead).
 
-Pipelining: DL data loaders prefetch.  Each rank lets its I/O run up to
-``prefetch_depth`` batches ahead of the virtual GPU, which is exactly a
-bounded prefetch queue: iteration ``i``'s reads can't start before the
-GPU has finished iteration ``i - prefetch_depth``.  Within the window,
-I/O time hides behind compute and vice versa.
+Loading is synchronous, as the paper's profile (§III-F) shows: files
+are "all read in prior to each iteration", so iteration ``i``'s reads
+start once the GPU has finished iteration ``i - 1``: I/O and compute
+take turns on each rank.
 
 Epoch timing: all ranks barrier at each epoch boundary (synchronous SGD
 finishes an epoch together); per-epoch wall time is the max over ranks.
@@ -23,7 +22,6 @@ shuffle), making the extrapolation exact in expectation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
@@ -48,35 +46,18 @@ class TrainingConfig:
     procs_per_node: int = 6  # one rank per GPU (Summit: 6 V100s)
     batch_size: int = 0  # 0 → the model's paper default
     epochs: int = 10
-    #: how many batches I/O may run ahead of the GPU.  The paper's
-    #: profile (§III-F) shows files "all read in prior to each
-    #: iteration" — synchronous loading — so the default is 1.
-    prefetch_depth: int = 1
     shuffle_seed: int = 0
-    #: NIC bandwidth used for the analytic allreduce term
-    allreduce_bandwidth: float = 12.5e9
     #: multiplier applied to reported times (dataset sampling factor)
     scale_factor: float = 1.0
-    #: disable compute/comm to measure pure I/O (MDTest-like runs)
+    #: disable compute to measure pure I/O (MDTest-like runs)
     io_only: bool = False
-    #: batch granularity used by the simulation loop.  Compute and
-    #: allreduce are charged *per sample* against the real
+    #: batch granularity used by the simulation loop.  Compute is
+    #: charged *per sample* against the real
     #: ``batch_size``, so shrinking ``sim_batch_size`` only coarsens
     #: pipelining granularity while cutting event counts — demand rates,
     #: saturation points and I/O:compute ratios are unchanged.  0 → use
     #: the real batch size.
     sim_batch_size: int = 0
-    #: fraction of the allreduce hidden behind backward compute.
-    #: Horovod's tensor fusion + NCCL overlap gradient exchange with
-    #: backprop; the paper's flat Fig 12 (batch size 4→128 moves training
-    #: time only 2–4%) confirms communication was not per-iteration
-    #: visible on Summit, so the default hides it fully.  Set <1 to
-    #: expose (1 - comm_overlap) of the allreduce per iteration.
-    comm_overlap: float = 1.0
-    #: fixed per-iteration framework cost (data-loader step, kernel
-    #: launches) — the "round-trips" the paper says bigger batches
-    #: amortize, producing its observed 2–4% improvement.
-    iteration_overhead: float = 0.5e-3
     #: how the epoch time is estimated from per-rank completions.
     #: "barrier" (default): the synchronous-SGD wall time, max over
     #: ranks.  "mean-rank": the mean rank completion — the right
@@ -87,10 +68,6 @@ class TrainingConfig:
     epoch_estimator: str = "barrier"
 
     def __post_init__(self):
-        if not 0.0 <= self.comm_overlap <= 1.0:
-            raise ValueError("comm_overlap must be in [0, 1]")
-        if self.iteration_overhead < 0:
-            raise ValueError("iteration_overhead must be >= 0")
         if self.epoch_estimator not in ("barrier", "mean-rank"):
             raise ValueError(f"unknown epoch estimator {self.epoch_estimator!r}")
         self._validate_shape()
@@ -100,8 +77,8 @@ class TrainingConfig:
             raise ValueError("n_nodes and procs_per_node must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
+        if not (self.batch_size >= 0 and self.sim_batch_size >= 0):
+            raise ValueError("batch_size and sim_batch_size must be >= 0")
 
     @property
     def n_ranks(self) -> int:
@@ -191,30 +168,16 @@ class TrainingJob:
         dataset = cfg.dataset
         real_batch = cfg.effective_batch_size
         sim_batch = cfg.sim_batch_size or real_batch
-
-        if cfg.io_only:
-            per_sample_cost = 0.0
-        else:
-            # Per-sample accounting keeps demand rates independent of
-            # the simulation batch granularity; per-iteration costs
-            # (exposed allreduce + framework overhead) are amortized
-            # over the *real* batch (one ring per real iteration).
-            exposed_comm = (1.0 - cfg.comm_overlap) * cfg.model.allreduce_time(
-                cfg.n_ranks, cfg.allreduce_bandwidth
-            )
-            per_sample_cost = (
-                cfg.model.compute_time(1)
-                + (exposed_comm + cfg.iteration_overhead) / real_batch
-            )
-
-        # Virtual-GPU completion times of the last `prefetch_depth` batches.
-        gpu_done: deque[float] = deque(maxlen=cfg.prefetch_depth)
+        # Per-sample accounting keeps demand rates independent of the
+        # simulation batch granularity; the per-iteration cost is
+        # amortized over the *real* batch.
+        per_sample_cost = 0.0 if cfg.io_only else cfg.model.sample_seconds(real_batch)
         gpu_free = env.now
 
         for start in range(0, len(indices), sim_batch):
-            # Bounded prefetch: don't read ahead of the window.
-            if len(gpu_done) == cfg.prefetch_depth and env.now < gpu_done[0]:
-                yield env.timeout(gpu_done[0] - env.now)
+            # Synchronous loading: wait for the GPU's previous batch.
+            if env.now < gpu_free:
+                yield env.timeout(gpu_free - env.now)
             chunk = indices[start : start + sim_batch]
             for idx in chunk:
                 idx = int(idx)
@@ -223,7 +186,6 @@ class TrainingJob:
                 )
             gpu_start = max(env.now, gpu_free)
             gpu_free = gpu_start + per_sample_cost * len(chunk)
-            gpu_done.append(gpu_free)
 
         # Drain: the GPU finishes its queued work.
         if env.now < gpu_free:

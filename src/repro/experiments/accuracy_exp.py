@@ -88,7 +88,7 @@ def accuracy_comparison(
     # *lookup*, not the order (same seed → same sequence).
     gpfs_orders = _global_shuffle_orders(n, n_epochs, seed)
     hvac_orders = _global_shuffle_orders(n, n_epochs, seed)
-    shard_orders = sharded_orders(n, n_epochs, n_shards, visible_shard=0, seed=seed)
+    shard_orders = sharded_orders(n, n_epochs, n_shards, seed=seed)
 
     results = []
     for orders in (gpfs_orders, hvac_orders, shard_orders):

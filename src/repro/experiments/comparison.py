@@ -101,11 +101,12 @@ def run_epoch(env, dep, n_nodes: int, files) -> float:
     return env.now - t0
 
 
-def drain_repair(env, dep, max_seconds: float = 5.0) -> None:
-    """Run the sim until every in-flight repair stream finishes."""
+def drain_repair(env, dep) -> None:
+    """Run the sim until every in-flight repair stream finishes, for at
+    most five simulated seconds."""
     if dep.repair is None:
         return
-    deadline = env.now + max_seconds
+    deadline = env.now + 5.0
     while dep.repair.in_flight > 0 and env.now < deadline:
         env.run(until=env.now + 1e-3)
 

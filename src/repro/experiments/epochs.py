@@ -113,16 +113,15 @@ def per_epoch_analysis(
     dataset_spec: DatasetSpec,
     scale: Scale,
     n_nodes: int = 512,
-    batch_size: int = 4,
     epochs: int = 4,
     spec: ClusterSpec = SUMMIT,
-    systems: tuple[str, ...] = ("gpfs", "hvac1", "hvac2", "hvac4", "xfs"),
 ) -> PerEpochResult:
-    """Simulate ``epochs`` full epochs and decompose (paper: Eps=10)."""
+    """Simulate ``epochs`` full epochs at the paper's BS=4 for every
+    system and decompose (paper: Eps=10)."""
     from ..baselines import SYSTEM_SETUPS
 
     result = PerEpochResult(model_name=model.name, n_nodes=n_nodes, epochs=epochs)
-    for system in systems:
+    for system in ("gpfs", "hvac1", "hvac2", "hvac4", "xfs"):
         label = SYSTEM_SETUPS[system].label
         res = run_training(
             system,
@@ -131,7 +130,7 @@ def per_epoch_analysis(
             n_nodes,
             scale,
             spec=spec,
-            batch_size=batch_size,
+            batch_size=4,
             epochs=epochs,
         )
         result.epoch1[label] = res.first_epoch

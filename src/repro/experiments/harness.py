@@ -47,6 +47,14 @@ class Scale:
     #: saturated systems from small per-rank samples.
     epoch_estimator: str = "barrier"
 
+    def __post_init__(self):
+        sizes = ("files_per_rank", "repetitions", "procs_per_node", "epochs_simulated")
+        for name in sizes:
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.sim_batch_size >= 0:
+            raise ValueError("sim_batch_size must be >= 0")
+
 
 def resolve_setup(system: str | StorageSetup) -> StorageSetup:
     if isinstance(system, StorageSetup):
@@ -163,10 +171,10 @@ def repeat_training(
     scale: Scale,
     total_epochs: int,
     spec: ClusterSpec = SUMMIT,
-    batch_size: int = 0,
 ) -> tuple[MeanCI, list[TrainingResult]]:
-    """Paper-style repeated runs: mean ± 95% CI of the total training
-    time extrapolated to ``total_epochs`` epochs."""
+    """Paper-style repeated runs at the model's paper batch size: mean ±
+    95% CI of the total training time extrapolated to ``total_epochs``
+    epochs."""
     results = [
         run_training(
             system,
@@ -175,7 +183,6 @@ def repeat_training(
             n_nodes,
             scale,
             spec=spec,
-            batch_size=batch_size,
             seed=rep,
         )
         for rep in range(scale.repetitions)

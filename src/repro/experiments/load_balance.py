@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis import empirical_cdf, format_table, gini, load_imbalance
-from ..cluster import ClusterSpec, SUMMIT
 from ..core import make_placement, placement_histogram
-from ..dl import DatasetSpec, IMAGENET21K, SyntheticDataset
+from ..dl import IMAGENET21K, SyntheticDataset
 
 __all__ = ["LoadBalanceResult", "load_balance"]
 
@@ -60,24 +59,20 @@ class LoadBalanceResult:
 
 def load_balance(
     node_counts: list[int],
-    dataset_spec: DatasetSpec = IMAGENET21K,
     n_files: int = 100_000,
-    instances_per_node: int = 1,
-    hash_scheme: str = "mod",
-    spec: ClusterSpec = SUMMIT,
     seed: int = 0,
 ) -> LoadBalanceResult:
-    """Hash a sampled dataset over each allocation size, measure balance."""
-    sample = min(n_files, dataset_spec.n_train_files)
-    dataset, _ = SyntheticDataset.scaled(dataset_spec, sample, seed=seed)
+    """Hash a sampled ImageNet21K over each allocation size (one server
+    per node, the prototype's mod placement) and measure balance."""
+    sample = min(n_files, IMAGENET21K.n_train_files)
+    dataset, _ = SyntheticDataset.scaled(IMAGENET21K, sample, seed=seed)
     paths = dataset.paths()
     sizes = dataset.sizes
     result = LoadBalanceResult(
-        dataset_name=dataset_spec.name, node_counts=list(node_counts)
+        dataset_name=IMAGENET21K.name, node_counts=list(node_counts)
     )
     for n_nodes in node_counts:
-        n_servers = n_nodes * instances_per_node
-        placement = make_placement(hash_scheme, n_servers)
+        placement = make_placement("mod", n_nodes)
         by_files = placement_histogram(placement, paths)
         by_bytes = placement_histogram(placement, paths, sizes)
         result.file_cdfs[n_nodes] = empirical_cdf(by_files / by_files.sum())

@@ -31,10 +31,10 @@ class MDTestScalingResult:
     node_counts: list[int]
     tx_per_sec: dict[str, list[float]] = field(default_factory=dict)
 
-    def ratio(self, a: str = "XFS-on-NVMe", b: str = "GPFS") -> list[float]:
-        return [
-            x / y for x, y in zip(self.tx_per_sec[a], self.tx_per_sec[b])
-        ]
+    def ratio(self) -> list[float]:
+        """XFS-on-NVMe over GPFS transactions/s, per node count."""
+        xfs, gpfs = self.tx_per_sec["XFS-on-NVMe"], self.tx_per_sec["GPFS"]
+        return [x / y for x, y in zip(xfs, gpfs)]
 
     def render(self) -> str:
         fig = "Fig 3" if self.file_size < MiB else "Fig 4"
@@ -84,14 +84,14 @@ def mdtest_scaling_analytic(
     file_size: int,
     node_counts: list[int],
     spec: ClusterSpec = SUMMIT,
-    ranks_per_node: int = 6,
 ) -> MDTestScalingResult:
-    """The same sweep from the closed-form model (instant, any scale)."""
+    """The same sweep from the closed-form model (instant, any scale),
+    six ranks per node."""
     result = MDTestScalingResult(file_size=file_size, node_counts=list(node_counts))
     for system, label in (("gpfs", "GPFS"), ("xfs", "XFS-on-NVMe")):
         series = []
         for n_nodes in node_counts:
             model = AnalyticModel(spec, RESNET50, IMAGENET21K, n_nodes)
-            series.append(model.predict_mdtest(system, file_size, ranks_per_node))
+            series.append(model.predict_mdtest(system, file_size))
         result.tx_per_sec[label] = series
     return result

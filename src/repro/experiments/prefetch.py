@@ -202,7 +202,6 @@ def _run_mode(
     n_nodes: int,
     epochs: int,
     windows: int,
-    outstanding: int,
     seed: int,
     fault: bool,
     outage: float,
@@ -223,7 +222,7 @@ def _run_mode(
         # Bulk pre-population in placement order, racing epoch 1.
         paths = dataset.paths()
         sizes = [dataset.size(i) for i in range(len(dataset))]
-        CachePrefetcher(dep, paths, sizes, max_outstanding=outstanding).start()
+        CachePrefetcher(dep, paths, sizes).start()
     else:
         planner = ClairvoyantPlanner.from_epoch_plans(
             dataset, n_nodes, epochs, shuffle_seed=seed
@@ -372,6 +371,6 @@ def prefetch_comparison(
             )
         result.outcomes[mode] = _run_mode(
             mode, mode_spec, dataset, n_nodes, epochs, windows,
-            outstanding, seed, fault, outage, trace=trace,
+            seed, fault, outage, trace=trace,
         )
     return result

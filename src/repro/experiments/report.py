@@ -97,7 +97,7 @@ def generate_report(
                         systems=("gpfs", "hvac1", "hvac4", "xfs")).render(), "")
         w("## Fig 11: per-epoch anatomy", "")
         w(per_epoch_analysis(RESNET50, IMAGENET21K, scale, n_nodes=mid,
-                             batch_size=4, epochs=3, spec=spec).render(), "")
+                             epochs=3, spec=spec).render(), "")
         w("## Fig 12: batch size", "")
         w(batch_size_scaling(TRESNET_M, IMAGENET21K, [4, 32, 128], scale,
                              n_nodes=mid, total_epochs=20, spec=spec,
@@ -117,6 +117,6 @@ def generate_report(
     w(cmp.render(), "")
     w(f"GPFS and HVAC trajectories identical: {cmp.identical_gpfs_hvac}", "")
     w("## Fig 15: load balance", "")
-    w(load_balance([32, 128, 512], n_files=40_000, spec=spec).render(), "")
+    w(load_balance([32, 128, 512], n_files=40_000).render(), "")
 
     return out.getvalue()

@@ -33,6 +33,9 @@ __all__ = [
     "resilience_sweep",
 ]
 
+#: bytes per file in both experiments' datasets
+FILE_SIZE = 25_000
+
 
 def _pfs_epoch(env, pfs, n_nodes: int, files) -> float:
     """The degradation bound: the same epoch read straight from the PFS."""
@@ -91,7 +94,6 @@ def resilience_sweep(
     fail_fractions=(0.0, 0.25, 0.5),
     n_nodes: int = 8,
     n_files: int = 48,
-    file_size: int = 25_000,
     spec: ClusterSpec | None = None,
     seed: int = 0,
     spans=None,
@@ -112,7 +114,7 @@ def resilience_sweep(
         n_nodes=n_nodes, n_files=n_files,
         fail_fractions=[float(f) for f in fail_fractions],
     )
-    files = dataset_files(n_files, file_size)
+    files = dataset_files(n_files, FILE_SIZE)
 
     env, _, pfs = build_deployment(spec, n_nodes, seed, trace=trace)
     result.pfs_baseline = _pfs_epoch(env, pfs, n_nodes, files)
@@ -196,7 +198,6 @@ def _matrix_schedules(n_nodes: int) -> dict[str, FaultSchedule]:
 def fault_matrix(
     n_nodes: int = 4,
     n_files: int = 32,
-    file_size: int = 25_000,
     spec: ClusterSpec | None = None,
     seed: int = 0,
     spans=None,
@@ -208,7 +209,7 @@ def fault_matrix(
     or misbehaving HVAC server degrades performance, never correctness.
     """
     spec = fault_spec(spec)
-    files = dataset_files(n_files, file_size)
+    files = dataset_files(n_files, FILE_SIZE)
     result = FaultMatrixResult(n_nodes=n_nodes, n_files=n_files)
     for kind, schedule in _matrix_schedules(n_nodes).items():
         env, dep, _ = build_deployment(spec, n_nodes, seed, spans=spans)

@@ -63,7 +63,6 @@ def node_scaling(
     spec: ClusterSpec = SUMMIT,
     systems: tuple[str, ...] = DEFAULT_SYSTEMS,
     total_epochs: int = 10,
-    batch_size: int = 0,
 ) -> NodeScalingResult:
     """Event-driven Fig 8 sweep (simulate cold+warm, extrapolate)."""
     from ..baselines import SYSTEM_SETUPS
@@ -86,7 +85,6 @@ def node_scaling(
                 scale,
                 total_epochs=total_epochs,
                 spec=spec,
-                batch_size=batch_size,
             )
             means.append(ci.mean / 60.0)
             cis.append(ci.half_width / 60.0)
@@ -102,7 +100,6 @@ def node_scaling_analytic(
     spec: ClusterSpec = SUMMIT,
     total_epochs: int = 10,
     procs_per_node: int = 6,
-    batch_size: int = 0,
 ) -> NodeScalingResult:
     """Closed-form Fig 8 sweep — full 1→1024 range, instant."""
     result = NodeScalingResult(
@@ -116,9 +113,7 @@ def node_scaling_analytic(
     hvac: dict[str, list[float]] = {label: [] for label, _ in labels_instances}
     for n_nodes in node_counts:
         m = AnalyticModel(
-            spec, model, dataset_spec, n_nodes,
-            procs_per_node=procs_per_node,
-            batch_size=batch_size or model.default_batch_size,
+            spec, model, dataset_spec, n_nodes, procs_per_node=procs_per_node
         )
         g = m.predict_gpfs().epoch_seconds
         x = m.predict_xfs().epoch_seconds

@@ -23,6 +23,11 @@ from ..simcore import Environment
 
 __all__ = ["FailureDetector"]
 
+#: each repeat offence multiplies the probation term by this...
+PROBATION_GROWTH = 2.0
+#: ...up to this multiple of the base term
+PROBATION_CAP_FACTOR = 8.0
+
 
 class FailureDetector:
     """Per-client suspicion state over ``n_servers`` cache servers;
@@ -34,22 +39,19 @@ class FailureDetector:
         n_servers: int,
         suspect_after: int = 2,
         probation: float = 2.0,
-        probation_growth: float = 2.0,
-        probation_cap_factor: float = 8.0,
         metrics=None,
     ):
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
         if suspect_after < 1:
             raise ValueError("suspect_after must be >= 1")
-        if probation < 0 or probation_growth < 1 or probation_cap_factor < 1:
-            raise ValueError("invalid probation parameters")
+        if probation < 0:
+            raise ValueError("probation must be >= 0")
         self.env = env
         self.n_servers = n_servers
         self.suspect_after = suspect_after
         self.probation = probation
-        self.probation_growth = probation_growth
-        self.probation_cap = probation * probation_cap_factor
+        self.probation_cap = probation * PROBATION_CAP_FACTOR
         # Sparse state: only servers with a strike hold an entry, so a
         # client that sees no failure holds nothing whatever the fleet
         # size.  ``_until``/``_since``/``_expiry_due`` keys are a subset
@@ -126,9 +128,7 @@ class FailureDetector:
             self._note_expiry(server_id)
             self.transitions.append((self.env.now, "reprobe_fail", server_id))
         self._expiry_due[server_id] = None
-        term = min(
-            self.probation * self.probation_growth**over, self.probation_cap
-        )
+        term = min(self.probation * PROBATION_GROWTH**over, self.probation_cap)
         self._until[server_id] = self.env.now + term
         if self.listener is not None:
             self.listener.on_suspect(server_id)

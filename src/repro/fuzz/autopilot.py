@@ -41,6 +41,11 @@ RACE_CELLS = (
      "feedback stays sanitizer-visible"),
 )
 
+#: unbroken runs scoring under this join the near-violation pool
+NEAR_THRESHOLD = 0.8
+#: chance a proposal mutates a pool entry instead of sampling fresh
+MUTATE_BIAS = 0.4
+
 #: mutation kinds, drawn uniformly per proposal
 _MUTATIONS = (
     "reseed",
@@ -67,15 +72,8 @@ class CorpusEntry:
 class Autopilot:
     """Seeded sampler feedback loop over one campaign's corpus."""
 
-    def __init__(
-        self,
-        rand: RandomStreams,
-        near_threshold: float = 0.8,
-        mutate_bias: float = 0.4,
-    ):
+    def __init__(self, rand: RandomStreams):
         self.rand = rand
-        self.near_threshold = near_threshold
-        self.mutate_bias = mutate_bias
         #: digest -> entry; insertion order is proposal order
         self.corpus: dict[str, CorpusEntry] = {}
 
@@ -109,7 +107,7 @@ class Autopilot:
         (digest tie-break keeps the order machine-independent)."""
         pool = [
             e for e in self.corpus.values()
-            if not e.violated and e.score < self.near_threshold
+            if not e.violated and e.score < NEAR_THRESHOLD
         ]
         pool.sort(key=lambda e: (e.score, e.digest))
         return pool
@@ -120,7 +118,7 @@ class Autopilot:
     ) -> tuple[Scenario, str]:
         """The next scenario to run: fresh sample or near-miss mutant."""
         pool = self.near_violations()
-        if pool and self.rand.uniform(f"bias.{index}", 0.0, 1.0) < self.mutate_bias:
+        if pool and self.rand.uniform(f"bias.{index}", 0.0, 1.0) < MUTATE_BIAS:
             parent = pool[
                 int(self.rand.stream(f"pick.{index}").integers(min(len(pool), 4)))
             ]

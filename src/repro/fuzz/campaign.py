@@ -183,7 +183,6 @@ def run_campaign(
     config: InvariantConfig | None = None,
     shrink_failures: bool = True,
     sanitizer=None,
-    log=None,
 ) -> CampaignResult:
     """Run a budgeted campaign; returns every verdict + written cases.
 
@@ -219,8 +218,6 @@ def run_campaign(
             violated=report.violated,
         )
         result.runs.append(record)
-        if log is not None:
-            log(record)
         if report.violations:
             shrunk = (
                 shrink(scenario, report.violated, config)

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 WORKLOAD_KINDS = ("uniform", "hotstorm", "thrash", "straggler")
+#: generated fleets have 3 to this many nodes
+MAX_NODES = 6
 
 #: fast-detection RPC + membership timing shared by every scenario (the
 #: resilience/races experiments' values, so fuzz findings transfer)
@@ -260,14 +262,13 @@ class ScenarioGenerator:
     """Seeded scenario sampler; ``sample(i)`` is a pure function of
     ``(seed, i)`` so campaigns replay exactly."""
 
-    def __init__(self, seed: int = 0, max_nodes: int = 6):
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.max_nodes = max_nodes
 
     def sample(self, index: int) -> Scenario:
         rand = RandomStreams(self.seed).child(f"fuzz.scenario.{index}")
 
-        n_nodes = 3 + int(rand.stream("nodes").integers(self.max_nodes - 2))
+        n_nodes = 3 + int(rand.stream("nodes").integers(MAX_NODES - 2))
         membership = bool(rand.stream("membership").integers(2))
         replication = 2 if membership else int(
             rand.stream("replication").integers(1, 3)

@@ -72,11 +72,6 @@ class AnalyticModel:
     def files_per_epoch(self) -> int:
         return self.dataset.n_train_files
 
-    #: fraction of the allreduce hidden behind backward compute (see
-    #: TrainingConfig.comm_overlap — same default, same rationale).
-    comm_overlap: float = 1.0
-    #: per-iteration framework cost (see TrainingConfig.iteration_overhead)
-    iteration_overhead: float = 0.5e-3
     #: batch-arrival correction for the data-mover queue: ranks issue
     #: reads in back-to-back iteration bursts, so waiting time follows
     #: M^[X]/M/1 with burst size k (≈ (k+1)/2 × the Poisson wait).
@@ -86,13 +81,7 @@ class AnalyticModel:
 
     @property
     def compute_sec_per_file(self) -> float:
-        exposed_comm = (1.0 - self.comm_overlap) * self.model.allreduce_time(
-            self.n_ranks, self.spec.network.nic_bandwidth
-        )
-        return (
-            1.0 / self.model.samples_per_sec_per_gpu
-            + (exposed_comm + self.iteration_overhead) / self.batch_size
-        )
+        return self.model.sample_seconds(self.batch_size)
 
     @property
     def mean_file_bytes(self) -> float:
@@ -115,7 +104,7 @@ class AnalyticModel:
             + self.mean_file_bytes / nvme.read_bandwidth
         )
 
-    def hvac_latency(self, instances: int, local_fraction: float | None = None) -> float:
+    def hvac_latency(self, instances: int) -> float:
         """Warm-epoch per-file latency through the HVAC path.
 
         Includes the queueing delay at the per-instance data-mover
@@ -128,8 +117,7 @@ class AnalyticModel:
         hvac = self.spec.hvac
         net = self.spec.network
         nvme = self.spec.node.nvme
-        if local_fraction is None:
-            local_fraction = 1.0 / max(1, self.n_nodes)
+        local_fraction = 1.0 / max(1, self.n_nodes)  # uniform hashing
         client = 3 * hvac.client_request_overhead  # open, read, close hooks
         rpc = 2 * (net.per_message_overhead + net.link_latency) + 2e-6
         service = hvac.server_request_overhead
@@ -237,11 +225,10 @@ class AnalyticModel:
         latency = self.gpfs_latency() + self.hvac_latency(instances)
         return self._epoch(f"HVAC({instances}x1)-cold", latency, ceiling, name)
 
-    def predict_mdtest(
-        self, system: str, file_size: int, ranks_per_node: int = 6
-    ) -> float:
-        """Transactions/s for an MDTest-style pure-I/O loop (no compute)."""
-        n_ranks = self.n_nodes * ranks_per_node
+    def predict_mdtest(self, system: str, file_size: int) -> float:
+        """Transactions/s for an MDTest-style pure-I/O loop (no compute),
+        one rank per process slot."""
+        n_ranks = self.n_ranks
         if system == "gpfs":
             pfs = self.spec.pfs
             latency = (

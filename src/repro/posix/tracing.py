@@ -90,10 +90,10 @@ class TraceLog:
 class TracingBackend(FileBackend):
     """Transparent tracing wrapper around any storage backend."""
 
-    def __init__(self, env: Environment, inner: FileBackend, log: TraceLog | None = None):
+    def __init__(self, env: Environment, inner: FileBackend):
         self.env = env
         self.inner = inner
-        self.log = log or TraceLog()
+        self.log = TraceLog()
 
     def open(self, path: str, size: int, client_node: int) -> Generator:
         t0 = self.env.now

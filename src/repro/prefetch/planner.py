@@ -61,35 +61,21 @@ class ClairvoyantPlanner:
         n_ranks: int,
         epochs: int,
         shuffle_seed: int = 0,
-        keys: Sequence[object] | None = None,
-        drop_remainder: bool = False,
     ) -> "ClairvoyantPlanner":
-        """Plan ``epochs`` epochs of ``dataset`` for ``n_ranks`` readers.
-
-        ``keys`` maps rank → client key (default: the rank itself, the
-        classic one-client-per-node deployment).
+        """Plan ``epochs`` epochs of ``dataset`` for ``n_ranks`` readers,
+        one client per rank (the classic one-client-per-node deployment).
         """
         from ..dl.loader import make_epoch_plan
 
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if keys is not None and len(keys) != n_ranks:
-            raise ValueError("keys must have one entry per rank")
-        schedules: dict[object, list[tuple[str, int]]] = {}
-        for rank in range(n_ranks):
-            key = keys[rank] if keys is not None else rank
-            schedules[key] = []
+        schedules: dict[object, list[tuple[str, int]]] = {
+            rank: [] for rank in range(n_ranks)
+        }
         for epoch in range(epochs):
-            plan = make_epoch_plan(
-                dataset,
-                epoch,
-                n_ranks,
-                shuffle_seed=shuffle_seed,
-                drop_remainder=drop_remainder,
-            )
+            plan = make_epoch_plan(dataset, epoch, n_ranks, shuffle_seed=shuffle_seed)
             for rank, shard in enumerate(plan.shards):
-                key = keys[rank] if keys is not None else rank
-                schedules[key].extend(
+                schedules[rank].extend(
                     (dataset.path(int(i)), dataset.size(int(i)))
                     for i in shard.indices
                 )

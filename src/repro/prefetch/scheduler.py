@@ -117,11 +117,6 @@ class LookaheadScheduler:
         #: live worker process per server (guards resume double-spawn)
         self._workers: dict[int, object] = {}
 
-    # -- wiring ------------------------------------------------------------
-    def attach(self, client) -> None:
-        """Subscribe to one client's demand stream (sets its listener)."""
-        client.prefetch_listener = self
-
     def start(self) -> None:
         """Spawn one staging worker per involved server."""
         if self._started:

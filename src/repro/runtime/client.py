@@ -21,7 +21,7 @@ import os
 import shutil
 import tempfile
 import threading
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..core.hashing import ModuloPlacement, Placement
 from .server import RuntimeServer
@@ -63,18 +63,15 @@ class RuntimeDeployment:
         self,
         pfs_dir: str,
         n_servers: int = 2,
-        cache_root: Optional[str] = None,
         capacity_bytes_per_server: int = 1 << 30,
         pfs_read_delay: float = 0.0,
-        eviction: str = "lru",
     ):
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
         self.pfs_dir = os.path.abspath(pfs_dir)
         if not os.path.isdir(self.pfs_dir):
             raise FileNotFoundError(self.pfs_dir)
-        self._own_cache_root = cache_root is None
-        self.cache_root = cache_root or tempfile.mkdtemp(prefix="hvac-cache-")
+        self.cache_root = tempfile.mkdtemp(prefix="hvac-cache-")
         self.servers = [
             RuntimeServer(
                 server_id=i,
@@ -82,7 +79,6 @@ class RuntimeDeployment:
                 cache_dir=os.path.join(self.cache_root, f"server{i}"),
                 capacity_bytes=capacity_bytes_per_server,
                 pfs_read_delay=pfs_read_delay,
-                eviction=eviction,
             )
             for i in range(n_servers)
         ]
@@ -106,9 +102,8 @@ class RuntimeDeployment:
     def shutdown(self) -> None:
         """Stop all servers; the cache dies with the 'job' (§III-D)."""
         for server in self.servers:
-            server.shutdown(purge=True)
-        if self._own_cache_root:
-            shutil.rmtree(self.cache_root, ignore_errors=True)
+            server.shutdown()
+        shutil.rmtree(self.cache_root, ignore_errors=True)
 
     def __enter__(self) -> "RuntimeDeployment":
         return self

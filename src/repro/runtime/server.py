@@ -8,9 +8,9 @@ analog of the HVAC server process.  Each server owns
 * a **cache directory** standing in for the node-local NVMe;
 * an **in-flight table** so concurrent first reads of one file trigger
   one PFS copy (the shared-queue mutex of §III-D);
-* **eviction** under a byte budget, by the simulator's own policies
-  (:func:`~repro.core.cache.make_policy`): LRU by default, the safer
-  choice for a real deployment, or the prototype's random.
+* **eviction** under a byte budget, by the simulator's own
+  :class:`~repro.core.cache.LRUEviction`, the safer choice for a real
+  deployment than the prototype's random.
 
 The "PFS" is any slow directory; an optional artificial per-read delay
 makes cache effects visible in demos on fast local disks.
@@ -26,8 +26,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from queue import Queue
 
-from ..core.cache import make_policy
-from ..simcore.rand import RandomStreams
+from ..core.cache import LRUEviction
 
 __all__ = ["RuntimeServer", "ServerStats"]
 
@@ -68,19 +67,13 @@ class RuntimeServer:
         cache_dir: str,
         capacity_bytes: int = 1 << 30,
         pfs_read_delay: float = 0.0,
-        eviction: str = "lru",
     ):
-        # Random eviction draws from a named RandomStreams child so the
-        # victim sequence is reproducible across runs and interpreters.
-        self._policy = make_policy(
-            eviction, RandomStreams(server_id).child("runtime-server").stream("evict")
-        )
+        self._policy = LRUEviction()
         self.server_id = server_id
         self.pfs_dir = os.path.abspath(pfs_dir)
         self.cache_dir = os.path.abspath(cache_dir)
         self.capacity_bytes = capacity_bytes
         self.pfs_read_delay = pfs_read_delay
-        self.eviction = eviction
         self.stats = ServerStats()
         os.makedirs(self.cache_dir, exist_ok=True)
         self._queue: Queue = Queue()
@@ -106,17 +99,16 @@ class RuntimeServer:
         self._queue.put((rel_path, fut))
         return fut
 
-    def shutdown(self, purge: bool = True) -> None:
-        """Stop the mover; optionally purge the cache directory."""
+    def shutdown(self) -> None:
+        """Stop the mover and purge the cache directory."""
         if self._alive:
             self._alive = False
             self._queue.put((_SHUTDOWN, None))
             self._mover.join(timeout=10)
-        if purge:
-            shutil.rmtree(self.cache_dir, ignore_errors=True)
-            with self._lock:
-                self._cached.clear()
-                self._used = 0
+        shutil.rmtree(self.cache_dir, ignore_errors=True)
+        with self._lock:
+            self._cached.clear()
+            self._used = 0
 
     # -- introspection --------------------------------------------------------
     @property

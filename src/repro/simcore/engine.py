@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import math
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -497,10 +496,8 @@ class CollectorPause:
 class Environment:
     """The simulation kernel: clock + event queue + process scheduler."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
-        if math.isnan(self._now):
-            raise SimulationError(f"initial_time={initial_time!r} is not a number")
+    def __init__(self):
+        self._now = 0.0
         # Timeouts, the one kind of event scheduled with a delay, go on a
         # heap of (time, NORMAL, seq, event).  Every other event is
         # scheduled at `now` and appended as (seq, event) to the FIFO

@@ -134,12 +134,13 @@ class SimProfiler:
             ],
         }
 
-    def describe(self, n: int = 15) -> str:
+    def describe(self) -> str:
+        """The 15 busiest components and the totals, as a text table."""
         lines = [
             f"{'component':<36} {'events':>8} {'callbacks':>10} "
             f"{'scheduled':>10}",
         ]
-        for c in self.top(n):
+        for c in self.top(15):
             lines.append(
                 f"{c.component:<36} {c.events:>8} {c.callbacks:>10} "
                 f"{c.scheduled:>10}"

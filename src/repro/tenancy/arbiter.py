@@ -31,7 +31,7 @@ ids, so victim choice is deterministic and replayable (SIM004).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
 from .quota import QuotaLedger
 from .tenant import tenant_of_path
@@ -48,7 +48,6 @@ class TenantCacheArbiter:
         "mode",
         "ledger",
         "cache",
-        "resolver",
         "_weights",
         "_total_weight",
         "_owner",
@@ -61,14 +60,12 @@ class TenantCacheArbiter:
         mode: str,
         ledger: QuotaLedger,
         weights: dict[int, float],
-        resolver: Optional[Callable[[str], Optional[int]]] = tenant_of_path,
     ):
         if mode not in TENANCY_MODES:
             raise ValueError(f"unknown tenancy cache mode {mode!r}")
         self.mode = mode
         self.ledger = ledger
         self.cache = None
-        self.resolver = resolver
         self._weights: dict[int, float] = {}
         self._total_weight = 0.0
         #: resident path -> owning tenant (this cache only)
@@ -114,8 +111,8 @@ class TenantCacheArbiter:
         return int(self.cache.capacity_bytes * w / self._total_weight)
 
     def _resolve(self, tenant: Optional[int], path: str) -> Optional[int]:
-        if tenant is None and self.resolver is not None:
-            tenant = self.resolver(path)
+        if tenant is None:
+            tenant = tenant_of_path(path)
         if tenant is not None and tenant not in self._weights:
             return None
         return tenant

@@ -21,6 +21,9 @@ from .tenant import TenantSpec
 
 __all__ = ["JobArrival", "JobRecord", "run_jobs", "sample_jobs"]
 
+#: mean of the exponential gap between job arrivals (seconds)
+MEAN_INTERARRIVAL = 0.002
+
 
 @dataclass(frozen=True)
 class JobArrival:
@@ -50,7 +53,6 @@ def sample_jobs(
     seed: int,
     n_jobs: int,
     n_nodes: int,
-    mean_interarrival: float = 0.002,
     first_tenant_id: int = 0,
 ) -> list[JobArrival]:
     """A seeded job mix: ~half training sweeps, ~half inference bursts.
@@ -62,7 +64,7 @@ def sample_jobs(
     jobs: list[JobArrival] = []
     t = 0.0
     for j in range(n_jobs):
-        t += float(rand.exponential(f"gap.{j}", mean_interarrival))
+        t += float(rand.exponential(f"gap.{j}", MEAN_INTERARRIVAL))
         tid = first_tenant_id + j
         if int(rand.stream(f"kind.{j}").integers(2)):
             spec = TenantSpec(

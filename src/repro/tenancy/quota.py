@@ -19,7 +19,7 @@ bytes — the same accounting the arbiter's slab/watermark math uses.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..simcore import Environment, cell_name
 
@@ -47,7 +47,7 @@ class QuotaLedger:
         "_cells",
     )
 
-    def __init__(self, env: Environment, tenants: Iterable[TenantSpec] = ()):
+    def __init__(self, env: Environment):
         self.env = env
         self._quota_bytes: dict[int, Optional[int]] = {}
         self._quota_files: dict[int, Optional[int]] = {}
@@ -57,8 +57,6 @@ class QuotaLedger:
         # Cell names are memoized at registration: would_exceed runs on
         # the per-miss insert path and must not rebuild labels (PERF103).
         self._cells: dict[int, str] = {}
-        for spec in tenants:
-            self.add_tenant(spec)
 
     def add_tenant(self, spec: TenantSpec) -> None:
         """Register a tenant (idempotent; arrivals register lazily)."""

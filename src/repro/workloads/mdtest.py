@@ -6,9 +6,9 @@ transactions/second is reported.  The paper runs it with 32 KB files
 (metadata-bound regime) and 8 MB files (bandwidth-bound regime) to show
 the widening gap between GPFS and node-local XFS as nodes scale.
 
-Ranks here loop for a fixed measurement window over private file sets,
-mirroring MDTest's unique-directory-per-rank default (no shared-file
-contention — the contention that matters is inside the storage system).
+Each rank makes one pass over a private file set, mirroring MDTest's
+unique-directory-per-rank default (no shared-file contention — the
+contention that matters is inside the storage system).
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ class MDTestConfig:
     ranks_per_node: int = 6
     file_size: int = 32 * 1024
     files_per_rank: int = 32
-    #: measurement window; ranks that finish their files early re-loop
-    #: until the window closes (MDTest -W style stonewalling)
-    window_seconds: float = 0.0  # 0 → single pass over files_per_rank
 
     def __post_init__(self):
         if self.n_nodes < 1 or self.ranks_per_node < 1:
@@ -73,22 +70,14 @@ def run_mdtest(
     """Execute MDTest; returns aggregate transactions/second."""
     done_counts = [0] * config.n_ranks
     t0 = env.now
-    deadline = t0 + config.window_seconds if config.window_seconds > 0 else None
 
     def rank_proc(rank: int) -> Generator:
         node_id = rank // config.ranks_per_node
         backend = backend_for_node(node_id)
-        pass_idx = 0
-        while True:
-            for i in range(config.files_per_rank):
-                path = f"/gpfs/mdtest/rank{rank}/file{i}"
-                yield from backend.read_file(path, config.file_size, node_id)
-                done_counts[rank] += 1
-                if deadline is not None and env.now >= deadline:
-                    return
-            pass_idx += 1
-            if deadline is None:
-                return
+        for i in range(config.files_per_rank):
+            path = f"/gpfs/mdtest/rank{rank}/file{i}"
+            yield from backend.read_file(path, config.file_size, node_id)
+            done_counts[rank] += 1
 
     procs = [
         env.process(rank_proc(r), name=f"mdtest.r{r}") for r in range(config.n_ranks)

@@ -19,7 +19,7 @@ def membership(trace: EventTrace) -> None:
     """Crash-burst membership/repair smoke (the races scenario)."""
     from repro.check.races import membership_smoke
 
-    membership_smoke(seed=0, n_nodes=4, n_files=12, trace=trace)
+    membership_smoke(seed=0, trace=trace)
 
 
 def resilience(trace: EventTrace) -> None:
@@ -30,7 +30,6 @@ def resilience(trace: EventTrace) -> None:
         fail_fractions=(0.0, 0.5),
         n_nodes=4,
         n_files=12,
-        file_size=25_000,
         seed=0,
         trace=trace,
     )

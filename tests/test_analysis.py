@@ -144,8 +144,6 @@ class TestAsciiChart:
             ascii_chart([], {})
         with pytest.raises(ValueError):
             ascii_chart([1, 2], {"a": [1]})
-        with pytest.raises(ValueError):
-            ascii_chart([1], {"a": [1]}, width=2)
 
     def test_log_rejects_nonpositive(self):
         from repro.analysis import ascii_chart

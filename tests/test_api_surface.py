@@ -24,6 +24,9 @@ reason: a test needs it to observe model state, it is a fixture or
 kernel entry point, it backs a claimed result only tests check, or it
 waits on ROADMAP 4(a).  Matching is by bare name, so a name is kept
 alive by any same-named reference; the guard errs towards passing.
+That blind spot is real: ``LookaheadScheduler.attach`` had no caller,
+yet ``TenantCacheArbiter.attach(cache)`` kept it off the list until it
+was deleted by hand.
 """
 
 from __future__ import annotations

@@ -70,18 +70,6 @@ class TestMDTest:
         assert res.transactions == 2 * 3 * 5
         assert res.tx_per_sec > 0
 
-    def test_stonewall_window(self):
-        env = Environment()
-        h = XFSSetup().build(env, TESTING, 1, dataset())
-        cfg = MDTestConfig(
-            n_nodes=1, ranks_per_node=2, file_size=1024,
-            files_per_rank=4, window_seconds=0.01,
-        )
-        res = run_mdtest(env, cfg, h.backend_for_node, h.label)
-        assert res.elapsed >= 0.01
-        # ranks re-loop: more transactions than one pass
-        assert res.transactions > 8
-
     def test_xfs_beats_gpfs_small_files(self):
         """The motivating gap of Figs 3."""
         rates = {}

@@ -419,7 +419,7 @@ class TestCLI:
         assert "clean" in out.read_text()
 
     def test_run_cells_repo_clean(self, src_program):
-        assert run_cells(src_program, verbose=False) == 0
+        assert run_cells(src_program) == 0
 
     def test_check_cli_cells_only_flag(self):
         from repro.cli import main

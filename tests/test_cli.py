@@ -81,6 +81,22 @@ class TestCommands:
                   "--files-per-rank", "2", "--procs-per-node", "1"])
 
 
+class TestScaleArguments:
+    """A size that would zero or crash the run exits 2 with the message."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--files-per-rank", "0"),
+        ("--files-per-rank", "-3"),
+        ("--repetitions", "0"),
+        ("--procs-per-node", "0"),
+    ])
+    def test_exits_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig8", "--nodes", "2", flag, value])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 class TestModeComparisonWindows:
     """``--windows`` below one is rejected before any mode runs."""
 

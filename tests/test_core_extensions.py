@@ -98,8 +98,6 @@ class TestPrefetcher:
         env, dep, _ = build()
         with pytest.raises(ValueError):
             CachePrefetcher(dep, ["/a"], [1, 2])
-        with pytest.raises(ValueError):
-            CachePrefetcher(dep, ["/a"], [1], max_outstanding=0)
         pre = CachePrefetcher(dep, ["/a"], [1])
         pre.start()
         with pytest.raises(RuntimeError):

@@ -97,18 +97,18 @@ class TestLocalityPlacement:
     def test_fully_local(self):
         p = LocalityPlacement(8, servers_per_node=2, local_fraction=1.0)
         for i in range(200):
-            home = p.home(f"/f{i}", client=2)
+            home = p.replicas(f"/f{i}", 2)[0]
             assert home // 2 == 2  # on the client's node
 
     def test_fully_remote(self):
         p = LocalityPlacement(8, servers_per_node=2, local_fraction=0.0)
         for i in range(200):
-            home = p.home(f"/f{i}", client=1)
+            home = p.replicas(f"/f{i}", 1)[0]
             assert home // 2 != 1
 
     def test_fraction_respected(self):
         p = LocalityPlacement(32, servers_per_node=1, local_fraction=0.25)
-        local = sum(p.home(f"/f{i}", client=5) == 5 for i in range(8000))
+        local = sum(p.replicas(f"/f{i}", 5)[0] == 5 for i in range(8000))
         assert 0.21 < local / 8000 < 0.29
 
     def test_requires_client(self):
@@ -118,7 +118,7 @@ class TestLocalityPlacement:
 
     def test_single_node_always_local(self):
         p = LocalityPlacement(2, servers_per_node=2, local_fraction=0.0)
-        assert p.home("/f", client=0) in (0, 1)
+        assert p.replicas("/f", 0)[0] in (0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -192,4 +192,4 @@ def test_property_consistent_replicas_valid(n_servers, repl, path):
 def test_property_same_path_same_home(path):
     """Every client computes the same home — the no-metadata invariant."""
     p = ModuloPlacement(16)
-    assert p.home(path, client=0) == p.home(path, client=7)
+    assert p.replicas(path, 0)[0] == p.replicas(path, 7)[0]

@@ -83,10 +83,10 @@ class TestSGDTrainer:
 
 class TestShardedOrders:
     def test_only_visible_shard_sampled(self):
-        orders = sharded_orders(100, 3, n_shards=4, visible_shard=1)
+        orders = sharded_orders(100, 3, n_shards=4)
         rand = RandomStreams(0)
         base = rand.shuffled("shard-split", 100)
-        shard = set(base[1::4].tolist())
+        shard = set(base[0::4].tolist())
         for order in orders:
             assert set(order.tolist()) <= shard
 
@@ -96,7 +96,7 @@ class TestShardedOrders:
 
     def test_invalid_shard(self):
         with pytest.raises(ValueError):
-            sharded_orders(10, 1, n_shards=2, visible_shard=5)
+            sharded_orders(10, 1, n_shards=0)
 
 
 class TestFig14Experiment:

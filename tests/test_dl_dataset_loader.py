@@ -16,6 +16,7 @@ from repro.dl import (
     SyntheticDataset,
     make_epoch_plan,
 )
+from repro.dl.models import ITERATION_OVERHEAD
 
 
 class TestDatasetSpecs:
@@ -131,32 +132,16 @@ class TestModelSpecs:
     def test_all_models_registry(self):
         assert set(ALL_MODELS) == {"resnet50", "tresnet_m", "cosmoflow", "deepcam"}
 
-    def test_compute_time_scales_linearly(self):
-        assert RESNET50.compute_time(80) == pytest.approx(
-            2 * RESNET50.compute_time(40)
+    def test_sample_seconds_amortizes_iteration_overhead(self):
+        per_gpu = 1.0 / RESNET50.samples_per_sec_per_gpu
+        assert RESNET50.sample_seconds(1) == per_gpu + ITERATION_OVERHEAD
+        assert RESNET50.sample_seconds(80) - per_gpu == pytest.approx(
+            (RESNET50.sample_seconds(40) - per_gpu) / 2
         )
 
-    def test_compute_time_validation(self):
+    def test_sample_seconds_validation(self):
         with pytest.raises(ValueError):
-            RESNET50.compute_time(0)
-
-    def test_allreduce_zero_for_single_rank(self):
-        assert RESNET50.allreduce_time(1, 12.5e9) == 0.0
-
-    def test_allreduce_grows_with_ranks_then_saturates(self):
-        t2 = RESNET50.allreduce_time(2, 12.5e9)
-        t1024 = RESNET50.allreduce_time(1024, 12.5e9)
-        assert t1024 > t2
-        # bandwidth term converges to 2·bytes/bw
-        limit = 2 * RESNET50.gradient_bytes / 12.5e9
-        assert RESNET50.allreduce_time(10_000, 12.5e9) < limit * 1.5
-
-    def test_allreduce_validation(self):
-        with pytest.raises(ValueError):
-            RESNET50.allreduce_time(0, 1e9)
-
-    def test_gradient_bytes(self):
-        assert RESNET50.gradient_bytes == 4 * 25_600_000
+            RESNET50.sample_seconds(0)
 
     def test_big_file_datasets_have_bigger_files(self):
         assert DEEPCAM_CLIMATE.mean_file_bytes > COSMOUNIVERSE.mean_file_bytes

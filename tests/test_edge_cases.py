@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import FRONTIER, SUMMIT, Fabric, NetworkSpec
 from repro.dl import IMAGENET21K, SyntheticDataset
 from repro.rpc import RPCEndpoint, RPCError
-from repro.runtime import RuntimeDeployment, RuntimeServer
+from repro.runtime import RuntimeDeployment
 from repro.simcore import Environment, Interrupt, Resource, Store
 
 
@@ -196,21 +196,6 @@ class TestRuntimeConcurrency:
                 t.join()
             assert not errors
             assert dep.total_hits + dep.total_misses == 180
-
-    def test_random_eviction_mode(self, tmp_path):
-        pfs = tmp_path / "pfs"
-        pfs.mkdir()
-        for i in range(8):
-            (pfs / f"f{i}.bin").write_bytes(b"x" * 1000)
-        srv = RuntimeServer(0, str(pfs), str(tmp_path / "c"),
-                            capacity_bytes=3000, eviction="random")
-        try:
-            for i in range(8):
-                srv.submit(f"f{i}.bin").result()
-            assert srv.used_bytes <= 3000
-            assert srv.stats.evictions == 5
-        finally:
-            srv.shutdown()
 
 
 class TestPresets:

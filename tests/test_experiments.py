@@ -44,6 +44,19 @@ class TestHarness:
         with pytest.raises(ValueError):
             resolve_setup("tape-robot")
 
+    @pytest.mark.parametrize("field, value", [
+        ("files_per_rank", 0),
+        ("files_per_rank", -3),
+        ("repetitions", 0),
+        ("procs_per_node", 0),
+        ("epochs_simulated", 0),
+        ("sim_batch_size", -4),
+        ("files_per_rank", float("nan")),
+    ])
+    def test_scale_rejects_bad_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scale(**{field: value})
+
     def test_run_training_returns_result(self):
         res = run_training("xfs", RESNET50, IMAGENET21K, 2, TINY)
         assert len(res.epoch_times) == 2
@@ -156,9 +169,7 @@ class TestFig10and11:
             IMAGENET21K,
             TINY,
             n_nodes=4,
-            batch_size=4,
             epochs=3,
-            systems=("gpfs", "hvac1", "xfs"),
         )
         # Fig 11 claims: HVAC epoch-1 >= its cached epochs.
         assert res.epoch1["HVAC(1x1)"] >= res.r_epoch["HVAC(1x1)"]

@@ -27,6 +27,7 @@ from repro.faults import (
     hang,
     partition,
 )
+from repro.faults.detector import PROBATION_CAP_FACTOR
 from repro.simcore import AllOf, Environment
 from repro.storage import GPFS
 
@@ -164,14 +165,11 @@ class TestFailureDetector:
 
     def test_repeat_offender_probation_grows_capped(self):
         env = Environment()
-        det = FailureDetector(
-            env, 2, suspect_after=1, probation=1.0,
-            probation_growth=2.0, probation_cap_factor=4.0,
-        )
+        det = FailureDetector(env, 2, suspect_after=1, probation=1.0)
         for _ in range(8):
             det.record_failure(0)
         # capped at probation * cap_factor, not 2**7
-        assert det._until[0] <= env.now + 4.0 + 1e-9
+        assert det._until[0] <= env.now + PROBATION_CAP_FACTOR + 1e-9
 
     def test_transitions_suspect_expiry_reprobe_ok(self):
         env = Environment()

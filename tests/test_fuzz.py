@@ -302,7 +302,7 @@ def _report(margins, violated=()):
 
 class TestAutopilot:
     def test_near_violation_pool_ordering(self):
-        pilot = Autopilot(RandomStreams(0).child("t"), near_threshold=0.8)
+        pilot = Autopilot(RandomStreams(0).child("t"))
         a, b, c = (tiny_scenario(seed=s) for s in (1, 2, 3))
         pilot.observe(a, _report({"slo_recovery": 0.7}))
         pilot.observe(b, _report({"slo_recovery": 0.1}))

@@ -90,7 +90,7 @@ def _epochs(files_per_rank):
 
 
 def _membership(n_files):
-    return lambda: membership_smoke(seed=0, n_nodes=4, n_files=n_files)
+    return lambda: membership_smoke(seed=0, n_files=n_files)
 
 
 def _fuzz(reads_per_client):

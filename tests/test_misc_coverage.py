@@ -6,9 +6,17 @@ import pathlib
 
 import pytest
 
-from repro.analysis import format_kv, format_series
+from repro.analysis import format_kv, format_series, gini
 from repro.cluster import SUMMIT
-from repro.dl import COSMOFLOW, DEEPCAM, OPENIMAGES, TRESNET_M
+from repro.core import make_placement, placement_histogram
+from repro.dl import (
+    COSMOFLOW,
+    DEEPCAM,
+    IMAGENET21K,
+    OPENIMAGES,
+    TRESNET_M,
+    SyntheticDataset,
+)
 from repro.experiments import load_balance
 from repro.runtime import RuntimeDeployment, interposed_open
 
@@ -41,14 +49,11 @@ class TestFormatters:
 
 class TestLoadBalanceSchemes:
     def test_consistent_scheme(self):
-        res = load_balance([8], n_files=10_000, hash_scheme="consistent")
-        assert res.gini_files[8] < 0.25
-
-    def test_multiple_instances(self):
-        res = load_balance([8], n_files=10_000, instances_per_node=4)
-        # 32 servers' histogram
-        xs, ps = res.file_cdfs[8]
-        assert len(xs) == 32
+        dataset, _ = SyntheticDataset.scaled(IMAGENET21K, 10_000)
+        by_files = placement_histogram(
+            make_placement("consistent", 8), dataset.paths()
+        )
+        assert gini(by_files) < 0.25
 
     def test_cdf_probabilities_end_at_one(self):
         res = load_balance([4], n_files=2_000)

@@ -4,13 +4,56 @@ import pytest
 
 from repro.baselines import GPFSSetup, XFSSetup
 from repro.cluster import SUMMIT
-from repro.dl import COSMOUNIVERSE, DEEPCAM, DEEPCAM_CLIMATE, IMAGENET21K, RESNET50
+from repro.dl import (
+    ALL_MODELS,
+    COSMOUNIVERSE,
+    DEEPCAM,
+    DEEPCAM_CLIMATE,
+    IMAGENET21K,
+    RESNET50,
+    SyntheticDataset,
+    TrainingConfig,
+    TrainingJob,
+)
 from repro.experiments import Scale, run_training
 from repro.model import AnalyticModel
+from repro.simcore import Environment
 
 
 def model_at(n_nodes, model=RESNET50, dataset=IMAGENET21K, **kw):
     return AnalyticModel(SUMMIT, model, dataset, n_nodes, **kw)
+
+
+class _Instant:
+    """A backend whose reads take no simulated time."""
+
+    def read_file(self, path, size, client_node):
+        return size
+        yield
+
+
+def des_sample_seconds(model, batch_size):
+    """What the DES charges for one sample: a one-rank, one-file epoch
+    on reads that take no time lasts exactly one sample's compute."""
+    dataset, _ = SyntheticDataset.scaled(IMAGENET21K, 1)
+    config = TrainingConfig(
+        model=model, dataset=dataset, n_nodes=1, procs_per_node=1,
+        batch_size=batch_size, epochs=1,
+    )
+    job = TrainingJob(Environment(), config, lambda node: _Instant())
+    return job.run().epoch_times[0]
+
+
+@pytest.mark.parametrize("batch_size", [1, 0, 128])  # 0: the paper default
+@pytest.mark.parametrize("name", sorted(ALL_MODELS))
+def test_compute_cost_is_the_des_cost(name, batch_size):
+    """Both models charge one per-sample compute cost, so a DES-vs-
+    analytic gap can only sit in the I/O stages."""
+    model = ALL_MODELS[name]
+    analytic = AnalyticModel(
+        SUMMIT, model, IMAGENET21K, 1, procs_per_node=1, batch_size=batch_size
+    )
+    assert analytic.compute_sec_per_file == des_sample_seconds(model, batch_size)
 
 
 class TestCeilings:

@@ -74,8 +74,6 @@ class TestPlanner:
             ClairvoyantPlanner({})
         with pytest.raises(ValueError):
             ClairvoyantPlanner.from_epoch_plans(dataset(), 2, epochs=0)
-        with pytest.raises(ValueError):
-            ClairvoyantPlanner.from_epoch_plans(dataset(), 2, epochs=1, keys=[0])
 
 
 class TestLookaheadScheduler:
@@ -190,12 +188,9 @@ class TestReactiveStarvation:
     FILES = [(f"/data/f{i}", 60_000) for i in range(32)]
 
     def test_demand_read_is_not_starved_by_bulk_staging(self):
-        env, dep, _ = build(n_nodes=2)
+        env, dep, _ = build(n_nodes=2, prefetch_outstanding=2)
         pre = CachePrefetcher(
-            dep,
-            [p for p, _ in self.FILES],
-            [s for _, s in self.FILES],
-            max_outstanding=2,
+            dep, [p for p, _ in self.FILES], [s for _, s in self.FILES]
         )
         proc = pre.start()
         t_demand = {}
@@ -213,12 +208,9 @@ class TestReactiveStarvation:
         assert t_demand["done"] < 0.5 * env.now
 
     def test_mid_fetch_crash_does_not_crash_the_prefetcher(self):
-        env, dep, _ = build(n_nodes=2)
+        env, dep, _ = build(n_nodes=2, prefetch_outstanding=2)
         pre = CachePrefetcher(
-            dep,
-            [p for p, _ in self.FILES],
-            [s for _, s in self.FILES],
-            max_outstanding=2,
+            dep, [p for p, _ in self.FILES], [s for _, s in self.FILES]
         )
         pre.start()
 
@@ -292,7 +284,8 @@ class TestCompressedTier:
 
         env = Environment()
         cache = compressed_cache(env, ratio=0.5)
-        ledger = QuotaLedger(env, [TenantSpec(tenant_id=0, quota_bytes=5_000)])
+        ledger = QuotaLedger(env)
+        ledger.add_tenant(TenantSpec(tenant_id=0, quota_bytes=5_000))
         TenantCacheArbiter("shared", ledger, {0: 1.0}).attach(cache)
         run(env, cache.insert("/pfs/t0/f", 1000))
         # Quota sees what the device holds: the stored (compressed) size.

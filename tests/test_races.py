@@ -248,7 +248,9 @@ class TestQuotaCellRegression:
     def _ledger(env):
         from repro.tenancy import QuotaLedger, TenantSpec
 
-        return QuotaLedger(env, [TenantSpec(tenant_id=0, quota_bytes=10_000)])
+        ledger = QuotaLedger(env)
+        ledger.add_tenant(TenantSpec(tenant_id=0, quota_bytes=10_000))
+        return ledger
 
     def test_unsynchronized_charges_race(self):
         env, san = _sanitized_env()
@@ -307,9 +309,9 @@ class TestQuotaCellRegression:
         from repro.tenancy import QuotaLedger, TenantSpec
 
         env, san = _sanitized_env()
-        ledger = QuotaLedger(
-            env, [TenantSpec(tenant_id=0), TenantSpec(tenant_id=1)]
-        )
+        ledger = QuotaLedger(env)
+        ledger.add_tenant(TenantSpec(tenant_id=0))
+        ledger.add_tenant(TenantSpec(tenant_id=1))
 
         def mover(env, tid):
             yield env.timeout(1.0)
@@ -442,7 +444,7 @@ class TestPrefetchCellRegression:
 class TestRunRaces:
     def test_clean_run_exits_zero_and_writes_marker(self, tmp_path, capsys):
         out = tmp_path / "races.txt"
-        assert run_races(seed=0, output=str(out), verbose=False) == 0
+        assert run_races(seed=0, output=str(out)) == 0
         assert "clean" in out.read_text()
 
     def test_racy_run_exits_nonzero_and_writes_reports(
@@ -458,6 +460,6 @@ class TestRunRaces:
 
         monkeypatch.setattr(RepairManager, "on_recover", direct_spawn)
         out = tmp_path / "races.txt"
-        assert run_races(seed=0, output=str(out), verbose=False) == 1
+        assert run_races(seed=0, output=str(out)) == 1
         text = out.read_text()
         assert "limiter.repair" in text and "same-timestamp race" in text

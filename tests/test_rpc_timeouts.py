@@ -106,8 +106,8 @@ class TestMessageLoss:
         assert isinstance(caught[0][1], RPCTimeout)
 
     def test_lost_reply_times_out_and_handler_side_effects_land(self):
-        """One-way fault on the reply direction: the handler runs to
-        completion, the caller sees only silence."""
+        """The link fails once the request has crossed it: the handler
+        runs to completion, the caller sees only silence."""
         env = Environment()
         fab = make_fabric(env)
         server = RPCEndpoint(env, fab, node_id=1, name="srv")
@@ -115,12 +115,12 @@ class TestMessageLoss:
         served = []
 
         def handler(payload, src):
+            fab.set_link_fault(0, 1, drop_prob=1.0)
             yield env.timeout(0.01)
             served.append(payload)
             return "reply"
 
         server.register("op", handler)
-        fab.set_link_fault(1, 0, drop_prob=1.0, symmetric=False)
         caught = []
         run_call(env, client, server, caught, payload="x", timeout=0.5)
         env.run()

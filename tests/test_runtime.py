@@ -71,7 +71,7 @@ class TestRuntimeServer:
         cache = tmp_path / "c"
         srv = RuntimeServer(0, pfs, str(cache))
         srv.submit("sample-000.bin").result()
-        srv.shutdown(purge=True)
+        srv.shutdown()
         assert not cache.exists()
         with pytest.raises(RuntimeError):
             srv.submit("sample-001.bin")
@@ -106,24 +106,6 @@ class TestRuntimeServer:
             assert srv.stats.hits == 1
         finally:
             srv.shutdown()
-
-    def test_random_eviction_stays_under_budget(self, pfs, tmp_path):
-        srv = RuntimeServer(
-            0, pfs, str(tmp_path / "c"), capacity_bytes=2500, eviction="random"
-        )
-        try:
-            for i in range(12):
-                path = f"sample-{i:03d}.bin"
-                assert srv.submit(path).result() == bytes([i]) * (1000 + i)
-            assert srv.used_bytes <= 2500
-            assert srv.cached_files == 2
-            assert srv.stats.evictions == 10
-        finally:
-            srv.shutdown()
-
-    def test_invalid_eviction(self, pfs, tmp_path):
-        with pytest.raises(ValueError):
-            RuntimeServer(0, pfs, str(tmp_path / "c"), eviction="arc")
 
 
 class TestRuntimeDeployment:

@@ -805,7 +805,7 @@ class TestScope:
 
     def test_unknown_rule_code_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
-            lint_tree([SRC_ROOT], rules=["SIM999"])
+            lint_program(Program.read([SRC_ROOT]), rules=["SIM999"])
 
 
 class TestRepoIsClean:

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.faults import FailureDetector
+from repro.faults.detector import PROBATION_CAP_FACTOR, PROBATION_GROWTH
 from repro.simcore import Environment, Histogram, MetricRegistry, Resource
 from repro.simcore.monitor import _N_BINS
 
@@ -20,14 +21,12 @@ class DenseDetector:
     """The list-per-server detector the sparse one replaced, kept as the
     reference: four ``[...] * n_servers`` lists per client."""
 
-    def __init__(self, env, n_servers, suspect_after=2, probation=2.0,
-                 probation_growth=2.0, probation_cap_factor=8.0, metrics=None):
+    def __init__(self, env, n_servers, suspect_after=2, probation=2.0, metrics=None):
         self.env = env
         self.n_servers = n_servers
         self.suspect_after = suspect_after
         self.probation = probation
-        self.probation_growth = probation_growth
-        self.probation_cap = probation * probation_cap_factor
+        self.probation_cap = probation * PROBATION_CAP_FACTOR
         self._strikes = [0] * n_servers
         self._until = [0.0] * n_servers
         self._since = [0.0] * n_servers
@@ -67,7 +66,7 @@ class DenseDetector:
             self._note_expiry(sid)
             self.transitions.append((self.env.now, "reprobe_fail", sid))
         self._expiry_logged[sid] = False
-        term = min(self.probation * self.probation_growth**over, self.probation_cap)
+        term = min(self.probation * PROBATION_GROWTH**over, self.probation_cap)
         self._until[sid] = self.env.now + term
 
     def _note_expiry(self, sid):
@@ -119,7 +118,7 @@ def _state(det, registry):
 PARAMS = [
     dict(suspect_after=1, probation=0.5),
     dict(suspect_after=2, probation=1.0),
-    dict(suspect_after=3, probation=0.25, probation_growth=3.0, probation_cap_factor=4.0),
+    dict(suspect_after=3, probation=0.25),
     dict(suspect_after=2, probation=0.0),  # zero-length terms, from t = 0
 ]
 

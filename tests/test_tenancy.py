@@ -91,7 +91,9 @@ class TestTenantSpec:
 class TestQuotaLedger:
     def _ledger(self, **kw):
         env = Environment()
-        return QuotaLedger(env, [TenantSpec(tenant_id=0, **kw)])
+        ledger = QuotaLedger(env)
+        ledger.add_tenant(TenantSpec(tenant_id=0, **kw))
+        return ledger
 
     def test_charge_and_release_round_trip(self):
         ledger = self._ledger()
