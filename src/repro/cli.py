@@ -221,20 +221,23 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print("NOT reproduced")
         return 2
 
-    config = InvariantConfig(determinism_every=args.determinism_every)
     sanitizer = None
     if args.races:
         from .check.races import RaceSanitizer
 
         sanitizer = RaceSanitizer()
-    result = run_campaign(
-        runs=args.runs,
-        seed=args.seed,
-        corpus_dir=args.corpus_dir or None,
-        time_budget=args.time_budget,
-        config=config,
-        sanitizer=sanitizer,
-    )
+    try:
+        result = run_campaign(
+            runs=args.runs,
+            seed=args.seed,
+            corpus_dir=args.corpus_dir or None,
+            time_budget=args.time_budget,
+            config=InvariantConfig(determinism_every=args.determinism_every),
+            sanitizer=sanitizer,
+        )
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     print(result.render())
     for path in result.case_paths:
         print(f"wrote {path}")
@@ -482,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "near-violation bias, minimized JSON repro cases",
     )
     p.add_argument("--runs", type=int, default=25,
-                   help="scenarios to execute")
+                   help="scenarios to execute (>= 1)")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed (generator + autopilot)")
     p.add_argument("--time-budget", type=float, default=0.0,
@@ -497,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "not the shrunk core")
     p.add_argument("--determinism-every", type=int, default=4,
                    help="double-run the fingerprint check every N-th "
-                   "scenario (0 = never)")
+                   "scenario (0 = never; negative is an error)")
     p.add_argument("--races", action="store_true",
                    help="attach the race sanitizer across all runs")
     p.set_defaults(func=cmd_fuzz)

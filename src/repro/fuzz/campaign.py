@@ -10,6 +10,12 @@ A campaign is a loop of *propose → execute → check → feed back*:
   case file named by its scenario digest, so a double campaign run
   writes the identical corpus — the determinism acceptance bar.
 
+Only the runs whose fingerprint is read are traced: both executions of
+a double run, and one re-execution of a failing run that was not
+traced, for its case file.  Runs are deterministic and observers do not
+change the event stream, so that re-execution records the fingerprint
+the failing run would have had.
+
 Case-file schema (version 1)::
 
     {
@@ -188,8 +194,10 @@ def run_campaign(
 
     ``time_budget`` (wall seconds, 0 = unlimited) only stops the loop
     *between* runs, so a budgeted campaign is still a prefix of the
-    unbudgeted one with the same seed.
+    unbudgeted one with the same seed.  ``runs`` must be >= 1.
     """
+    if not runs >= 1:
+        raise ValueError("runs must be >= 1")
     config = config or InvariantConfig()
     generator = ScenarioGenerator(seed)
     autopilot = Autopilot(RandomStreams(seed).child("fuzz.autopilot"))
@@ -201,10 +209,16 @@ def run_campaign(
             result.out_of_budget = True
             break
         scenario, origin = autopilot.propose(generator, index)
-        trace = EventTrace()
-        obs = execute(scenario, config, trace=trace, sanitizer=sanitizer)
+        double = (
+            config.determinism_every > 0
+            and index % config.determinism_every == 0
+        )
+        obs = execute(
+            scenario, config, trace=EventTrace() if double else None,
+            sanitizer=sanitizer,
+        )
         second = None
-        if config.determinism_every > 0 and index % config.determinism_every == 0:
+        if double:
             second = execute(scenario, config, trace=EventTrace()).fingerprint
         report = check_observation(obs, config, second_fingerprint=second)
         autopilot.observe(scenario, report, origin=origin)
@@ -219,13 +233,18 @@ def run_campaign(
         )
         result.runs.append(record)
         if report.violations:
+            fingerprint = obs.fingerprint
+            if fingerprint is None:
+                fingerprint = execute(
+                    scenario, config, trace=EventTrace()
+                ).fingerprint
             shrunk = (
                 shrink(scenario, report.violated, config)
                 if shrink_failures else None
             )
             case = _case_dict(
                 seed, index, origin, scenario, config, report,
-                obs.fingerprint, shrunk,
+                fingerprint, shrunk,
             )
             result.cases.append(case)
             if corpus_dir:

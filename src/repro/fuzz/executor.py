@@ -17,12 +17,16 @@ findings transfer to them directly:
 6. **convergence** — with membership on, wait (bounded) for repair to
    drain and snapshot every client view against ground truth.
 
-Every run gets a :class:`~repro.simcore.EventTrace` (the determinism
-fingerprint), a :class:`~repro.obs.SpanRecorder` (per-read byte/retry
-accounting), and per-client invariant counters registered as
+Every run gets a :class:`~repro.obs.SpanRecorder` (per-read byte/retry
+accounting) and per-client invariant counters registered as
 race-sanitizer cells (``fuzz.reads.n<node>``, or
 ``fuzz.reads.t<j>.n<node>`` in multi-tenant scenarios) so ``repro fuzz
 --races`` extends the ``--races`` guarantee over fuzzed interleavings.
+A run is fingerprinted only when the caller passes an
+:class:`~repro.simcore.EventTrace`: folding every kernel event into a
+hash costs time, and only a determinism comparison or a case file reads
+it.  Observers never change the event stream, so a traced and an
+untraced run of one scenario observe the same thing.
 
 Multi-tenant scenarios (``scenario.tenants > 1``) run one reader unit
 per (tenant, client) pair: every unit gets its own fleet client via
@@ -116,7 +120,8 @@ class Observation:
     #: human-readable view/ground-truth mismatches at the final snapshot
     unconverged: list[str] = field(default_factory=list)
     repair_in_flight: int = 0
-    fingerprint: str = ""
+    #: event-stream fingerprint; ``None`` when the run was not traced
+    fingerprint: str | None = None
     slo: SLOReport | None = None
 
 
@@ -257,6 +262,10 @@ def execute(
     """Run one scenario end to end; never raises on scenario behavior
     (hung epochs are recorded and interrupted, not waited out).
 
+    ``trace`` is attached to the run when given and its fingerprint
+    lands in ``Observation.fingerprint``; without one the run is not
+    traced and the fingerprint is ``None``.
+
     The whole execution, from building the deployment to its teardown,
     runs under one :class:`CollectorPause`: the finished deployment is
     cyclic and is freed by the first collection after it."""
@@ -275,9 +284,8 @@ def _execute(
 
     env = Environment()
     env.spans = SpanRecorder()
-    if trace is None:
-        trace = EventTrace()
-    env.observe(trace)
+    if trace is not None:
+        env.observe(trace)
     if sanitizer is not None:
         env.observe(sanitizer)
 
@@ -466,5 +474,6 @@ def _execute(
         obs.slo = compute_slo(
             env.spans, window, origin=obs.t_fault, horizon=obs.t_end
         )
-    obs.fingerprint = trace.fingerprint
+    if trace is not None:
+        obs.fingerprint = trace.fingerprint
     return obs

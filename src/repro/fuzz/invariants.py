@@ -16,7 +16,8 @@ promises under *any* fault schedule; every one is checked against the
     PFS — data is served, never invented or dropped.
 ``determinism``
     Same-seed double runs produce identical event-stream fingerprints
-    (checked when the campaign schedules a double run).
+    (checked when the campaign schedules a double run; only those runs,
+    and failing ones, are traced).
 ``slo_recovery``
     After the last fault heals and every probation expires, the SLO
     grid's degraded-read fraction returns to the floor — and no failed
@@ -88,6 +89,18 @@ class InvariantConfig:
     #: shrinker: total re-check budget
     max_shrink_checks: int = 150
 
+    def __post_init__(self) -> None:
+        # ``not x >= bound`` so a NaN fails too
+        if not self.windows >= 1:
+            raise ValueError("windows must be >= 1")
+        for name in ("deadline_factor", "floor_ref", "isolation_ref"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("deadline_slack", "retry_slack", "convergence_window",
+                     "determinism_every", "max_shrink_checks"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -153,7 +166,15 @@ def _clip(x: float) -> float:
 def check_observation(
     obs, config: InvariantConfig, second_fingerprint: str | None = None
 ) -> InvariantReport:
-    """Evaluate every invariant against one executed scenario."""
+    """Evaluate every invariant against one executed scenario.
+
+    ``determinism`` is checked only when ``second_fingerprint`` is
+    given, and then ``obs`` must come from a traced run: comparing it
+    with an untraced one is a caller error, not a divergence."""
+    if second_fingerprint is not None and obs.fingerprint is None:
+        raise ValueError(
+            "second_fingerprint given for an untraced observation"
+        )
     report = InvariantReport()
     # Assembled once: three checks walk the same span tree.
     tree = obs.spans.spans()

@@ -15,6 +15,12 @@ candidate only if the *same* invariant still fires.  Deletion order is
 fixed, so the same failing case always shrinks to the same core (the
 ``repro fuzz`` determinism acceptance bar covers this).
 
+A probe runs the scenario once, untraced, unless ``determinism`` is a
+target: acceptance reads only the target invariants, so no other
+target needs the second run's fingerprint.  The shrunk scenario's final
+report always comes from one traced double run, so it carries the
+determinism verdict whatever the target.
+
 For ``determinism`` violations the shrunk scenario is additionally
 handed to the PR-2 divergence bisector
 (:func:`repro.check.divergence.find_first_divergence`), which pins the
@@ -24,9 +30,11 @@ first divergent kernel event of the double run into the case file.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
+from ..simcore import EventTrace
 from .executor import execute
-from .invariants import InvariantConfig, InvariantReport
+from .invariants import InvariantConfig, InvariantReport, check_observation
 from .scenario import (
     Scenario,
     drop_client,
@@ -72,17 +80,18 @@ class ShrinkResult:
 
 
 def _check(scenario: Scenario, config: InvariantConfig) -> InvariantReport:
-    """One executor + checker round (with the double-run fingerprint,
-    so determinism failures keep reproducing while shrinking)."""
-    from ..simcore import EventTrace
-
+    """One executor + checker round with the traced double run, so
+    determinism failures keep reproducing while shrinking."""
     obs = execute(scenario, config, trace=EventTrace())
     second = execute(scenario, config, trace=EventTrace())
-    from .invariants import check_observation
-
     return check_observation(
         obs, config, second_fingerprint=second.fingerprint
     )
+
+
+def _check_once(scenario: Scenario, config: InvariantConfig) -> InvariantReport:
+    """One untraced executor + checker round (determinism skipped)."""
+    return check_observation(execute(scenario, config), config)
 
 
 def shrink(
@@ -93,13 +102,19 @@ def shrink(
 ) -> ShrinkResult:
     """Minimize ``scenario`` while ``target`` invariants keep firing.
 
-    ``check`` (scenario -> InvariantReport) is injectable for tests;
-    the default runs the real executor twice per probe.
+    ``check`` (scenario -> InvariantReport) is injectable for tests and
+    then serves every probe and the final report.  The default probes
+    with one untraced run (two traced runs when ``determinism`` is a
+    target) and takes the final report from one traced double run.
     """
     config = config or InvariantConfig()
+    probe = check
     if check is None:
-        def check(s: Scenario) -> InvariantReport:  # noqa: F811
-            return _check(s, config)
+        check = partial(_check, config=config)
+        probe = (
+            check if "determinism" in target
+            else partial(_check_once, config=config)
+        )
 
     target = tuple(sorted(target))
     budget = [config.max_shrink_checks]
@@ -110,7 +125,7 @@ def shrink(
             return False
         budget[0] -= 1
         try:
-            report = check(candidate)
+            report = probe(candidate)
         except (ValueError, RuntimeError):
             return False  # structurally invalid candidate: not a repro
         if set(target) <= set(report.violated):
@@ -185,7 +200,12 @@ def shrink(
 
     result.shrunk = current
     result.checks = config.max_shrink_checks - budget[0]
-    result.report = last_report[0] if last_report[0] is not None else check(current)
+    # ``current`` is the last accepted candidate: its probe report is
+    # the final one when the probe is the full check
+    if probe is check and last_report[0] is not None:
+        result.report = last_report[0]
+    else:
+        result.report = check(current)
 
     if "determinism" in target:
         result.divergence = _bisect_divergence(current, config)
