@@ -26,7 +26,7 @@ import gc
 import itertools
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from .monitor import MetricRegistry
 from .trace import event_label
@@ -366,57 +366,48 @@ class Process(Event):
 class Condition(Event):
     """Composite event over multiple sub-events.
 
-    Triggers when ``evaluate(events, n_done)`` returns True, with a dict
-    mapping each *triggered* sub-event to its value.  Fails as soon as
-    any sub-event fails.
+    Counts down the sub-events it still needs (``_needed``) and succeeds
+    when none is left, with a dict mapping each sub-event that has
+    *fired* to its value (:meth:`_values`).  Fails as soon as any
+    sub-event fails.  A subclass sets the count and builds the dict.
     """
 
-    __slots__ = ("_events", "_evaluate", "_count", "_fired")
+    __slots__ = ("_events", "_needed")
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list, int], bool],
-        events: Iterable[Event],
-    ):
+    def __init__(self, env: "Environment", events: list, needed: int):
         super().__init__(env)
-        self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-        self._fired: set[int] = set()
-        for evt in self._events:
+        self._events = events
+        self._needed = needed
+        for evt in events:
             if evt.env is not env:
                 raise SimulationError("Events from different environments")
-        if not self._events:
+        if not events:
             self.succeed({})
             return
-        for evt in self._events:
+        for evt in events:
             if evt.callbacks is None:
                 self._check(evt)
             else:
                 evt.callbacks.append(self._check)
 
-    def _collect_values(self) -> dict:
-        return {
-            evt: evt._value
-            for evt in self._events
-            if id(evt) in self._fired and evt._ok
-        }
+    def _values(self, event: Event) -> dict:
+        """The success value, once ``event`` has made the count zero."""
+        raise NotImplementedError
 
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
             if not event._ok:
                 event._defused = True
             return
-        self._count += 1
-        self._fired.add(id(event))
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-        if self._value is not _PENDING:
-            self._withdraw_losers()
+        else:
+            self._needed -= 1
+            if self._needed:
+                return
+            self.succeed(self._values(event))
+        self._withdraw_losers()
 
     def _withdraw_losers(self) -> None:
         """Cancel still-pending wait-queue sub-events once the condition
@@ -430,34 +421,31 @@ class Condition(Event):
                     withdraw()
 
 
-def _all_done(events: list, count: int) -> bool:
-    """AllOf evaluator, hoisted to module level: conditions are built on
-    the RPC fast path (``done | expiry``), so per-instance lambdas are a
-    per-event closure allocation (PERF102)."""
-    return count >= len(events)
-
-
-def _any_done(events: list, count: int) -> bool:
-    """AnyOf evaluator, hoisted to module level (see :func:`_all_done`)."""
-    return count >= 1
-
-
 class AllOf(Condition):
-    """Triggers once *all* sub-events have triggered."""
+    """Triggers once *all* sub-events have triggered.  Its value holds
+    every sub-event, in list order."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _all_done, events)
+        events = list(events)
+        super().__init__(env, events, len(events))
+
+    def _values(self, event: Event) -> dict:
+        return {evt: evt._value for evt in self._events}
 
 
 class AnyOf(Condition):
-    """Triggers once *any* sub-event has triggered."""
+    """Triggers once *any* sub-event has triggered.  Its value holds the
+    one sub-event that fired first."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _any_done, events)
+        super().__init__(env, list(events), 1)
+
+    def _values(self, event: Event) -> dict:
+        return {event: event._value}
 
 
 def _hooks(observers: tuple, name: str) -> tuple:
