@@ -40,6 +40,18 @@ class RPCTimeout(RPCError):
     """The call did not complete within the caller's deadline."""
 
 
+def _expire(expiry: Event) -> None:
+    """Deadline callback of a call with a timeout; the timer's value is
+    the call's ``done``.  If no reply is in yet, wake the caller with an
+    empty post, which every later reply then finds taken (``_serve``
+    posts only to a pending ``done``).  Module level, not a per-call
+    closure (PERF102).  The caller reads ``expiry.processed`` to tell a
+    timeout from a reply."""
+    done = expiry.value
+    if not done.triggered:
+        done.succeed(None)
+
+
 class RPCEndpoint:
     """One addressable RPC endpoint pinned to a node.
 
@@ -246,16 +258,20 @@ class RPCEndpoint:
         if timeout is None:
             outcome = yield done
         else:
-            expiry = env.timeout(timeout)
+            # The deadline wakes the caller through `done` (see
+            # `_expire`), so the call waits on one event, not a condition.
+            expiry = env.timeout(timeout, done)
+            expiry.callbacks.append(_expire)
             try:
-                result = yield done | expiry
+                outcome = yield done
+                if expiry.processed:
+                    # The deadline fired first.  A reply posted at its
+                    # very instant is scheduled behind it, so it lost.
+                    raise RPCTimeout(f"{op} on {target.name} after {timeout}s")
             finally:
                 # A reply (or an interrupt) that beats the deadline leaves
                 # the timer nothing to do: take it out of the heap now.
                 expiry.cancel()
-            if done not in result:
-                raise RPCTimeout(f"{op} on {target.name} after {timeout}s")
-            outcome = result[done]
         ok, value, reply_extra = outcome
         if reply_extra is not None and self.digest_sink is not None:
             self.digest_sink(reply_extra, target.node_id)
@@ -281,18 +297,21 @@ class RPCEndpoint:
             self.digest_sink(piggyback, src)
         handler = self._handlers.get(op)
         if handler is None:
-            done.succeed(
-                (False, SimulationError(f"no handler for {op!r} on {self.name}"), None)
-            )
+            if not done.triggered:
+                done.succeed(
+                    (False, SimulationError(f"no handler for {op!r} on {self.name}"), None)
+                )
             return
         try:
             value = yield from handler(payload, src)
         except Exception as err:  # noqa: BLE001 — relayed to caller
-            done.succeed((False, err, None))
+            if not done.triggered:
+                done.succeed((False, err, None))
             return
         if not self._alive:
             # Died while serving: response is lost.
-            done.succeed((False, RPCError(f"endpoint {self.name} died"), None))
+            if not done.triggered:
+                done.succeed((False, RPCError(f"endpoint {self.name} died"), None))
             return
         if self._hung:
             # Hung after serving: the reply is never posted.
@@ -307,7 +326,8 @@ class RPCEndpoint:
             # Reply lost in the fabric (Mercury cancel semantics): the
             # caller sees only its deadline expire.
             return
-        done.succeed((True, value, reply_extra))
+        if not done.triggered:
+            done.succeed((True, value, reply_extra))
 
     # -- bulk ------------------------------------------------------------
     def bulk_push(self, dst_node: int, nbytes: int) -> Generator:

@@ -209,16 +209,17 @@ class Timeout(Event):
     def cancel(self) -> None:
         """Withdraw the timeout so that it never fires.
 
-        Its callbacks are dropped now, which frees whatever waited on it
-        (the resolved ``done | expiry`` of an answered RPC) at once
-        instead of at the deadline.  It costs no step and never reaches
-        an observer.  A cancelled timeout reads as processed; do not
-        yield it.  Cancelling a timeout that already fired, or twice,
-        does nothing.
+        Its callbacks and value are dropped now, which frees whatever
+        they hold (an answered RPC's deadline callback and its ``done``
+        with the reply) at once instead of at the deadline.  It costs no
+        step and never reaches an observer.  A cancelled timeout reads
+        as processed; do not yield it.  Cancelling a timeout that
+        already fired, or twice, does nothing.
         """
         if self.callbacks is None:
             return
         self.callbacks = None
+        self._value = None
         self.env._note_cancel()
 
 

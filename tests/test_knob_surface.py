@@ -104,9 +104,6 @@ ALLOWED: dict[str, str] = {
         "waits on ROADMAP 4(a), the differential fuzz leg"
     ),
     "posix.replay.replay_trace:system_label": "waits on ROADMAP 4(a), the differential fuzz leg",
-    "simcore.engine.Environment.timeout:value": (
-        "kernel entry point: the value a timeout fires with"
-    ),
     "simcore.resources.PriorityResource.__init__:capacity": (
         "waits on ROADMAP 5(b), which deletes the class"
     ),

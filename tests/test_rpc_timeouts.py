@@ -270,3 +270,85 @@ class TestDeadlineTimers:
         assert interrupted == [0.05]
         # The drain ends with the abandoned handler, not at the deadline.
         assert env.now < 1.0
+
+
+class TestReplyAtTheDeadline:
+    """A reply and a deadline due at the same instant.  The reply is
+    posted to the caller's ``done`` at that instant, and ``done`` is
+    scheduled behind the deadline timer (lower seq first), so the
+    deadline fires first and wins in either kernel order of the two
+    posting steps."""
+
+    @staticmethod
+    def call(handler, timeout=0.5):
+        """One call whose 0.5 s deadline falls due at exactly 1.0 s: a
+        192-byte header takes 0.25 s + 192 / 768 s = 0.5 s.  ``handler``
+        gets a timer due at 1.0 s that was set before the deadline."""
+        env = Environment()
+        spec = NetworkSpec(
+            nic_bandwidth=768.0,
+            link_latency=0.25,
+            per_message_overhead=0.0,
+            loopback_bandwidth=1e7,
+        )
+        fab = Fabric(env, spec, 2)
+        gate = env.timeout(1.0)
+        server = RPCEndpoint(env, fab, node_id=1, name="srv")
+        client = RPCEndpoint(env, fab, node_id=0, name="cli")
+        server.register("op", lambda payload, src: handler(env, gate))
+        caught = []
+        run_call(env, client, server, caught, timeout=timeout)
+        env.run()
+        return caught
+
+    @staticmethod
+    def reply_over_the_wire(env, gate):
+        # The reply's 0.5 s crossing starts after the deadline was set.
+        yield env.timeout(0.0)
+        return "ok"
+
+    def test_reply_posted_after_the_deadline_fires_loses(self):
+        [(t, err)] = self.call(self.reply_over_the_wire)
+        assert t == 1.0
+        assert isinstance(err, RPCTimeout)
+
+    def test_reply_posted_before_the_deadline_fires_still_loses(self):
+        # The gate fires first at 1.0 s, and the handler's error reply is
+        # posted at once, a step ahead of the deadline.
+        def handler(env, gate):
+            yield gate
+            raise ValueError("at the deadline")
+
+        [(t, err)] = self.call(handler)
+        assert t == 1.0
+        assert isinstance(err, RPCTimeout)
+
+    def test_reply_just_before_the_deadline_wins(self):
+        caught = self.call(self.reply_over_the_wire, timeout=0.5 + 2.0**-20)
+        assert caught == [(1.0, "ok")]
+
+
+class TestLateFailure:
+    def test_handler_raising_after_timeout_is_harmless(self):
+        """The caller gave up; the handler then raises.  Its error reply
+        finds the caller's ``done`` taken and is dropped: no unhandled
+        failure and no "already triggered" error reach the kernel."""
+        env = Environment()
+        fab = make_fabric(env)
+        server = RPCEndpoint(env, fab, node_id=1, name="srv")
+        client = RPCEndpoint(env, fab, node_id=0, name="cli")
+        finished = []
+
+        def handler(payload, src):
+            yield env.timeout(1.0)
+            finished.append(env.now)
+            raise ValueError("after the caller left")
+
+        server.register("op", handler)
+        caught = []
+        run_call(env, client, server, caught, timeout=0.1)
+        env.run()  # drains past the handler's failure
+        [(t, err)] = caught
+        assert isinstance(err, RPCTimeout)
+        assert t == pytest.approx(0.1, abs=0.01)
+        assert finished and finished[0] > t
