@@ -42,7 +42,7 @@ FORCED = InvariantConfig(deadline_factor=0.5, deadline_slack=0.0)
 #: stream") and with nothing else.
 FORCED_CASE = (
     "case_625867010c23b26b.json",
-    "9d2278e1efebb42d0dd8a18f5c957e45926a06684a48213f49a627c5354844cd",
+    "4cf8bbd1e5adbd6c836fb53f12fbd38ec39c25f89320aef4e3df3a1556b1c0b3",
 )
 
 

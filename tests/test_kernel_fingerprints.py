@@ -15,12 +15,12 @@ from repro.simcore import EventTrace
 from .pinned_scenarios import SCENARIOS
 
 PINNED = {
-    "epochs": (1656, "a2572ca56b3403871f26becf3c9f3f2f"),
-    "membership": (11041, "0f45b5d30f87cd8a0ad1ebcbea313f04"),
-    "resilience": (18841, "9098d58dedef51ce1d8af0dbd174d172"),
-    "tenancy": (92074, "def9306477fd5599f9cc90ef037eb47d"),
-    "prefetch": (50471, "47b79fc35ff11f90e8b1523bb776cb1d"),
-    "fuzz_single": (8072, "a07f3d801cdefb2dfeacaf1ea3ac2f3b"),
+    "epochs": (1592, "c2fc09d58952c3a7d813ace9346e45c7"),
+    "membership": (10551, "41e0da1791c04b466f49501698155c9b"),
+    "resilience": (18123, "14ec4d0104cd05cefd998bf0277627e8"),
+    "tenancy": (89139, "22733d923682b3d9922e65d13f198d9a"),
+    "prefetch": (48990, "89e492a4c458ca07dc3ee2d8caaa5a48"),
+    "fuzz_single": (7721, "4ba8e75c313eea4bb596a929e4fc41d9"),
 }
 
 
