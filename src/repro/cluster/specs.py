@@ -297,30 +297,21 @@ class HVACSpec:
             raise ValueError(f"unknown hash scheme {self.hash_scheme!r}")
         if self.stripe_segment < 1 or self.stripe_threshold < 1:
             raise ValueError("stripe sizes must be positive")
-        if self.rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive")
         if self.rpc_max_retries < 1:
             raise ValueError("rpc_max_retries must be >= 1")
-        if self.rpc_backoff_base < 0 or self.rpc_backoff_cap < 0:
-            raise ValueError("backoff parameters must be >= 0")
         if self.suspect_after < 1:
             raise ValueError("suspect_after must be >= 1")
-        if self.probation_period < 0:
-            raise ValueError("probation_period must be >= 0")
-        if self.gossip_interval <= 0:
-            raise ValueError("gossip_interval must be positive")
-        if self.suspect_to_dead < 0:
-            raise ValueError("suspect_to_dead must be >= 0")
-        if self.repair_bandwidth < 0:
-            raise ValueError("repair_bandwidth must be >= 0")
         if self.prefetch_lookahead < 1:
             raise ValueError("prefetch_lookahead must be >= 1")
         if self.prefetch_outstanding < 1:
             raise ValueError("prefetch_outstanding must be >= 1")
         if not 0 < self.compression_ratio <= 1:
             raise ValueError("compression_ratio must be in (0, 1]")
-        if self.decompress_cost_per_byte < 0:
-            raise ValueError("decompress_cost_per_byte must be >= 0")
+        _positive(self, "rpc_timeout", "gossip_interval")
+        _non_negative(
+            self, "rpc_backoff_base", "rpc_backoff_cap", "probation_period",
+            "suspect_to_dead", "repair_bandwidth", "decompress_cost_per_byte",
+        )
 
 
 @dataclass(frozen=True)

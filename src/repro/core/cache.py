@@ -195,7 +195,7 @@ class CacheManager:
             raise ValueError("capacity_bytes must be positive")
         if not 0 < compression_ratio <= 1:
             raise ValueError("compression_ratio must be in (0, 1]")
-        if decompress_cost_per_byte < 0:
+        if not decompress_cost_per_byte >= 0:  # NaN too
             raise ValueError("decompress_cost_per_byte must be >= 0")
         self.env = env
         self.device = device

@@ -69,6 +69,17 @@ class TestSpecs:
             with pytest.raises(ValueError):
                 HVACSpec(**kw)
 
+    @pytest.mark.parametrize("field", [
+        "rpc_timeout", "rpc_backoff_base", "rpc_backoff_cap",
+        "probation_period", "gossip_interval", "suspect_to_dead",
+        "repair_bandwidth", "decompress_cost_per_byte",
+    ])
+    def test_hvac_spec_rejects_nan(self, field):
+        # A NaN passes `x <= 0` and `x < 0`; a NaN rpc_timeout used to
+        # die only at the first deadline, as a kernel SimulationError.
+        with pytest.raises(ValueError, match=field):
+            HVACSpec(**{field: float("nan")})
+
     def test_nvme_spec_validation(self):
         nan = float("nan")
         for kw in (
