@@ -43,13 +43,17 @@ class RPCTimeout(RPCError):
 def _expire(expiry: Event) -> None:
     """Deadline callback of a call with a timeout; the timer's value is
     the call's ``done``.  If no reply is in yet, wake the caller with an
-    empty post, which every later reply then finds taken (``_serve``
-    posts only to a pending ``done``).  Module level, not a per-call
-    closure (PERF102).  The caller reads ``expiry.processed`` to tell a
-    timeout from a reply."""
-    done = expiry.value
+    empty post, which every later reply then finds taken (:func:`_post`).
+    Module level, not a per-call closure (PERF102).  The caller reads
+    ``expiry.processed`` to tell a timeout from a reply."""
+    _post(expiry.value, None)
+
+
+def _post(done: Event, reply: Optional[tuple]) -> None:
+    """Post ``reply`` to a call's ``done`` unless something already has:
+    a reply that loses the race with the deadline is dropped."""
     if not done.triggered:
-        done.succeed(None)
+        done.succeed(reply)
 
 
 class RPCEndpoint:
@@ -258,8 +262,7 @@ class RPCEndpoint:
         if timeout is None:
             outcome = yield done
         else:
-            # The deadline wakes the caller through `done` (see
-            # `_expire`), so the call waits on one event, not a condition.
+            # The deadline wakes the caller through `done` (`_expire`).
             expiry = env.timeout(timeout, done)
             expiry.callbacks.append(_expire)
             try:
@@ -297,21 +300,17 @@ class RPCEndpoint:
             self.digest_sink(piggyback, src)
         handler = self._handlers.get(op)
         if handler is None:
-            if not done.triggered:
-                done.succeed(
-                    (False, SimulationError(f"no handler for {op!r} on {self.name}"), None)
-                )
+            err = SimulationError(f"no handler for {op!r} on {self.name}")
+            _post(done, (False, err, None))
             return
         try:
             value = yield from handler(payload, src)
         except Exception as err:  # noqa: BLE001 — relayed to caller
-            if not done.triggered:
-                done.succeed((False, err, None))
+            _post(done, (False, err, None))
             return
         if not self._alive:
             # Died while serving: response is lost.
-            if not done.triggered:
-                done.succeed((False, RPCError(f"endpoint {self.name} died"), None))
+            _post(done, (False, RPCError(f"endpoint {self.name} died"), None))
             return
         if self._hung:
             # Hung after serving: the reply is never posted.
@@ -326,8 +325,7 @@ class RPCEndpoint:
             # Reply lost in the fabric (Mercury cancel semantics): the
             # caller sees only its deadline expire.
             return
-        if not done.triggered:
-            done.succeed((True, value, reply_extra))
+        _post(done, (True, value, reply_extra))
 
     # -- bulk ------------------------------------------------------------
     def bulk_push(self, dst_node: int, nbytes: int) -> Generator:
