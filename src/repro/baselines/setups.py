@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from ..cluster import Allocation, ClusterSpec
 from ..core import HVACDeployment
 from ..dl.dataset import SyntheticDataset
-from ..simcore import Environment, MetricRegistry, RandomStreams
+from ..simcore import Environment, RandomStreams
 from ..storage import GPFS, FileBackend, LocalFS
 
 __all__ = [
@@ -40,7 +40,6 @@ class SystemHandle:
 
     label: str
     backend_for_node: Callable[[int], FileBackend]
-    metrics: MetricRegistry
     teardown: Callable[[], None] = lambda: None
     pfs: Optional[GPFS] = None
     deployment: Optional[HVACDeployment] = None
@@ -88,7 +87,6 @@ class GPFSSetup(StorageSetup):
         return SystemHandle(
             label=self.label,
             backend_for_node=lambda node_id: pfs,
-            metrics=env.metrics,
             pfs=pfs,
         )
 
@@ -122,7 +120,6 @@ class XFSSetup(StorageSetup):
         handle = SystemHandle(
             label=self.label,
             backend_for_node=lambda node_id: backends[node_id],
-            metrics=env.metrics,
             stage_time=max(pfs_bound, nvme_bound),
         )
         if not self.instant_stage:
@@ -180,7 +177,6 @@ class HVACSetup(StorageSetup):
         return SystemHandle(
             label=self.label,
             backend_for_node=dep.client,
-            metrics=env.metrics,
             teardown=dep.teardown,
             pfs=pfs,
             deployment=dep,

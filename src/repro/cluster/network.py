@@ -76,7 +76,6 @@ class Fabric:
         self._m_remote = self.metrics.counter("fabric.remote_transfers")
         self._m_local = self.metrics.counter("fabric.local_transfers")
         self._m_dropped = self.metrics.counter("fabric.dropped_messages")
-        self._m_remote_bytes = self.metrics.tally("fabric.remote_bytes")
         self._tx = [_Port(env) for _ in range(n_nodes)]
         self._rx = [_Port(env) for _ in range(n_nodes)]
         # Optional rack topology: per-rack uplink ports (each direction
@@ -188,7 +187,6 @@ class Fabric:
                         spec.link_latency + nbytes / spec.nic_bandwidth
                     )
         self._m_remote.incr()
-        self._m_remote_bytes.add(nbytes)
         return True
 
     # -- topology --------------------------------------------------------

@@ -38,8 +38,8 @@ class NVMeDevice:
         self.spec = spec
         self.name = name
         self.metrics = env.metrics
-        # All collectors live under the device's own dotted scope
-        # (``nvme.reads``, ``nvme.read_seconds``, ...).
+        # All counters live under the device's own dotted scope
+        # (``nvme.reads``, ``nvme.writes``, ...).
         self._scope = self.metrics.scope(name)
         self._queue = Resource(env, capacity=spec.queue_depth)
         # Media/bus bandwidth: command latencies overlap across the
@@ -97,19 +97,13 @@ class NVMeDevice:
     # -- timed I/O ------------------------------------------------------
     def read(self, nbytes: int) -> Generator:
         """Read ``nbytes``; occupies a queue slot for the service time."""
-        t0 = self.env.now
         yield from self._io(nbytes, self.spec.read_latency, self.spec.read_bandwidth)
         self._scope.counter("reads").incr()
-        self._scope.tally("read_bytes").add(nbytes)
-        self._scope.histogram("read_seconds").add(self.env.now - t0)
 
     def write(self, nbytes: int) -> Generator:
         """Write ``nbytes`` (no implicit allocation — caller accounts)."""
-        t0 = self.env.now
         yield from self._io(nbytes, self.spec.write_latency, self.spec.write_bandwidth)
         self._scope.counter("writes").incr()
-        self._scope.tally("write_bytes").add(nbytes)
-        self._scope.histogram("write_seconds").add(self.env.now - t0)
 
     def open_close(self) -> Generator:
         """The filesystem (XFS) cost of an open+close pair."""

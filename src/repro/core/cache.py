@@ -215,8 +215,7 @@ class CacheManager:
         self._m_refused = self._scope.counter("refused")
         self._m_inserts = self._scope.counter("inserts")
         self._m_evictions = self._scope.counter("evictions")
-        self._m_read_seconds = self._scope.tally("read_seconds")
-        self._m_decompress_seconds = self._scope.tally("decompress_seconds")
+        self._m_decompress_seconds = self._scope.counter("decompress_seconds")
         self._sizes: dict[str, int] = {}
         #: device-resident (possibly compressed) size per path
         self._stored: dict[str, int] = {}
@@ -339,7 +338,6 @@ class CacheManager:
         if size is None:
             raise KeyError(path)
         self.touch(path)
-        t0 = self.env.now
         # No per-read open/close: the data mover keeps cache-file
         # descriptors open across requests (unlike the client-visible
         # XFS path, which pays the full <open, read, close> each time).
@@ -348,6 +346,5 @@ class CacheManager:
             cost = self.decompress_cost_per_byte * size
             if cost > 0:
                 yield self.env.timeout(cost)
-            self._m_decompress_seconds.add(cost)
-        self._m_read_seconds.add(self.env.now - t0)
+            self._m_decompress_seconds.incr(cost)
         return size

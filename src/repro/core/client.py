@@ -98,21 +98,15 @@ class HVACClient(FileBackend):
         #: optional :class:`~repro.prefetch.LookaheadScheduler` notified
         #: of every intercepted read (advances the clairvoyant cursor)
         self.prefetch_listener = None
-        # Deployment-wide aggregate counters keep their historical names
-        # (``hvac.client_hits`` …); the per-client scope shadows each of
-        # them under ``hvac.c<node>.…`` for SLO attribution.  Tenant
-        # clients shadow a third level, ``hvac.t<j>.…``, aggregating the
-        # tenant's traffic across all of its per-node clients.
+        # Deployment-wide counters (``hvac.client_hits`` …); per-client
+        # and per-tenant views come from the spans (``repro.obs.slo``).
         self._hvac = self.metrics.scope("hvac")
-        self._cscope = self._hvac.scope(f"c{node_id}")
-        self._tscope = None if tenant is None else self._hvac.scope(f"t{tenant}")
         hvac = spec.hvac
         self.detector = FailureDetector(
             env,
             len(servers),
             suspect_after=hvac.suspect_after,
             probation=hvac.probation_period,
-            metrics=self._cscope.scope("detector"),
         )
         # The client endpoint shares the node's fabric ports.
         fabric = servers[0].endpoint.fabric
@@ -121,7 +115,6 @@ class HVACClient(FileBackend):
             fabric,
             node_id,
             name=f"hvac-c@n{node_id}",
-            metrics=self._cscope.scope("rpc"),
         )
         #: optional :class:`~repro.membership.MembershipView` (see
         #: :meth:`attach_membership`); None = detector-only liveness
@@ -145,26 +138,13 @@ class HVACClient(FileBackend):
         if remap:
             # perf: waive PERF101 -- one wrapper per client, built at membership enablement
             self.placement = RemappedPlacement(self.placement, view)
-
-        # perf: waive PERF102 -- closures built once per client at membership enablement
-        def provide():
-            digest = view.digest()
-            return digest, view.digest_bytes(digest)
-
-        # perf: waive PERF102 -- closures built once per client at membership enablement
-        def absorb(digest, src):
-            view.merge(digest, why="piggyback")
-
-        self.endpoint.digest_provider = provide
-        self.endpoint.digest_sink = absorb
+        self.endpoint.digest_provider = view.piggyback
+        self.endpoint.digest_sink = view.absorb
 
     # -- telemetry helpers -------------------------------------------------
     def _incr(self, name: str, n: int = 1) -> None:
-        """Bump a client counter at every aggregation level."""
+        """Bump the deployment-wide ``hvac.<name>`` counter."""
         self._hvac.counter(name).incr(n)
-        self._cscope.counter(name).incr(n)
-        if self._tscope is not None:
-            self._tscope.counter(name).incr(n)
 
     def _route_bytes(self, root: Optional[int], route: str, nbytes: int) -> None:
         """Account ``nbytes`` delivered via ``route`` (local/remote/pfs)."""
@@ -266,7 +246,6 @@ class HVACClient(FileBackend):
                     bytes=nbytes,
                     tenant=self.tenant,
                 )
-        t0 = self.env.now
         yield self.env.timeout(self.spec.hvac.client_request_overhead)
 
         hvac = self.spec.hvac
@@ -299,7 +278,6 @@ class HVACClient(FileBackend):
             self._route_bytes(root, route, handle.size)
             if hit is not None:
                 self._incr("client_hits" if hit else "client_misses")
-        self._cscope.histogram("read_seconds").add(self.env.now - t0)
         if degraded:
             self._incr("client_degraded_reads")
         if rec is not None:

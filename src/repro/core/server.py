@@ -95,17 +95,14 @@ class HVACServer:
         self.metrics = env.metrics
         #: the run's :class:`~repro.obs.SpanRecorder`, or None
         self.spans = env.spans
-        # Deployment-wide aggregates keep their historical names
-        # (``hvac.cache_hits`` …); the per-server scope shadows them
-        # under ``hvac.s<id>.…`` for SLO attribution.
+        # Deployment-wide counters (``hvac.cache_hits`` …); per-server
+        # views come from the spans (``repro.obs.slo``).
         self._hvac = self.metrics.scope("hvac")
-        self._sscope = self._hvac.scope(f"s{server_id}")
         self.endpoint = RPCEndpoint(
             env,
             fabric,
             node_id,
             name=f"hvac-s{server_id}@n{node_id}",
-            metrics=self._sscope.scope("rpc"),
         )
         self.cache = CacheManager(
             env,
@@ -251,35 +248,23 @@ class HVACServer:
         wire membership digests onto every RPC this endpoint touches.
         ``peers`` (the deployment's server table) enables the rejoin
         announcement after recovery."""
-        from ..membership.view import STATE_RANK
-
         self.board = board
         self._repair = repair
         self._peers = peers
         board.self_report(self.server_id, self.incarnation, self.member_state)
+        self.endpoint.digest_provider = board.piggyback
+        self.endpoint.digest_sink = self._absorb_digest
 
-        # perf: waive PERF102 -- closures built once per server at membership enablement
-        def provide():
-            digest = board.digest()
-            return digest, board.digest_bytes(digest)
-
-        # perf: waive PERF102 -- closures built once per server at membership enablement
-        def absorb(digest, src):
-            board.merge(digest, why="piggyback")
-            # SWIM refutation: if the caller's digest accuses *us* of a
-            # state worse than our own at our current (or a later)
-            # incarnation, out-bid it — the bump rides back on this very
-            # reply's digest.
-            inc, state, _ = board.entry(self.server_id)
-            ours = (self.incarnation, STATE_RANK[self.member_state])
-            if (inc, STATE_RANK[state]) > ours:
-                self.incarnation = inc + 1
-                board.self_report(
-                    self.server_id, self.incarnation, self.member_state
-                )
-
-        self.endpoint.digest_provider = provide
-        self.endpoint.digest_sink = absorb
+    def _absorb_digest(self, digest: tuple, src: int) -> None:
+        """Fold in a piggybacked digest.  SWIM refutation: if it accuses
+        *us* of a state worse than our own at our current (or a later)
+        incarnation, out-bid it — the bump rides back on this very
+        reply's digest."""
+        board = self.board
+        board.absorb(digest, src)
+        if board.outranks(self.server_id, self.incarnation, self.member_state):
+            self.incarnation = board.incarnation(self.server_id) + 1
+            board.self_report(self.server_id, self.incarnation, self.member_state)
 
     def _inflight_cell(self, path: str) -> str:
         """Race-sanitizer cell name for one dedup slot."""
@@ -309,9 +294,8 @@ class HVACServer:
 
     # -- telemetry helpers -------------------------------------------------
     def _incr(self, name: str, n: int = 1) -> None:
-        """Bump a server counter at both aggregation levels."""
+        """Bump the deployment-wide ``hvac.<name>`` counter."""
         self._hvac.counter(name).incr(n)
-        self._sscope.counter(name).incr(n)
 
     # -- RPC handlers ----------------------------------------------------
     def _handle_read(self, payload: tuple, src: int) -> Generator:
@@ -355,7 +339,6 @@ class HVACServer:
             done=self.env.event(),
             span=sid,
         )
-        t0 = self.env.now
         try:
             yield self.queue.put(req)
             yield req.done
@@ -379,7 +362,6 @@ class HVACServer:
             waits.append(req.read_proc)
         yield AllOf(self.env, waits)
         self._incr("bytes_served", size)
-        self._sscope.histogram("read_seconds").add(self.env.now - t0)
         if rec is not None:
             rec.end(sid, self.env.now)
         return req.hit

@@ -181,17 +181,10 @@ def _dataset(n_files: int, file_size: int, seed: int) -> SyntheticDataset:
     return SyntheticDataset(spec, seed=seed)
 
 
-def _pfs_read_bytes(metrics) -> int:
-    t = metrics.tally("gpfs.read_bytes")
-    return int(t.mean * t.n) if t.n else 0
-
-
 def _decompress_seconds(dep) -> float:
     total = 0.0
     for server in dep.servers:
-        t = server.cache.metrics.tally(f"{server.cache.name}.decompress_seconds")
-        if t.n:
-            total += t.mean * t.n
+        total += dep.metrics.counter(f"{server.cache.name}.decompress_seconds").value
     return total
 
 
@@ -210,7 +203,7 @@ def _run_mode(
     """One multi-epoch training run under one prefetch configuration."""
     oc = ModeOutcome(mode=mode)
     rec = SpanRecorder()
-    env, dep, pfs = build_deployment(spec, n_nodes, seed, spans=rec, trace=trace)
+    env, dep, _ = build_deployment(spec, n_nodes, seed, spans=rec, trace=trace)
     m = dep.metrics
 
     plans = [
@@ -295,7 +288,7 @@ def _run_mode(
     rec.events.clear()
     oc.steady_p99 = oc.slo.totals.p99
     oc.steady_degraded_fraction = oc.slo.totals.degraded_fraction
-    oc.pfs_bytes = _pfs_read_bytes(pfs.metrics)
+    oc.pfs_bytes = m.counter("gpfs.read_bytes").value
     oc.hit_rate = dep.hit_rate()
     oc.decompress_seconds = _decompress_seconds(dep)
     if scheduler is not None:
@@ -337,6 +330,8 @@ def prefetch_comparison(
         raise ValueError("prefetch_comparison needs >= 2 nodes")
     if epochs < 2:
         raise ValueError("prefetch_comparison needs >= 2 epochs")
+    if not decompress_budget >= 0:  # NaN too
+        raise ValueError("decompress_budget must be >= 0")
     overrides = dict(PREFETCH_SPEC_OVERRIDES)
     overrides["cache_fraction"] = cache_fraction
     overrides["prefetch_lookahead"] = lookahead

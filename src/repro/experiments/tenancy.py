@@ -383,6 +383,8 @@ def tenancy_isolation(
     """
     if n_nodes < 2:
         raise ValueError("tenancy_isolation needs >= 2 nodes")
+    if not think >= 0:  # NaN too
+        raise ValueError("think must be >= 0")
     overrides = dict(TENANCY_SPEC_OVERRIDES)
     if cache_fraction is not None:
         overrides["cache_fraction"] = cache_fraction

@@ -39,7 +39,6 @@ class FailureDetector:
         n_servers: int,
         suspect_after: int = 2,
         probation: float = 2.0,
-        metrics=None,
     ):
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
@@ -54,15 +53,13 @@ class FailureDetector:
         self.probation_cap = probation * PROBATION_CAP_FACTOR
         # Sparse state: only servers with a strike hold an entry, so a
         # client that sees no failure holds nothing whatever the fleet
-        # size.  ``_until``/``_since``/``_expiry_due`` keys are a subset
-        # of ``_strikes`` keys: an episode opens only at the suspicion
-        # bar, and a success clears all four containers together.
+        # size.  ``_until``/``_expiry_due`` keys are a subset of
+        # ``_strikes`` keys: an episode opens only at the suspicion bar,
+        # and a success clears all three containers together.
         self._strikes: dict[int, int] = {}
         #: blacklisted while now < until; kept past expiry until pardon
         self._until: dict[int, float] = {}
-        #: when the current blacklist began
-        self._since: dict[int, float] = {}
-        #: lifetime counters, for metrics/introspection
+        #: lifetime counters, for introspection
         self.n_suspicions = 0
         self.n_reprobes = 0
         #: ``(time, server_id)`` of every suspicion onset — detection
@@ -81,13 +78,6 @@ class FailureDetector:
         #: on every suspicion (onset *and* repeat offences), which is how
         #: first-hand timeout evidence enters a MembershipView
         self.listener = None
-        #: :class:`~repro.simcore.MetricScope` the owner names (e.g.
-        #: ``hvac.c3.detector``; ``detector`` when unowned):
-        #: strikes/suspicions/reprobes counters plus a blacklist-dwell
-        #: tally
-        if metrics is None:
-            metrics = env.metrics.scope("detector")
-        self.metrics = metrics
 
     # -- observations ---------------------------------------------------
     def record_success(self, server_id: int) -> None:
@@ -98,28 +88,20 @@ class FailureDetector:
             self.n_reprobes += 1
             self._note_expiry(server_id)
             self.transitions.append((self.env.now, "reprobe_ok", server_id))
-            self.metrics.counter("reprobes").incr()
-            self.metrics.tally("blacklist_dwell_seconds").add(
-                self.env.now - self._since[server_id]
-            )
         del self._strikes[server_id]
         self._until.pop(server_id, None)
-        self._since.pop(server_id, None)
         self._expiry_due.pop(server_id, None)
 
     def record_failure(self, server_id: int) -> None:
         """An RPC to ``server_id`` timed out or errored."""
         strikes = self._strikes[server_id] = self._strikes.get(server_id, 0) + 1
-        self.metrics.counter("strikes").incr()
         over = strikes - self.suspect_after
         if over < 0:
             return
         if over == 0:
             self.n_suspicions += 1
-            self._since[server_id] = self.env.now
             self.suspicion_log.append((self.env.now, server_id))
             self.transitions.append((self.env.now, "suspect", server_id))
-            self.metrics.counter("suspicions").incr()
         elif self.env.now >= self._until[server_id]:
             # a strike past the bar normally lands only after probation
             # let a request through: a failed half-open re-probe.  (A

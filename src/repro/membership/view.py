@@ -134,6 +134,12 @@ class MembershipView:
     def incarnation(self, sid: int) -> int:
         return self._inc[sid]
 
+    def outranks(self, sid: int, inc: int, state: str) -> bool:
+        """Does the belief about ``sid`` beat ``(inc, state)`` in the
+        merge lattice (higher incarnation, then worse state)?"""
+        ours = (self._inc[sid], STATE_RANK[self.state_of(sid)])
+        return ours > (inc, STATE_RANK[state])
+
     def routable(self, sid: int) -> bool:
         """May the read path send ``sid`` a request right now?
 
@@ -209,6 +215,17 @@ class MembershipView:
     @staticmethod
     def digest_bytes(digest: tuple) -> int:
         return 8 + _ENTRY_BYTES * len(digest)
+
+    def piggyback(self) -> tuple[tuple, int]:
+        """``(digest, wire bytes)`` to ride on an RPC: an endpoint's
+        ``digest_provider``."""
+        digest = self.digest()
+        return digest, self.digest_bytes(digest)
+
+    def absorb(self, digest: tuple, src: int) -> None:
+        """Fold in a digest that rode in on an RPC from node ``src``: an
+        endpoint's ``digest_sink``."""
+        self.merge(digest, why="piggyback")
 
     def merge(self, digest: tuple, why: str = "gossip") -> int:
         """Fold a peer's digest in; returns how many entries we adopted."""

@@ -1,7 +1,7 @@
-"""SLO aggregation: spans + metrics → per-entity degradation windows.
+"""SLO aggregation: spans → per-entity degradation windows.
 
-Rolls the span timeline (:mod:`repro.obs.spans`) into per-client and
-per-server SLO windows — fixed-width sim-time buckets each carrying
+Rolls the span timeline (:mod:`repro.obs.spans`) into per-client,
+per-server and per-tenant SLO windows — fixed-width sim-time buckets each carrying
 
 * read-latency percentiles (p50 / p95 / p99),
 * the **degraded-read fraction** (reads that needed a retry, hit a

@@ -69,7 +69,6 @@ class RPCEndpoint:
         fabric: Fabric,
         node_id: int,
         name: str = "",
-        metrics=None,
     ):
         self.env = env
         self.fabric = fabric
@@ -78,21 +77,6 @@ class RPCEndpoint:
         self._handlers: dict[str, Callable[..., Generator]] = {}
         self._alive = True
         self._hung = False
-        #: :class:`~repro.simcore.MetricScope` for call outcome counters
-        #: and a call-latency histogram; the owner names it, and an
-        #: unowned endpoint files under ``rpc.<name>``
-        if metrics is None:
-            metrics = env.metrics.scope(f"rpc.{self.name}")
-        self.metrics = metrics
-        # Hoisted collectors: every successful call increments these, so
-        # the per-call name lookups must not rebuild dotted labels
-        # (PERF103).
-        self._m_calls = metrics.counter("calls")
-        self._m_call_seconds = metrics.histogram("call_seconds")
-        self._m_status = {
-            "timeout": metrics.counter("timeouts"),
-            "error": metrics.counter("errors"),
-        }
         #: the run's :class:`~repro.obs.SpanRecorder` (``env.spans``);
         #: when set, every outbound call records an ``rpc.<op>`` span
         #: under the caller's parent span
@@ -194,31 +178,25 @@ class RPCEndpoint:
         stream.
         """
         rec = self.spans
-        sid = None
-        t0 = self.env.now
-        if rec is not None:
-            if tenant is None:
-                sid = rec.begin(
-                    self._span_name(op), t0, span,
-                    src=self.node_id, dst=target.node_id,
-                )
-            else:
-                sid = rec.begin(
-                    self._span_name(op), t0, span,
-                    src=self.node_id, dst=target.node_id, tenant=tenant,
-                )
+        if rec is None:
+            return (yield from self._call(target, op, payload, payload_bytes, timeout))
+        if tenant is None:
+            sid = rec.begin(
+                self._span_name(op), self.env.now, span,
+                src=self.node_id, dst=target.node_id,
+            )
+        else:
+            sid = rec.begin(
+                self._span_name(op), self.env.now, span,
+                src=self.node_id, dst=target.node_id, tenant=tenant,
+            )
         try:
             value = yield from self._call(target, op, payload, payload_bytes, timeout)
         except RPCError as err:
             status = "timeout" if isinstance(err, RPCTimeout) else "error"
-            self._m_status[status].incr()
-            if rec is not None:
-                rec.end(sid, self.env.now, status=status)
+            rec.end(sid, self.env.now, status=status)
             raise
-        self._m_calls.incr()
-        self._m_call_seconds.add(self.env.now - t0)
-        if rec is not None:
-            rec.end(sid, self.env.now)
+        rec.end(sid, self.env.now)
         return value
 
     def _call(

@@ -13,7 +13,7 @@ from .engine import (
     Timeout,
 )
 from .cells import cell_name
-from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Tally
+from .monitor import Counter, MetricRegistry, MetricScope
 from .profile import ComponentProfile, SimProfiler
 from .rand import RandomStreams, stable_hash64
 from .resources import PriorityResource, Resource
@@ -32,7 +32,6 @@ __all__ = [
     "EventRecord",
     "EventTrace",
     "event_label",
-    "Histogram",
     "Interrupt",
     "MetricRegistry",
     "MetricScope",
@@ -45,6 +44,5 @@ __all__ = [
     "SimulationError",
     "stable_hash64",
     "Store",
-    "Tally",
     "Timeout",
 ]

@@ -126,7 +126,6 @@ class _StripedFS(FileBackend):
         nbytes = min(nbytes, handle.size - handle.offset)
         if nbytes <= 0:
             return 0
-        t0 = self.env.now
         stripe_count, stripe_size = self.layout_of(handle.size)
         first = handle.offset // stripe_size
         last = (handle.offset + nbytes - 1) // stripe_size
@@ -147,8 +146,7 @@ class _StripedFS(FileBackend):
 
         handle.offset += nbytes
         self._scope.counter("reads").incr()
-        self._scope.tally("read_bytes").add(nbytes)
-        self._scope.histogram("read_seconds").add(self.env.now - t0)
+        self._scope.counter("read_bytes").incr(nbytes)
         return nbytes
 
     @property
@@ -199,11 +197,9 @@ class GPFS(_StripedFS):
     # -- FileBackend -------------------------------------------------------
     def open(self, path: str, size: int, client_node: int) -> Generator:
         """Lookup + read-token acquisition at the owning MDS."""
-        t0 = self.env.now
         yield self.env.timeout(self.spec.client_overhead)
         yield from self._mds[self.mds_for(path)].do_ops(self.spec.ops_per_open)
         self._scope.counter("opens").incr()
-        self._scope.tally("open_seconds").add(self.env.now - t0)
         return OpenFile(path=path, size=size, backend=self, client_node=client_node)
 
     def close(self, handle: OpenFile) -> Generator:

@@ -46,11 +46,9 @@ class LocalFS(FileBackend):
         nbytes = min(nbytes, handle.size - handle.offset)
         if nbytes <= 0:
             return 0
-        t0 = self.env.now
         yield from self.device.read(nbytes)
         handle.offset += nbytes
         self._scope.counter("reads").incr()
-        self._scope.tally("read_seconds").add(self.env.now - t0)
         return nbytes
 
     def close(self, handle: OpenFile) -> Generator:

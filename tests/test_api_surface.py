@@ -60,7 +60,7 @@ ALLOWED: dict[str, str] = {
     "simcore.engine.Environment.peek": "kernel entry point: the time of the next event",
     "simcore.engine.Environment.unobserve": "kernel entry point: detach an observer",
     "simcore.monitor.MetricRegistry.snapshot": (
-        "observes model state: every collector as plain data"
+        "observes model state: every counter as plain data"
     ),
     "simcore.profile.SimProfiler": (
         "kernel entry point: the per-component event profiler"

@@ -117,6 +117,19 @@ class TestModeComparisonWindows:
             getattr(experiments, name)(windows=0)
 
 
+class TestModeComparisonRates:
+    """A negative or NaN pacing or budget exits 2 before any mode runs."""
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("cmd, flag", [
+        ("tenancy", "--think"),
+        ("prefetch", "--decompress-budget"),
+    ])
+    def test_exits_2(self, cmd, flag, value, capsys):
+        assert main([cmd, "--smoke", f"{flag}={value}"]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+
 class TestTenancyAdmission:
     def test_oversized_job_does_not_deadlock_the_demo(self, capsys):
         # tenant 11 asks for more than the whole admission budget; it

@@ -14,6 +14,7 @@ The load-bearing properties pinned here:
 
 import json
 import math
+import re
 
 import pytest
 
@@ -22,70 +23,18 @@ from repro.cluster import Allocation, TESTING
 from repro.core import HVACDeployment
 from repro.experiments import resilience_sweep, slo_scenario
 from repro.obs import ROUTES, SpanRecorder, compute_slo
-from repro.simcore import (
-    AllOf,
-    Environment,
-    EventTrace,
-    Histogram,
-    MetricRegistry,
-)
+from repro.simcore import AllOf, Environment, EventTrace, MetricRegistry
 from repro.storage import GPFS
 
 
 # ---------------------------------------------------------------------------
-# Histogram + scopes (simcore.monitor extensions)
+# Metric scopes (simcore.monitor)
 # ---------------------------------------------------------------------------
-class TestHistogram:
-    def test_empty(self):
-        h = Histogram("h")
-        assert math.isnan(h.mean) and math.isnan(h.quantile(0.5))
-
-    def test_quantiles_track_samples(self):
-        h = Histogram("h")
-        for i in range(1, 101):
-            h.add(i * 1e-3)  # 1ms .. 100ms
-        assert h.n == 100
-        assert h.min == pytest.approx(1e-3)
-        assert h.max == pytest.approx(0.1)
-        assert h.mean == pytest.approx(0.0505)
-        # geometric bins: within one bin width (~33%) of the exact value
-        assert h.quantile(0.5) == pytest.approx(0.05, rel=0.35)
-        assert h.quantile(0.99) == pytest.approx(0.099, rel=0.35)
-        p = h.percentiles()
-        assert p["p50"] <= p["p95"] <= p["p99"]
-
-    def test_extremes_clamped_to_observed(self):
-        h = Histogram("h")
-        h.add(0.002)
-        h.add(0.004)
-        assert h.quantile(0.0) == 0.002
-        assert h.quantile(1.0) == 0.004
-        assert 0.002 <= h.quantile(0.5) <= 0.004
-
-    def test_under_and_overflow(self):
-        h = Histogram("h")
-        h.add(1e-9)   # underflow
-        h.add(1e9)    # overflow
-        assert h.n == 2
-        assert h.counts[0] == 1 and h.counts[-1] == 1
-        # underflow resolves to the 1e-7 lo edge, overflow to the observed max
-        assert h.quantile(0.25) == pytest.approx(1e-7)
-        assert h.quantile(0.99) == pytest.approx(1e9)
-
-
 class TestMetricScope:
     def test_scope_names_alias_registry_names(self):
         reg = MetricRegistry()
-        reg.scope("hvac").scope("c3").counter("reads").incr(5)
-        assert reg.counter("hvac.c3.reads").value == 5
-
-    def test_snapshot_includes_histograms(self):
-        reg = MetricRegistry()
-        reg.scope("nvme").histogram("read_seconds").add(1e-4)
-        snap = reg.snapshot()
-        entry = snap["nvme.read_seconds"]
-        assert entry["n"] == 1
-        assert {"p50", "p95", "p99"} <= set(entry)
+        reg.scope("hvac").counter("reads").incr(5)
+        assert reg.counter("hvac.reads").value == 5
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +255,21 @@ class TestInstrumentedDeployment:
         env, dep = build(spans=rec)
         read_epoch(env, dep, FILES, [0, 1])
         m = dep.metrics
-        # aggregate names unchanged
         assert m.counter("hvac.client_opens").value == 2 * len(FILES)
-        # per-client shadows
-        assert m.counter("hvac.c0.client_opens").value == len(FILES)
-        assert m.counter("hvac.c0.rpc.calls").value > 0
-        assert m.histograms["hvac.c0.read_seconds"].n == len(FILES)
-        # per-server shadows + endpoint scope
-        per_server = sum(
-            c.value for n, c in m.counters.items()
-            if n.startswith("hvac.s") and n.endswith(".bytes_served")
-        )
+        slo = compute_slo(rec, window=1.0)
+        assert {c: e.n_reads for c, e in slo.clients.items()} == {
+            0: len(FILES), 1: len(FILES)
+        }
+        per_server = sum(e.total_bytes for e in slo.servers.values())
         assert per_server == m.counter("hvac.bytes_served").value
+
+    def test_no_per_entity_counters_without_membership(self):
+        env, dep = build()
+        read_epoch(env, dep, FILES, [0, 1])
+        shadow = re.compile(r"hvac\.[cst]\d+\.")
+        names = list(dep.metrics.counters)
+        assert any(n.startswith("hvac.") for n in names)
+        assert not [n for n in names if shadow.match(n)]
 
     def test_detector_metrics_on_crash(self):
         rec = SpanRecorder()
@@ -329,16 +281,8 @@ class TestInstrumentedDeployment:
         read_epoch(env, dep, FILES[:6], [0])
         dep.fail_node(1)
         read_epoch(env, dep, FILES[:6], [0])
-        m = dep.metrics
-        strikes = sum(
-            c.value for n, c in m.counters.items()
-            if n.endswith(".detector.strikes")
-        )
-        suspicions = sum(
-            c.value for n, c in m.counters.items()
-            if n.endswith(".detector.suspicions")
-        )
-        assert strikes > 0 and suspicions > 0
+        detector = dep.client(0).detector
+        assert detector.n_suspicions > 0 and detector.suspicion_log
         # fallback reads annotated degraded on their root spans
         degraded = [
             s for s in rec.named("client.read")

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.simcore import MetricRegistry, RandomStreams, Tally, stable_hash64
+from repro.simcore import MetricRegistry, RandomStreams, stable_hash64
 
 
 class TestStableHash:
@@ -100,29 +100,6 @@ class TestRandomStreams:
         assert rs.choice("c", ["only"]) == "only"
 
 
-class TestTally:
-    def test_welford_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.random(1000)
-        t = Tally("x")
-        for x in data:
-            t.add(float(x))
-        assert t.mean == pytest.approx(float(np.mean(data)))
-        assert t.std == pytest.approx(float(np.std(data, ddof=1)), rel=1e-9)
-        assert t.min == pytest.approx(float(data.min()))
-        assert t.max == pytest.approx(float(data.max()))
-
-    def test_single_sample(self):
-        t = Tally("x")
-        t.add(4.0)
-        assert t.mean == 4.0
-        assert t.variance == 0.0
-
-    def test_empty(self):
-        t = Tally("x")
-        assert np.isnan(t.mean)
-
-
 class TestMetricRegistry:
     def test_counter_identity_and_incr(self):
         reg = MetricRegistry()
@@ -133,7 +110,5 @@ class TestMetricRegistry:
     def test_snapshot_shapes(self):
         reg = MetricRegistry()
         reg.counter("c").incr()
-        reg.tally("t").add(2.0)
-        snap = reg.snapshot()
-        assert snap["c"] == 1
-        assert snap["t"]["mean"] == 2.0
+        reg.counter("s").incr(0.5)
+        assert reg.snapshot() == {"c": 1, "s": 0.5}

@@ -1,8 +1,7 @@
 """Per-entity simulation state is allocated on use, not sized by the fleet.
 
-The failure detector keeps state only for servers with a strike, a
-:class:`Resource` builds its wait deque on first contention, and a
-:class:`Histogram` allocates its bins on the first sample.  Each must
+The failure detector keeps state only for servers with a strike, and a
+:class:`Resource` builds its wait deque on first contention.  Each must
 behave exactly as the eagerly-allocated form did: the detector is
 checked op by op against a dense reference copy kept here.
 """
@@ -13,15 +12,14 @@ import pytest
 
 from repro.faults import FailureDetector
 from repro.faults.detector import PROBATION_CAP_FACTOR, PROBATION_GROWTH
-from repro.simcore import Environment, Histogram, MetricRegistry, Resource
-from repro.simcore.monitor import _N_BINS
+from repro.simcore import Environment, Resource
 
 
 class DenseDetector:
     """The list-per-server detector the sparse one replaced, kept as the
-    reference: four ``[...] * n_servers`` lists per client."""
+    reference: three ``[...] * n_servers`` lists per client."""
 
-    def __init__(self, env, n_servers, suspect_after=2, probation=2.0, metrics=None):
+    def __init__(self, env, n_servers, suspect_after=2, probation=2.0):
         self.env = env
         self.n_servers = n_servers
         self.suspect_after = suspect_after
@@ -29,39 +27,30 @@ class DenseDetector:
         self.probation_cap = probation * PROBATION_CAP_FACTOR
         self._strikes = [0] * n_servers
         self._until = [0.0] * n_servers
-        self._since = [0.0] * n_servers
         self.n_suspicions = 0
         self.n_reprobes = 0
         self.suspicion_log = []
         self.transitions = []
         self._expiry_logged = [True] * n_servers
-        self.metrics = metrics
 
     def record_success(self, sid):
         if self._until[sid] > 0.0 and self._strikes[sid] >= self.suspect_after:
             self.n_reprobes += 1
             self._note_expiry(sid)
             self.transitions.append((self.env.now, "reprobe_ok", sid))
-            self.metrics.counter("reprobes").incr()
-            self.metrics.tally("blacklist_dwell_seconds").add(
-                self.env.now - self._since[sid]
-            )
         self._strikes[sid] = 0
         self._until[sid] = 0.0
         self._expiry_logged[sid] = True
 
     def record_failure(self, sid):
         self._strikes[sid] += 1
-        self.metrics.counter("strikes").incr()
         over = self._strikes[sid] - self.suspect_after
         if over < 0:
             return
         if over == 0:
             self.n_suspicions += 1
-            self._since[sid] = self.env.now
             self.suspicion_log.append((self.env.now, sid))
             self.transitions.append((self.env.now, "suspect", sid))
-            self.metrics.counter("suspicions").incr()
         elif self.env.now >= self._until[sid]:
             self._note_expiry(sid)
             self.transitions.append((self.env.now, "reprobe_fail", sid))
@@ -100,18 +89,15 @@ class ManualClock:
 
     def __init__(self):
         self.now = 0.0
-        self.metrics = MetricRegistry()
 
 
-def _state(det, registry):
+def _state(det):
     return (
         list(det.transitions),
         list(det.suspicion_log),
         det.n_suspicions,
         det.n_reprobes,
         det.suspects(),
-        # repr keeps a nan (an empty tally's mean) comparable
-        repr(sorted(registry.snapshot().items())),
     )
 
 
@@ -129,9 +115,8 @@ def test_sparse_detector_matches_dense_reference(params, seed):
     n = 5
     rng = random.Random(seed)
     clock = ManualClock()
-    sparse_reg, dense_reg = MetricRegistry(), MetricRegistry()
-    sparse = FailureDetector(clock, n, metrics=sparse_reg.scope("d"), **params)
-    dense = DenseDetector(clock, n, metrics=dense_reg.scope("d"), **params)
+    sparse = FailureDetector(clock, n, **params)
+    dense = DenseDetector(clock, n, **params)
     for _ in range(400):
         op = rng.random()
         sid = rng.randrange(n)
@@ -147,7 +132,7 @@ def test_sparse_detector_matches_dense_reference(params, seed):
             assert sparse.suspects() == dense.suspects()
         else:
             clock.now += rng.choice((0.0, 0.1, 0.3, 1.0, 2.5))
-        assert _state(sparse, sparse_reg) == _state(dense, dense_reg)
+        assert _state(sparse) == _state(dense)
         assert [sparse.strikes(s) for s in range(n)] == dense._strikes
         assert sparse.probation_end() == max(dense._until)
 
@@ -173,8 +158,7 @@ def test_detector_over_a_large_fleet_holds_nothing_after_successes():
     det = FailureDetector(Environment(), 100_000)
     for sid in range(0, 100_000, 10):
         det.record_success(sid)
-    assert det._strikes == {} and det._until == {} and det._since == {}
-    assert det._expiry_due == {}
+    assert det._strikes == {} and det._until == {} and det._expiry_due == {}
     for sid in (7, 7, 9):
         det.record_failure(sid)
     for sid in (7, 9):
@@ -203,27 +187,3 @@ def test_uncontended_resource_allocates_no_queue():
     assert res.queue is None
     assert res.queued == 0 and res.count == 0
 
-
-def test_histogram_without_samples_holds_no_bins():
-    h = Histogram("h")
-    assert not h.counts
-    assert h.quantile(0.5) != h.quantile(0.5)  # nan
-    assert all(v != v for v in h.percentiles().values())
-
-
-def test_histogram_quantiles_unchanged_by_lazy_bins():
-    h = Histogram("h")
-    samples = [
-        1e-6 * 1.37 ** (k % 41) * (1 + (k * 7919 % 13) / 13) for k in range(300)
-    ] + [0.0, 5e-8, 2e5]
-    for x in samples:
-        h.add(x)
-    # the values the eagerly-binned histogram gave for these samples
-    expected = [
-        0.0, 1.1547819846894584e-06, 3.651741272548378e-06,
-        0.0006493816315762122, 0.11547819846894597, 0.27384196342643646,
-        0.4869675251658635, 200000.0,
-    ]
-    got = [h.quantile(q) for q in (0.0, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0)]
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert len(h.counts) == _N_BINS + 2 and sum(h.counts) == h.n == 303

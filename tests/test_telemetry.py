@@ -26,11 +26,9 @@ SPANS_ENTRY_POINTS = {
     ("experiments/resilience.py", "fault_matrix"),
 }
 
-#: the constructors whose owner names their metric scope
-METRIC_SCOPE_OWNERS = {
-    ("rpc/endpoint.py", "RPCEndpoint"),
-    ("faults/detector.py", "FailureDetector"),
-}
+#: the constructors whose owner names their metric scope: none, every
+#: component files its counters under its own fixed scope
+METRIC_SCOPE_OWNERS: set[tuple[str, str]] = set()
 
 
 def _rel(path: str) -> str:
