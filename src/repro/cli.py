@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed (generator + autopilot)")
     p.add_argument("--time-budget", type=float, default=0.0,
-                   help="stop after this many wall seconds (0 = no limit)")
+                   help="stop after this many wall seconds (>= 0; 0 = no limit)")
     p.add_argument("--corpus-dir", default="",
                    help="write shrunk JSON case files here on violation")
     p.add_argument("--replay", metavar="CASE",

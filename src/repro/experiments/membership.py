@@ -311,7 +311,7 @@ def _run_mode(
     oc.transitions = _collect_transitions(dep)
     oc.transition_times = [row[0] for row in oc.transitions if row[0] >= t_crash]
     window = max((t_end - t_crash) / windows, 1e-9)
-    oc.slo = compute_slo(rec, window, origin=t_crash, horizon=t_end)
+    oc.slo = compute_slo(rec.fold(), window, origin=t_crash, horizon=t_end)
     return oc
 
 

@@ -281,7 +281,7 @@ def _run_mode(
         else math.nan
     )
     window = max(steady / windows, 1e-9)
-    oc.slo = compute_slo(rec, window, origin=epoch1_end, horizon=t_end)
+    oc.slo = compute_slo(rec.fold(), window, origin=epoch1_end, horizon=t_end)
     # The SLO is all this mode keeps of its timeline.  The finished
     # deployment is cyclic and the next mode's run() pauses the
     # collector (INTERNALS §1, "The collector"), so release it here.

@@ -175,7 +175,7 @@ def slo_scenario(
     window = (horizon - origin) / windows
     for label, (rec, _, _, transitions) in runs.items():
         result.outcomes[label] = ModeOutcome(
-            slo=compute_slo(rec, window, origin=origin, horizon=horizon),
+            slo=compute_slo(rec.fold(), window, origin=origin, horizon=horizon),
             spans=rec,
             transitions=transitions,
         )

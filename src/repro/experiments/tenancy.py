@@ -312,7 +312,7 @@ def _run_mode(
     )
     oc.pfs_fallbacks = m.counter("hvac.client_pfs_fallback").value - fallbacks0
     window = max((t_end - t0) / windows, 1e-9)
-    oc.slo = compute_slo(rec, window, origin=t0, horizon=t_end)
+    oc.slo = compute_slo(rec.fold(), window, origin=t0, horizon=t_end)
     # The SLO is all this mode keeps of its timeline.  The finished
     # deployment is cyclic and the next mode's run() pauses the
     # collector (INTERNALS §1, "The collector"), so release it here.

@@ -194,10 +194,13 @@ def run_campaign(
 
     ``time_budget`` (wall seconds, 0 = unlimited) only stops the loop
     *between* runs, so a budgeted campaign is still a prefix of the
-    unbudgeted one with the same seed.  ``runs`` must be >= 1.
+    unbudgeted one with the same seed.  ``runs`` must be >= 1 and
+    ``time_budget`` >= 0 (NaN is rejected, ``inf`` never stops).
     """
     if not runs >= 1:
         raise ValueError("runs must be >= 1")
+    if not time_budget >= 0:
+        raise ValueError("time_budget must be >= 0")
     config = config or InvariantConfig()
     generator = ScenarioGenerator(seed)
     autopilot = Autopilot(RandomStreams(seed).child("fuzz.autopilot"))

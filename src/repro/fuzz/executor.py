@@ -22,11 +22,16 @@ accounting) and per-client invariant counters registered as
 race-sanitizer cells (``fuzz.reads.n<node>``, or
 ``fuzz.reads.t<j>.n<node>`` in multi-tenant scenarios) so ``repro fuzz
 --races`` extends the ``--races`` guarantee over fuzzed interleavings.
+The span log is folded once after the run
+(:meth:`~repro.obs.SpanRecorder.fold`) and not kept: the invariants and
+the SLO rollup read only the fold.
 A run is fingerprinted only when the caller passes an
 :class:`~repro.simcore.EventTrace`: folding every kernel event into a
 hash costs time, and only a determinism comparison or a case file reads
 it.  Observers never change the event stream, so a traced and an
-untraced run of one scenario observe the same thing.
+untraced run of one scenario observe the same thing.  The SLO report
+follows the same rule: :attr:`Observation.slo` rolls the fold up on
+first read, so an execution whose SLO nothing reads never computes it.
 
 Multi-tenant scenarios (``scenario.tenants > 1``) run one reader unit
 per (tenant, client) pair: every unit gets its own fleet client via
@@ -40,10 +45,11 @@ fingerprints are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..cluster import Allocation
 from ..core import HVACDeployment, client_key_order
-from ..obs import SLOReport, SpanRecorder, compute_slo
+from ..obs import SLOReport, SpanFold, SpanRecorder, compute_slo
 from ..simcore import (
     AllOf,
     AnyOf,
@@ -111,7 +117,8 @@ class Observation:
     t_end: float = 0.0
     allowed_strikes: int = 0
     reads_planned: int = 0
-    spans: SpanRecorder = field(default_factory=SpanRecorder)
+    #: the run's read-path spans, folded once after the run
+    fold: SpanFold = field(default_factory=SpanFold)
     counters: dict[str, int] = field(default_factory=dict)
     #: merged ``(t, owner_client, kind, server_id)`` detector transitions
     detector_transitions: list[tuple] = field(default_factory=list)
@@ -122,7 +129,19 @@ class Observation:
     repair_in_flight: int = 0
     #: event-stream fingerprint; ``None`` when the run was not traced
     fingerprint: str | None = None
-    slo: SLOReport | None = None
+    #: SLO grid width; ``None`` when the run aborted or ended at its
+    #: fault time, and then :attr:`slo` is ``None`` too
+    slo_window: float | None = None
+
+    @cached_property
+    def slo(self) -> SLOReport | None:
+        """The post-fault SLO report, rolled up on first read: the
+        second execution of a double run reads only its fingerprint."""
+        if self.slo_window is None:
+            return None
+        return compute_slo(
+            self.fold, self.slo_window, origin=self.t_fault, horizon=self.t_end
+        )
 
 
 @dataclass(frozen=True)
@@ -302,7 +321,6 @@ def _execute(
 
     obs = Observation(
         scenario=scenario,
-        spans=env.spans,
         allowed_strikes=spec.hvac.rpc_max_retries,
     )
     multi = scenario.tenants > 1
@@ -469,11 +487,13 @@ def _execute(
         sched.stop()
     dep.teardown()
 
+    obs.fold = env.spans.fold()
+    # The fold is all the run keeps.  The finished deployment is cyclic
+    # and still holds the recorder: empty its log now, so the per-event
+    # tuples go by refcount instead of waiting for a collection.
+    env.spans.events.clear()
     if obs.t_end > obs.t_fault and not obs.aborted:
-        window = (obs.t_end - obs.t_fault) / config.windows
-        obs.slo = compute_slo(
-            env.spans, window, origin=obs.t_fault, horizon=obs.t_end
-        )
+        obs.slo_window = (obs.t_end - obs.t_fault) / config.windows
     if trace is not None:
         obs.fingerprint = trace.fingerprint
     return obs

@@ -176,15 +176,14 @@ def check_observation(
             "second_fingerprint given for an untraced observation"
         )
     report = InvariantReport()
-    # Assembled once: three checks walk the same span tree.
-    tree = obs.spans.spans()
+    # three checks read the run's one span fold
     _check_hung(obs, config, report)
-    _check_retries(obs, tree, config, report)
-    _check_conservation(tree, report)
+    _check_retries(obs, config, report)
+    _check_conservation(obs.fold, report)
     _check_determinism(obs, report, second_fingerprint)
     _check_slo(obs, config, report)
     _check_convergence(obs, config, report)
-    _check_isolation(obs, tree, config, report)
+    _check_isolation(obs, config, report)
     return report
 
 
@@ -206,37 +205,31 @@ def _check_hung(obs, config, report) -> None:
     report.margins["hung_read"] = _clip(1.0 - worst)
 
 
-def _check_retries(obs, tree, config, report) -> None:
+def _check_retries(obs, config, report) -> None:
     allowed = obs.allowed_strikes + config.retry_slack
-    worst = 0
-    for span in tree.values():
-        if span.name not in ("client.read", "client.segment"):
-            continue
-        strikes = sum(1 for _, key, _v in span.annotations if key == "strike")
-        if strikes > worst:
-            worst = strikes
-        if strikes > allowed:
-            _violate(
-                report, "retry_bound",
-                f"span #{span.sid} '{span.name}' recorded {strikes} strikes",
-                strikes, allowed,
-            )
+    spans = obs.fold.reads + obs.fold.segments
+    worst = max((span.strikes for span in spans), default=0)
+    # reported in begin order, reads and segments interleaved
+    for span in sorted((s for s in spans if s.strikes > allowed),
+                       key=lambda s: s.sid):
+        _violate(
+            report, "retry_bound",
+            f"span #{span.sid} '{span.name}' recorded {span.strikes} strikes",
+            span.strikes, allowed,
+        )
     report.margins["retry_bound"] = _clip(1.0 - worst / allowed) if allowed else 1.0
 
 
-def _check_conservation(tree, report) -> None:
+def _check_conservation(fold, report) -> None:
     worst = 0.0
     checked = 0
-    for span in tree.values():
-        if span.name != "client.read" or span.t1 is None:
+    for span in fold.reads:
+        if span.t1 is None:
             continue
         requested = int(span.attrs.get("bytes", 0))
         if requested <= 0:
             continue
-        routed = sum(
-            int(v) for _, key, v in span.annotations
-            if key.startswith("bytes:")
-        )
+        routed = sum(span.routed.values())
         checked += 1
         err = abs(routed - requested) / requested
         worst = max(worst, err)
@@ -340,7 +333,7 @@ def _check_convergence(obs, config, report) -> None:
         report.margins["repair_convergence"] = _clip(1.0 - lag)
 
 
-def _check_isolation(obs, tree, config, report) -> None:
+def _check_isolation(obs, config, report) -> None:
     if obs.scenario.tenants < 2:
         report.skipped.append("tenant_isolation")
         return
@@ -348,8 +341,8 @@ def _check_isolation(obs, tree, config, report) -> None:
 
     mismatches = 0
     checked = 0
-    for span in tree.values():
-        if span.name != "client.read" or span.t1 is None:
+    for span in obs.fold.reads:
+        if span.t1 is None:
             continue
         tenant = span.attrs.get("tenant")
         if tenant is None:

@@ -35,9 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .spans import Span, SpanRecorder
+from .spans import SpanFold
 
 __all__ = ["SLOWindow", "EntitySLO", "SLOReport", "bucket_times", "compute_slo"]
 
@@ -107,24 +105,31 @@ class SLOReport:
     totals: EntitySLO = field(default_factory=lambda: EntitySLO("total"))
 
 
+#: the percentile levels of every window and rollup
+_LEVELS = (0.50, 0.95, 0.99)
+
+
 def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
+    """p50/p95/p99 by numpy's default ``linear`` method, bit for bit:
+    the same virtual index, neighbours and two-sided lerp as
+    ``np.percentile(latencies, [50, 95, 99])``, without an array per
+    window (``tests/test_slo_fold.py`` holds it to numpy)."""
     if not latencies:
         return (float("nan"),) * 3
-    arr = np.asarray(latencies, dtype=float)
-    p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
-    return float(p50), float(p95), float(p99)
-
-
-def _read_facts(span: Span) -> tuple[float, bool, dict[str, int]]:
-    """(latency, degraded, bytes-by-route) for one closed read span."""
-    routed = {r: 0 for r in ROUTES}
-    degraded = False
-    for _, key, value in span.annotations:
-        if key.startswith("bytes:"):
-            routed[key[6:]] = routed.get(key[6:], 0) + int(value)
-        elif key == "degraded":
-            degraded = True
-    return span.duration, degraded, routed
+    xs = sorted(latencies)
+    last = len(xs) - 1
+    out = []
+    for q in _LEVELS:
+        virtual = last * q
+        if virtual >= last:
+            out.append(xs[last])
+            continue
+        below = math.floor(virtual)
+        gamma = virtual - below
+        a, b = xs[below], xs[below + 1]
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return out[0], out[1], out[2]
 
 
 def _aggregate(
@@ -134,7 +139,8 @@ def _aggregate(
     horizon: float,
     window: float,
 ) -> EntitySLO:
-    """Roll ``(t_end, latency, degraded, routed)`` reads into windows."""
+    """Roll ``(t_end, latency, degraded, routed)`` reads into windows;
+    ``routed`` holds only the routes a read used."""
     slo = EntitySLO(entity)
     n_windows = max(1, math.ceil((horizon - origin) / window - 1e-9))
     per_window: list[list[float]] = [[] for _ in range(n_windows)]
@@ -163,6 +169,17 @@ def _aggregate(
     return slo
 
 
+def _check_grid(window: float, origin: Optional[float], horizon: Optional[float]) -> None:
+    """Reject a window grid ``math.ceil`` cannot count.  NaN passes a
+    plain ``window <= 0`` test, and an infinite window is one bucket
+    with NaN edges."""
+    if not (0.0 < window < math.inf):
+        raise ValueError(f"window must be positive and finite, got {window!r}")
+    for name, value in (("origin", origin), ("horizon", horizon)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def bucket_times(
     times: list[float], window: float, origin: float, horizon: float
 ) -> list[int]:
@@ -170,8 +187,7 @@ def bucket_times(
     uses, so point events (membership transitions, fault onsets) line
     up column-for-column under a report's degradation strip.  Events
     outside ``[origin, horizon)`` are dropped."""
-    if window <= 0:
-        raise ValueError("window must be positive")
+    _check_grid(window, origin, horizon)
     n_windows = max(1, math.ceil((horizon - origin) / window - 1e-9))
     counts = [0] * n_windows
     for t in times:
@@ -182,26 +198,20 @@ def bucket_times(
 
 
 def compute_slo(
-    recorder: SpanRecorder,
+    fold: SpanFold,
     window: float,
     origin: Optional[float] = None,
     horizon: Optional[float] = None,
 ) -> SLOReport:
-    """Roll a recorded span timeline into an :class:`SLOReport`.
+    """Roll a run's folded read spans (:meth:`SpanRecorder.fold`) into
+    an :class:`SLOReport`.
 
     ``origin``/``horizon`` bound the analysis range (defaults: first
     read begin / last read end); reads completing outside it are
     dropped, which is how warm-up epochs are excluded.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    spans = recorder.spans()
-    client_reads = [
-        s for s in spans.values() if s.name == "client.read" and s.closed
-    ]
-    server_reads = [
-        s for s in spans.values() if s.name == "server.read" and s.closed
-    ]
+    _check_grid(window, origin, horizon)
+    client_reads = [s for s in fold.reads if s.t1 is not None]
 
     if origin is None:
         origin = min((s.t0 for s in client_reads), default=0.0)
@@ -216,8 +226,7 @@ def compute_slo(
     for s in client_reads:
         if not (origin <= s.t1 < horizon + 1e-12):
             continue
-        latency, degraded, routed = _read_facts(s)
-        fact = (s.t1, latency, degraded, routed)
+        fact = (s.t1, s.t1 - s.t0, s.degraded, s.routed)
         by_client.setdefault(int(s.attrs.get("client", -1)), []).append(fact)
         tenant = s.attrs.get("tenant")
         if tenant is not None:
@@ -225,14 +234,13 @@ def compute_slo(
         total_reads.append(fact)
 
     by_server: dict[int, list] = {}
-    for s in server_reads:
-        if not (origin <= s.t1 < horizon + 1e-12):
+    for s in fold.server_reads:
+        if s.t1 is None or not (origin <= s.t1 < horizon + 1e-12):
             continue
-        hit = bool(s.annotation("hit", 0))
-        routed = {"local": 0, "remote": 0, "pfs": 0}
+        hit = bool(s.hit)
         # server-side view: a hit served NVMe bytes, a miss pulled PFS
-        routed["local" if hit else "pfs"] = int(s.attrs.get("bytes", 0))
-        fact = (s.t1, s.duration, not hit, routed)
+        routed = {"local" if hit else "pfs": int(s.attrs.get("bytes", 0))}
+        fact = (s.t1, s.t1 - s.t0, not hit, routed)
         by_server.setdefault(int(s.attrs.get("server", -1)), []).append(fact)
 
     report = SLOReport(window=window, t0=origin, t1=horizon)

@@ -17,9 +17,11 @@ Design constraints (these are the acceptance bar, not aspirations):
   two same-seed runs produce byte-identical timelines —
   :attr:`SpanRecorder.fingerprint` pins that property in tests.
 
-Tree assembly, JSONL export, and SLO aggregation all happen *after* the
-run, off the hot path (:meth:`SpanRecorder.spans`,
-:meth:`SpanRecorder.to_jsonl_lines`, :mod:`repro.obs.slo`).
+Folding, JSONL export, and SLO aggregation all happen *after* the run,
+off the hot path.  :meth:`SpanRecorder.fold` walks the log once and
+keeps only the read-path spans the SLO rollup and the fuzz invariants
+read (:data:`FOLDED`); :meth:`SpanRecorder.spans` assembles every span,
+for the JSONL timeline dump and :meth:`SpanRecorder.named`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-__all__ = ["Span", "SpanRecorder"]
+__all__ = ["FOLDED", "ReadSpan", "Span", "SpanFold", "SpanRecorder"]
 
 _BEGIN, _END, _ANNOTATE = "B", "E", "A"
 
@@ -84,6 +86,41 @@ class Span:
         )
 
 
+#: the span names :meth:`SpanRecorder.fold` keeps, one list each
+FOLDED = ("client.read", "client.segment", "server.read")
+
+
+@dataclass(slots=True)
+class ReadSpan:
+    """One read-path span, its annotations reduced as the log is folded.
+
+    ``attrs`` is the dict the recorder logged, shared, not copied: read
+    it, never write it."""
+
+    sid: int
+    name: str
+    t0: float
+    attrs: dict
+    t1: Optional[float] = None  #: None while open
+    #: ``strike`` annotations (one per failed attempt)
+    strikes: int = 0
+    #: a ``degraded`` annotation was recorded
+    degraded: bool = False
+    #: the last ``hit`` annotation (``server.read``)
+    hit: int = 0
+    #: ``bytes:<route>`` annotations summed per route, in first-seen order
+    routed: dict = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class SpanFold:
+    """A recorder's read-path spans, each list in begin (sid) order."""
+
+    reads: list[ReadSpan] = field(default_factory=list)  #: ``client.read``
+    segments: list[ReadSpan] = field(default_factory=list)  #: ``client.segment``
+    server_reads: list[ReadSpan] = field(default_factory=list)  #: ``server.read``
+
+
 class SpanRecorder:
     """Append-only span event log on the sim clock.
 
@@ -123,6 +160,42 @@ class SpanRecorder:
     def n_spans(self) -> int:
         return self._next_id
 
+    def fold(self) -> SpanFold:
+        """One walk of the log that builds only the :data:`FOLDED` spans.
+
+        Every other span's begin, end and annotations are skipped, so
+        the walk allocates one :class:`ReadSpan` per read-path span and
+        nothing per event."""
+        fold = SpanFold()
+        lists = dict(zip(FOLDED, (fold.reads, fold.segments, fold.server_reads)))
+        kept: dict[int, ReadSpan] = {}
+        for ev in self.events:
+            kind = ev[0]
+            if kind == _BEGIN:
+                out = lists.get(ev[4])
+                if out is not None:
+                    span = ReadSpan(ev[1], ev[4], ev[3], ev[5])
+                    kept[ev[1]] = span
+                    out.append(span)
+                continue
+            span = kept.get(ev[1])
+            if span is None:
+                continue
+            if kind == _END:
+                span.t1 = ev[2]
+                continue
+            key = ev[3]
+            if key.startswith("bytes:"):
+                route = key[6:]
+                span.routed[route] = span.routed.get(route, 0) + int(ev[4])
+            elif key == "strike":
+                span.strikes += 1
+            elif key == "degraded":
+                span.degraded = True
+            elif key == "hit":
+                span.hit = ev[4]
+        return fold
+
     def spans(self) -> dict[int, Span]:
         """Assemble the flat event list into linked :class:`Span`s."""
         out: dict[int, Span] = {}
@@ -146,10 +219,6 @@ class SpanRecorder:
             if span.parent is not None and span.parent in out:
                 out[span.parent].children.append(span.sid)
         return out
-
-    def roots(self) -> list[Span]:
-        """Top-level spans (no parent), in begin order."""
-        return [s for s in self.spans().values() if s.parent is None]
 
     def named(self, name: str) -> list[Span]:
         """All spans called ``name``, in begin order."""

@@ -130,6 +130,18 @@ class TestModeComparisonRates:
         assert "must be >= 0" in capsys.readouterr().err
 
 
+class TestFuzzTimeBudget:
+    """A negative or NaN ``--time-budget`` exits 2 before any run, as
+    ``--runs 0`` does; it used to mean "no limit"."""
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_exits_2(self, value, capsys):
+        assert main(["fuzz", "--runs", "1", f"--time-budget={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "repro fuzz: error: time_budget must be >= 0"
+
+
 class TestTenancyAdmission:
     def test_oversized_job_does_not_deadlock_the_demo(self, capsys):
         # tenant 11 asks for more than the whole admission budget; it

@@ -260,21 +260,26 @@ class TestTenantIsolation:
         assert "tenant_isolation" not in report.violated
         assert report.margins["tenant_isolation"] > 0.0
 
-    def test_one_check_assembles_the_span_tree_once(self, monkeypatch):
-        # retry_bound, read_conservation and tenant_isolation all walk
-        # the spans; a multi-tenant run reaches all three
+    def test_one_execution_folds_the_span_log_once(self, monkeypatch):
+        # retry_bound, read_conservation and tenant_isolation all read
+        # the spans; a multi-tenant run reaches all three.  No check
+        # assembles the full span tree.
         config = InvariantConfig()
-        obs = execute(self._scenario(), config, trace=EventTrace())
         calls = []
-        assemble = SpanRecorder.spans
+        fold = SpanRecorder.fold
 
         def counting(self):
             calls.append(self)
-            return assemble(self)
+            return fold(self)
 
-        monkeypatch.setattr(SpanRecorder, "spans", counting)
+        def no_tree(self):
+            raise AssertionError("spans() assembled during a fuzz run")
+
+        monkeypatch.setattr(SpanRecorder, "fold", counting)
+        monkeypatch.setattr(SpanRecorder, "spans", no_tree)
+        obs = execute(self._scenario(), config, trace=EventTrace())
         report = check_observation(obs, config)
-        assert calls == [obs.spans]
+        assert len(calls) == 1
         assert {"retry_bound", "read_conservation", "tenant_isolation"} <= set(
             report.margins
         )

@@ -4,13 +4,16 @@ verdict, record or case file.
 A run is fingerprinted only where something reads the fingerprint: the
 two executions of a campaign double run, one re-execution of a failing
 untraced run (for its case file), the probes of a ``determinism``
-shrink, and the shrunk scenario's final double run.  Also the input
-checks of ``InvariantConfig``, ``run_campaign`` and ``repro fuzz``.
+shrink, and the shrunk scenario's final double run.  An SLO is rolled
+up by the same rule: only for the executions the checker reads.  Also
+the input checks of ``InvariantConfig``, ``run_campaign`` and ``repro
+fuzz``.
 """
 
 import hashlib
 import importlib
 import math
+from dataclasses import astuple
 from functools import partial
 
 import pytest
@@ -30,6 +33,7 @@ from repro.fuzz.shrink import _check
 from repro.simcore import EventTrace
 
 campaign_mod = importlib.import_module("repro.fuzz.campaign")
+executor_mod = importlib.import_module("repro.fuzz.executor")
 shrink_mod = importlib.import_module("repro.fuzz.shrink")
 
 #: a deadline of half the warm epoch: run 2 of seed 7 hangs, and its
@@ -112,6 +116,47 @@ class TestCampaignTracing:
         assert (len(calls), sum(calls)) == (executions, traced)
 
 
+#: ``(index, digest, origin, kind, n_faults, score, violated)`` of each
+#: run of the seed-11 campaign below, as recorded when every execution
+#: still rolled up its SLO
+DOUBLE_RUNS = [
+    (0, "d1e0d8b9c4f12051", "fresh", "hotstorm", 4, 0.9858506179999992, ()),
+    (1, "d8687b6b8c8ab873", "fresh", "uniform", 2, 0.9890290131600037, ()),
+    (2, "f9ef14b0f147d9a8", "fresh", "hotstorm", 5, 0.75, ()),
+    (3, "de6f8cfa1bb02924", "mutate:f9ef14b0f147d9a8", "hotstorm", 4, 0.75,
+     ()),
+]
+
+
+class TestSLOOnlyWhereRead:
+    def test_double_run_rolls_up_its_first_execution_only(self, monkeypatch):
+        runs, slos = [], []
+        real_execute, real_slo = execute, executor_mod.compute_slo
+
+        def spy_execute(scenario, config=None, trace=None, sanitizer=None):
+            obs = real_execute(scenario, config, trace=trace,
+                               sanitizer=sanitizer)
+            runs.append((len(slos), obs))
+            return obs
+
+        def spy_slo(*args, **kwargs):
+            slos.append(args[0])
+            return real_slo(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "execute", spy_execute)
+        monkeypatch.setattr(executor_mod, "compute_slo", spy_slo)
+        result = run_campaign(
+            runs=4, seed=11, shrink_failures=False,
+            config=InvariantConfig(determinism_every=2),
+        )
+        assert [astuple(r) for r in result.runs] == DOUBLE_RUNS
+        # runs 0 and 2 execute twice.  No execution rolls up its SLO;
+        # the checker does, once per run, on the first execution's fold.
+        assert [n for n, _obs in runs] == [0, 0, 1, 2, 2, 3]
+        firsts = [runs[i][1].fold for i in (0, 2, 3, 5)]
+        assert [id(fold) for fold in slos] == [id(fold) for fold in firsts]
+
+
 @pytest.fixture(scope="module")
 def forced(tmp_path_factory):
     """The forced-failure campaign, run once with spies on every
@@ -190,6 +235,19 @@ class TestSizes:
     def test_campaign_needs_a_run(self, runs):
         with pytest.raises(ValueError, match="runs"):
             run_campaign(runs=runs)
+
+    @pytest.mark.parametrize("budget", [-1.0, math.nan])
+    def test_budget_cannot_be_negative_or_nan(self, monkeypatch, budget):
+        calls = []
+        _spy_execute(monkeypatch, calls)
+        with pytest.raises(ValueError, match="time_budget"):
+            run_campaign(runs=1, time_budget=budget)
+        assert calls == []  # rejected before the first run
+
+    def test_infinite_budget_never_stops(self):
+        result = run_campaign(runs=2, seed=11, time_budget=math.inf,
+                              shrink_failures=False)
+        assert len(result.runs) == 2 and not result.out_of_budget
 
     @pytest.mark.parametrize("argv,message", [
         (["--runs", "0"], "runs must be >= 1"),

@@ -96,7 +96,7 @@ def _membership(n_files):
 def _fuzz(reads_per_client):
     """One faulted fuzz execution on the membership stack.  The run
     keeps the :class:`Observation` it returns, as a campaign does: the
-    observation holds the run's span timeline, which is per-read data by
+    observation holds the run's span fold, which is per-read data by
     design, not a cycle."""
     scenario = Scenario(
         seed=3,
@@ -397,9 +397,9 @@ class TestStaticCheckContract:
 @pytest.mark.usefixtures("collector_on")
 class TestExecuteContract:
     def test_paused_from_the_build_through_the_last_step(self, probe_log):
-        # execute builds the deployment first and reduces the spans last
+        # execute builds the deployment first and folds the spans last
         probe_log.at(repro.fuzz.executor, "HVACDeployment")
-        probe_log.at(repro.fuzz.executor, "compute_slo")
+        probe_log.at(SpanRecorder, "fold")
         _fuzz(4)()
         assert first_to_last_probe(probe_log) == [False, False]
         assert gc.isenabled()
@@ -408,7 +408,7 @@ class TestExecuteContract:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(repro.fuzz.executor, "compute_slo", boom)
+        monkeypatch.setattr(SpanRecorder, "fold", boom)
         with pytest.raises(RuntimeError, match="boom"):
             _fuzz(4)()
         assert gc.isenabled()

@@ -22,7 +22,7 @@ from repro.analysis import degradation_dashboard, degradation_strip
 from repro.cluster import Allocation, TESTING
 from repro.core import HVACDeployment
 from repro.experiments import resilience_sweep, slo_scenario
-from repro.obs import ROUTES, SpanRecorder, compute_slo
+from repro.obs import ROUTES, SpanRecorder, bucket_times, compute_slo
 from repro.simcore import AllOf, Environment, EventTrace, MetricRegistry
 from repro.storage import GPFS
 
@@ -55,7 +55,7 @@ class TestSpanRecorder:
         assert spans[child].status == "timeout"
         assert spans[root].duration == pytest.approx(0.5)
         assert spans[root].annotation("bytes:remote") == 100
-        assert [s.sid for s in rec.roots()] == [root]
+        assert spans[root].parent is None
         assert [s.sid for s in rec.named("rpc.read")] == [child]
 
     def test_annotation_last_wins(self):
@@ -122,7 +122,7 @@ def _synthetic_recorder():
 
 class TestComputeSLO:
     def test_windows_and_routes(self):
-        report = compute_slo(_synthetic_recorder(), window=1.0,
+        report = compute_slo(_synthetic_recorder().fold(), window=1.0,
                              origin=0.0, horizon=4.0)
         total = report.totals
         assert total.n_reads == 3
@@ -141,7 +141,7 @@ class TestComputeSLO:
         ]
 
     def test_latency_percentiles(self):
-        report = compute_slo(_synthetic_recorder(), window=4.0,
+        report = compute_slo(_synthetic_recorder().fold(), window=4.0,
                              origin=0.0, horizon=4.0)
         total = report.totals
         # latencies 0.1, 0.1, 0.9
@@ -149,7 +149,7 @@ class TestComputeSLO:
         assert total.p99 > total.p50
 
     def test_server_view(self):
-        report = compute_slo(_synthetic_recorder(), window=2.0,
+        report = compute_slo(_synthetic_recorder().fold(), window=2.0,
                              origin=0.0, horizon=4.0)
         srv = report.servers[1]
         assert srv.n_reads == 2
@@ -158,16 +158,31 @@ class TestComputeSLO:
         assert srv.bytes_by_path["pfs"] == 100    # the miss, fetched
 
     def test_horizon_excludes_out_of_range_reads(self):
-        report = compute_slo(_synthetic_recorder(), window=1.0,
+        report = compute_slo(_synthetic_recorder().fold(), window=1.0,
                              origin=0.0, horizon=2.0)
         assert report.totals.n_reads == 2  # the t=3.9 read is out of range
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            compute_slo(SpanRecorder(), window=0.0)
+            compute_slo(SpanRecorder().fold(), window=0.0)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(window=math.nan), "window"),
+        (dict(window=math.inf), "window"),
+        (dict(window=-1.0), "window"),
+        (dict(window=1.0, origin=math.nan), "origin"),
+        (dict(window=1.0, origin=0.0, horizon=math.nan), "horizon"),
+    ])
+    def test_grid_validation(self, kwargs, name):
+        fold = _synthetic_recorder().fold()
+        with pytest.raises(ValueError, match=name):
+            compute_slo(fold, **kwargs)
+        grid = {"origin": 0.0, "horizon": 4.0, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            bucket_times([1.0], **grid)
 
     def test_empty_recorder(self):
-        report = compute_slo(SpanRecorder(), window=1.0)
+        report = compute_slo(SpanRecorder().fold(), window=1.0)
         assert report.totals.n_reads == 0
         assert report.clients == {} and report.servers == {}
 
@@ -246,7 +261,7 @@ class TestInstrumentedDeployment:
         rec = SpanRecorder()
         env, dep = build(spans=rec)
         read_epoch(env, dep, FILES, [0, 1])
-        totals = compute_slo(rec, window=1.0).totals
+        totals = compute_slo(rec.fold(), window=1.0).totals
         assert totals.total_bytes == 2 * len(FILES) * 30_000
         assert set(totals.bytes_by_path) == set(ROUTES)
 
@@ -256,7 +271,7 @@ class TestInstrumentedDeployment:
         read_epoch(env, dep, FILES, [0, 1])
         m = dep.metrics
         assert m.counter("hvac.client_opens").value == 2 * len(FILES)
-        slo = compute_slo(rec, window=1.0)
+        slo = compute_slo(rec.fold(), window=1.0)
         assert {c: e.n_reads for c, e in slo.clients.items()} == {
             0: len(FILES), 1: len(FILES)
         }

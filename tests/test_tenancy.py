@@ -184,7 +184,7 @@ class TestFleetArbitration:
         _sweep(env, fleet, VICTIM)
         # the tenant view comes from the spans' tenant tag; the counter
         # stays the fleet aggregate
-        assert compute_slo(rec, window=1.0).tenants[0].n_reads == VICTIM.n_files
+        assert compute_slo(rec.fold(), window=1.0).tenants[0].n_reads == VICTIM.n_files
         assert dep.metrics.counter("hvac.client_opens").value == VICTIM.n_files
 
     def test_shared_lru_sacrifices_the_victim(self):
