@@ -158,22 +158,20 @@ class Fabric:
         if src == dst:
             # Shared memory: immune to fabric faults (and to partitions —
             # a node can always talk to itself).
-            yield self.env.timeout(
-                spec.per_message_overhead + nbytes / spec.loopback_bandwidth
-            )
+            yield spec.per_message_overhead + nbytes / spec.loopback_bandwidth
             self._m_local.incr()
             return True
 
         drop_prob, extra_delay = self._link_state(src, dst)
-        yield self.env.timeout(spec.per_message_overhead)
+        yield spec.per_message_overhead
         if extra_delay:
-            yield self.env.timeout(extra_delay)
+            yield extra_delay
         if drop_prob and (
             drop_prob >= 1.0 or self._fault_rng.random() < drop_prob
         ):
             # The message dies in the fabric after its propagation time,
             # without ever occupying the receiver's port.
-            yield self.env.timeout(spec.link_latency)
+            yield spec.link_latency
             self._m_dropped.incr()
             return False
         with self._tx[src].res.request() as tx:
@@ -183,9 +181,7 @@ class Fabric:
                 if self._crosses_racks(src, dst):
                     yield from self._inter_rack_leg(src, dst, nbytes)
                 else:
-                    yield self.env.timeout(
-                        spec.link_latency + nbytes / spec.nic_bandwidth
-                    )
+                    yield spec.link_latency + nbytes / spec.nic_bandwidth
         self._m_remote.incr()
         return True
 
@@ -207,7 +203,7 @@ class Fabric:
             with self._uplink_rx[self.rack_of(dst)].res.request() as down:
                 yield down
                 rate = min(spec.nic_bandwidth, self._uplink_bw)
-                yield self.env.timeout(2 * spec.link_latency + nbytes / rate)
+                yield 2 * spec.link_latency + nbytes / rate
         self.metrics.counter("fabric.inter_rack_transfers").incr()
 
     def message(self, src: int, dst: int) -> Generator:
@@ -227,8 +223,8 @@ class RateLimiter:
     """
 
     def __init__(self, env: Environment, rate: float = 0.0, name: str = "limiter"):
-        if rate < 0:
-            raise SimulationError("rate must be >= 0")
+        if not rate >= 0:  # NaN too, which would stop pacing for good
+            raise SimulationError(f"rate must be >= 0, not {rate!r}")
         self.env = env
         self.rate = rate
         self.name = name
@@ -247,4 +243,4 @@ class RateLimiter:
         self._ready = start + nbytes / self.rate
         delay = self._ready - self.env.now
         if delay > 0:
-            yield self.env.timeout(delay)
+            yield delay

@@ -107,14 +107,14 @@ class NVMeDevice:
 
     def open_close(self) -> Generator:
         """The filesystem (XFS) cost of an open+close pair."""
-        yield self.env.timeout(self.spec.fs_open_close_latency)
+        yield self.spec.fs_open_close_latency
 
     def _io(self, nbytes: int, latency: float, bandwidth: float) -> Generator:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         with self._queue.request() as slot:
             yield slot
-            yield self.env.timeout(latency * self._slow_factor)
+            yield latency * self._slow_factor
             with self._bandwidth.request() as bw:
                 yield bw
-                yield self.env.timeout(nbytes * self._slow_factor / bandwidth)
+                yield nbytes * self._slow_factor / bandwidth

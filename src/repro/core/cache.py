@@ -345,6 +345,6 @@ class CacheManager:
         if self._compressed:
             cost = self.decompress_cost_per_byte * size
             if cost > 0:
-                yield self.env.timeout(cost)
+                yield cost
             self._m_decompress_seconds.incr(cost)
         return size

@@ -204,7 +204,7 @@ class HVACClient(FileBackend):
         forwarding on the first read — opens must stay cheap because DL
         frameworks stat/open aggressively.
         """
-        yield self.env.timeout(self.spec.hvac.client_request_overhead)
+        yield self.spec.hvac.client_request_overhead
         self._incr("client_opens")
         return OpenFile(path=path, size=size, backend=self, client_node=client_node)
 
@@ -246,7 +246,7 @@ class HVACClient(FileBackend):
                     bytes=nbytes,
                     tenant=self.tenant,
                 )
-        yield self.env.timeout(self.spec.hvac.client_request_overhead)
+        yield self.spec.hvac.client_request_overhead
 
         hvac = self.spec.hvac
         if self.pfs_only:
@@ -357,7 +357,7 @@ class HVACClient(FileBackend):
                     self._incr("client_retry_aborts")
                     break
                 self._incr("client_retries")
-                yield env.timeout(self._backoff(attempt))
+                yield self._backoff(attempt)
         # Every approved replica failed (or none is approved): degrade
         # to a direct PFS read — slower, but the training run survives.
         self._incr("client_pfs_fallback")
@@ -451,7 +451,7 @@ class HVACClient(FileBackend):
         if handle.closed:
             raise ValueError(f"double close of {handle.path}")
         handle.closed = True
-        yield self.env.timeout(self.spec.hvac.client_request_overhead)
+        yield self.spec.hvac.client_request_overhead
         candidates = self._candidates(handle.path)
         if candidates:
             # Out-of-band: the client does not wait for the ack.

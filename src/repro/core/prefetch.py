@@ -102,7 +102,7 @@ class CachePrefetcher:
                 # demand read dispatched at this instant reaches the
                 # FIFO ahead of the next prefetch put, making the
                 # ordering causal instead of accidental.
-                yield self.env.timeout(0.0)
+                yield 0.0
             if not server.alive:
                 return
             if server.cache.contains(path):

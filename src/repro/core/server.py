@@ -373,7 +373,7 @@ class HVACServer:
 
     def _handle_close(self, payload: str, src: int) -> Generator:
         """Out-of-band teardown signal for a finished file (step ⑧)."""
-        yield self.env.timeout(2e-6)
+        yield 2e-6
         self._incr("closes")
         return None
 
@@ -381,7 +381,7 @@ class HVACServer:
         """Liveness probe.  The interesting cargo is the piggybacked
         reply digest (carrying this server's self-report); the return
         value is informational."""
-        yield self.env.timeout(2e-6)
+        yield 2e-6
         self._incr("pings")
         return (self.server_id, self.incarnation, self.member_state)
 
@@ -394,7 +394,7 @@ class HVACServer:
             # Serial dispatch cost — the instance's software path length.
             with self._mover.request() as slot:
                 yield slot
-                yield self.env.timeout(overhead)
+                yield overhead
             # Service proceeds asynchronously; the mover loops for the
             # next request immediately (async copy engine).
             self.env.process(self._service(req), name=self._svc_name)

@@ -177,7 +177,7 @@ class TrainingJob:
         for start in range(0, len(indices), sim_batch):
             # Synchronous loading: wait for the GPU's previous batch.
             if env.now < gpu_free:
-                yield env.timeout(gpu_free - env.now)
+                yield gpu_free - env.now
             chunk = indices[start : start + sim_batch]
             for idx in chunk:
                 idx = int(idx)
@@ -189,7 +189,7 @@ class TrainingJob:
 
         # Drain: the GPU finishes its queued work.
         if env.now < gpu_free:
-            yield env.timeout(gpu_free - env.now)
+            yield gpu_free - env.now
         return env.now
 
     def _epoch(self, epoch: int) -> Generator:

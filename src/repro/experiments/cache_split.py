@@ -106,7 +106,7 @@ def cache_split(
                     yield from client.read_file(
                         dataset.path(idx), dataset.size(idx), node
                     )
-                yield env.timeout(len(chunk) * per_sample_compute)
+                yield len(chunk) * per_sample_compute
 
         def epoch(e: int):
             procs = [

@@ -256,7 +256,7 @@ def _run_mode(
         # recovery.
         yield epoch2_started
         dep.fail_node(crash_node)
-        yield env.timeout(outage)
+        yield outage
         dep.recover_node(crash_node)
 
     t0 = env.now

@@ -254,7 +254,7 @@ def _victim_service(env, fleet, spec, n_nodes: int, stop: dict, think: float):
                 yield from cli.read_file(path, size, node)
                 if stop["done"]:
                     return
-                yield env.timeout(think)
+                yield think
 
     return [
         env.process(reader(n), name=f"tenancy.t{spec.tenant_id}.n{n}")

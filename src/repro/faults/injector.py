@@ -57,7 +57,7 @@ class Injector:
         for event in self.schedule:
             at = t0 + event.time
             if at > self.env.now:
-                yield self.env.timeout(at - self.env.now)
+                yield at - self.env.now
             self._apply(event)
         # Keep the injector alive until spawned heal/flap children exist
         # only as their own processes; nothing to wait on here.
@@ -108,7 +108,7 @@ class Injector:
 
     def _heal_later(self, event: FaultEvent, undo, label: str) -> None:
         def healer() -> Generator:
-            yield self.env.timeout(event.duration)
+            yield event.duration
             undo()
             self._note(label)
 
@@ -119,7 +119,7 @@ class Injector:
         for _ in range(event.cycles):
             dep.fail_node(event.node)
             self._note(f"flap-down node {event.node}")
-            yield self.env.timeout(event.period)
+            yield event.period
             dep.recover_node(event.node)
             self._note(f"flap-up node {event.node}")
-            yield self.env.timeout(event.period)
+            yield event.period

@@ -367,7 +367,7 @@ def _execute(
         plan = unit.files if warmup else unit.plan
         try:
             if delay > 0.0:
-                yield env.timeout(delay)
+                yield delay
             for path, size in plan:
                 if not warmup:
                     board.begin_read(unit.key)
@@ -375,7 +375,7 @@ def _execute(
                 if not warmup:
                     board.end_read(unit.key)
                 if think > 0.0:
-                    yield env.timeout(think)
+                    yield think
         except Interrupt:
             return  # deadline watchdog gave up on this epoch
 

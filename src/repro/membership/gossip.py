@@ -59,7 +59,7 @@ class GossipAgent:
         self.running = False
 
     def _handle_gossip(self, payload, src: int):
-        yield self.env.timeout(_HANDLER_COST)
+        yield _HANDLER_COST
         return None
 
     # -- loop ---------------------------------------------------------------
@@ -67,7 +67,7 @@ class GossipAgent:
         rand = self.client.rand
         while True:
             jitter = rand.uniform("gossip.jitter", 0.5, 1.5)
-            yield self.env.timeout(self.hvac.gossip_interval * jitter)
+            yield self.hvac.gossip_interval * jitter
             if not self.running:
                 return
             self._tick += 1

@@ -96,7 +96,7 @@ class RepairManager:
             self.env.process(self._start_pending(), name="repair.start")
 
     def _start_pending(self):
-        yield self.env.timeout(0.0)
+        yield 0.0
         batch, self._pending = self._pending, []
         self._starter_active = False
         for server in sorted(batch, key=lambda s: s.server_id):

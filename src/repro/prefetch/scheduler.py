@@ -244,7 +244,7 @@ class LookaheadScheduler:
                 self._release_credit(sid)
                 # Give up the turn: a demand read dispatched at this
                 # instant reaches the FIFO ahead of the next staged put.
-                yield env.timeout(0.0)
+                yield 0.0
                 if not server.alive:
                     self._invalidate(sid)
                     return

@@ -227,7 +227,7 @@ class RPCEndpoint:
             # Request lost in the fabric: the caller learns nothing until
             # its own deadline expires (there is no negative ack).
             if timeout is not None:
-                yield env.timeout(timeout)
+                yield timeout
             raise RPCTimeout(f"{op} on {target.name}: request lost")
         if not target._alive:
             raise RPCError(f"endpoint {target.name} died mid-call")
@@ -308,5 +308,5 @@ class RPCEndpoint:
     # -- bulk ------------------------------------------------------------
     def bulk_push(self, dst_node: int, nbytes: int) -> Generator:
         """RDMA-write ``nbytes`` from here into an exposed buffer on ``dst_node``."""
-        yield self.env.timeout(_BULK_SETUP)
+        yield _BULK_SETUP
         yield from self.fabric.transfer(self.node_id, dst_node, nbytes)

@@ -9,11 +9,12 @@ Provides the two resources used throughout the HVAC models:
 
 Message queues (:class:`Store`) live in :mod:`.stores`.
 
-Requests are events; the idiomatic usage mirrors SimPy::
+Requests are events; the idiomatic usage mirrors SimPy, except that a
+process holding the resource sleeps by yielding its delay::
 
     with resource.request() as req:
         yield req
-        yield env.timeout(service_time)
+        yield service_time
 """
 
 from __future__ import annotations

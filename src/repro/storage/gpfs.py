@@ -48,7 +48,7 @@ class _MetadataServer:
     def do_ops(self, n_ops: float) -> Generator:
         with self.res.request() as slot:
             yield slot
-            yield self.env.timeout(n_ops * self.op_time)
+            yield n_ops * self.op_time
 
 
 class _DataServer:
@@ -76,10 +76,10 @@ class _DataServer:
         self.bandwidth = bandwidth
 
     def serve(self, nbytes: int) -> Generator:
-        yield self.env.timeout(self.latency)
+        yield self.latency
         with self.res.request() as slot:
             yield slot
-            yield self.env.timeout(self.overhead + nbytes / self.bandwidth)
+            yield self.overhead + nbytes / self.bandwidth
 
 
 class _StripedFS(FileBackend):
@@ -141,7 +141,7 @@ class _StripedFS(FileBackend):
         link = self._client_links[handle.client_node]
         with link.request() as slot:
             yield slot
-            yield self.env.timeout(nbytes / self._client_bw)
+            yield nbytes / self._client_bw
         yield AllOf(self.env, fetches)
 
         handle.offset += nbytes
@@ -197,7 +197,7 @@ class GPFS(_StripedFS):
     # -- FileBackend -------------------------------------------------------
     def open(self, path: str, size: int, client_node: int) -> Generator:
         """Lookup + read-token acquisition at the owning MDS."""
-        yield self.env.timeout(self.spec.client_overhead)
+        yield self.spec.client_overhead
         yield from self._mds[self.mds_for(path)].do_ops(self.spec.ops_per_open)
         self._scope.counter("opens").incr()
         return OpenFile(path=path, size=size, backend=self, client_node=client_node)

@@ -153,7 +153,7 @@ class Lustre(_StripedFS):
 
     # -- FileBackend ------------------------------------------------------------
     def open(self, path: str, size: int, client_node: int) -> Generator:
-        yield self.env.timeout(self.spec.client_overhead)
+        yield self.spec.client_overhead
         if self._lock_cached(client_node, path):
             # ldlm lock still held by this client: no MDS round-trip.
             self._scope.counter("lock_hits").incr()
@@ -171,7 +171,7 @@ class Lustre(_StripedFS):
         # Lock stays cached at the client: close is a local operation
         # unless the lock was already evicted (then a cancel RPC).
         if self._lock_cached(handle.client_node, handle.path):
-            yield self.env.timeout(2e-6)
+            yield 2e-6
         else:
             yield from self._mds[self.mds_for(handle.path)].do_ops(
                 self.spec.ops_per_close

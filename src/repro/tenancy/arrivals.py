@@ -153,7 +153,7 @@ def run_jobs(env, dep, fleet, jobs, admission, seed: int = 0) -> list[JobRecord]
                     yield from cli.read_file(path, size, arrival.node)
                     rec.reads += 1
                     if spec.think > 0.0:
-                        yield env.timeout(spec.think)
+                        yield spec.think
         finally:
             if decision.action != "degrade":
                 admission.release(spec.tenant_id)
@@ -163,7 +163,7 @@ def run_jobs(env, dep, fleet, jobs, admission, seed: int = 0) -> list[JobRecord]
         procs = []
         for arrival, rec in zip(jobs, records):
             if arrival.time > env.now:
-                yield env.timeout(arrival.time - env.now)
+                yield arrival.time - env.now
             procs.append(
                 env.process(
                     job(arrival, rec), name=f"tenancy.job.t{arrival.spec.tenant_id}"

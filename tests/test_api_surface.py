@@ -56,7 +56,6 @@ ALLOWED: dict[str, str] = {
     "obs.spans.SpanRecorder.named": (
         "observes model state: the recorded span trees, by name"
     ),
-    "posix.replay.replay_trace": "waits on ROADMAP 4(a), the differential fuzz leg",
     "simcore.engine.Environment.peek": "kernel entry point: the time of the next event",
     "simcore.engine.Environment.unobserve": "kernel entry point: detach an observer",
     "simcore.monitor.MetricRegistry.snapshot": (

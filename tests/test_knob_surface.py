@@ -99,11 +99,6 @@ ALLOWED: dict[str, str] = {
     "model.analytic.AnalyticModel.__init__:batch_size": (
         "mirrors TrainingConfig.batch_size; the compute-cost identity test varies both"
     ),
-    "posix.replay.replay_trace:client_node": "waits on ROADMAP 4(a), the differential fuzz leg",
-    "posix.replay.replay_trace:preserve_think_time": (
-        "waits on ROADMAP 4(a), the differential fuzz leg"
-    ),
-    "posix.replay.replay_trace:system_label": "waits on ROADMAP 4(a), the differential fuzz leg",
     "simcore.resources.PriorityResource.__init__:capacity": (
         "waits on ROADMAP 5(b), which deletes the class"
     ),

@@ -18,7 +18,7 @@ from repro.membership import (
     MembershipView,
     RemappedPlacement,
 )
-from repro.simcore import AllOf, Environment, EventTrace
+from repro.simcore import AllOf, Environment, EventTrace, SimulationError
 from repro.storage import GPFS
 
 #: fast-detection HVAC overrides shared by every deployment test here
@@ -267,6 +267,13 @@ class TestRateLimiter:
             return env.now
 
         assert env.run(env.process(flow())) == 0.0
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan")])
+    def test_a_rate_below_zero_or_nan_is_rejected(self, rate):
+        # A NaN rate would make the reservation NaN for good
+        # (max(nan, now) is nan), and every flow would pass unpaced.
+        with pytest.raises(SimulationError, match="rate must be >= 0"):
+            RateLimiter(Environment(), rate=rate)
 
 
 class TestRepair:

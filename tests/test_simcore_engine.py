@@ -355,7 +355,7 @@ def test_yield_non_event_is_error():
     env = Environment()
 
     def bad():
-        yield 42
+        yield "42"  # neither an event nor a delay
 
     env.process(bad())
     with pytest.raises(SimulationError):
@@ -687,7 +687,7 @@ def test_kernel_checks_hold_bare_and_traced(traced):
     env = new_env()
 
     def yields_non_event():
-        yield 42
+        yield "42"  # neither an event nor a delay
 
     env.process(yields_non_event())
     with pytest.raises(SimulationError, match="non-event"):

@@ -260,7 +260,8 @@ def test_nan_delay_is_rejected():
 
 
 #: The seven sites that schedule an event, by the qualified name of the
-#: function that calls ``Environment._note_schedule``.
+#: function that calls ``Environment._note_schedule``; a sleep and a
+#: process exit are both scheduled in ``Process._resume``.
 SCHEDULING_SITES = {
     "Event.succeed",
     "Event.fail",
@@ -299,6 +300,7 @@ def every_site_run(monkeypatch, *observers):
         with res.request() as req:
             yield req
             yield env.timeout(1)
+        yield 0.5  # a sleep, which Process._resume schedules
         yield env.event().succeed()
         try:
             yield env.event().fail(ValueError())
