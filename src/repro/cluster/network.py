@@ -174,10 +174,8 @@ class Fabric:
             yield spec.link_latency
             self._m_dropped.incr()
             return False
-        with self._tx[src].res.request() as tx:
-            yield tx
-            with self._rx[dst].res.request() as rx:
-                yield rx
+        with (yield self._tx[src].res):
+            with (yield self._rx[dst].res):
                 if self._crosses_racks(src, dst):
                     yield from self._inter_rack_leg(src, dst, nbytes)
                 else:
@@ -198,10 +196,8 @@ class Fabric:
         """Cross-rack hop: also hold both racks' uplink ports; the flow
         runs at the slower of NIC and uplink bandwidth."""
         spec = self.spec
-        with self._uplink_tx[self.rack_of(src)].res.request() as up:
-            yield up
-            with self._uplink_rx[self.rack_of(dst)].res.request() as down:
-                yield down
+        with (yield self._uplink_tx[self.rack_of(src)].res):
+            with (yield self._uplink_rx[self.rack_of(dst)].res):
                 rate = min(spec.nic_bandwidth, self._uplink_bw)
                 yield 2 * spec.link_latency + nbytes / rate
         self.metrics.counter("fabric.inter_rack_transfers").incr()

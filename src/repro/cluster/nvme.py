@@ -112,9 +112,7 @@ class NVMeDevice:
     def _io(self, nbytes: int, latency: float, bandwidth: float) -> Generator:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        with self._queue.request() as slot:
-            yield slot
+        with (yield self._queue):
             yield latency * self._slow_factor
-            with self._bandwidth.request() as bw:
-                yield bw
+            with (yield self._bandwidth):
                 yield nbytes * self._slow_factor / bandwidth

@@ -278,15 +278,12 @@ class HVACSpec:
     decompress_cost_per_byte: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.instances_per_node < 1:
-            raise ValueError("instances_per_node must be >= 1")
+        _at_least_one(
+            self, "instances_per_node", "data_mover_concurrency", "consistent_vnodes"
+        )
         overheads = (self.server_request_overhead, self.client_request_overhead)
         if not all(o >= 0 for o in overheads):
             raise ValueError("request overheads must be >= 0")
-        if self.data_mover_concurrency < 1:
-            raise ValueError("data_mover_concurrency must be >= 1")
-        if self.consistent_vnodes < 1:
-            raise ValueError("consistent_vnodes must be >= 1")
         if not 0 < self.cache_fraction <= 1:
             raise ValueError("cache_fraction must be in (0, 1]")
         if self.replication_factor < 1:

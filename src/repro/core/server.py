@@ -392,8 +392,7 @@ class HVACServer:
         while True:
             req: ReadRequest = yield self.queue.get()
             # Serial dispatch cost — the instance's software path length.
-            with self._mover.request() as slot:
-                yield slot
+            with (yield self._mover):
                 yield overhead
             # Service proceeds asynchronously; the mover loops for the
             # next request immediately (async copy engine).
@@ -405,8 +404,7 @@ class HVACServer:
         transfer overlaps with it (pipelined chunks)."""
         req.hit = True
         self._incr("cache_hits")
-        with self._copy_slots.request() as cslot:
-            yield cslot
+        with (yield self._copy_slots):
             rec = self.spans
             nsp = None
             if rec is not None:
@@ -454,8 +452,7 @@ class HVACServer:
                 self.env.note_access(self._inflight_cell(req.path), "w")
             self._inflight[req.path] = fetch_done
             try:
-                with self._copy_slots.request() as cslot:
-                    yield cslot
+                with (yield self._copy_slots):
                     rec = self.spans
                     fsp = None
                     if rec is not None:
@@ -492,7 +489,6 @@ class HVACServer:
     def _passthrough(self, req: ReadRequest) -> Generator:
         """Serve from PFS without caching (file refused by policy/capacity)."""
         self._incr("passthrough")
-        with self._copy_slots.request() as cslot:
-            yield cslot
+        with (yield self._copy_slots):
             yield from self.pfs.read_file(req.path, req.size, self.node_id)
         req.done.succeed()

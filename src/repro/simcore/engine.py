@@ -15,6 +15,9 @@ Semantics
 * A process may also yield a delay, a real number ``d >= 0``: it sleeps
   ``d`` time units and resumes with ``None``.  It fires as a wait on
   ``env.timeout(d)`` would, but builds no :class:`Timeout`.
+* A process may yield a :class:`~repro.simcore.resources.Resource`: it
+  resumes with the resource once it holds a slot, so ``with (yield
+  res):`` holds one for the block.  No ``Request`` object is built.
 * Simulated time is a float (seconds, by convention in this project).
   Events scheduled at equal times fire in FIFO order of scheduling,
   which makes every run bit-for-bit deterministic.
@@ -278,11 +281,11 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # The event this process is currently waiting on (None while
-        # active or asleep).
-        self._target: Optional[Event] = None
-        # While asleep, the seq of its wake's heap entry; an entry whose
-        # seq is not this one is stale and resumes nobody.
+        # The event (or resource) this process waits on; None while
+        # active or asleep.
+        self._target: Optional[Event | Resource] = None
+        # The seq of its pending wake or grant; an entry whose seq is
+        # not this one is stale and resumes nobody.
         self._wake: Optional[int] = None
         Initialize(env, self)
 
@@ -294,7 +297,7 @@ class Process(Event):
         return self._value is _PENDING
 
     @property
-    def target(self) -> Optional[Event]:
+    def target(self) -> Optional[Event | Resource]:
         return self._target
 
     def interrupt(self, cause: Any = None) -> None:
@@ -317,9 +320,27 @@ class Process(Event):
 
     # -- engine internals ---------------------------------------------
     def _interrupted(self, event: Event) -> None:
-        """Deliver an interrupt.  A pending wake goes stale when the
-        interrupt fires, not when it is requested: an earlier interrupt
-        may have woken the process in between, and it may sleep again."""
+        """Detach the process from what it waits on, then throw.  A
+        pending wake or grant goes stale when the interrupt fires, not
+        when it is requested.  A resource waiter leaves first, as a
+        request's ``__exit__`` did: a pending grant frees its slot for
+        the next waiter; a queued waiter is withdrawn.  A store get
+        leaves its wait queue, or it would swallow an item."""
+        target = self._target
+        self._target = None
+        if target.__class__ is Resource:
+            if self._wake is None:
+                target.queue.remove(self)
+            else:
+                target.__exit__(None, None, None)
+        elif target is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except (ValueError, AttributeError):
+                pass
+            withdraw = getattr(target, "_withdraw", None)
+            if withdraw is not None:
+                withdraw()
         self._wake = None
         self._resume(event)
 
@@ -327,24 +348,7 @@ class Process(Event):
         """Advance the generator with the triggering event's outcome."""
         env = self.env
         env._active_proc = self
-        target = self._target
-        if target is not None:
-            # Detach from the event we were waiting on (relevant for
-            # interrupts: the original target stays scheduled but must no
-            # longer resume us).
-            if target is not event:
-                try:
-                    target.callbacks.remove(self._resume)
-                except (ValueError, AttributeError):
-                    pass
-                # Waiting-list events (store gets) must also leave their
-                # wait queue, or they become phantom consumers that
-                # swallow items nobody receives.
-                withdraw = getattr(target, "_withdraw", None)
-                if withdraw is not None:
-                    withdraw()
-            self._target = None
-
+        self._target = None
         while True:
             try:
                 if event._ok:
@@ -365,6 +369,16 @@ class Process(Event):
                 # float or int >= 0 skips the full check, as in Timeout.
                 cls = next_evt.__class__
                 if not ((cls is float or cls is int) and next_evt >= 0):
+                    if cls is Resource:
+                        # Wait for a slot, with no Request object.
+                        if next_evt.env is not env:
+                            err = SimulationError("Resource of a different Environment")
+                            outcome, ok = err, False
+                            break
+                        self._target = next_evt
+                        next_evt.request(self)
+                        env._active_proc = None
+                        return
                     try:
                         _check_delay(next_evt)
                     except SimulationError as problem:
@@ -555,11 +569,12 @@ class Environment:
         # Cancelled timeouts still in the heap.  They leave it lazily
         # (see _note_cancel), but the head of the heap is never one.
         self._cancelled = 0
-        # What a woken sleeper's _resume reads: a processed success
-        # with value None, as its Timeout would have been.
+        # What a woken sleeper or grantee's _resume reads: a processed
+        # success whose value step() sets to what the process waits on:
+        # None for a sleeper, as its Timeout had; the resource for a
+        # grantee.  (A resource holding itself would be a cycle.)
         self._woken = Event(self)
         self._woken.callbacks = None
-        self._woken._value = None
         self._seq = itertools.count()
         self._active_proc: Optional[Process] = None
         # Opt-in observers (see "Observers" in docs/INTERNALS.md §1).
@@ -698,9 +713,10 @@ class Environment:
         now with a smaller seq (a ``Timeout(0)``, or a timeout or sleep
         that falls due at this instant, scheduled before it).
 
-        A sleeper's wake fires as the :class:`Timeout` it replaces:
-        observers see the label ``Timeout`` and one callback, or none
-        for a stale wake, which resumes nobody.
+        A sleeper's wake fires as the :class:`Timeout` it replaces, and
+        a resource grant (a process on the normal lane) as the
+        ``Request`` it replaces: observers see that label and one
+        callback, or none for a stale entry, which resumes nobody.
         """
         queue = self._queue
         urgent = self._urgent
@@ -708,35 +724,40 @@ class Environment:
         if urgent:
             priority = URGENT
             seq, event = urgent.popleft()
-        elif normal and not (
-            queue and queue[0][0] == self._now and queue[0][2] < normal[0][0]
-        ):
-            priority = NORMAL
-            seq, event = normal.popleft()
         else:
-            try:
-                self._now, priority, seq, event = heappop(queue)
-            except IndexError:
-                raise SimulationError("No scheduled events") from None
-            if self._cancelled and queue:
-                # _is_cancelled inline: most pops run this test while
-                # cancelled RPC deadlines wait in the heap.
-                head = queue[0][3]
-                if head.callbacks is None and head.__class__ is not Process:
-                    # Keep the head live, so peek() and run()'s stop
-                    # test read the time of an event that will really
-                    # fire.
-                    self._drop_cancelled_head()
+            priority = NORMAL
+            if normal and not (
+                queue and queue[0][0] == self._now and queue[0][2] < normal[0][0]
+            ):
+                seq, event = normal.popleft()
+                label = "Request"  # a Process on the normal lane is a grant
+            else:
+                try:
+                    self._now, priority, seq, event = heappop(queue)
+                except IndexError:
+                    raise SimulationError("No scheduled events") from None
+                if self._cancelled and queue:
+                    # _is_cancelled inline: most pops run this test while
+                    # cancelled RPC deadlines wait in the heap.
+                    head = queue[0][3]
+                    if head.callbacks is None and head.__class__ is not Process:
+                        # Keep the head live, so peek() and run()'s stop
+                        # test read the time of an event that will really
+                        # fire.
+                        self._drop_cancelled_head()
+                label = "Timeout"
             if event.__class__ is Process:
                 observed = self._observed
                 if observed:
                     for begin_event in self._begins:
-                        begin_event(self._now, NORMAL, seq, "Timeout")
-                # The very seq object the sleep pushed, unless stale.
+                        begin_event(self._now, NORMAL, seq, label)
+                # The very seq object the sleep or grant drew, unless stale.
                 live = event._wake is seq
                 if live:
                     event._wake = None
-                    event._resume(self._woken)
+                    woken = self._woken
+                    woken._value = event._target
+                    event._resume(woken)
                 if observed:
                     for end_event in self._ends:
                         end_event(1 if live else 0)
@@ -827,3 +848,7 @@ class Environment:
                 # first: a caller waiting out a period must see it pass.
                 self._now = stop_at
             return None
+
+
+# Last: resources.py imports this module's names.
+from .resources import Resource  # noqa: E402

@@ -46,8 +46,7 @@ class _MetadataServer:
         self.op_time = 1.0 / ops_per_sec
 
     def do_ops(self, n_ops: float) -> Generator:
-        with self.res.request() as slot:
-            yield slot
+        with (yield self.res):
             yield n_ops * self.op_time
 
 
@@ -77,8 +76,7 @@ class _DataServer:
 
     def serve(self, nbytes: int) -> Generator:
         yield self.latency
-        with self.res.request() as slot:
-            yield slot
+        with (yield self.res):
             yield self.overhead + nbytes / self.bandwidth
 
 
@@ -139,8 +137,7 @@ class _StripedFS(FileBackend):
             fetches.append(self.env.process(server.serve(hi - lo)))
         # … while the client's own link constrains total delivery.
         link = self._client_links[handle.client_node]
-        with link.request() as slot:
-            yield slot
+        with (yield link):
             yield nbytes / self._client_bw
         yield AllOf(self.env, fetches)
 

@@ -69,6 +69,16 @@ class TestSpecs:
             with pytest.raises(ValueError):
                 HVACSpec(**kw)
 
+    @pytest.mark.parametrize("value", [0, float("nan")], ids=repr)
+    @pytest.mark.parametrize(
+        "field", ["instances_per_node", "data_mover_concurrency", "consistent_vnodes"]
+    )
+    def test_hvac_spec_counts_are_at_least_one(self, field, value):
+        # A NaN passes `x < 1`; a NaN data_mover_concurrency used to be
+        # accepted and fail only as the copy-slot Resource's capacity.
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            HVACSpec(**{field: value})
+
     @pytest.mark.parametrize("field", [
         "rpc_timeout", "rpc_backoff_base", "rpc_backoff_cap",
         "probation_period", "gossip_interval", "suspect_to_dead",

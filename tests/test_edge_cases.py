@@ -23,16 +23,14 @@ class TestResourceCleanupOnInterrupt:
 
         def holder():
             try:
-                with res.request() as req:
-                    yield req
+                with (yield res):
                     yield env.timeout(100)
             except Interrupt:
                 pass  # the with-block must have released on unwind
 
         def waiter():
             yield env.timeout(1)
-            with res.request() as req:
-                yield req
+            with (yield res):
                 got.append(env.now)
 
         p = env.process(holder())
@@ -52,14 +50,13 @@ class TestResourceCleanupOnInterrupt:
         res = Resource(env, capacity=1)
 
         def holder():
-            with res.request() as req:
-                yield req
+            with (yield res):
                 yield env.timeout(10)
 
         def impatient():
             try:
-                with res.request() as req:
-                    yield req
+                with (yield res):
+                    pass
             except Interrupt:
                 pass
 

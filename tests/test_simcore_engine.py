@@ -472,8 +472,7 @@ def _model(env):
 
     def worker(i):
         for k in range(n_items):
-            with res.request() as req:
-                yield req
+            with (yield res):
                 yield env.timeout(0.5 + (i % 3) * 0.25)
             yield store.put((i, k))
         out.append(("worker", i, env.now))

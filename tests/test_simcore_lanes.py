@@ -134,8 +134,7 @@ def run_program(actors, stops):
                     cancelled.add(ledger.last)
                     t.cancel()
                 elif op == "grab":
-                    with res.request() as req:
-                        yield req
+                    with (yield res):
                         yield env.timeout(arg / 2)
                 elif op == "spawn":
                     env.process(child(arg))
@@ -259,9 +258,11 @@ def test_nan_delay_is_rejected():
     assert env.peek() == math.inf
 
 
-#: The seven sites that schedule an event, by the qualified name of the
+#: The eight sites that schedule an event, by the qualified name of the
 #: function that calls ``Environment._note_schedule``; a sleep and a
-#: process exit are both scheduled in ``Process._resume``.
+#: process exit are both scheduled in ``Process._resume``, a grant on
+#: the spot in ``Resource.request`` and one at a release in
+#: ``Resource.__exit__``.
 SCHEDULING_SITES = {
     "Event.succeed",
     "Event.fail",
@@ -270,6 +271,7 @@ SCHEDULING_SITES = {
     "Process._resume",
     "Environment._schedule",
     "Resource.request",
+    "Resource.__exit__",
 }
 
 
@@ -297,8 +299,7 @@ def every_site_run(monkeypatch, *observers):
             pass
 
     def actor(victim):
-        with res.request() as req:
-            yield req
+        with (yield res):
             yield env.timeout(1)
         yield 0.5  # a sleep, which Process._resume schedules
         yield env.event().succeed()
@@ -308,7 +309,12 @@ def every_site_run(monkeypatch, *observers):
             pass
         victim.interrupt()
 
+    def waiter():
+        with (yield res):  # queued behind the actor: granted at its release
+            pass
+
     env.process(actor(env.process(sleeper())))
+    env.process(waiter())
     env.run()
     return env, callers
 

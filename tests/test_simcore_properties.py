@@ -51,8 +51,7 @@ def run_workload(specs, capacity):
 
     def user(i, spec):
         for k in range(spec["steps"]):
-            with res.request() as req:
-                yield req
+            with (yield res):
                 assert res.count <= res.capacity  # invariant
                 yield env.timeout(spec["delay"])
             trace.append(("used", i, k, env.now))

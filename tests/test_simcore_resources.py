@@ -1,8 +1,15 @@
 """Unit tests for Resource / PriorityResource."""
 
+import numpy as np
 import pytest
 
-from repro.simcore import Environment, PriorityResource, Resource, SimulationError
+from repro.simcore import (
+    Environment,
+    Interrupt,
+    PriorityResource,
+    Resource,
+    SimulationError,
+)
 
 
 def test_resource_capacity_validation():
@@ -17,8 +24,7 @@ def test_resource_grants_up_to_capacity():
     grants = []
 
     def user(i):
-        with res.request() as req:
-            yield req
+        with (yield res):
             grants.append((env.now, i))
             yield env.timeout(10)
 
@@ -35,8 +41,7 @@ def test_resource_fifo_queueing():
     order = []
 
     def user(i):
-        with res.request() as req:
-            yield req
+        with (yield res):
             order.append(i)
             yield env.timeout(1)
 
@@ -51,13 +56,12 @@ def test_resource_count_and_queued():
     res = Resource(env, capacity=1)
 
     def holder():
-        with res.request() as req:
-            yield req
+        with (yield res):
             yield env.timeout(5)
 
     def waiter():
-        with res.request() as req:
-            yield req
+        with (yield res):
+            pass
 
     env.process(holder())
     env.process(waiter())
@@ -68,50 +72,76 @@ def test_resource_count_and_queued():
     assert res.count == 0
 
 
-def test_explicit_release():
+def test_leaving_the_block_releases_to_the_next_waiter():
     env = Environment()
     res = Resource(env, capacity=1)
     log = []
 
     def a():
-        req = res.request()
-        yield req
-        yield env.timeout(2)
-        req.cancel()
-        log.append(("a-released", env.now))
-        yield env.timeout(10)
+        with (yield res):
+            yield 2
+        log.append(("a-released", env.now, res.count, res.queued))
+        yield 10
 
     def b():
-        yield env.timeout(1)
-        req = res.request()
-        yield req
-        log.append(("b-granted", env.now))
+        yield 1
+        with (yield res):
+            log.append(("b-granted", env.now))
 
     env.process(a())
     env.process(b())
     env.run()
-    assert log == [("a-released", 2.0), ("b-granted", 2.0)]
+    # The slot passes straight to b: still one holder, nobody queued.
+    assert log == [("a-released", 2.0, 1, 0), ("b-granted", 2.0)]
+    assert res.count == 0
 
 
-def test_cancel_waiting_request_leaves_queue():
+def test_an_interrupted_waiter_is_withdrawn_from_the_queue():
     env = Environment()
     res = Resource(env, capacity=1)
+    log = []
 
     def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(10)
+        with (yield res):
+            yield 10
 
     def impatient():
-        req = res.request()
-        # Change of heart before grant.
-        yield env.timeout(1)
-        req.cancel()
+        try:
+            with (yield res):
+                log.append("granted")
+        except Interrupt:
+            log.append(("gave up", env.now))
+
+    def interrupter(victim):
+        yield 1
+        assert victim.target is res and res.queued == 1
+        victim.interrupt()
 
     env.process(holder())
-    env.process(impatient())
+    env.process(interrupter(env.process(impatient())))
     env.run(until=2)
-    assert res.queued == 0
+    assert log == [("gave up", 1.0)]
+    assert res.queued == 0 and res.count == 1
+    env.run()
+    # The holder's release found nobody to grant.
+    assert log == [("gave up", 1.0)] and res.count == 0
+
+
+@pytest.mark.parametrize("make", [Resource, PriorityResource])
+@pytest.mark.parametrize(
+    "capacity",
+    [0, -1, 0.5, 1.5, float("nan"), float("inf"), True, False, "2", None],
+    ids=repr,
+)
+def test_a_capacity_that_is_not_a_whole_number_of_slots_is_rejected(make, capacity):
+    with pytest.raises(SimulationError, match="capacity must be a whole number >= 1"):
+        make(Environment(), capacity)
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 2.0, np.int64(4)], ids=repr)
+def test_a_whole_number_capacity_is_an_int(capacity):
+    res = Resource(Environment(), capacity)
+    assert res.capacity == capacity and type(res.capacity) is int
 
 
 def test_priority_resource_orders_waiters():

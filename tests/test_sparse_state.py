@@ -177,8 +177,7 @@ def test_uncontended_resource_allocates_no_queue():
     res = Resource(env, capacity=2)
 
     def user():
-        with res.request() as req:
-            yield req
+        with (yield res):
             yield env.timeout(1.0)
 
     env.process(user())
