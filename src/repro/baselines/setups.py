@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from ..cluster import Allocation, ClusterSpec
 from ..core import HVACDeployment
 from ..dl.dataset import SyntheticDataset
-from ..simcore import Environment, RandomStreams
+from ..simcore import Environment, RandomStreams, run_all
 from ..storage import GPFS, FileBackend, LocalFS
 
 __all__ = [
@@ -143,15 +143,9 @@ class XFSSetup(StorageSetup):
                 yield from fs.device.write(size)
 
         def run() -> float:
-            from ..simcore import AllOf
-
             t0 = env.now
             procs = [env.process(node_stage(n)) for n in range(n_nodes)]
-
-            def wait():
-                yield AllOf(env, procs)
-
-            env.run(env.process(wait(), name="xfs.stage"))
+            run_all(env, procs, "xfs.stage")
             handle.stage_time = env.now - t0
             return handle.stage_time
 

@@ -1,7 +1,7 @@
 """``repro check`` — the determinism & sim-safety analyzer.
 
 Four layers, all runnable from the CLI and from tests.  The static
-ones, and the ``--perf`` hot-path analyzer (:mod:`.perf`), share one
+ones, and the ``perf`` hot-path analyzer (:mod:`.perf`), share one
 front end, :class:`Program` (:mod:`.program`): per run every file is
 parsed once and walked once into a flat node list, only a file whose
 text holds a waiver marker is tokenized for the waiver scan, and the
@@ -16,27 +16,31 @@ its import resolution.
   (:mod:`.callgraph`, :mod:`.taint`) that propagates nondeterminism
   primitives through helpers and across modules, reporting SIM011 at
   the sim-scope call site with the full source→sink chain
-  (``repro check --taint``).
+  (the ``taint`` pass).
 * **Static, whole-program**: a shared-state audit (:mod:`.cells`,
   :mod:`.cell_registry`) that walks the call graph from every
   process-spawn root, finds attribute writes reachable from two or
   more concurrent roots, and diffs them against the race-sanitizer
   cells each module declares in its ``RACE_CELLS`` — proving the
   runtime sanitizer sees every shared mutable cell, and that every
-  noted cell is declared (``repro check --cells``).
+  noted cell is declared (the ``cells`` pass).
 * **Runtime**: event-stream fingerprinting
   (:class:`repro.simcore.EventTrace`) plus a double-run comparison
   that, on divergence, bisects to the first divergent kernel event
   (:mod:`.divergence`); and a sim-time race sanitizer (:mod:`.races`)
   that flags same-timestamp events whose order is decided only by heap
   insertion sequence yet touch the same shared-state cell
-  (``repro check --races``).
+  (the ``races`` pass).
+
+``repro check --passes`` takes a comma-separated list of
+:data:`PASSES` (default: all but ``races``).  :func:`run_check` raises
+``ValueError`` on bad input, which the CLI reports as
+``repro check: error: <message>`` and exit 2, as for every command.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from collections.abc import Sequence
 
 from ..simcore import CollectorPause
@@ -56,6 +60,7 @@ from .races import RaceReport, RaceSanitizer
 from .rules import RULES, Violation
 
 __all__ = [
+    "PASSES",
     "PERF_RULES",
     "RACE_RULES",
     "RULES",
@@ -89,6 +94,10 @@ __all__ = [
     "run_races",
     "run_check",
 ]
+
+
+#: ``repro check``'s passes, in the order :func:`run_check` runs them
+PASSES = ("lint", "taint", "perf", "cells", "determinism", "races")
 
 
 def default_lint_roots() -> list[str]:
@@ -239,56 +248,49 @@ def run_races(seed: int = 0, output: str | None = None) -> int:
 
 
 def run_check(
-    paths: list[str] | None = None,
-    lint_only: bool = False,
-    determinism_only: bool = False,
-    races_only: bool = False,
+    paths: list[str] | None,
+    passes: Sequence[str],
     seed: int = 0,
     n_nodes: int = 2,
     files_per_rank: int = 4,
     block: int = 2048,
-    taint: bool = False,
-    races: bool = False,
     races_output: str | None = None,
-    perf: bool = False,
-    cells: bool = False,
-    cells_only: bool = False,
     cells_output: str | None = None,
 ) -> int:
-    """The full ``repro check``: lint (+taint), optionally the hot-path
-    analyzer (``--perf``), the shared-state audit (``--cells``), the
-    double-run comparison, and optionally the sim-time race sanitizer.
+    """The full ``repro check``: run each of ``passes`` in
+    :data:`PASSES` order (``taint`` is simlint with its taint pass, so
+    it implies ``lint``); return 1 if any failed.
 
     The static passes share one :class:`Program` over ``paths``: one
     parse per file, one call graph, and one collector pause from the
-    parse through the last of them.  A path that does not exist, a
-    named non-``.py`` file, or a file set with no ``.py`` file is a
-    usage error (exit 2), so the gate cannot pass by checking nothing.
+    parse through the last of them; with none selected no program is
+    read.  An empty or unknown pass list, a path that does not exist, a
+    named non-``.py`` file, or a file set with no ``.py`` file raises
+    ``ValueError``, so the gate cannot pass by checking nothing.
     """
+    selected = set(passes)
+    if not selected or not selected <= set(PASSES):
+        raise ValueError(
+            f"passes must name one or more of {', '.join(PASSES)}; "
+            f"got {','.join(passes)!r}"
+        )
     rc = 0
-    if races_only:
-        return run_races(seed=seed, output=races_output)
-    if cells_only or not determinism_only:
+    if selected & {"lint", "taint", "perf", "cells"}:
         with CollectorPause():
-            try:
-                program = Program.read(paths or default_lint_roots())
-            except ValueError as exc:
-                print(f"repro check: error: {exc}", file=sys.stderr)
-                return 2
-            if cells_only:
-                return run_cells(program, output=cells_output)
-            rc |= run_lint(program, taint=taint)
-            if perf:
+            program = Program.read(paths or default_lint_roots())
+            if selected & {"lint", "taint"}:
+                rc |= run_lint(program, taint="taint" in selected)
+            if "perf" in selected:
                 rc |= run_perf(program)
-            if cells:
+            if "cells" in selected:
                 rc |= run_cells(program, output=cells_output)
-    if not lint_only:
+    if "determinism" in selected:
         rc |= run_determinism(
             seed=seed,
             n_nodes=n_nodes,
             files_per_rank=files_per_rank,
             block=block,
         )
-    if races:
+    if "races" in selected:
         rc |= run_races(seed=seed, output=races_output)
     return rc

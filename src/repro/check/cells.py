@@ -1,4 +1,4 @@
-"""``repro check --cells`` — the whole-program shared-state auditor.
+"""``repro check --passes cells`` — the whole-program shared-state auditor.
 
 The runtime race sanitizer (:mod:`.races`) only watches the cells the
 code remembers to ``note_access``; an attribute nobody celled is
@@ -110,7 +110,7 @@ def _is_kernel(module: str) -> bool:
 
 @dataclass
 class CellAudit:
-    """The result of a ``--cells`` pass over one file set."""
+    """The result of a ``cells`` pass over one file set."""
 
     violations: list[Violation]
     stale_waivers: list[StaleWaiver]

@@ -30,7 +30,7 @@ from .rules import RULES, Violation, collect_violations
 
 __all__ = ["TreeLint", "lint_program", "lint_source", "lint_tree"]
 
-#: rules the interprocedural pass reports; only ``--taint`` sees them
+#: rules the interprocedural pass reports; only the ``taint`` pass sees them
 #: cross module boundaries
 _CROSS_MODULE = {"SIM011", "SIM013", "SIM014"}
 

@@ -1,4 +1,4 @@
-"""``repro check --perf`` — the sim-hot-path performance analyzer.
+"""``repro check --passes perf`` — the sim-hot-path performance analyzer.
 
 The simulation kernel dispatches hundreds of thousands of events per
 wall-clock second, so a per-event allocation or O(n) container scan that
@@ -666,7 +666,7 @@ def _scan_list_attrs(files: list[SourceFile]) -> set[str]:
 
 @dataclass
 class PerfLint:
-    """The result of a ``--perf`` pass over one file set."""
+    """The result of a ``perf`` pass over one file set."""
 
     violations: list[Violation]
     stale_waivers: list[StaleWaiver]

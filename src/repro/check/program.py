@@ -3,8 +3,8 @@
 A :class:`Program` is one file set, read and parsed once.  simlint
 (:func:`.linter.lint_program`), the hot-path analyzer
 (:func:`.perf.perf_lint_files`) and the shared-state audit
-(:func:`.cells.audit_files`) all take one, so ``repro check --taint
---perf --cells`` parses each file once, walks each tree once
+(:func:`.cells.audit_files`) all take one, so ``repro check --passes
+taint,perf,cells`` parses each file once, walks each tree once
 (:func:`.unordered.walk_nodes`), tokenizes only the files whose text
 holds a waiver marker, and builds the module-level call graph
 (:mod:`.callgraph`) once.  Every visitor and subtree scan runs on

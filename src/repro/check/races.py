@@ -1,4 +1,4 @@
-"""Sim-time race sanitizer (``repro check --races``).
+"""Sim-time race sanitizer (``repro check --passes races``).
 
 The kernel orders same-timestamp events by ``(priority, seq)`` where
 ``seq`` is the global heap-insertion sequence.  That makes every run
@@ -255,7 +255,7 @@ def membership_smoke(
     trace=None,
 ):
     """The crash-burst → outage → recover → repair scenario behind
-    ``repro check --races`` (and the sanitizer-clean gate in tests).
+    ``repro check --passes races`` (and the sanitizer-clean gate in tests).
 
     Returns the :class:`~repro.simcore.Environment` after teardown.
     """

@@ -261,9 +261,9 @@ def taint_violations(graph: CallGraph) -> list[Violation]:
 
 def module_taint_violations(f: SourceFile) -> list[Violation]:
     """Single-module taint (the per-file flavor :func:`..linter.lint_program`
-    runs without ``--taint``).
+    runs without the ``taint`` pass).
 
     Catches same-file helper indirection; the cross-module pass in
-    ``repro check --taint`` subsumes this over a whole tree.
+    ``repro check --passes taint`` subsumes this over a whole tree.
     """
     return taint_violations(CallGraph.build([_entry(f)]))

@@ -5,6 +5,11 @@ ad-hoc simulations without pytest.
     python -m repro mdtest --file-size 32768 --nodes 1 4 16
     python -m repro train --system hvac4 --model resnet50 --nodes 16
     python -m repro info
+
+One rule for bad input: a command whose arguments the library rejects
+(a ``ValueError``: a size below one, an unknown system, a path that
+checks nothing) prints ``repro <command>: error: <message>`` to stderr
+and exits 2.  :func:`main` holds the only handler.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ from .experiments import (
 
 __all__ = ["main"]
 
+#: what ``repro check`` runs when ``--passes`` is not given (CI's gate);
+#: ``races`` is opt-in
+DEFAULT_PASSES = "lint,taint,perf,cells,determinism"
+
 _MODEL_DATASET = {
     "resnet50": IMAGENET21K,
     "tresnet_m": IMAGENET21K,
@@ -48,17 +57,13 @@ _MODEL_DATASET = {
 
 
 def _scale(args: argparse.Namespace) -> Scale:
-    """The run's Scale; a bad size exits 2 with the message."""
-    try:
-        return Scale(
-            files_per_rank=args.files_per_rank,
-            sim_batch_size=8,
-            repetitions=args.repetitions,
-            procs_per_node=args.procs_per_node,
-        )
-    except ValueError as exc:
-        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+    """The run's Scale from the scale flags."""
+    return Scale(
+        files_per_rank=args.files_per_rank,
+        sim_batch_size=8,
+        repetitions=args.repetitions,
+        procs_per_node=args.procs_per_node,
+    )
 
 
 def _add_scale_args(p: argparse.ArgumentParser) -> None:
@@ -165,7 +170,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     model = ALL_MODELS[args.model]
     dataset = _MODEL_DATASET[args.model]
-    res = run_training(args.system, model, dataset, args.nodes[0], _scale(args))
+    res = run_training(args.system, model, dataset, args.nodes, _scale(args))
     print(format_kv({
         "system": res.system_label,
         "config": res.config_label,
@@ -183,19 +188,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     return run_check(
         paths=args.paths or None,
-        lint_only=args.lint_only,
-        determinism_only=args.determinism_only,
-        races_only=args.races_only,
+        passes=args.passes.split(","),
         seed=args.seed,
         n_nodes=args.nodes,
         files_per_rank=args.files_per_rank,
         block=args.block,
-        taint=args.taint,
-        races=args.races,
         races_output=args.races_output,
-        perf=args.perf,
-        cells=args.cells,
-        cells_only=args.cells_only,
         cells_output=args.cells_output,
     )
 
@@ -226,18 +224,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         from .check.races import RaceSanitizer
 
         sanitizer = RaceSanitizer()
-    try:
-        result = run_campaign(
-            runs=args.runs,
-            seed=args.seed,
-            corpus_dir=args.corpus_dir or None,
-            time_budget=args.time_budget,
-            config=InvariantConfig(determinism_every=args.determinism_every),
-            sanitizer=sanitizer,
-        )
-    except ValueError as exc:
-        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+    result = run_campaign(
+        runs=args.runs,
+        seed=args.seed,
+        corpus_dir=args.corpus_dir or None,
+        time_budget=args.time_budget,
+        config=InvariantConfig(determinism_every=args.determinism_every),
+        sanitizer=sanitizer,
+    )
     print(result.render())
     for path in result.case_paths:
         print(f"wrote {path}")
@@ -284,8 +278,8 @@ def _smoke_cap(value, cap):
 def _run_comparison(experiment, smoke: dict, gated: bool, args) -> int:
     """The mode-comparison commands: run ``experiment`` with every
     command flag as a keyword argument (capped by ``smoke`` under
-    ``--smoke``), print the report and write the artifacts.  Exits 2 on
-    invalid input, and 1 when ``gated`` and ``dominates()`` fails."""
+    ``--smoke``), print the report and write the artifacts.  Exits 1
+    when ``gated`` and ``dominates()`` fails."""
     kwargs = {
         k: v for k, v in vars(args).items()
         if k not in ("command", "func", "smoke", "output_dir")
@@ -293,11 +287,7 @@ def _run_comparison(experiment, smoke: dict, gated: bool, args) -> int:
     if args.smoke:
         for key, cap in smoke.items():
             kwargs[key] = _smoke_cap(kwargs.get(key), cap)
-    try:
-        result = experiment(**kwargs)
-    except ValueError as exc:
-        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+    result = experiment(**kwargs)
     print(result.render())
     if args.output_dir:
         paths = result.write_artifacts(args.output_dir)
@@ -512,30 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("paths", nargs="*",
                    help="files/dirs to lint (default: the installed repro tree)")
-    p.add_argument("--lint-only", action="store_true",
-                   help="skip the double-run determinism check")
-    p.add_argument("--determinism-only", action="store_true",
-                   help="skip the lint pass")
-    p.add_argument("--taint", action="store_true",
-                   help="run the interprocedural taint pass (SIM011): flag "
-                   "sim-scope calls that transitively reach a "
-                   "nondeterminism primitive in a helper/another module")
-    p.add_argument("--races", action="store_true",
-                   help="also run the sim-time race sanitizer over the "
-                   "membership smoke scenario (two seeds)")
-    p.add_argument("--races-only", action="store_true",
-                   help="run only the race sanitizer")
-    p.add_argument("--perf", action="store_true",
-                   help="also run the hot-path performance analyzer "
-                   "(PERF101-PERF105 over the sim-hot set)")
+    p.add_argument("--passes", default=DEFAULT_PASSES,
+                   help="comma-separated list of lint, taint (lint + SIM011), "
+                   "perf, cells, determinism, races; default: %(default)s")
     p.add_argument("--races-output", metavar="FILE",
                    help="write race reports (or a clean marker) to FILE")
-    p.add_argument("--cells", action="store_true",
-                   help="also run the static shared-state audit "
-                   "(RACE201-RACE204, RACE_CELLS drift): prove every mutable "
-                   "cell reachable from two concurrent roots is noted")
-    p.add_argument("--cells-only", action="store_true",
-                   help="run only the shared-state audit")
     p.add_argument("--cells-output", metavar="FILE",
                    help="write the RACE report (or a clean marker) to FILE")
     p.add_argument("--seed", type=int, default=0)
@@ -550,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="hvac1",
                    help="gpfs | hvac1 | hvac2 | hvac4 | xfs")
     p.add_argument("--model", choices=sorted(ALL_MODELS), default="resnet50")
-    p.add_argument("--nodes", type=int, nargs="+", default=[8])
+    p.add_argument("--nodes", type=int, default=8)
     p.add_argument("--epochs", type=int, default=10)
     _add_scale_args(p)
     p.set_defaults(func=cmd_train)
@@ -560,7 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -46,15 +46,6 @@ RACE_CELLS = (
 )
 
 
-class _Port:
-    """One direction of one NIC: a FIFO, capacity-1 bandwidth server."""
-
-    __slots__ = ("res",)
-
-    def __init__(self, env: Environment):
-        self.res = Resource(env, capacity=1)
-
-
 class Fabric:
     """The interconnect among ``n_nodes`` compute nodes."""
 
@@ -76,15 +67,16 @@ class Fabric:
         self._m_remote = self.metrics.counter("fabric.remote_transfers")
         self._m_local = self.metrics.counter("fabric.local_transfers")
         self._m_dropped = self.metrics.counter("fabric.dropped_messages")
-        self._tx = [_Port(env) for _ in range(n_nodes)]
-        self._rx = [_Port(env) for _ in range(n_nodes)]
+        # One direction of one NIC: a FIFO, capacity-1 bandwidth server.
+        self._tx = [Resource(env, capacity=1) for _ in range(n_nodes)]
+        self._rx = [Resource(env, capacity=1) for _ in range(n_nodes)]
         # Optional rack topology: per-rack uplink ports (each direction
         # a serial bandwidth server) that inter-rack flows must cross.
         self._rack_size = spec.rack_size
         if self._rack_size > 0:
             n_racks = -(-n_nodes // self._rack_size)
-            self._uplink_tx = [_Port(env) for _ in range(n_racks)]
-            self._uplink_rx = [_Port(env) for _ in range(n_racks)]
+            self._uplink_tx = [Resource(env, capacity=1) for _ in range(n_racks)]
+            self._uplink_rx = [Resource(env, capacity=1) for _ in range(n_racks)]
             self._uplink_bw = (
                 spec.rack_uplink_bandwidth
                 or self._rack_size * spec.nic_bandwidth
@@ -174,8 +166,8 @@ class Fabric:
             yield spec.link_latency
             self._m_dropped.incr()
             return False
-        with (yield self._tx[src].res):
-            with (yield self._rx[dst].res):
+        with (yield self._tx[src]):
+            with (yield self._rx[dst]):
                 if self._crosses_racks(src, dst):
                     yield from self._inter_rack_leg(src, dst, nbytes)
                 else:
@@ -196,8 +188,8 @@ class Fabric:
         """Cross-rack hop: also hold both racks' uplink ports; the flow
         runs at the slower of NIC and uplink bandwidth."""
         spec = self.spec
-        with (yield self._uplink_tx[self.rack_of(src)].res):
-            with (yield self._uplink_rx[self.rack_of(dst)].res):
+        with (yield self._uplink_tx[self.rack_of(src)]):
+            with (yield self._uplink_rx[self.rack_of(dst)]):
                 rate = min(spec.nic_bandwidth, self._uplink_bw)
                 yield 2 * spec.link_latency + nbytes / rate
         self.metrics.counter("fabric.inter_rack_transfers").incr()

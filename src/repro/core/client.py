@@ -229,23 +229,14 @@ class HVACClient(FileBackend):
         rec = self.spans
         root = None
         if rec is not None:
-            if self.tenant is None:
-                root = rec.begin(
-                    "client.read",
-                    self.env.now,
-                    client=self.node_id,
-                    path=handle.path,
-                    bytes=nbytes,
-                )
-            else:
-                root = rec.begin(
-                    "client.read",
-                    self.env.now,
-                    client=self.node_id,
-                    path=handle.path,
-                    bytes=nbytes,
-                    tenant=self.tenant,
-                )
+            root = rec.begin(
+                "client.read",
+                self.env.now,
+                tenant=self.tenant,
+                client=self.node_id,
+                path=handle.path,
+                bytes=nbytes,
+            )
         yield self.spec.hvac.client_request_overhead
 
         hvac = self.spec.hvac

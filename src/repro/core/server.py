@@ -301,36 +301,25 @@ class HVACServer:
     def _handle_read(self, payload: tuple, src: int) -> Generator:
         """Enqueue on the shared FIFO; wait for the data mover; bulk-push.
 
-        The payload's optional trailing elements are the caller's span
-        id (linking the server-side ``server.read`` span into the
-        client's causal tree) and the tenant tag (threaded to the cache
-        so the tenancy arbiter can attribute the insert).
+        The payload is ``(path, size, parent, tenant)``: the caller's
+        span id (None untraced) links the server-side ``server.read``
+        span into the client's causal tree, and the tenant tag (None
+        single-tenant) is threaded to the cache so the tenancy arbiter
+        can attribute the insert.
         """
-        path, size, *rest = payload
-        parent = rest[0] if rest else None
-        tenant = rest[1] if len(rest) > 1 else None
+        path, size, parent, tenant = payload
         rec = self.spans
         sid = None
         if rec is not None:
-            if tenant is None:
-                sid = rec.begin(
-                    "server.read",
-                    self.env.now,
-                    parent=parent,
-                    server=self.server_id,
-                    path=path,
-                    bytes=size,
-                )
-            else:
-                sid = rec.begin(
-                    "server.read",
-                    self.env.now,
-                    parent=parent,
-                    server=self.server_id,
-                    path=path,
-                    bytes=size,
-                    tenant=tenant,
-                )
+            sid = rec.begin(
+                "server.read",
+                self.env.now,
+                parent=parent,
+                tenant=tenant,
+                server=self.server_id,
+                path=path,
+                bytes=size,
+            )
         req = ReadRequest(
             path=path,
             size=size,

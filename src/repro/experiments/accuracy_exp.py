@@ -81,6 +81,8 @@ def accuracy_comparison(
     eval_every: int = 20,
 ) -> AccuracyComparison:
     """Train three identical learners that differ only in sample order."""
+    if n_epochs < 1:
+        raise ValueError("n_epochs must be >= 1")
     task = task or ClassificationTask(seed=seed)
     n = task.n_train
 

@@ -16,7 +16,7 @@ from typing import Any, ClassVar
 from ..analysis import count_strip, degradation_dashboard, format_table
 from ..cluster import Allocation, ClusterSpec, TESTING
 from ..core import HVACDeployment
-from ..simcore import AllOf, Environment, RandomStreams
+from ..simcore import Environment, RandomStreams, run_all
 from ..storage import GPFS
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "dataset_files",
     "drain_repair",
     "fault_spec",
-    "run_all",
     "run_epoch",
 ]
 
@@ -71,16 +70,6 @@ def build_deployment(
 def dataset_files(n_files: int, file_size: int) -> list[tuple[str, int]]:
     """``n_files`` same-size ``(path, size)`` entries under ``/pfs/ds``."""
     return [(f"/pfs/ds/f{i:04d}", file_size) for i in range(n_files)]
-
-
-def run_all(env, procs, name: str) -> None:
-    """Run the sim until every process in ``procs`` has finished; the
-    process that waits for them is called ``name``."""
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(), name=name))
 
 
 def run_epoch(env, dep, n_nodes: int, files) -> float:

@@ -22,7 +22,7 @@ from ..dl import (
     TrainingJob,
     TrainingResult,
 )
-from ..simcore import Environment
+from ..simcore import Environment, run_all
 
 __all__ = ["Scale", "run_training", "repeat_training", "resolve_setup"]
 
@@ -150,12 +150,7 @@ def run_training(
             env.process(job.run_process(), name=f"job{j}")
             for j, job in enumerate(jobs)
         ]
-        from ..simcore import AllOf
-
-        def driver():
-            yield AllOf(env, procs)
-
-        env.run(env.process(driver(), name="jobs"))
+        run_all(env, procs, "jobs")
         result = jobs[0].result
     if handle.deployment is not None:
         result.cache_hit_rate = handle.deployment.hit_rate()

@@ -38,7 +38,8 @@ from ..dl import SyntheticDataset, make_epoch_plan
 from ..dl.dataset import DatasetSpec
 from ..obs import SLOReport, SpanRecorder, compute_slo
 from ..prefetch import ClairvoyantPlanner, LookaheadScheduler
-from .comparison import ModeComparison, build_deployment, fault_spec, run_all
+from ..simcore import run_all
+from .comparison import ModeComparison, build_deployment, fault_spec
 
 __all__ = [
     "PREFETCH_MODES",

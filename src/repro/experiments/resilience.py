@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from ..analysis import format_table
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, crash, degrade, flaky_link, flap, hang
-from .comparison import build_deployment, dataset_files, fault_spec, run_all, run_epoch
+from ..simcore import run_all
+from .comparison import build_deployment, dataset_files, fault_spec, run_epoch
 
 __all__ = [
     "FaultMatrixResult",
@@ -101,14 +102,17 @@ def resilience_sweep(
 ) -> ResilienceResult:
     """Epoch-time degradation vs fraction of crashed cache servers.
 
-    For each fraction: warm the cache, crash ``ceil(frac * n_nodes)``
-    nodes via a :class:`FaultSchedule`, measure the degraded epoch,
-    recover the nodes, wait out probation, measure the recovered epoch.
+    For each fraction (in [0, 1]): warm the cache, crash
+    ``ceil(frac * n_nodes)`` nodes via a :class:`FaultSchedule`, measure
+    the degraded epoch, recover the nodes, wait out probation, measure
+    the recovered epoch.
 
     ``spans`` (an optional :class:`~repro.obs.SpanRecorder`) captures
     every deployment's read telemetry into one timeline — the
     determinism test's double-run comparison key.
     """
+    if not all(0.0 <= f <= 1.0 for f in fail_fractions):
+        raise ValueError("fail_fractions must be in [0, 1]")
     spec = fault_spec(spec)
     result = ResilienceResult(
         n_nodes=n_nodes, n_files=n_files,

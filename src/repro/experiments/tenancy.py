@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from ..cluster import ClusterSpec
 from ..obs import SLOReport, SpanRecorder, compute_slo
-from ..simcore import AllOf
+from ..simcore import AllOf, run_all
 from ..tenancy import (
     TENANCY_MODES,
     TenantFleet,
@@ -41,7 +41,7 @@ from ..tenancy import (
     run_jobs,
     sample_jobs,
 )
-from .comparison import ModeComparison, build_deployment, fault_spec, run_all
+from .comparison import ModeComparison, build_deployment, fault_spec
 
 __all__ = [
     "SMOKE",

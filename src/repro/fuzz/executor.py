@@ -58,6 +58,7 @@ from ..simcore import (
     EventTrace,
     Interrupt,
     RandomStreams,
+    run_all,
 )
 from ..storage import GPFS
 from .invariants import InvariantConfig
@@ -385,11 +386,7 @@ def _execute(
             env.process(reader(u, warmup=True), name=f"fuzz.warm.{u.label}")
             for u in units
         ]
-
-        def wait():
-            yield AllOf(env, procs)
-
-        env.run(env.process(wait(), name="fuzz.warm"))
+        run_all(env, procs, "fuzz.warm")
         return env.now - t0
 
     def epoch(label: str, deadline: float) -> EpochResult:
@@ -417,11 +414,7 @@ def _execute(
                     procs[u.key].interrupt("epoch deadline")
             alive = [p for p in procs.values() if p.is_alive]
             if alive:
-
-                def reap():
-                    yield AllOf(env, alive)
-
-                env.run(env.process(reap(), name=f"fuzz.{label}.reap"))
+                run_all(env, alive, f"fuzz.{label}.reap")
         return EpochResult(label, env.now - t0, deadline, tuple(hung))
 
     # 1: warm (fault-free, so it terminates without supervision)

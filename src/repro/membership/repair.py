@@ -67,11 +67,20 @@ class RepairManager:
         #: server *should* hold; attach_manifest() fills it
         self.manifest: list[tuple[str, int]] = []
         self.reports: list[RepairReport] = []
-        self.in_flight = 0
         #: recoveries seen this instant, started as one sorted batch
         self._pending: list = []
         self._starter_active = False
         self.metrics = self.env.metrics.scope("hvac.repair")
+
+    @property
+    def in_flight(self) -> int:
+        """Repairs started and not yet finished or aborted."""
+        count = self.metrics.counter
+        return (
+            count("repairs_started").value
+            - count("repairs").value
+            - count("repairs_aborted").value
+        )
 
     def attach_manifest(self, files) -> None:
         """Register the dataset so PFS-sourced repair knows what a
@@ -89,7 +98,7 @@ class RepairManager:
         but heap insertion sequence — the exact class of bug the race
         sanitizer exists to flag.
         """
-        self.in_flight += 1
+        self.metrics.counter("repairs_started").incr()
         self._pending.append(server)
         if not self._starter_active:
             self._starter_active = True
@@ -178,7 +187,5 @@ class RepairManager:
             # race: waive RACE201 -- append-only report log; kernel orders completions
             self.reports.append(report)
             self.metrics.counter("repairs_aborted" if aborted else "repairs").incr()
-            # race: waive RACE201 -- gauge decrement commutes
-            self.in_flight -= 1
         if not aborted:
             server.repair_complete()

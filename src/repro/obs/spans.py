@@ -138,11 +138,15 @@ class SpanRecorder:
 
     # -- hot path -----------------------------------------------------------
     def begin(
-        self, name: str, t: float, parent: Optional[int] = None, **attrs
+        self, name: str, t: float, parent: Optional[int] = None,
+        tenant: Optional[int] = None, **attrs
     ) -> int:
-        """Open a span; returns its id (pass as ``parent`` to children)."""
+        """Open a span; returns its id (pass as ``parent`` to children).
+        A ``tenant`` that is not None is the span's last attr."""
         sid = self._next_id
         self._next_id = sid + 1
+        if tenant is not None:
+            attrs["tenant"] = tenant
         self.events.append((_BEGIN, sid, parent, t, name, attrs))
         return sid
 

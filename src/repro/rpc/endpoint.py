@@ -180,16 +180,10 @@ class RPCEndpoint:
         rec = self.spans
         if rec is None:
             return (yield from self._call(target, op, payload, payload_bytes, timeout))
-        if tenant is None:
-            sid = rec.begin(
-                self._span_name(op), self.env.now, span,
-                src=self.node_id, dst=target.node_id,
-            )
-        else:
-            sid = rec.begin(
-                self._span_name(op), self.env.now, span,
-                src=self.node_id, dst=target.node_id, tenant=tenant,
-            )
+        sid = rec.begin(
+            self._span_name(op), self.env.now, span, tenant,
+            src=self.node_id, dst=target.node_id,
+        )
         try:
             value = yield from self._call(target, op, payload, payload_bytes, timeout)
         except RPCError as err:

@@ -11,6 +11,7 @@ from .engine import (
     Process,
     SimulationError,
     Timeout,
+    run_all,
 )
 from .cells import cell_name
 from .monitor import Counter, MetricRegistry, MetricScope
@@ -40,6 +41,7 @@ __all__ = [
     "RandomStreams",
     "cell_name",
     "Resource",
+    "run_all",
     "SimProfiler",
     "SimulationError",
     "stable_hash64",

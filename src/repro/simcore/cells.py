@@ -7,7 +7,7 @@ module's ``RACE_CELLS`` declaration beside it, and the cell table in
 docs/INTERNALS.md.  A bare f-string at each writer lets the writers
 drift from each other and from the declaration (``t{tid}`` vs
 ``t-{tid}`` vs ``{tid}``), which the static auditor (``repro check
---cells``) would report as a dead declared cell *and* an undeclared
+--passes cells``) would report as a dead declared cell *and* an undeclared
 noted cell — two findings for one typo.  :func:`cell_name` is the
 single formatting authority: the writers call it with a concrete id,
 and the auditor's extractor resolves calls to it symbolically, so every

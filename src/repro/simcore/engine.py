@@ -49,6 +49,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
+    "run_all",
 ]
 
 # Event state markers (kept as module-level singletons for cheap checks).
@@ -508,6 +509,16 @@ class AnyOf(Condition):
 
     def _values(self, event: Event) -> dict:
         return {event: event._value}
+
+
+def _wait_all(env: "Environment", procs: list) -> Generator:
+    yield AllOf(env, procs)
+
+
+def run_all(env: "Environment", procs: list, name: str) -> None:
+    """Run the sim until every process in ``procs`` has finished; the
+    process that waits for them is called ``name``."""
+    env.run(env.process(_wait_all(env, procs), name=name))
 
 
 def _is_cancelled(entry: tuple) -> bool:

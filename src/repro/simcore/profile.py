@@ -1,6 +1,6 @@
 """Deterministic sim-time profiler: event/handler attribution per component.
 
-The hot-set ranking behind ``repro check --perf`` is *measured*, not
+The hot-set ranking behind ``repro check --passes perf`` is *measured*, not
 guessed: attach a :class:`SimProfiler` to an
 :class:`~repro.simcore.Environment` with ``env.observe(profiler)`` and
 every fired event is attributed to a **component** — its

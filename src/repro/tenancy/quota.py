@@ -7,7 +7,7 @@ each tenant's counters are genuinely shared state — exactly the kind
 the race sanitizer exists for.  Every tenant's counter pair is one
 named cell, ``tenancy.quota.t<j>`` (the byte budget couples the two:
 an admission check reads both), noted on every read and write so
-``--races`` catches any refactor that lets two same-timestamp events
+the ``races`` pass catches any refactor that lets two same-timestamp events
 touch one tenant's quota without a causal order.
 
 Quotas meter *device residency*, not raw data: under a compressed

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator
 
-from ..simcore import AllOf, Environment
+from ..simcore import Environment, run_all
 from ..storage.base import FileBackend
 
 __all__ = ["IORConfig", "IORResult", "run_ior"]
@@ -79,9 +79,5 @@ def run_ior(
     procs = [
         env.process(rank_proc(r), name=f"ior.r{r}") for r in range(config.n_ranks)
     ]
-
-    def driver() -> Generator:
-        yield AllOf(env, procs)
-
-    env.run(env.process(driver(), name="ior"))
+    run_all(env, procs, "ior")
     return IORResult(config=config, system_label=system_label, elapsed=env.now - t0)

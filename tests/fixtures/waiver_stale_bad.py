@@ -1,5 +1,5 @@
 """Clean code under one stale simlint waiver: no rule fires here, so
-the waiver suppresses nothing and ``repro check --lint-only`` must
+the waiver suppresses nothing and ``repro check --passes lint`` must
 report it and exit 1."""
 
 

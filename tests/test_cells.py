@@ -238,7 +238,7 @@ class TestDrift:
         mod = tmp_path / "mod.py"
         mod.write_text(src)
         out = tmp_path / "cells.txt"
-        argv = ["check", "--cells-only", "--cells-output", str(out), str(mod)]
+        argv = ["check", "--passes", "cells", "--cells-output", str(out), str(mod)]
         assert main(argv) == 1
         assert "no RACE_CELLS entry declares" in capsys.readouterr().out
         assert "no RACE_CELLS entry declares" in out.read_text()
@@ -424,5 +424,5 @@ class TestCLI:
     def test_check_cli_cells_only_flag(self):
         from repro.cli import main
 
-        assert main(["check", "--cells-only", fixture("race203_bad.py")]) == 1
-        assert main(["check", "--cells-only", fixture("race203_good.py")]) == 0
+        assert main(["check", "--passes", "cells", fixture("race203_bad.py")]) == 1
+        assert main(["check", "--passes", "cells", fixture("race203_good.py")]) == 0

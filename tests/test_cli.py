@@ -75,10 +75,10 @@ class TestCommands:
         assert "HVAC(1x1)" in out
         assert "hit rate" in out
 
-    def test_train_bad_system(self):
-        with pytest.raises(ValueError):
-            main(["train", "--system", "tape", "--nodes", "2",
-                  "--files-per-rank", "2", "--procs-per-node", "1"])
+    def test_train_bad_system(self, capsys):
+        assert main(["train", "--system", "tape", "--nodes", "2",
+                     "--files-per-rank", "2", "--procs-per-node", "1"]) == 2
+        assert capsys.readouterr().err.startswith("repro train: error: ")
 
 
 class TestScaleArguments:
@@ -91,10 +91,73 @@ class TestScaleArguments:
         ("--procs-per-node", "0"),
     ])
     def test_exits_2(self, flag, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fig8", "--nodes", "2", flag, value])
-        assert exc.value.code == 2
+        assert main(["fig8", "--nodes", "2", flag, value]) == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+
+def _usage_error(capsys, argv: list[str]) -> str:
+    """Run ``repro *argv``; assert exit 2 with one ``repro <cmd>: error:``
+    line on stderr and nothing on stdout; return the message."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = f"repro {argv[0]}: error: "
+    assert err.startswith(prefix) and len(err.splitlines()) == 1, err
+    return err[len(prefix):].strip()
+
+
+class TestUsageErrors:
+    """Every command turns a rejected argument into exit 2 and one
+    ``repro <cmd>: error:`` line; these seven used to raise a traceback
+    (exit 1) or, for the bugfix cases, run and misreport."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mdtest", "--nodes", "0"], "need at least one rank"),
+        (["fig8", "--nodes", "0"], "n_files must be >= 1"),
+        (["fig9", "--nodes", "0"], "n_files must be >= 1"),
+        (["fig14", "--epochs", "0"], "n_epochs must be >= 1"),
+        (["fig15", "--nodes", "0"], "n_servers must be >= 1"),
+        (["train", "--nodes", "0"], "n_files must be >= 1"),
+        (["resilience", "--nodes", "0"], "n_nodes must be positive"),
+    ], ids=["mdtest", "fig8", "fig9", "fig14", "fig15", "train", "resilience"])
+    def test_bad_size_exits_2(self, argv, message, capsys):
+        assert _usage_error(capsys, argv) == message
+
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.5", "nan"])
+    def test_resilience_fraction_outside_0_1(self, fraction, capsys):
+        # 1.5 used to print a "150%" row with 3 of 4 servers crashed
+        argv = ["resilience", "--nodes", "4", "--files", "4",
+                f"--fractions={fraction}"]
+        assert _usage_error(capsys, argv) == "fail_fractions must be in [0, 1]"
+
+    def test_resilience_sweep_rejects_a_bad_fraction(self):
+        from repro.experiments import resilience_sweep
+
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            resilience_sweep(fail_fractions=(0.0, 1.5), n_nodes=2, n_files=2)
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_fig14_epochs_below_one(self, epochs, capsys):
+        # used to print untrained learners with "-1" iterations
+        assert _usage_error(capsys, ["fig14", f"--epochs={epochs}"]) == (
+            "n_epochs must be >= 1"
+        )
+
+    def test_train_takes_one_node_count(self, capsys):
+        # ``--nodes 2 8`` used to run 2 nodes and drop the 8
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--nodes", "2", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: 8" in capsys.readouterr().err
+        assert build_parser().parse_args(["train", "--nodes", "8"]).nodes == 8
+
+    @pytest.mark.parametrize("passes", ["bogus", "", "lint,bogus", "lint,"])
+    def test_check_bad_pass_list(self, passes, capsys):
+        message = _usage_error(capsys, ["check", "--passes", passes, "no_such_dir"])
+        assert message == (
+            "passes must name one or more of lint, taint, perf, cells, "
+            f"determinism, races; got {passes!r}"
+        )
 
 
 class TestModeComparisonWindows:

@@ -118,7 +118,7 @@ class TestRPCDeathSemantics:
         def caller():
             try:
                 yield from cli.endpoint.call(
-                    server.endpoint, "read", payload=("/d/x", 100),
+                    server.endpoint, "read", payload=("/d/x", 100, None, None),
                     payload_bytes=10,
                 )
                 outcomes.append("ok")

@@ -167,7 +167,7 @@ SIMCORE = os.path.join(SRC_ROOT, "simcore")
 
 
 def _run_check(paths):
-    return run_check(paths, lint_only=True, taint=True, perf=True, cells=True)
+    return run_check(paths, ["taint", "perf", "cells"])
 
 
 #: every static-check entry point that holds one pause, by name
@@ -367,20 +367,22 @@ class TestStaticCheckContract:
         assert span == [False] * len(span)
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("name", sorted(set(STATIC_ENTRY_POINTS) - {"run_check"}))
+    @pytest.mark.parametrize("name", sorted(STATIC_ENTRY_POINTS))
     def test_restored_after_an_unparseable_file(self, name, unparseable):
         with pytest.raises(ValueError, match="cannot parse"):
             STATIC_ENTRY_POINTS[name]([unparseable])
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("cells_only", [False, True], ids=["lint", "cells-only"])
-    def test_restored_after_run_check_exits_2(self, cells_only, unparseable, capsys):
+    @pytest.mark.parametrize("passes", [["lint"], ["cells"]], ids=["lint", "cells-only"])
+    def test_restored_after_run_check_exits_2(self, passes, unparseable):
+        # run_check raises; the CLI turns that into exit 2
         for paths in ([unparseable], ["no_such_dir"]):
-            assert run_check(paths, lint_only=True, cells_only=cells_only) == 2
+            with pytest.raises(ValueError):
+                run_check(paths, passes)
             assert gc.isenabled()
 
     def test_cells_only_returns_from_inside_the_pause(self, static_probe, capsys):
-        assert run_check([SIMCORE], cells_only=True) == 0
+        assert run_check([SIMCORE], ["cells"]) == 0
         span = first_to_last_probe(static_probe)
         assert len(span) == 2 and span == [False, False]
         assert gc.isenabled()

@@ -65,16 +65,16 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and "error" in err
 
-    @pytest.mark.parametrize("flag", ["--lint-only", "--cells-only"])
-    def test_missing_path(self, tmp_path, capsys, flag):
-        self._rejected(capsys, flag, str(tmp_path / "no_such_dir"))
+    @pytest.mark.parametrize("passes", ["lint", "cells"])
+    def test_missing_path(self, tmp_path, capsys, passes):
+        self._rejected(capsys, "--passes", passes, str(tmp_path / "no_such_dir"))
 
     def test_named_file_that_is_not_python(self, capsys):
-        self._rejected(capsys, "--lint-only", os.path.join(REPO_ROOT, "README.md"))
+        self._rejected(capsys, "--passes", "lint", os.path.join(REPO_ROOT, "README.md"))
 
     def test_directory_without_python_files(self, tmp_path, capsys):
         (tmp_path / "notes.txt").write_text("nothing to lint\n")
-        self._rejected(capsys, "--lint-only", "--perf", "--cells", str(tmp_path))
+        self._rejected(capsys, "--passes", "lint,perf,cells", str(tmp_path))
 
 
 @pytest.mark.parametrize(
@@ -105,16 +105,17 @@ class TestUnparseable:
         data, line = self.CASES[case]
         path = tmp_path / "bad.py"
         path.write_bytes(data)
-        assert run_check([str(path)], lint_only=True, perf=True, cells=True) == 2
+        with pytest.raises(ValueError) as exc:
+            run_check([str(path)], ["lint", "perf", "cells"])
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"repro check: error: {path}:{line}: cannot parse: ")
-        assert len(err.splitlines()) == 1
+        assert out == "" and err == ""
+        assert str(exc.value).startswith(f"{path}:{line}: cannot parse: ")
+        assert len(str(exc.value).splitlines()) == 1
 
     def test_cli(self, tmp_path, capsys):
         (tmp_path / "good.py").write_text("x = 1\n")
         (tmp_path / "bad.py").write_text("def f(:\n")
-        assert main(["check", "--lint-only", str(tmp_path)]) == 2
+        assert main(["check", "--passes", "lint", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"repro check: error: {tmp_path / 'bad.py'}:1: cannot parse: invalid syntax\n"
@@ -138,7 +139,7 @@ def test_one_parse_and_one_call_graph_per_run(monkeypatch, capsys):
 
     monkeypatch.setattr(ast, "parse", parse)
     monkeypatch.setattr(CallGraph, "build", classmethod(build))
-    rc = run_check([FIXTURES], lint_only=True, taint=True, perf=True, cells=True)
+    rc = run_check([FIXTURES], ["taint", "perf", "cells"])
     capsys.readouterr()
     assert rc == 1  # the bad fixtures fail every pass
     counted = {p: n for p, n in parses.items() if p.startswith(FIXTURES)}

@@ -219,7 +219,7 @@ class TestRepairSpawnRegression:
         from repro.membership.repair import RepairManager
 
         def direct_spawn(self, server):
-            self.in_flight += 1
+            self.metrics.counter("repairs_started").incr()
             self.env.process(
                 self._repair(server), name=f"repair.s{server.server_id}"
             )
@@ -453,7 +453,7 @@ class TestRunRaces:
         from repro.membership.repair import RepairManager
 
         def direct_spawn(self, server):
-            self.in_flight += 1
+            self.metrics.counter("repairs_started").incr()
             self.env.process(
                 self._repair(server), name=f"repair.s{server.server_id}"
             )

@@ -256,12 +256,12 @@ class TestExperimentDeterminism:
 
 class TestCheckCLI:
     def test_lint_only_clean(self, capsys):
-        assert main(["check", "--lint-only"]) == 0
+        assert main(["check", "--passes", "lint"]) == 0
         assert "simlint" in capsys.readouterr().out
 
     def test_determinism_only(self, capsys):
         assert main([
-            "check", "--determinism-only",
+            "check", "--passes", "determinism",
             "--nodes", "2", "--files-per-rank", "2",
         ]) == 0
         assert "identical event streams" in capsys.readouterr().out
@@ -269,5 +269,5 @@ class TestCheckCLI:
     def test_lint_flags_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nr = random.Random(1)\n")
-        assert main(["check", "--lint-only", str(bad)]) == 1
+        assert main(["check", "--passes", "lint", str(bad)]) == 1
         assert "SIM002" in capsys.readouterr().out
