@@ -69,6 +69,8 @@ def build_deployment(
 
 def dataset_files(n_files: int, file_size: int) -> list[tuple[str, int]]:
     """``n_files`` same-size ``(path, size)`` entries under ``/pfs/ds``."""
+    if n_files < 1:
+        raise ValueError("n_files must be >= 1")
     return [(f"/pfs/ds/f{i:04d}", file_size) for i in range(n_files)]
 
 

@@ -329,6 +329,8 @@ def prefetch_comparison(
     """
     if n_nodes < 2:
         raise ValueError("prefetch_comparison needs >= 2 nodes")
+    if n_files < 1:
+        raise ValueError("n_files must be >= 1")
     if epochs < 2:
         raise ValueError("prefetch_comparison needs >= 2 epochs")
     if not decompress_budget >= 0:  # NaN too

@@ -12,6 +12,9 @@ Semantics
   objects.  The process is suspended until the yielded event triggers,
   at which point the event's value is sent back into the generator (or
   its exception raised inside it).
+* A process starts at the instant it is created.  Its start is the
+  process itself, queued on the urgent lane; it fires as an
+  ``Initialize`` event would, but none is built.
 * A process may also yield a delay, a real number ``d >= 0``: it sleeps
   ``d`` time units and resumes with ``None``.  It fires as a wait on
   ``env.timeout(d)`` would, but builds no :class:`Timeout`.
@@ -249,23 +252,6 @@ class Timeout(Event):
         self.env._note_cancel()
 
 
-class Initialize(Event):
-    """Internal: kicks a freshly created process at the current time."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        seq = next(env._seq)
-        env._urgent.append((seq, self))
-        if env._schedules:
-            env._note_schedule(seq, 0.0)
-
-
 class Process(Event):
     """A running generator.  Also an event: it triggers when the
     generator returns (value = return value) or raises (failure)."""
@@ -285,10 +271,14 @@ class Process(Event):
         # The event (or resource) this process waits on; None while
         # active or asleep.
         self._target: Optional[Event | Resource] = None
-        # The seq of its pending wake or grant; an entry whose seq is
-        # not this one is stale and resumes nobody.
-        self._wake: Optional[int] = None
-        Initialize(env, self)
+        # The seq of its pending start, wake or grant; an entry whose
+        # seq is not this one is stale and resumes nobody.  The start is
+        # this process on the urgent lane, where its exit goes too.
+        seq = next(env._seq)
+        env._urgent.append((seq, self))
+        self._wake: Optional[int] = seq
+        if env._schedules:
+            env._note_schedule(seq, 0.0)
 
     def __repr__(self) -> str:
         return f"<Process({self.name}) {self._state_str()}>"
@@ -580,10 +570,11 @@ class Environment:
         # Cancelled timeouts still in the heap.  They leave it lazily
         # (see _note_cancel), but the head of the heap is never one.
         self._cancelled = 0
-        # What a woken sleeper or grantee's _resume reads: a processed
-        # success whose value step() sets to what the process waits on:
-        # None for a sleeper, as its Timeout had; the resource for a
-        # grantee.  (A resource holding itself would be a cycle.)
+        # What a started process, woken sleeper or grantee's _resume
+        # reads: a processed success whose value step() sets to what the
+        # process waits on: None for a start or a sleeper, as its
+        # Initialize or Timeout had; the resource for a grantee.  (A
+        # resource holding itself would be a cycle.)
         self._woken = Event(self)
         self._woken.callbacks = None
         self._seq = itertools.count()
@@ -724,10 +715,12 @@ class Environment:
         now with a smaller seq (a ``Timeout(0)``, or a timeout or sleep
         that falls due at this instant, scheduled before it).
 
-        A sleeper's wake fires as the :class:`Timeout` it replaces, and
-        a resource grant (a process on the normal lane) as the
-        ``Request`` it replaces: observers see that label and one
-        callback, or none for a stale entry, which resumes nobody.
+        A process's start (the process on the urgent lane, while its
+        ``_wake`` holds that seq) fires as the ``Initialize`` event it
+        replaces, a sleeper's wake as the :class:`Timeout` and a
+        resource grant (a process on the normal lane) as the
+        ``Request``: observers see that label and one callback, or none
+        for a stale wake or grant, which resumes nobody.
         """
         queue = self._queue
         urgent = self._urgent
@@ -735,6 +728,10 @@ class Environment:
         if urgent:
             priority = URGENT
             seq, event = urgent.popleft()
+            # A start is never stale; an exit (its _wake is None) or an
+            # interrupt fires as an event.
+            resumes = event.__class__ is Process and event._wake is seq
+            label = "Initialize"
         else:
             priority = NORMAL
             if normal and not (
@@ -757,22 +754,24 @@ class Environment:
                         # fire.
                         self._drop_cancelled_head()
                 label = "Timeout"
-            if event.__class__ is Process:
-                observed = self._observed
-                if observed:
-                    for begin_event in self._begins:
-                        begin_event(self._now, NORMAL, seq, label)
-                # The very seq object the sleep or grant drew, unless stale.
-                live = event._wake is seq
-                if live:
-                    event._wake = None
-                    woken = self._woken
-                    woken._value = event._target
-                    event._resume(woken)
-                if observed:
-                    for end_event in self._ends:
-                        end_event(1 if live else 0)
-                return
+            resumes = event.__class__ is Process
+        if resumes:
+            observed = self._observed
+            if observed:
+                for begin_event in self._begins:
+                    begin_event(self._now, priority, seq, label)
+            # The very seq object the start, sleep or grant drew, unless
+            # stale.
+            live = event._wake is seq
+            if live:
+                event._wake = None
+                woken = self._woken
+                woken._value = event._target
+                event._resume(woken)
+            if observed:
+                for end_event in self._ends:
+                    end_event(1 if live else 0)
+            return
 
         observed = self._observed
         if observed:

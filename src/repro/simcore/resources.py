@@ -87,10 +87,16 @@ class Resource:
             self.queue.append(process)
 
     def __enter__(self) -> "Resource":
+        # ``with res:`` without the ``yield`` holds no slot, yet its exit
+        # would free one.
+        if not self._count:
+            raise SimulationError("no slot held: write 'with (yield res):'")
         return self
 
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
         if not self.queue:
+            if not self._count:
+                raise SimulationError("release of a Resource slot that is not held")
             self._count -= 1
             return
         # A process queues only while every slot is held: the slot just

@@ -130,6 +130,23 @@ class TestUsageErrors:
                 f"--fractions={fraction}"]
         assert _usage_error(capsys, argv) == "fail_fractions must be in [0, 1]"
 
+    @pytest.mark.parametrize("files", ["0", "-2"])
+    @pytest.mark.parametrize("cmd", ["resilience", "membership", "prefetch", "slo"])
+    def test_no_files_exits_2(self, cmd, files, capsys):
+        # resilience printed all-zero rows, membership divided by zero,
+        # prefetch printed nan rows and slo blamed the window count
+        assert _usage_error(capsys, [cmd, "--files", files]) == "n_files must be >= 1"
+
+    @pytest.mark.parametrize("name", [
+        "resilience_sweep", "fault_matrix", "membership_comparison",
+        "prefetch_comparison", "slo_scenario",
+    ])
+    def test_experiment_rejects_no_files(self, name):
+        import repro.experiments as experiments
+
+        with pytest.raises(ValueError, match="n_files must be >= 1"):
+            getattr(experiments, name)(n_files=0)
+
     def test_resilience_sweep_rejects_a_bad_fraction(self):
         from repro.experiments import resilience_sweep
 

@@ -313,3 +313,46 @@ def test_a_process_resumes_with_the_resource_itself():
     env.process(taker())
     env.run()
     assert got == [res] and res.count == 0
+
+
+def test_with_res_without_the_yield_fails_loudly():
+    # ``with res:`` holds no slot, yet its exit used to free one: user 1
+    # was granted at t=1 while user 0 held the one slot until t=2, and
+    # ``count`` ended at -1.
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def user(me, start, hold):
+        yield start
+        with (yield res):
+            log.append(("granted", me, env.now))
+            yield hold
+        log.append(("released", me, env.now))
+
+    def forgets_the_yield():
+        yield 1
+        with res:
+            log.append(("bare", env.now))
+
+    env.process(user(0, 0, 2))
+    env.process(user(1, 0.5, 1))
+    env.process(forgets_the_yield())
+    with pytest.raises(SimulationError, match="release of a Resource slot that is not held"):
+        env.run()
+    assert res.count == 0
+    assert log[:2] == [("granted", 0, 0), ("bare", 1)]
+
+
+def test_with_res_on_a_free_resource_holds_nothing():
+    env = Environment()
+    res = Resource(env, capacity=2)
+
+    def forgets_the_yield():
+        with res:
+            yield 1
+
+    env.process(forgets_the_yield())
+    with pytest.raises(SimulationError, match=r"no slot held: write 'with \(yield res\):'"):
+        env.run()
+    assert res.count == 0 and res.queued == 0

@@ -259,15 +259,15 @@ def test_nan_delay_is_rejected():
 
 
 #: The eight sites that schedule an event, by the qualified name of the
-#: function that calls ``Environment._note_schedule``; a sleep and a
-#: process exit are both scheduled in ``Process._resume``, a grant on
-#: the spot in ``Resource.request`` and one at a release in
-#: ``Resource.__exit__``.
+#: function that calls ``Environment._note_schedule``; a process start
+#: is scheduled in ``Process.__init__``, a sleep and a process exit in
+#: ``Process._resume``, a grant on the spot in ``Resource.request`` and
+#: one at a release in ``Resource.__exit__``.
 SCHEDULING_SITES = {
     "Event.succeed",
     "Event.fail",
     "Timeout.__init__",
-    "Initialize.__init__",
+    "Process.__init__",
     "Process._resume",
     "Environment._schedule",
     "Resource.request",
