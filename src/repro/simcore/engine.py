@@ -316,7 +316,11 @@ class Process(Event):
         when it is requested.  A resource waiter leaves first, as a
         request's ``__exit__`` did: a pending grant frees its slot for
         the next waiter; a queued waiter is withdrawn.  A store get
-        leaves its wait queue, or it would swallow an item."""
+        leaves its wait queue, or it would swallow an item.  A process
+        that finished before its interrupt landed drops it, as SimPy
+        does."""
+        if self._value is not _PENDING:
+            return
         target = self._target
         self._target = None
         if target.__class__ is Resource:

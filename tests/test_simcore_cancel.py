@@ -8,106 +8,26 @@ read the time of an event that will really fire.
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.simcore import Environment, EventTrace, SimulationError
+from repro.simcore import Environment, SimulationError
 
-
-class RecordingObserver:
-    """Stands in for the profiler and the sanitizer: keeps the seq of
-    every event it is told about."""
-
-    def __init__(self):
-        self.begun = []
-
-    def note_schedule(self, seq, delay):
-        pass
-
-    def begin_event(self, now, priority, seq, label):
-        self.begun.append(seq)
-
-    def end_event(self, n_callbacks=0):
-        pass
-
-
-def live_head_time(env):
-    live = [entry[0] for entry in env._queue if entry[3].callbacks is not None]
-    return min(live) if live else float("inf")
-
-
-@st.composite
-def schedules(draw):
-    """Timeouts on a coarse grid (so times tie), a subset of them
-    cancelled, each from driver code before the run or by a canceller
-    process at some time, and the stop times of a chunked run."""
-    n = draw(st.integers(min_value=1, max_value=150))
-    delays = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
-    cancels = draw(st.lists(
-        st.one_of(st.none(), st.integers(-1, 20)), min_size=n, max_size=n,
-    ))
-    stops = draw(st.lists(st.integers(1, 22), max_size=4, unique=True))
-    return [d / 2 for d in delays], cancels, sorted(s / 2 for s in stops)
-
-
-def run_schedule(delays, cancels, stops, cancel):
-    """One run; ``cancel=False`` is the reference run, which starts the
-    same canceller processes but has them cancel nothing."""
-    env = Environment()
-    trace = EventTrace(keep_all=True)
-    profiler, sanitizer = RecordingObserver(), RecordingObserver()
-    env.observe(trace)
-    env.observe(profiler)
-    env.observe(sanitizer)
-    fired = []
-    timeouts = [env.timeout(delay, value=i) for i, delay in enumerate(delays)]
-    for t in timeouts:
-        t.callbacks.append(lambda e: fired.append((env.now, e.value)))
-    seq_of = {entry[3].value: entry[2] for entry in env._queue}
-    cancelled = set()
-
-    def drop(i):
-        if cancel and not timeouts[i].processed:
-            cancelled.add(seq_of[i])
-            timeouts[i].cancel()
-
-    def canceller(at, indices):
-        yield env.timeout(at)
-        for i in indices:
-            drop(i)
-
-    by_time = {}
-    for i, at in enumerate(cancels):
-        if at == -1:
-            drop(i)
-        elif at is not None:
-            by_time.setdefault(at / 2, []).append(i)
-    for at, indices in sorted(by_time.items()):
-        env.process(canceller(at, indices))
-
-    for stop in stops:
-        if stop > env.now:
-            env.run(until=stop)
-            assert env.now == stop
-        assert env.peek() == live_head_time(env)
-        assert not env._queue or env._queue[0][3].callbacks is not None
-    env.run()
-    assert env.peek() == float("inf")
-    stream = [(r.time, r.priority, r.seq, r.label) for r in trace.records]
-    return stream, (profiler.begun, sanitizer.begun), fired, cancelled
+from .kernel_harness import fired, programs, run_program
 
 
 @settings(max_examples=150, deadline=None)
-@given(schedules())
-def test_cancelled_timeouts_vanish_from_the_stream(schedule):
-    delays, cancels, stops = schedule
-    ref_stream, _, ref_fired, _ = run_schedule(delays, cancels, stops, False)
-    stream, begun, fired, cancelled = run_schedule(delays, cancels, stops, True)
-    # Exactly the reference stream minus the cancelled timeouts: every
-    # other event keeps its time, priority, seq and label.
-    assert stream == [rec for rec in ref_stream if rec[2] not in cancelled]
-    # The profiler and the sanitizer see exactly the traced events.
-    assert begun == ([rec[2] for rec in stream],) * 2
-    assert len(fired) == len(ref_fired) - len(cancelled)
+@given(programs())
+def test_cancelled_timeouts_vanish_from_the_stream(program):
+    # The same program, once with every timer it cancels kept; every
+    # run also checks that the head is live whenever a chunk stops.
+    kept, cut = [run_program(program, cancel=cancel) for cancel in (False, True)]
+    cancelled = set(cut.cancelled)
+    stream = fired(cut.calls)
+    # Exactly the stream with the timers kept minus the cancelled ones:
+    # every other event keeps its time, priority, seq, label and
+    # callback count.
+    assert stream == [event for event in fired(kept.calls) if event[2] not in cancelled]
+    # The trace and the profiler see exactly these events.
+    assert cut.trace[0] == cut.profile["total_events"] == len(stream)
 
 
 def test_cancelled_head_leaves_the_queue_at_once():

@@ -288,6 +288,29 @@ def test_interrupt_dead_process_is_error():
         p.interrupt()
 
 
+def test_an_interrupt_that_lands_after_its_target_finished_is_dropped():
+    # The child returns at its start, which fires before the interrupt
+    # queued behind it on the urgent lane.
+    env = Environment()
+    log = []
+
+    def returns_at_once():
+        log.append(("child", env.now))
+        return "done"
+        yield  # a generator that never reaches a yield
+
+    def parent():
+        child = env.process(returns_at_once())
+        child.interrupt("late")
+        log.append(("joined", (yield child)))
+        yield 1
+        log.append(("parent", env.now))
+
+    env.process(parent())
+    env.run()
+    assert log == [("child", 0.0), ("joined", "done"), ("parent", 1.0)]
+
+
 def test_self_interrupt_is_error():
     env = Environment()
     errors = []

@@ -1,10 +1,10 @@
 """The zero-delay lanes: events scheduled at ``now`` bypass the heap but
 fire in exactly the ``(time, priority, seq)`` order a single heap gives.
 
-Timeouts, and only timeouts, go on the heap (``Timeout(0)`` too); every
-other event goes to the FIFO lane of its priority.  ``step()`` merges the
-urgent lane, the normal lane and the heap head (docs/INTERNALS.md §1,
-"Scheduling sites").
+Timeouts and sleeps, and nothing else, go on the heap (``Timeout(0)``
+and ``yield 0`` too); every other event goes to the FIFO lane of its
+priority.  ``step()`` merges the urgent lane, the normal lane and the
+heap head (docs/INTERNALS.md §1, "Scheduling sites").
 """
 
 import heapq
@@ -13,173 +13,45 @@ import sys
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.simcore import Environment, EventTrace, Interrupt, Resource, SimulationError
-from repro.simcore.engine import NORMAL, URGENT, Process, Timeout
+from repro.simcore.engine import URGENT
+
+from .kernel_harness import Recorder, fired, programs, run_program
 
 
-class Ledger:
-    """Observer that keeps every schedule and every fired event.
-
-    For each scheduled seq it records the time it is due, the priority
-    of the structure it went to and how many events had begun by then;
-    for each fired event, its ``(time, priority, seq, label)``.
-    """
-
-    def __init__(self, env):
-        self.env = env
-        self.scheduled = {}  # seq -> (due, priority, n_begun)
-        self.fired = []
-        self.last = None
-
-    def note_schedule(self, seq, delay):
-        env = self.env
-        if env._urgent and env._urgent[-1][0] == seq:
-            priority = URGENT
-        else:
-            priority = NORMAL
-        self.scheduled[seq] = (env.now + delay, priority, len(self.fired))
-        self.last = seq
-
-    def begin_event(self, time, priority, seq, label):
-        self.fired.append((time, priority, seq, label))
-
-    def end_event(self, n_callbacks=0):
-        pass
-
-
-def heap_order(scheduled, cancelled):
-    """The order one ``(time, priority, seq)`` heap fires the same
-    schedule in: before the k-th event begins, it holds every entry
-    scheduled while fewer than k+1 events had begun."""
-    by_begun = {}
-    for seq, (due, priority, n_begun) in scheduled.items():
-        if seq not in cancelled:
-            by_begun.setdefault(n_begun, []).append((due, priority, seq))
+def heap_order(calls, cancelled):
+    """The order one ``(time, priority, seq)`` heap fires the schedule a
+    :class:`Recorder` saw in: each event pops the head of a heap that
+    holds every uncancelled entry scheduled before it began."""
     heap, order = [], []
-    k = 0
-    while True:
-        for entry in by_begun.pop(k, ()):
-            heapq.heappush(heap, entry)
-        if not heap:
-            assert not by_begun
-            return order
-        order.append(heapq.heappop(heap))
-        k += 1
-
-
-OPS = st.one_of(
-    st.tuples(st.just("sleep"), st.integers(1, 4)),
-    st.tuples(st.just("zero"), st.just(0)),
-    st.tuples(st.just("succeed"), st.just(0)),
-    st.tuples(st.just("fail"), st.just(0)),
-    st.tuples(st.just("cancel"), st.integers(0, 4)),
-    st.tuples(st.just("grab"), st.integers(0, 3)),
-    st.tuples(st.just("spawn"), st.integers(0, 3)),
-    st.tuples(st.just("join"), st.integers(0, 3)),
-    st.tuples(st.just("race"), st.integers(0, 3)),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
-)
-
-
-@st.composite
-def programs(draw):
-    """A few actors, each a list of ops, and the stop times of a chunked
-    run.  Delays sit on a coarse grid so that times tie."""
-    n = draw(st.integers(1, 6))
-    actors = [draw(st.lists(OPS, max_size=12)) for _ in range(n)]
-    stops = draw(st.lists(st.integers(1, 40), max_size=3, unique=True))
-    return actors, sorted(s / 2 for s in stops)
-
-
-def interruptible(victim):
-    """True when an interrupt will find ``victim`` still waiting.  It
-    fires URGENT at ``now``, ahead of everything but an earlier process
-    exit; a victim whose target is such an exit may be gone by then."""
-    target = victim.target
-    return target is not None and not (isinstance(target, Process) and target.triggered)
-
-
-def run_program(actors, stops):
-    env = Environment()
-    ledger = Ledger(env)
-    env.observe(ledger)
-    res = Resource(env, capacity=1)
-    procs = []
-    interrupted = set()
-    cancelled = set()
-
-    def child(delay):
-        yield env.timeout(delay / 2)
-        return delay
-
-    def actor(ops):
-        for op, arg in ops:
-            try:
-                if op == "sleep":
-                    yield env.timeout(arg / 2)
-                elif op == "zero":
-                    yield env.timeout(0)
-                elif op == "succeed":
-                    yield env.event().succeed(arg)
-                elif op == "fail":
-                    try:
-                        # Defused: an interrupt may leave it unwaited.
-                        yield env.event().fail(ValueError()).defused()
-                    except ValueError:
-                        pass
-                elif op == "cancel":
-                    t = env.timeout(arg / 2)
-                    cancelled.add(ledger.last)
-                    t.cancel()
-                elif op == "grab":
-                    with (yield res):
-                        yield env.timeout(arg / 2)
-                elif op == "spawn":
-                    env.process(child(arg))
-                elif op == "join":
-                    yield env.process(child(arg))
-                elif op == "race":
-                    yield env.timeout(arg / 2) | env.process(child(arg))
-                elif op == "interrupt":
-                    victim = procs[arg % len(procs)]
-                    if interruptible(victim) and victim not in interrupted:
-                        interrupted.add(victim)
-                        victim.interrupt("stop")
-            except Interrupt:
-                pass
-
-    for ops in actors:
-        procs.append(env.process(actor(ops)))
-    for stop in stops:
-        if stop > env.now:
-            env.run(until=stop)
-        # Between runs the lanes are empty and only timeouts are queued.
-        assert not env._urgent and not env._normal
-        assert all(isinstance(e[3], Timeout) and e[1] == NORMAL for e in env._queue)
-    env.run(until=procs[-1])
-    env.run()
-    assert env.peek() == math.inf
-    return ledger, cancelled
+    for call in calls:
+        if call[0] == "schedule" and call[1] not in cancelled:
+            heapq.heappush(heap, (call[3], call[4], call[1]))
+        elif call[0] == "begin":
+            order.append(heapq.heappop(heap))
+    return order + sorted(heap)
 
 
 @settings(max_examples=120, deadline=None)
 @given(programs())
 def test_lanes_fire_in_heap_order(program):
-    ledger, cancelled = run_program(*program)
-    fired_seqs = [rec[2] for rec in ledger.fired]
+    run = run_program(program)
+    cancelled = set(run.cancelled)
+    scheduled = {call[1]: call[3:] for call in run.calls if call[0] == "schedule"}
+    events = fired(run.calls)
+    fired_seqs = [event[2] for event in events]
     # Every scheduled, uncancelled seq fires exactly once.
     assert len(fired_seqs) == len(set(fired_seqs))
-    assert set(fired_seqs) == set(ledger.scheduled) - cancelled
+    assert set(fired_seqs) == set(scheduled) - cancelled
     # Each fires at its due time, with the priority it was queued at.
-    for time, priority, seq, label in ledger.fired:
-        assert (time, priority) == ledger.scheduled[seq][:2]
+    for time, priority, seq, label, _ in events:
+        assert (time, priority) == scheduled[seq]
         if label == "Initialize" or label.startswith("Process:"):
             assert priority == URGENT
     # Keys strictly increase among events pending together: the stream
     # is the order a single (time, priority, seq) heap gives.
-    assert [rec[:3] for rec in ledger.fired] == heap_order(ledger.scheduled, cancelled)
+    assert [event[:3] for event in events] == heap_order(run.calls, cancelled)
 
 
 @pytest.mark.parametrize("first", ["timeout", "succeed"])
@@ -329,7 +201,7 @@ def test_a_schedule_observer_hears_every_site(monkeypatch):
     alone = EventTrace()
     every_site_run(monkeypatch, lambda env: alone)
     trace = EventTrace()
-    env, callers = every_site_run(monkeypatch, lambda env: trace, Ledger)
+    env, callers = every_site_run(monkeypatch, lambda env: trace, Recorder)
     assert set(callers) == SCHEDULING_SITES
     # one note per scheduled event, and the stream is the same as with
     # the trace alone

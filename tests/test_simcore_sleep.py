@@ -5,7 +5,9 @@ The wake is pushed onto the heap with the seq the timeout would have
 drawn and fires as that timeout would: label ``Timeout``, one callback,
 or none once an interrupt has made it stale.  So every observer sees the
 same stream with either spelling (docs/INTERNALS.md §1, "Scheduling
-sites").
+sites").  :func:`test_both_spellings_give_one_stream` runs random sleep
+programs both ways; ``tests/test_simcore_properties.py`` mixes them
+with every other kernel feature.
 """
 
 import math
@@ -13,138 +15,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.check.races import RaceSanitizer
-from repro.simcore import (
-    Environment,
-    EventTrace,
-    Interrupt,
-    SimProfiler,
-    SimulationError,
-)
+from repro.simcore import Environment, Interrupt, SimulationError
+
+from .kernel_harness import Recorder, assert_one_run, only, programs
 
 
-class Recorder:
-    """Every hook call, as the observers are told them."""
-
-    def __init__(self):
-        self.calls = []
-
-    def note_schedule(self, seq, delay):
-        self.calls.append(("schedule", seq, delay))
-
-    def begin_event(self, time, priority, seq, label):
-        self.calls.append(("begin", time, priority, seq, label))
-
-    def end_event(self, n_callbacks):
-        self.calls.append(("end", n_callbacks))
-
-
-OPS = st.one_of(
-    st.tuples(st.just("sleep"), st.integers(0, 6)),
-    st.tuples(st.just("sleep_float"), st.integers(0, 6)),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
-    st.tuples(st.just("cancel_many"), st.integers(40, 90)),
-    st.tuples(st.just("event"), st.integers(0, 7)),
-)
-
-
-@st.composite
-def programs(draw):
-    """Actors of random ops, and the stop times of a chunked run.
-    Delays sit on a half-unit grid so that wakes tie."""
-    n = draw(st.integers(1, 8))
-    actors = [draw(st.lists(OPS, max_size=10)) for _ in range(n)]
-    stops = draw(st.lists(st.integers(1, 30), max_size=3, unique=True))
-    return actors, sorted(s / 2 for s in stops)
-
-
-def run_program(actors, stops, bare):
-    """One run; ``bare`` spells every sleep ``yield d``, otherwise
-    ``yield env.timeout(d)``.  Returns everything an observer or the
-    program itself could tell apart."""
-    env = Environment()
-    trace, recorder = EventTrace(), Recorder()
-    profiler, sanitizer = SimProfiler(), RaceSanitizer()
-    for observer in (trace, recorder, profiler, sanitizer):
-        env.observe(observer)
-    log = []
-    procs = []
-    asleep = [False] * len(actors)
-    pending = [0] * len(actors)
-    gates = [env.event() for _ in actors]
-
-    def wait(d):
-        return d if bare else env.timeout(d)
-
-    def sleep(me, d):
-        asleep[me] = True
-        try:
-            yield wait(d)
-        finally:
-            asleep[me] = False
-        env.note_access("cell", "w")
-        log.append(("woke", me, env.now))
-
-    def actor(me, ops):
-        for op, arg in ops:
-            try:
-                if op == "sleep":
-                    yield from sleep(me, arg // 2)
-                elif op == "sleep_float":
-                    yield from sleep(me, arg / 2)
-                elif op == "interrupt":
-                    victim = arg % len(actors)
-                    if victim != me and asleep[victim] and not pending[victim]:
-                        pending[victim] += 1
-                        procs[victim].interrupt(me)
-                elif op == "cancel_many":
-                    timers = [env.timeout(i % 7 / 2) for i in range(arg)]
-                    for timer in timers:
-                        timer.cancel()
-                elif op == "event":
-                    gate = gates[arg % len(gates)]
-                    if not gate.triggered:
-                        gate.succeed(me)
-            except Interrupt as stop:
-                pending[me] -= 1
-                log.append(("interrupted", me, stop.cause, env.now))
-                # A new sleep after the interrupt, while the old wake is
-                # stale; it may be interrupted in turn.
-                try:
-                    yield from sleep(me, 1)
-                except Interrupt as again:
-                    pending[me] -= 1
-                    log.append(("interrupted", me, again.cause, env.now))
-        log.append(("done", me, env.now))
-
-    for me, ops in enumerate(actors):
-        procs.append(env.process(actor(me, ops)))
-    for stop in stops:
-        if stop > env.now:
-            env.run(until=stop)
-            assert env.now == stop
-            log.append(("stopped", stop, env.peek()))
-    env.run()
-    assert env.peek() == math.inf
-    sanitizer.finish()
-    return (
-        log,
-        (trace.count, trace.fingerprint),
-        recorder.calls,
-        profiler.as_dict(),
-        sanitizer.reports,
-    )
-
-
-@settings(max_examples=120, deadline=None)
-@given(programs())
+@settings(max_examples=50, deadline=None)
+@given(programs(only("sleep", "interrupt", "cancel", "spawn", "join", "write")))
 def test_both_spellings_give_one_stream(program):
-    actors, stops = program
-    assert run_program(actors, stops, bare=True) == run_program(
-        actors, stops, bare=False
-    )
+    """``yield d`` and ``yield env.timeout(d)``, with ties, interrupts,
+    heap rebuilds and chunked runs, give one run."""
+    assert_one_run(program)
 
 
 def test_a_stale_wake_of_a_finished_process_survives_a_rebuild():
@@ -152,7 +34,7 @@ def test_a_stale_wake_of_a_finished_process_survives_a_rebuild():
     timeout's is; its stale wake must still fire, and the heap rebuild
     that many cancellations trigger must not count it as cancelled."""
     env = Environment()
-    recorder = Recorder()
+    recorder = Recorder(env)
     env.observe(recorder)
 
     def sleeper():
