@@ -17,10 +17,11 @@ and extracts, per function:
 * which of its *parameters* it iterates (directly or by passing them
   on), so a caller handing a ``set`` to an innocent-looking helper is
   still caught;
-* whether it *returns* an unordered container — directly, or verbatim
-  through another call (resolved by a fixpoint in :mod:`.taint`) — and
-  which of its call sites feed a ``for``/comprehension, so hash order
-  crossing a return boundary is flagged at the loop (SIM013);
+* whether it *produces* unordered order: returns or ``yield from``-s an
+  unordered container — directly, or verbatim through another call
+  (resolved by a fixpoint in :mod:`.taint`) — and which of its call
+  sites feed a ``for``/comprehension, so hash order crossing a return
+  or a yield path is flagged at the loop (SIM013);
 * its ``self``-attribute *writes* (assign, augment, ``del``, in-place
   mutator calls, through local aliases such as ``w = self._wakeups``)
   and its concurrency *roots*: ``env.process(gen(...))`` spawns, which
@@ -87,7 +88,7 @@ _MUTATORS = {
 class TaintSource:
     """A nondeterminism primitive touched directly by one function."""
 
-    rule: str  #: SIM001/002/003/007, or an unordered value's carrier code
+    rule: str  #: SIM001/002/003/007, or SIM004 for unordered iteration
     kind: str  #: human-readable primitive, e.g. ``"wall-clock read time.time"``
     line: int  #: line within the defining file
 
@@ -103,8 +104,9 @@ class CallSite:
     target: str | None = None  #: resolved function key, if any
     set_args: tuple[int, ...] = ()  #: positional args that are known sets
     param_args: tuple[tuple[int, str], ...] = ()  #: (pos, caller param) pass-throughs
-    in_return: bool = False  #: the call is the caller's ``return`` expression
-    in_yield_from: bool = False  #: the call is a ``yield from`` delegate
+    #: the call is the caller's ``return`` expression or ``yield from``
+    #: delegate, so its result's order is the caller's
+    forwarded: bool = False
     iterated: bool = False  #: the call's result feeds a ``for``/comprehension
 
 
@@ -173,10 +175,9 @@ class FunctionInfo:
     sources: list[TaintSource] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
     iterated_params: set[str] = field(default_factory=set)
-    returns_unordered: bool = False  #: returns a set expr (or, after the
-    #: fixpoint in :mod:`.taint`, passes through a callee that does)
-    yields_unordered: bool = False  #: ``yield from``-s a set expr (or,
-    #: after the fixpoint in :mod:`.taint`, delegates to one that does)
+    produces_unordered: bool = False  #: returns or ``yield from``-s a set
+    #: expr (or, after the fixpoint in :mod:`.taint`, forwards a call to
+    #: a function that does)
     writes: list[AttrWrite] = field(default_factory=list)
     roots: list[SpawnRoot] = field(default_factory=list)
     #: handler references of registrations: resolved, never call edges
@@ -254,8 +255,7 @@ class _ModuleScanner(NodeVisitor):
         self._class_stack: list[str] = []
         self._func_stack: list[FunctionInfo] = []
         self._nested_depth = 0  # inside a nested def: returns belong to it
-        self._return_calls: set[int] = set()  # id()s of return-position Calls
-        self._yield_calls: set[int] = set()  # id()s of yield-from delegate Calls
+        self._forwarded_calls: set[int] = set()  # id()s of return/yield-from Calls
         self._iterated_calls: set[int] = set()  # id()s of for/comp-iter Calls
         self._spawned: dict[ast.Call, SpawnRoot] = {}  # gen(...) -> its root
         self._loop_depth = 0  # inside a loop body: spawns are replicated
@@ -330,8 +330,8 @@ class _ModuleScanner(NodeVisitor):
         info = self._func_stack[-1]
         if isinstance(iter_node, ast.Name) and iter_node.id in info.params:
             info.iterated_params.add(iter_node.id)
-        elif (carrier := self._facts.carrier(iter_node, self.scope)) is not None:
-            self._source(carrier[0], "unordered-set iteration", iter_node)
+        elif self._facts.carrier(iter_node) is not None:
+            self._source("SIM004", "unordered-set iteration", iter_node)
         # SIM013: mark call results that feed the loop, unwrapping
         # order-preserving shims (``sorted(f())`` neutralizes and is
         # not unwrapped, so it never marks the inner call).
@@ -356,19 +356,9 @@ class _ModuleScanner(NodeVisitor):
         self._loop_depth -= 1
 
     def visit_Return(self, node: ast.Return) -> None:
-        # SIM013 bookkeeping: a function that returns a set expression
-        # hands unordered iteration order to every caller; one that
-        # returns another call's result verbatim may do so transitively
-        # (resolved by the fixpoint in :mod:`.taint`).  Nested defs keep
-        # their returns to themselves.
-        if self._func_stack and not self._nested_depth and node.value is not None:
-            info = self._func_stack[-1]
-            if self._waived(node.lineno, "SIM013"):
-                pass  # sanctioned producer: never a SIM013 source
-            elif self._facts.carrier(node.value, self.scope) is not None:
-                info.returns_unordered = True
-            elif isinstance(node.value, ast.Call):
-                self._return_calls.add(id(node.value))
+        # Nested defs keep their returns to themselves.
+        if not self._nested_depth and node.value is not None:
+            self._note_produced(node.lineno, node.value)
         if self._def_name is not None and isinstance(
             node.value, (ast.JoinedStr, ast.Constant, ast.Call)
         ):
@@ -376,23 +366,24 @@ class _ModuleScanner(NodeVisitor):
         self.generic_visit(node)
 
     def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        # SIM014 bookkeeping: ``yield from <set>`` drains the container
-        # in hash order, and ``yield from g(...)`` forwards whatever
-        # order the delegate produces (resolved by the fixpoint in
-        # :mod:`.taint`).  Order-preserving shims are unwrapped just as
-        # at iteration sites, so ``yield from list(g())`` still follows
-        # g; ``sorted(...)`` neutralizes.  Nested defs keep their
-        # yields to themselves.
-        if self._func_stack and not self._nested_depth:
-            info = self._func_stack[-1]
-            value = strip_order_preserving(node.value)
-            if self._waived(node.lineno, "SIM014"):
-                pass  # sanctioned producer: never a SIM014 source
-            elif self._facts.carrier(value, self.scope) is not None:
-                info.yields_unordered = True
-            elif isinstance(value, ast.Call):
-                self._yield_calls.add(id(value))
+        # Order-preserving shims are unwrapped just as at iteration
+        # sites, so ``yield from list(g())`` still follows g.  Nested
+        # defs keep their yields to themselves.
+        if not self._nested_depth:
+            self._note_produced(node.lineno, strip_order_preserving(node.value))
         self.generic_visit(node)
+
+    def _note_produced(self, line: int, value: ast.expr) -> None:
+        """SIM013 bookkeeping: a function that returns or ``yield
+        from``-s a set hands hash order to every caller; one that
+        forwards another call's result may do so transitively (resolved
+        by the fixpoint in :mod:`.taint`).  ``sorted(...)`` neutralizes."""
+        if not self._func_stack or self._waived(line, "SIM013"):
+            return  # module level, or a sanctioned producer
+        if self._facts.carrier(value) is not None:
+            self._func_stack[-1].produces_unordered = True
+        elif isinstance(value, ast.Call):
+            self._forwarded_calls.add(id(value))
 
     def _visit_comp(self, node) -> None:
         for gen in node.generators:
@@ -451,7 +442,7 @@ class _ModuleScanner(NodeVisitor):
             return
         set_args = tuple(
             i for i, a in enumerate(node.args)
-            if self._facts.carrier(a, self.scope) is not None
+            if self._facts.carrier(a) is not None
         )
         param_args = tuple(
             (i, a.id)
@@ -465,8 +456,7 @@ class _ModuleScanner(NodeVisitor):
             ref=ref,
             set_args=set_args,
             param_args=param_args,
-            in_return=id(node) in self._return_calls,
-            in_yield_from=id(node) in self._yield_calls,
+            forwarded=id(node) in self._forwarded_calls,
             iterated=id(node) in self._iterated_calls,
         )
         info.calls.append(site)

@@ -32,7 +32,7 @@ __all__ = ["TreeLint", "lint_program", "lint_source", "lint_tree"]
 
 #: rules the interprocedural pass reports; only the ``taint`` pass sees them
 #: cross module boundaries
-_CROSS_MODULE = {"SIM011", "SIM013", "SIM014"}
+_CROSS_MODULE = {"SIM011", "SIM013"}
 
 
 @dataclass
@@ -59,7 +59,7 @@ def lint_program(
     file set at once, so SIM011 crosses module boundaries; without it,
     each module is its own call graph.  Stale-waiver detection only
     runs with the full rule set (a subset run would mis-flag waivers
-    for the rules it skipped); waivers naming SIM011/SIM013/SIM014 are
+    for the rules it skipped); waivers naming SIM011/SIM013 are
     likewise exempt when the cross-module pass is off.
     """
     active = set(rules) if rules is not None else set(RULES)

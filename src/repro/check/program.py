@@ -202,8 +202,8 @@ class Program:
     @cached_property
     def graph(self):
         """The module-level :class:`.callgraph.CallGraph`, built on
-        first use.  Waivers only drop taint sources and the SIM013/SIM014
-        producer flags, never call edges, so the graph the taint pass
+        first use.  Waivers only drop taint sources and the SIM013
+        producer flag, never call edges, so the graph the taint pass
         needs serves the hot-set and shared-state walks too."""
         from . import taint
 

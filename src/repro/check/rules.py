@@ -21,13 +21,12 @@ SIM011    call into a helper that *transitively* reaches one of these
 
 The remaining codes police one hazard, an unordered ``set``'s
 iteration order leaking into sim behaviour, against one fact
-(:mod:`.unordered`).  An order-fixing iteration reports the code of the
-value's carrier: SIM004 for a local name or literal, SIM012 for a
-``self`` attribute bound in another method, SIM015 for a container
-element, SIM016 for a record field (SIM013/SIM014, returns and yield
-paths, come from the taint pass).  A float reduction over any carrier
-is SIM008; a scheduling call inside a loop over a SIM004 value is
-SIM010.
+(:mod:`.unordered`).  An order-fixing iteration is SIM004, whatever
+carried the set there; the message names the carrier (``(element of
+'groups')``, ``(Row.members)``, ...).  A float reduction over any
+carrier is SIM008, and a scheduling call inside a loop over any carrier
+is SIM010.  SIM013, a set crossing a return or ``yield from`` into the
+caller's loop, comes from the taint pass.
 
 The rules are deliberately heuristic: they aim at the handful of
 patterns that actually corrupt replay determinism, and anything flagged
@@ -43,7 +42,6 @@ from typing import Iterable
 from .astwalk import NodeVisitor, child_nodes
 from .unordered import (
     ITERATING_CALLS,
-    LOCAL,
     UnorderedValues,
     qualname,
     unordered_values,
@@ -79,28 +77,12 @@ RULES: dict[str, str] = {
     "nondeterminism primitive (wall clock, unmanaged RNG, salted hash(), "
     "unordered-set iteration, blocking call); fix at the source or waive "
     "the call site — reported by the interprocedural taint pass",
-    "SIM012": "set stored in an attribute by one method and iterated in "
-    "another; the container membership carries the unordered taint across "
-    "methods, where sequential tracking loses it — iterate sorted(...) "
-    "or keep an ordered structure",
     "SIM013": "iterating the result of a call whose callee (transitively) "
-    "returns an unordered container; hash order crosses the return "
-    "boundary into the caller's loop, where local set tracking cannot "
-    "see it — return sorted(...) from the callee or sort at the call "
-    "site — reported by the interprocedural taint pass",
-    "SIM014": "iterating a generator whose yield path (transitively) "
-    "drains an unordered container; yield from forwards hash order "
-    "through every delegation hop, where the return-tracking pass "
-    "cannot see it — yield from sorted(...) in the producer or sort at "
-    "the call site — reported by the interprocedural taint pass",
-    "SIM015": "iterating a set stored as an element of a list/dict/tuple; "
-    "the outer container is ordered but its elements carry the unordered "
-    "taint, which name-based set tracking loses at the insertion — "
-    "iterate sorted(elem) or store ordered elements",
-    "SIM016": "iterating a set carried in a dataclass/namedtuple field; "
-    "the record is ordered but the field value is not, and name-based "
-    "set tracking loses the taint at construction — iterate "
-    "sorted(rec.field) or store an ordered field",
+    "returns or yields from an unordered container; hash order crosses "
+    "the return or the yield path into the caller's loop, where local set "
+    "tracking cannot see it — return/yield from sorted(...) in the "
+    "producer or sort at the call site — reported by the interprocedural "
+    "taint pass",
 }
 
 #: SIM001 targets (fully-qualified after import-alias resolution)
@@ -211,15 +193,15 @@ class _SimVisitor(NodeVisitor):
             )
         )
 
-    # -- unordered values (SIM004/008/010/012/015/016) -----------------------
+    # -- unordered values (SIM004/008/010) -----------------------------------
     def _check_iteration(self, iter_node: ast.expr) -> bool:
-        """Report an order-fixing iteration under its carrier's code;
-        True if the value is a plain (SIM004) set."""
-        carrier = self._facts.carrier(iter_node, self.scope)
+        """Report an order-fixing iteration as SIM004 with its carrier's
+        detail; True if the value is unordered."""
+        carrier = self._facts.carrier(iter_node)
         if carrier is None:
             return False
-        self._emit(carrier[0], iter_node, RULES[carrier[0]] + carrier[1])
-        return carrier == LOCAL
+        self._emit("SIM004", iter_node, RULES["SIM004"] + carrier)
+        return True
 
     def _visit_set_loop(self, node, over_set: bool) -> None:
         self._set_iter_depth += over_set
@@ -345,9 +327,9 @@ class _SimVisitor(NodeVisitor):
         if node.args and (builtin == "sum" or qual in _FLOAT_REDUCERS):
             # accumulation order over a set is the hash order; float
             # addition is non-associative, so the total drifts with it
-            carrier = self._facts.carrier(node.args[0], self.scope)
+            carrier = self._facts.carrier(node.args[0])
             if carrier is not None:
-                self._emit("SIM008", node, RULES["SIM008"] + carrier[1])
+                self._emit("SIM008", node, RULES["SIM008"] + carrier)
         if (
             self.scope == "sim"
             and isinstance(node.func, ast.Attribute)

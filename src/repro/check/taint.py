@@ -4,7 +4,7 @@ A function is *tainted* when its body — or anything it transitively
 calls — touches a nondeterminism primitive without an inline waiver:
 wall-clock reads (SIM001), RNG outside ``RandomStreams`` (SIM002),
 salted builtin ``hash()`` (SIM003), iteration of an unordered value
-(SIM004 or another carrier of :mod:`.unordered`), blocking calls
+(SIM004, through any carrier of :mod:`.unordered`), blocking calls
 (SIM007).  Taint flows *backwards* along call edges, so
 the per-function AST rules effectively fire at the call site inside sim
 code even when the primitive lives in a helper function or another
@@ -24,21 +24,13 @@ passes a known ``set`` in that position, the call site is flagged —
 the helper's ``for x in items:`` is innocent until someone hands it a
 set.
 
-The third flavor runs the same idea forwards through *returns*
-(**SIM013**): a function that returns a set expression — or forwards
-another unordered producer's result verbatim via ``return g(...)`` —
-is an unordered producer, and any sim-scope ``for``/comprehension
-iterating its call result replays in hash order.  The diagnostic lands
-at the loop's call site, where the fix (``sorted(...)``) belongs.
-
-The fourth flavor follows *yield paths* (**SIM014**): ``yield from``
-over a set — or a delegation chain that reaches one, hopping through
-``yield from g(...)`` and ``return g(...)`` alike — makes a generator
-an unordered producer too, and any sim-scope loop draining it replays
-in hash order.  The return-tracking pass cannot see this (a generator
-function's ``return`` is its StopIteration, not its items), so the
-yield path gets its own fixpoint; the diagnostic again lands at the
-consuming loop.
+The third flavor runs the same idea forwards through *returns* and
+*yield paths* (**SIM013**): a function that returns or ``yield
+from``-s an unordered value — or forwards another producer's result
+verbatim via ``return g(...)`` or ``yield from g(...)`` — is an
+unordered producer, and any sim-scope ``for``/comprehension iterating
+its call result replays in hash order.  The diagnostic lands at the
+loop's call site, where the fix (``sorted(...)``) belongs.
 """
 
 from __future__ import annotations
@@ -57,7 +49,7 @@ __all__ = ["FunctionTaint", "build_graph", "propagate", "taint_violations"]
 class FunctionTaint:
     """Why one function is tainted, with the shortest known chain."""
 
-    rule: str  #: underlying primitive rule (SIM001/002/003/007 or a carrier)
+    rule: str  #: underlying primitive rule (SIM001/002/003/004/007)
     kind: str  #: e.g. ``"wall-clock read time.time"``
     chain: tuple[str, ...]  #: qualnames from this function down to the source
 
@@ -133,49 +125,24 @@ def propagate(graph: CallGraph) -> dict[str, dict[str, FunctionTaint]]:
                         info.iterated_params.add(param)
                         changed = True
 
-    # -- unordered-return fixpoint (SIM013) --------------------------------
-    # ``return g(...)`` forwards g's container verbatim, so a function
-    # whose return expression is a call to an unordered producer is an
-    # unordered producer itself.
+    # -- unordered-producer fixpoint (SIM013) ------------------------------
+    # ``return g(...)`` and ``yield from g(...)`` forward g's container
+    # or generator in whatever order it produces, so a function that
+    # forwards a call to an unordered producer is one itself.
     changed = True
     while changed:
         changed = False
         for info in graph.functions.values():
-            if info.returns_unordered:
+            if info.produces_unordered:
                 continue
-            for call in info.calls:
-                if (
-                    call.in_return
-                    and call.target is not None
-                    and graph.functions[call.target].returns_unordered
-                ):
-                    info.returns_unordered = True
-                    changed = True
-                    break
-
-    # -- unordered yield-path fixpoint (SIM014) ----------------------------
-    # ``yield from g(...)`` drains g's container or generator in
-    # whatever order it produces, and ``return g(...)`` forwards a
-    # tainted generator verbatim — yield taint follows both edges.
-    # Runs after the return fixpoint so ``yield from`` of a finished
-    # unordered *returner* is caught too.
-    changed = True
-    while changed:
-        changed = False
-        for info in graph.functions.values():
-            if info.yields_unordered:
-                continue
-            for call in info.calls:
-                if call.target is None:
-                    continue
-                callee = graph.functions[call.target]
-                if (
-                    call.in_yield_from
-                    and (callee.returns_unordered or callee.yields_unordered)
-                ) or (call.in_return and callee.yields_unordered):
-                    info.yields_unordered = True
-                    changed = True
-                    break
+            if any(
+                call.forwarded
+                and call.target is not None
+                and graph.functions[call.target].produces_unordered
+                for call in info.calls
+            ):
+                info.produces_unordered = True
+                changed = True
     return taints
 
 
@@ -191,17 +158,10 @@ _SET_ARG_MESSAGE = (
     "sorted(...) or an ordered container"
 )
 
-_RETURN_MESSAGE = (
+_PRODUCER_MESSAGE = (
     "iterating the result of '{display}': {callee} (transitively) "
-    "returns an unordered container, so hash order crosses the return "
-    "boundary into this loop — return sorted(...) from the producer or "
-    "sort at this call site"
-)
-
-_YIELD_MESSAGE = (
-    "iterating the result of '{display}': {callee} (transitively) "
-    "yields from an unordered container, so hash order flows down the "
-    "yield path into this loop — yield from sorted(...) in the "
+    "returns or yields from an unordered container, so hash order "
+    "crosses into this loop — return/yield from sorted(...) in the "
     "producer or sort at this call site"
 )
 
@@ -209,7 +169,7 @@ _YIELD_MESSAGE = (
 def taint_violations(graph: CallGraph) -> list[Violation]:
     """SIM011 diagnostics at every sim-scope call site of a tainted
     function (plus set-argument hand-offs into param-iterating helpers),
-    and SIM013 at loops iterating an unordered producer's return."""
+    and SIM013 at loops iterating an unordered producer's result."""
     taints = propagate(graph)
     out: list[Violation] = []
     seen: set[tuple] = set()
@@ -222,15 +182,11 @@ def taint_violations(graph: CallGraph) -> list[Violation]:
             callee = graph.functions[call.target]
             #: (dedup tag, rule, message) for every finding at this call
             found: list[tuple[tuple, str, str]] = []
-            for flag, rule, template in (
-                (callee.returns_unordered, "SIM013", _RETURN_MESSAGE),
-                (callee.yields_unordered, "SIM014", _YIELD_MESSAGE),
-            ):
-                if call.iterated and flag:
-                    message = template.format(
-                        display=call.display, callee=callee.qualname
-                    )
-                    found.append(((rule,), rule, message))
+            if call.iterated and callee.produces_unordered:
+                message = _PRODUCER_MESSAGE.format(
+                    display=call.display, callee=callee.qualname
+                )
+                found.append((("SIM013",), "SIM013", message))
             for rule, t in sorted(taints.get(call.target, {}).items()):
                 message = _MESSAGE.format(
                     display=call.display,

@@ -1,26 +1,28 @@
 """The unordered-value fact behind simlint's set-ordering rules.
 
-Eight rules police one hazard: an unordered container's iteration
-order leaking into sim behaviour.  :func:`unordered_values` walks a
-module once and answers one question about any expression: does it
-hold an unordered ``set``, and through which *carrier*?
+Every set-ordering rule polices one hazard: an unordered container's
+iteration order leaking into sim behaviour.  :func:`unordered_values`
+walks a module once and answers one question about any expression: does
+it hold an unordered ``set``, and through which *carrier*?  The carrier
+is a message detail naming how the set reached the expression:
 
-========  ============================================================
-SIM004    a set literal/constructor, or a name (``x``/``obj.x``) bound
-          to one earlier in source order — by value or by annotation
-SIM012    ``self.x`` bound to a set in *another* method of the class
-SIM015    an element of a list/dict/tuple that holds set elements
-          (a loop variable drawn from it, or a subscript)
-SIM016    a dataclass/namedtuple field carrying a set (``rec.field``,
-          or a name the field was unpacked or aliased into)
-========  ============================================================
+* none: a set literal/constructor, or a name (``x``/``obj.x``) bound to
+  one earlier in source order — by value or by annotation;
+* ``(self.x is bound in reset())``: ``self.x`` bound to a set in
+  *another* method of the class;
+* ``(element of 'groups')``: an element of a list/dict/tuple that holds
+  set elements (a loop variable drawn from it, or a subscript);
+* ``(Row.members)`` or ``(unpacked 'members')``: a dataclass/namedtuple
+  field carrying a set (``rec.field``, or a name the field was unpacked
+  or aliased into).
 
-Precedence runs down the table: a site the SIM004 tracker sees stays
-SIM004.  The sinks live with their consumers.  In :mod:`.rules`, an
-order-fixing iteration reports the carrier's code, a float reduction
-SIM008, and a scheduling call inside a loop over a SIM004 value SIM010.
-In :mod:`.callgraph`, iteration, returns, ``yield from`` and set
-arguments feed the interprocedural SIM011/SIM013/SIM014.
+Precedence runs down the list: a site the name tracker sees carries
+no detail.  Every carrier counts in every scope.  The sinks live with
+their consumers.  In :mod:`.rules`, an order-fixing iteration reports
+SIM004 with the carrier's detail, a float reduction SIM008, and a
+scheduling call inside a loop over any carrier SIM010.  In
+:mod:`.callgraph`, iteration, returns, ``yield from`` and set arguments
+feed the interprocedural SIM011/SIM013.
 
 The same walk records the module's import aliases, which both
 consumers resolve call targets against.  The fact is cached per parsed
@@ -39,7 +41,6 @@ from .astwalk import NodeVisitor, walk
 
 __all__ = [
     "ITERATING_CALLS",
-    "LOCAL",
     "ORDER_PRESERVING",
     "SET_ANNOTATIONS",
     "UnorderedValues",
@@ -64,11 +65,6 @@ ORDER_PRESERVING = frozenset({"list", "tuple", "iter", "enumerate", "reversed"})
 
 #: builtins that construct a set (also as a ``default_factory``)
 _SET_CONSTRUCTORS = ("set", "frozenset")
-
-#: ``(rule code, message detail)`` naming how a value is unordered
-Carrier = tuple[str, str]
-LOCAL: Carrier = ("SIM004", "")
-
 
 def is_set_expr(node: ast.AST | None) -> bool:
     """A set display, set comprehension, or ``set()``/``frozenset()`` call."""
@@ -154,7 +150,7 @@ def _decorator_name(dec: ast.expr) -> str | None:
 
 
 class _ClassScope:
-    """SIM012 bookkeeping for one class body."""
+    """Cross-method attribute bookkeeping for one class body."""
 
     __slots__ = ("binders", "non_set", "sites")
 
@@ -170,31 +166,28 @@ class UnorderedValues(NodeVisitor):
     def __init__(self, tree: ast.AST):
         #: alias -> dotted import target (relative ones keep leading dots)
         self.imports: dict[str, str] = {}
-        self._carriers: dict[ast.AST, Carrier] = {}
-        self._set_names: set[str] = set()  # SIM004, in source order
-        self._containers: set[str] = set()  # SIM015: names holding set elements
-        self._aliases: dict[str, str] = {}  # SIM015: live loop var -> container
-        self._fields: dict[str, list[str]] = {}  # SIM016: record -> fields
-        self._set_fields: dict[str, set[str]] = {}  # SIM016: its set fields
-        self._instances: dict[str, str] = {}  # SIM016: name -> record class
-        self._unpacked: set[str] = set()  # SIM016: names a set field reached
-        #: SIM012 context: (class scope, method name, self parameter)
+        #: node -> its carrier's message detail ("" for a plain set)
+        self._carriers: dict[ast.AST, str] = {}
+        self._set_names: set[str] = set()  # bound to a set, in source order
+        self._containers: set[str] = set()  # names holding set elements
+        self._aliases: dict[str, str] = {}  # live loop var -> container
+        self._fields: dict[str, list[str]] = {}  # record class -> fields
+        self._set_fields: dict[str, set[str]] = {}  # its set fields
+        self._instances: dict[str, str] = {}  # name -> record class
+        self._unpacked: set[str] = set()  # names a set field reached
+        #: method context: (class scope, method name, self parameter)
         self._method: tuple[_ClassScope, str, str] | None = None
         self._collect(tree)
         self.visit(tree)
 
-    def carrier(self, node: ast.AST | None, scope: str = "sim") -> Carrier | None:
-        """How ``node`` holds an unordered set, or None if it does not.
-        Element and record carriers (SIM015/SIM016) only count in sim
-        scope."""
+    def carrier(self, node: ast.AST | None) -> str | None:
+        """The message detail of how ``node`` holds an unordered set
+        (``""`` for a plain one), or None if it does not."""
         if is_set_expr(node):
-            return LOCAL
-        carrier = self._carriers.get(node)
-        if carrier is None or scope == "sim" or carrier[0] in ("SIM004", "SIM012"):
-            return carrier
-        return None
+            return ""
+        return self._carriers.get(node)
 
-    # -- module-wide collection (SIM015/SIM016) -----------------------------
+    # -- module-wide collection: containers and records ---------------------
     def _collect(self, tree: ast.AST) -> None:
         """Facts a site may use before the code that establishes them:
         containers ever given a set element, and record classes with the
@@ -353,7 +346,7 @@ class UnorderedValues(NodeVisitor):
                         self._unpacked.add(elt.id)
 
     def _field_of(self, expr: ast.expr) -> str | None:
-        """SIM016 detail if ``expr`` denotes a set-valued record field."""
+        """The detail if ``expr`` denotes a set-valued record field."""
         if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
             klass = self._instances.get(expr.value.id)
             if klass is not None and expr.attr in self._set_fields[klass]:
@@ -373,7 +366,7 @@ class UnorderedValues(NodeVisitor):
             if alias.name != "*":
                 self.imports[alias.asname or alias.name] = prefix + alias.name
 
-    # -- bindings (SIM004 by name, SIM012 by class) ----------------------------
+    # -- bindings: by name, and by class across methods -------------------------
     def _is_local(self, node: ast.expr | None) -> bool:
         if is_set_expr(node):
             return True
@@ -434,10 +427,9 @@ class UnorderedValues(NodeVisitor):
         }
         for site, attr, method in scope.sites:
             binders = flaggable.get(attr)
-            if binders and binders != {method} and self._carriers.get(site) != LOCAL:
+            if binders and binders != {method} and self._carriers.get(site) != "":
                 self._carriers[site] = (
-                    "SIM012",
-                    f" (self.{attr} is bound in {', '.join(sorted(binders))}())",
+                    f" (self.{attr} is bound in {', '.join(sorted(binders))}())"
                 )
 
     # -- value sites -------------------------------------------------------------
@@ -446,23 +438,23 @@ class UnorderedValues(NodeVisitor):
             return
         name = node.id
         if name in self._set_names:
-            self._carriers[node] = LOCAL
+            self._carriers[node] = ""
         elif name in self._aliases:
-            self._carriers[node] = ("SIM015", f" (element of {self._aliases[name]!r})")
+            self._carriers[node] = f" (element of {self._aliases[name]!r})"
         elif name in self._unpacked:
-            self._carriers[node] = ("SIM016", f" (unpacked {name!r})")
+            self._carriers[node] = f" (unpacked {name!r})"
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         owner = node.value
         if isinstance(node.ctx, ast.Load) and isinstance(owner, ast.Name):
             if node.attr in self._set_names:
-                self._carriers[node] = LOCAL
+                self._carriers[node] = ""
             else:
                 if self._method is not None and owner.id == self._method[2]:
                     self._method[0].sites.append((node, node.attr, self._method[1]))
                 detail = self._field_of(node) if self._instances else None
                 if detail is not None:
-                    self._carriers[node] = ("SIM016", detail)
+                    self._carriers[node] = detail
         self.visit(owner)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
@@ -472,10 +464,10 @@ class UnorderedValues(NodeVisitor):
             and isinstance(owner, ast.Name)
             and owner.id in self._containers
         ):
-            self._carriers[node] = ("SIM015", f" (element of {owner.id!r})")
+            self._carriers[node] = f" (element of {owner.id!r})"
         self.generic_visit(node)
 
-    # -- loops: SIM015 element aliases live for the loop body -------------------
+    # -- loops: element aliases live for the loop body --------------------------
     def _element_aliases(self, target: ast.expr, it: ast.expr) -> dict[str, str]:
         """Loop-target names bound to elements of a container holding
         sets: iterated directly, via ``.values()``, or as the value half
