@@ -1,6 +1,6 @@
-"""SIM012 fixture (clean): the same cross-method shape, but every
-iteration surface over the attribute-held set is sorted, so hash order
-never leaks into program behaviour."""
+"""SIM004 cross-method fixture (clean): the same shape, but every
+iteration over the attribute-held set is sorted, so hash order never
+leaks into program behaviour."""
 
 
 class Tracker:

@@ -1,9 +1,9 @@
-"""SIM014 fixture: unordered-container taint through the yield path.
+"""SIM013 fixture: unordered-container taint through the yield path.
 
 ``live()`` drains a set with ``yield from``; ``relay()`` delegates to
 it with another ``yield from``, so ``drain()``'s loop replays in hash
 order even though no set expression appears anywhere near the loop —
-only the yield-path taint pass (SIM014) can follow the container down
+only the producer taint pass (SIM013) can follow the container down
 two delegation hops to the iteration site.
 """
 

@@ -1,6 +1,6 @@
-"""SIM014 fixture (clean): the same two-hop delegation shape, but the
-producer sorts before yielding, so the order flowing down the yield
-path is deterministic."""
+"""SIM013 yield-path fixture (clean): the same two-hop delegation
+shape, but the producer sorts before yielding, so the order flowing
+down the yield path is deterministic."""
 
 
 def live():

@@ -1,9 +1,9 @@
-"""SIM015 fixture: a set laundered through a list element.
+"""SIM004 fixture, element carrier: a set laundered through a list.
 
-``groups`` is an ordered list, so every name-based set pass (SIM004,
-and the cross-method/return/yield extensions) sees nothing wrong —
-but each *element* is a set, and the inner loop iterates it in hash
-order at a sim-scope site.
+``groups`` is an ordered list, so name-based set tracking (and the
+cross-method/return/yield extensions) sees nothing wrong — but each
+*element* is a set, so the inner loop iterates it in hash order
+(SIM004) and spawns processes in that order (SIM010).
 """
 
 groups = []

@@ -1,4 +1,4 @@
-"""SIM015 fixture (clean): the same element shape, but every iteration
+"""SIM004 element fixture (clean): the same shape, but every iteration
 over a set-valued element goes through ``sorted(...)``, so hash order
 never reaches the kernel."""
 

@@ -1,10 +1,10 @@
-"""SIM016 fixture: a set laundered through record fields.
+"""SIM004 fixture, record carrier: a set laundered through fields.
 
-``Row`` is an ordered record, so every name-based set pass (SIM004,
-and the cross-method/element extensions) sees nothing wrong — but the
+``Row`` is an ordered record, so name-based set tracking (and the
+cross-method/element extensions) sees nothing wrong — but the
 ``members`` field is a set dropped in at the construction site, and
 both the attribute access and the positional unpack iterate it in
-hash order at a sim-scope site.
+hash order (SIM004); the loop spawns in that order (SIM010).
 """
 
 from collections import namedtuple

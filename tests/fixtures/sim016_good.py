@@ -1,4 +1,4 @@
-"""SIM016 fixture (clean): the same record shape, but every iteration
+"""SIM004 record fixture (clean): the same shape, but every iteration
 over a set-valued field goes through ``sorted(...)``, so hash order
 never reaches the kernel."""
 

@@ -19,7 +19,8 @@ def codes(source, **kw):
 
 # ---------------------------------------------------------------------------
 # Per-rule fixtures: every rule must fire on its bad snippet and stay
-# silent on the corresponding good one.
+# silent on the corresponding good one.  A key is the rule code, then
+# optionally the carrier or path the snippet exercises.
 # ---------------------------------------------------------------------------
 
 BAD_FIXTURES = {
@@ -57,10 +58,10 @@ BAD_FIXTURES = {
         "def cost(env):\n"
         "    return env.now + stamp()\n"
     ),
-    "SIM012": (
+    "SIM004 cross-method": (
         "class Tracker:\n"
         "    def order(self):\n"  # iterates before the binding method:
-        "        return [x for x in self._live]\n"  # SIM004 can't see it
+        "        return [x for x in self._live]\n"  # name tracking can't see it
         "    def reset(self):\n"
         "        self._live = set()\n"
     ),
@@ -71,14 +72,14 @@ BAD_FIXTURES = {
         "    for sid in live():\n"  # hash order crosses the return
         "        out.append(sid)\n"
     ),
-    "SIM014": (
+    "SIM013 yield": (
         "def live():\n"
         "    yield from {3, 1}\n\n"  # unordered yield path
         "def drain(out):\n"
         "    for sid in live():\n"  # hash order flows down the yields
         "        out.append(sid)\n"
     ),
-    "SIM015": (
+    "SIM004 element": (
         "groups = []\n\n"
         "def enroll(a, b):\n"
         "    groups.append({a, b})\n\n"  # set laundered into a list slot
@@ -87,7 +88,7 @@ BAD_FIXTURES = {
         "        for x in g:\n"  # element iterated in hash order
         "            out.append(x)\n"
     ),
-    "SIM016": (
+    "SIM004 record": (
         "from collections import namedtuple\n\n"
         "Row = namedtuple('Row', 'key members')\n\n"
         "def flush(out, a, b):\n"
@@ -153,7 +154,7 @@ GOOD_FIXTURES = {
         "def cost(env):\n"
         "    return clock(env) + 1.0\n"
     ),
-    "SIM012": (
+    "SIM004 cross-method": (
         "class Tracker:\n"
         "    def order(self):\n"
         "        return sorted(self._live)\n"
@@ -167,14 +168,14 @@ GOOD_FIXTURES = {
         "    for sid in live():\n"
         "        out.append(sid)\n"
     ),
-    "SIM014": (
+    "SIM013 yield": (
         "def live():\n"
         "    yield from sorted({3, 1})\n\n"
         "def drain(out):\n"
         "    for sid in live():\n"
         "        out.append(sid)\n"
     ),
-    "SIM015": (
+    "SIM004 element": (
         "groups = []\n\n"
         "def enroll(a, b):\n"
         "    groups.append({a, b})\n\n"
@@ -183,7 +184,7 @@ GOOD_FIXTURES = {
         "        for x in sorted(g):\n"
         "            out.append(x)\n"
     ),
-    "SIM016": (
+    "SIM004 record": (
         "from collections import namedtuple\n\n"
         "Row = namedtuple('Row', 'key members')\n\n"
         "def flush(out, a, b):\n"
@@ -195,13 +196,17 @@ GOOD_FIXTURES = {
 
 
 class TestRuleFixtures:
-    @pytest.mark.parametrize("rule", sorted(RULES))
-    def test_bad_fixture_fires(self, rule):
-        assert rule in codes(BAD_FIXTURES[rule], scope="sim")
+    @pytest.mark.parametrize("case", sorted(BAD_FIXTURES))
+    def test_bad_fixture_fires(self, case):
+        assert case.split()[0] in codes(BAD_FIXTURES[case], scope="sim")
 
-    @pytest.mark.parametrize("rule", sorted(RULES))
-    def test_good_fixture_clean(self, rule):
-        assert codes(GOOD_FIXTURES[rule], scope="sim") == []
+    @pytest.mark.parametrize("case", sorted(GOOD_FIXTURES))
+    def test_good_fixture_clean(self, case):
+        assert codes(GOOD_FIXTURES[case], scope="sim") == []
+
+    def test_every_rule_has_both_fixtures(self):
+        for fixtures in (BAD_FIXTURES, GOOD_FIXTURES):
+            assert {case.split()[0] for case in fixtures} == set(RULES)
 
     def test_violation_renders_location(self):
         (v,) = lint_source(BAD_FIXTURES["SIM003"], path="pkg/mod.py")
@@ -542,7 +547,7 @@ class TestCrossModuleTaint:
     def test_sim012_fixture_files(self):
         bad = lint_tree([os.path.join(FIXTURES, "sim012_bad.py")])
         rules = [v.rule for v in bad.violations]
-        assert rules == ["SIM012"]
+        assert rules == ["SIM004"]
         assert "self._live" in bad.violations[0].message
         assert "reset" in bad.violations[0].message
         good = lint_tree([os.path.join(FIXTURES, "sim012_good.py")])
@@ -591,7 +596,7 @@ class TestCrossModuleTaint:
     def test_sim014_fixture_files(self):
         bad = lint_tree([os.path.join(FIXTURES, "sim014_bad.py")])
         rules = [v.rule for v in bad.violations]
-        assert rules == ["SIM014"]
+        assert rules == ["SIM013"]
         v = bad.violations[0]
         # flagged at drain()'s loop, naming the delegating producer
         assert "relay" in v.message and "yield" in v.message
@@ -601,7 +606,7 @@ class TestCrossModuleTaint:
     def test_sim014_waived_at_producer_is_sanctioned(self):
         src = (
             "def live():\n"
-            "    yield from {3, 1}  # simlint: waive SIM014 -- order rechecked downstream\n\n"
+            "    yield from {3, 1}  # simlint: waive SIM013 -- order rechecked downstream\n\n"
             "def drain(out):\n"
             "    for sid in live():\n"
             "        out.append(sid)\n"
@@ -617,7 +622,7 @@ class TestCrossModuleTaint:
             "    for sid in list(live()):\n"
             "        out.append(sid)\n"
         )
-        assert "SIM014" in codes(src, scope="sim")
+        assert "SIM013" in codes(src, scope="sim")
         src = (
             "def live():\n"
             "    yield from list({3, 1})\n\n"
@@ -625,7 +630,7 @@ class TestCrossModuleTaint:
             "    for sid in live():\n"
             "        out.append(sid)\n"
         )
-        assert "SIM014" in codes(src, scope="sim")
+        assert "SIM013" in codes(src, scope="sim")
 
     def test_sim014_sorted_neutralizes_either_end(self):
         src = (
@@ -656,7 +661,7 @@ class TestCrossModuleTaint:
             "    for sid in pick():\n"
             "        out.append(sid)\n"
         )
-        assert "SIM014" in codes(src, scope="sim")
+        assert "SIM013" in codes(src, scope="sim")
 
     def test_sim014_yield_from_an_unordered_returner(self):
         # delegation to a plain function that *returns* a set
@@ -669,7 +674,7 @@ class TestCrossModuleTaint:
             "    for sid in relay():\n"
             "        out.append(sid)\n"
         )
-        assert "SIM014" in codes(src, scope="sim")
+        assert "SIM013" in codes(src, scope="sim")
 
     def test_sim014_nested_def_keeps_yields_to_itself(self):
         src = (
@@ -686,8 +691,8 @@ class TestCrossModuleTaint:
     def test_sim015_fixture_files(self):
         bad = lint_tree([os.path.join(FIXTURES, "sim015_bad.py")])
         rules = [v.rule for v in bad.violations]
-        assert rules == ["SIM015"]
-        assert bad.violations[0].line == 18
+        assert rules == ["SIM004", "SIM010"]
+        assert [v.line for v in bad.violations] == [18, 19]
         assert "groups" in bad.violations[0].message
         good = lint_tree([os.path.join(FIXTURES, "sim015_good.py")])
         assert good.violations == []
@@ -708,7 +713,7 @@ class TestCrossModuleTaint:
             "    env.process(max(table[0]))\n"
         )
         lines = sorted(v.line for v in lint_source(src, scope="sim"))
-        assert lines == [7, 10, 11]
+        assert lines == [7, 8, 10, 11]
 
     def test_sim015_sorted_element_is_exempt(self):
         src = (
@@ -724,15 +729,15 @@ class TestCrossModuleTaint:
             "groups = [{1, 2}]\n"
             "def drain(env):\n"
             "    for g in groups:\n"
-            "        for w in g:  # simlint: waive SIM015 -- singleton sets\n"
+            "        for w in g:  # simlint: waive SIM004 -- singleton sets\n"
             "            env.process(w)\n"
         )
-        assert codes(src, scope="sim") == []
+        assert codes(src, scope="sim") == ["SIM010"]
 
     def test_sim016_fixture_files(self):
         bad = lint_tree([os.path.join(FIXTURES, "sim016_bad.py")])
         rules = [v.rule for v in bad.violations]
-        assert rules == ["SIM016", "SIM016"]
+        assert rules == ["SIM004", "SIM010", "SIM004"]
         assert "Row.members" in bad.violations[0].message
         good = lint_tree([os.path.join(FIXTURES, "sim016_good.py")])
         assert good.violations == []
@@ -750,7 +755,7 @@ class TestCrossModuleTaint:
             "def drain(env, u: Unit):\n"
             "    env.process(list(u.extra))\n"
         )
-        assert "SIM016" in codes(src, scope="sim")
+        assert "SIM004" in codes(src, scope="sim")
 
     def test_sim016_positional_unpack_carries_taint(self):
         src = (
@@ -762,7 +767,7 @@ class TestCrossModuleTaint:
             "    for w in members:\n"
             "        env.process(w)\n"
         )
-        assert "SIM016" in codes(src, scope="sim")
+        assert "SIM004" in codes(src, scope="sim")
 
     def test_sim016_sorted_field_is_exempt(self):
         src = (
@@ -791,10 +796,10 @@ class TestCrossModuleTaint:
             "Row = namedtuple('Row', 'key members')\n\n"
             "def drain(env, a, b):\n"
             "    row = Row('k', {a, b})\n"
-            "    for w in row.members:  # simlint: waive SIM016 -- singleton\n"
+            "    for w in row.members:  # simlint: waive SIM004 -- singleton\n"
             "        env.process(w)\n"
         )
-        assert codes(src, scope="sim") == []
+        assert codes(src, scope="sim") == ["SIM010"]
 
 
 class TestScope:
