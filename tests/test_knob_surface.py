@@ -100,7 +100,7 @@ ALLOWED: dict[str, str] = {
         "mirrors TrainingConfig.batch_size; the compute-cost identity test varies both"
     ),
     "simcore.resources.PriorityResource.__init__:capacity": (
-        "waits on ROADMAP 5(b), which deletes the class"
+        "waits on ROADMAP 7(b), which deletes the class"
     ),
     "simcore.trace.EventTrace.__init__:keep_all": _OBSERVER,
     "tenancy.fleet.TenantFleet.make_admission:degrade_ok": (
