@@ -30,7 +30,8 @@ Case-file schema (version 1)::
       "shrunk": {
         "scenario": { ... }, "digest": "...",
         "violations": [...], "checks": 37,
-        "removed": {"faults": 4, "clients": 2, "files": 20, "epochs": 1},
+        "removed": {"faults": 4, "tenants": 1, "clients": 2, "files": 20,
+                    "epochs": 1},
         "divergence": null | "<first divergent event>"
       }
     }
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 from ..simcore import EventTrace, RandomStreams
 from .autopilot import Autopilot
-from .executor import execute
+from .executor import Observation, execute
 from .invariants import (
     InvariantConfig,
     InvariantReport,
@@ -161,6 +162,7 @@ def _case_dict(
             "checks": shrunk.checks,
             "removed": {
                 "faults": shrunk.removed_faults,
+                "tenants": shrunk.removed_tenants,
                 "clients": shrunk.removed_clients,
                 "files": shrunk.removed_files,
                 "epochs": shrunk.removed_epochs,
@@ -179,6 +181,27 @@ def write_case(case: dict, corpus_dir: str) -> str:
         json.dump(case, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def run_checked(
+    scenario: Scenario,
+    config: InvariantConfig,
+    double: bool,
+    sanitizer=None,
+) -> tuple[Observation, InvariantReport]:
+    """Execute ``scenario`` and check it.  A double run executes it
+    again, both runs traced, and the checker compares the two
+    fingerprints; a single run is untraced.  ``sanitizer`` watches the
+    first execution only.  The campaign, the shrinker's probes and
+    :func:`replay_case` all run scenarios through here."""
+    obs = execute(
+        scenario, config, trace=EventTrace() if double else None,
+        sanitizer=sanitizer,
+    )
+    second = None
+    if double:
+        second = execute(scenario, config, trace=EventTrace()).fingerprint
+    return obs, check_observation(obs, config, second_fingerprint=second)
 
 
 def run_campaign(
@@ -216,14 +239,7 @@ def run_campaign(
             config.determinism_every > 0
             and index % config.determinism_every == 0
         )
-        obs = execute(
-            scenario, config, trace=EventTrace() if double else None,
-            sanitizer=sanitizer,
-        )
-        second = None
-        if double:
-            second = execute(scenario, config, trace=EventTrace()).fingerprint
-        report = check_observation(obs, config, second_fingerprint=second)
+        obs, report = run_checked(scenario, config, double, sanitizer)
         autopilot.observe(scenario, report, origin=origin)
         record = RunRecord(
             index=index,
@@ -283,9 +299,7 @@ def replay_case(
     scenario = Scenario.from_dict(source)
     expected = tuple(dict.fromkeys(row["invariant"] for row in expected_rows))
 
-    obs = execute(scenario, config, trace=EventTrace())
-    second = execute(scenario, config, trace=EventTrace()).fingerprint
-    report = check_observation(obs, config, second_fingerprint=second)
+    _obs, report = run_checked(scenario, config, double=True)
     return report, expected, scenario
 
 

@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from ..simcore import EventTrace
 from .executor import execute
-from .invariants import InvariantConfig, InvariantReport, check_observation
+from .invariants import InvariantConfig, InvariantReport
 from .scenario import (
     Scenario,
     drop_client,
@@ -72,26 +71,23 @@ class ShrinkResult:
     def summary(self) -> str:
         return (
             f"shrunk {len(self.original.faults)}->{len(self.shrunk.faults)} "
-            f"faults, {len(self.original.workload.clients)}->"
+            f"faults, {self.original.tenants}->{self.shrunk.tenants} tenants, "
+            f"{len(self.original.workload.clients)}->"
             f"{len(self.shrunk.workload.clients)} clients, "
             f"{self.original.n_files}->{self.shrunk.n_files} files "
             f"in {self.checks} checks"
         )
 
 
-def _check(scenario: Scenario, config: InvariantConfig) -> InvariantReport:
-    """One executor + checker round with the traced double run, so
-    determinism failures keep reproducing while shrinking."""
-    obs = execute(scenario, config, trace=EventTrace())
-    second = execute(scenario, config, trace=EventTrace())
-    return check_observation(
-        obs, config, second_fingerprint=second.fingerprint
-    )
+def _check(
+    scenario: Scenario, config: InvariantConfig, double: bool = True
+) -> InvariantReport:
+    """One executor + checker round: by default the traced double run,
+    so determinism failures keep reproducing while shrinking; one
+    untraced run (determinism skipped) when not ``double``."""
+    from .campaign import run_checked  # campaign imports this module
 
-
-def _check_once(scenario: Scenario, config: InvariantConfig) -> InvariantReport:
-    """One untraced executor + checker round (determinism skipped)."""
-    return check_observation(execute(scenario, config), config)
+    return run_checked(scenario, config, double)[1]
 
 
 def shrink(
@@ -113,7 +109,7 @@ def shrink(
         check = partial(_check, config=config)
         probe = (
             check if "determinism" in target
-            else partial(_check_once, config=config)
+            else partial(_check, config=config, double=False)
         )
 
     target = tuple(sorted(target))

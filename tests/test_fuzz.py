@@ -23,6 +23,7 @@ from repro.fuzz import (
     scenario_digest,
     shrink,
 )
+from repro.fuzz.campaign import _case_dict
 from repro.fuzz.scenario import drop_client, drop_fault, drop_tenant
 from repro.simcore import EventTrace, RandomStreams
 
@@ -289,6 +290,20 @@ class TestMultiTenant:
         )
         assert result.removed_tenants == 1
         assert result.shrunk.tenants == 1
+
+    def test_case_file_and_summary_count_removed_tenants(self):
+        scenario = multi_scenario()
+        result = shrink(
+            scenario,
+            ("hung_read",),
+            check=lambda s: _report({}, violated=("hung_read",)),
+        )
+        case = _case_dict(
+            0, 0, "fresh", scenario, InvariantConfig(), result.report,
+            "fingerprint", result,
+        )
+        assert case["shrunk"]["removed"]["tenants"] == 1
+        assert "2->1 tenants" in result.summary()
 
 
 def _report(margins, violated=()):
