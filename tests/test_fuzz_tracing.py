@@ -43,10 +43,10 @@ FORCED = InvariantConfig(deadline_factor=0.5, deadline_slack=0.0)
 #: sha256 of the case file the forced campaign writes.  It holds the
 #: failing run's event-stream fingerprint, so it moves with the
 #: ``fuzz_single`` pin (docs/INTERNALS.md §1, "Re-pinning the event
-#: stream") and with nothing else.
+#: stream") and with the case file's fields, and with nothing else.
 FORCED_CASE = (
     "case_625867010c23b26b.json",
-    "4cf8bbd1e5adbd6c836fb53f12fbd38ec39c25f89320aef4e3df3a1556b1c0b3",
+    "1311e4d7d5601a13ba47f3452a8b06b1e094803aecc3761d2ece597aa9f1aef0",
 )
 
 
