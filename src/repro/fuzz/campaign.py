@@ -190,10 +190,8 @@ def run_checked(
     sanitizer=None,
 ) -> tuple[Observation, InvariantReport]:
     """Execute ``scenario`` and check it.  A double run executes it
-    again, both runs traced, and the checker compares the two
-    fingerprints; a single run is untraced.  ``sanitizer`` watches the
-    first execution only.  The campaign, the shrinker's probes and
-    :func:`replay_case` all run scenarios through here."""
+    twice, traced, and the checker compares the fingerprints; a single
+    run is untraced.  ``sanitizer`` watches the first execution only."""
     obs = execute(
         scenario, config, trace=EventTrace() if double else None,
         sanitizer=sanitizer,
