@@ -6,6 +6,8 @@ cosmoUniverse, and DeepCAM on the climate dataset.  The DES runs a
 reduced sweep; the analytic model prints the paper's full 1→1,024 range.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.dl import (
@@ -17,7 +19,9 @@ from repro.dl import (
     RESNET50,
     TRESNET_M,
 )
-from conftest import node_sweep
+from conftest import BENCH_SCALE, node_sweep
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 PANELS = [
     ("a", RESNET50, IMAGENET21K),
@@ -25,6 +29,38 @@ PANELS = [
     ("c", COSMOFLOW, COSMOUNIVERSE),
     ("d", DEEPCAM, DEEPCAM_CLIMATE),
 ]
+
+
+def documented_table(heading: str) -> tuple[list[str], list[list[str]]]:
+    """Header and body cells of the first table under the EXPERIMENTS.md
+    section whose heading starts with ``heading``."""
+    lines = EXPERIMENTS.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    rows: list[list[str]] = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows or line.startswith("## "):
+            break
+    return rows[0], rows[2:]
+
+
+def printed_mismatches(des, heading: str) -> list[str]:
+    """Cells of the documented table that ``des`` does not round to, at
+    the precision each cell is printed with (``66.7`` is one decimal)."""
+    header, body = documented_table(heading)
+    assert [int(row[0]) for row in body] == des.node_counts
+    labels = list(des.total_minutes)
+    assert [name.replace("×", "x") for name in header[1:]] == [
+        label.removesuffix("-on-NVMe") for label in labels
+    ]
+    out = []
+    for i, row in enumerate(body):
+        for label, cell in zip(labels, row[1:]):
+            value = des.total_minutes[label][i]
+            if round(value, len(cell.partition(".")[2])) != float(cell):
+                out.append(f"{label} @ {row[0]} nodes: documented {cell}, got {value:.4g}")
+    return out
 
 
 @pytest.mark.parametrize("panel,model,dataset", PANELS, ids=[p[0] for p in PANELS])
@@ -71,3 +107,8 @@ def test_fig08_panel(benchmark, capsys, panel, model, dataset, resnet50_sweep):
     g = analytic.total_minutes["GPFS"][-1]
     h = analytic.total_minutes["HVAC(4x1)"][-1]
     assert h < g
+
+    # EXPERIMENTS.md quotes panel (a)'s DES table at the default scale.
+    if panel == "a" and BENCH_SCALE == "small":
+        mismatches = printed_mismatches(des, "## Fig 8 ")
+        assert not mismatches, mismatches

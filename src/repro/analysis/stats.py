@@ -39,7 +39,6 @@ class MeanCI:
 
     mean: float
     half_width: float
-    n: int
 
     @property
     def low(self) -> float:
@@ -59,12 +58,11 @@ def mean_ci(samples: Sequence[float]) -> MeanCI:
     if arr.size == 0:
         raise ValueError("no samples")
     if arr.size == 1:
-        return MeanCI(mean=float(arr[0]), half_width=0.0, n=1)
+        return MeanCI(mean=float(arr[0]), half_width=0.0)
     sem = float(arr.std(ddof=1)) / np.sqrt(arr.size)
     return MeanCI(
         mean=float(arr.mean()),
         half_width=_t975(arr.size - 1) * sem,
-        n=int(arr.size),
     )
 
 

@@ -26,8 +26,6 @@ class DeviceFull(Exception):
 
     def __init__(self, requested: int, free: int):
         super().__init__(f"requested {requested} bytes, {free} free")
-        self.requested = requested
-        self.free = free
 
 
 class NVMeDevice:

@@ -2,7 +2,7 @@
 
 from .cache import CacheManager, EvictionPolicy, make_policy
 from .client import HVACClient
-from .deployment import HVACDeployment, client_key_order
+from .deployment import HVACDeployment, client_key_order, client_label
 from .prefetch import CachePrefetcher
 from .hashing import (
     ConsistentHashPlacement,
@@ -23,6 +23,7 @@ __all__ = [
     "HVACClient",
     "HVACDeployment",
     "client_key_order",
+    "client_label",
     "HVACServer",
     "LocalityPlacement",
     "make_placement",

@@ -206,7 +206,7 @@ class HVACClient(FileBackend):
         """
         yield self.spec.hvac.client_request_overhead
         self._incr("client_opens")
-        return OpenFile(path=path, size=size, backend=self, client_node=client_node)
+        return OpenFile(path=path, size=size, client_node=client_node)
 
     def read(self, handle: OpenFile, nbytes: int) -> Generator:
         """Intercepted ``read``: forward to the homing server + bulk pull.

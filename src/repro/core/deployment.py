@@ -25,7 +25,7 @@ from .hashing import (
 )
 from .server import HVACServer
 
-__all__ = ["HVACDeployment", "client_key_order"]
+__all__ = ["HVACDeployment", "client_key_order", "client_label"]
 
 
 def client_key_order(key) -> tuple:
@@ -37,6 +37,11 @@ def client_key_order(key) -> tuple:
     ``(node, -1)``, before every tenant client of the same node.
     """
     return (key, -1) if isinstance(key, int) else tuple(key)
+
+
+def client_label(key):
+    """Bare node id for a classic client, ``t<j>.n<node>`` for a tenant one."""
+    return key if isinstance(key, int) else f"t{key[1]}.n{key[0]}"
 
 
 class HVACDeployment:
@@ -94,14 +99,13 @@ class HVACDeployment:
             / hvac.instances_per_node
         )
         for node in allocation:
-            for inst in range(hvac.instances_per_node):
+            for _ in range(hvac.instances_per_node):
                 server_id = len(self.servers)
                 self.servers.append(
                     HVACServer(
                         self.env,
                         server_id=server_id,
                         node_id=node.node_id,
-                        instance_index=inst,
                         device=node.nvme,
                         pfs=pfs,
                         fabric=allocation.fabric,
@@ -225,6 +229,17 @@ class HVACDeployment:
             replication_factor=min(hvac.replication_factor, n_servers),
         )
         return cls(allocation, pfs, seed=seed, placement=placement)
+
+    def detector_transitions(self) -> list[tuple]:
+        """Every client's detector transitions merged into one log of
+        ``(t, client_label(key), kind, server_id)`` rows, ordered by
+        time, then client (:func:`client_key_order`), kind and server."""
+        rows = sorted(
+            (t, client_key_order(key), kind, sid, client_label(key))
+            for key, cli in self._clients.items()
+            for t, kind, sid in cli.detector.transitions
+        )
+        return [(t, label, kind, sid) for t, _, kind, sid, label in rows]
 
     # -- lifecycle ----------------------------------------------------------
     def teardown(self) -> None:

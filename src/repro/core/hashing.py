@@ -83,7 +83,6 @@ class ConsistentHashPlacement(Placement):
         super().__init__(n_servers, replication_factor)
         if vnodes < 1:
             raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for server in range(n_servers):
             for v in range(vnodes):

@@ -78,7 +78,6 @@ class HVACServer:
         env: Environment,
         server_id: int,
         node_id: int,
-        instance_index: int,
         device: NVMeDevice,
         pfs: FileBackend,
         fabric: Fabric,
@@ -89,7 +88,6 @@ class HVACServer:
         self.env = env
         self.server_id = server_id
         self.node_id = node_id
-        self.instance_index = instance_index
         self.pfs = pfs
         self.spec = spec
         self.metrics = env.metrics
@@ -131,7 +129,6 @@ class HVACServer:
         self.queue: Store = Store(env)
         # In-flight fetch dedup: path -> completion event ("mutex" in the paper).
         self._inflight: dict[str, Event] = {}
-        self._failed = False
         # -- membership (optional, see enable_membership) -----------------
         #: bumped on every recover/repair-complete; a higher incarnation
         #: beats any stale accusation in the gossip lattice
@@ -148,16 +145,15 @@ class HVACServer:
         self.endpoint.register("read", self._handle_read)
         self.endpoint.register("close", self._handle_close)
         self.endpoint.register("ping", self._handle_ping)
-        self._drainer = env.process(self._drain(), name=f"hvac{server_id}.mover")
+        env.process(self._drain(), name=f"hvac{server_id}.mover")
 
     # -- lifecycle --------------------------------------------------------
     @property
     def alive(self) -> bool:
-        return not self._failed
+        return self.endpoint.alive
 
     def fail(self) -> None:
         """Simulate node-local NVMe / server-process failure (§III-H)."""
-        self._failed = True
         self.endpoint.shutdown()
         self._flush_inflight()
 
@@ -189,7 +185,6 @@ class HVACServer:
         for path in self._inflight:
             self.env.note_access(self._inflight_cell(path), "w", tag=("wipe", path))
         self._inflight.clear()
-        self._failed = False
         self.endpoint.restart()
         if self.board is not None:
             self.incarnation += 1
@@ -288,8 +283,7 @@ class HVACServer:
     def teardown(self) -> None:
         """Job-end lifecycle: purge the cached dataset from node-local storage."""
         self.cache.purge()
-        self.endpoint.shutdown()
-        self._failed = True  # a torn-down server serves nothing
+        self.endpoint.shutdown()  # a torn-down server serves nothing
         self._flush_inflight()
 
     # -- telemetry helpers -------------------------------------------------

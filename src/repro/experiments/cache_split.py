@@ -76,7 +76,7 @@ def cache_split(
     )
     n_ranks = n_nodes * scale.procs_per_node
     sample = min(dataset_spec.n_train_files, n_ranks * scale.files_per_rank)
-    per_sample_compute = 1.0 / model.samples_per_sec_per_gpu
+    per_sample_compute = model.sample_seconds(batch_size)
 
     for fraction in local_fractions:
         env = Environment()

@@ -187,9 +187,6 @@ class MembershipResult(ModeComparison):
             for t, owner, sid, old, new, inc, why in oc.transitions
         ]
 
-    #: every mode's membership transitions, in (time, owner, server) order
-    transition_log = ModeComparison.mode_log
-
 
 def _collect_transitions(dep) -> list[tuple]:
     """Merge every view's transition log, deterministically ordered."""
@@ -219,8 +216,8 @@ def _detection_latencies(dep, victims, t_crash: float) -> list[float]:
                     first = t
                     break
         else:
-            for t, sid in cli.detector.suspicion_log:
-                if t >= t_crash and sid in victims:
+            for t, kind, sid in cli.detector.transitions:
+                if kind == "suspect" and t >= t_crash and sid in victims:
                     first = t
                     break
         if first is not None:

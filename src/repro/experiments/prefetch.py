@@ -165,9 +165,6 @@ class PrefetchResult(ModeComparison):
             for w in oc.slo.totals.windows
         ]
 
-    #: every mode's total SLO windows
-    window_log = ModeComparison.mode_log
-
 
 def _dataset(n_files: int, file_size: int, seed: int) -> SyntheticDataset:
     """A uniform-size synthetic dataset under the TESTING PFS prefix."""

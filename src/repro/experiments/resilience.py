@@ -130,8 +130,8 @@ def resilience_sweep(
         run_epoch(env, dep, n_nodes, files)  # cold
         result.warm.append(run_epoch(env, dep, n_nodes, files))
 
-        n_failed = min(n_nodes - 1, math.ceil(frac * n_nodes)) if frac else 0
-        victims = list(range(n_failed))
+        n_crashed = min(n_nodes - 1, math.ceil(frac * n_nodes)) if frac else 0
+        victims = list(range(n_crashed))
         dep.inject(FaultSchedule([crash(0.0, node) for node in victims]))
         fb0 = dep.metrics.counter("hvac.client_pfs_fallback").value
         result.degraded.append(run_epoch(env, dep, n_nodes, files))
@@ -231,7 +231,11 @@ def fault_matrix(
             dep.metrics.counter("hvac.client_pfs_fallback").value - fb0
         )
         result.suspicions.append(
-            sum(dep.client(n).detector.n_suspicions for n in range(n_nodes))
+            sum(
+                kind == "suspect"
+                for n in range(n_nodes)
+                for _, kind, _ in dep.client(n).detector.transitions
+            )
         )
         dep.teardown()
     return result

@@ -153,11 +153,7 @@ def slo_scenario(
             dep.inject(schedule)
         run_epoch(env, dep, n_nodes, files)
         t1 = env.now
-        transitions = sorted(
-            (t, node, kind, sid)
-            for node, cli in dep._clients.items()
-            for t, kind, sid in cli.detector.transitions
-        )
+        transitions = dep.detector_transitions()
         dep.teardown()
         return rec, t0, t1, transitions
 

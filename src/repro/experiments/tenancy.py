@@ -17,7 +17,7 @@ cache — is replayed under the three cache-tenancy policies:
 
 Reported per policy: the victim's p99 and degraded-read fraction during
 the storm (from the per-tenant SLO rollup), the aggressor's p99, cache
-occupancy per tenant, and quota refusals.  The dominance claim mirrors
+occupancy per tenant, and PFS fallbacks.  The dominance claim mirrors
 ``repro membership``: **weighted-fair strictly beats shared-global-LRU
 for the victim (p99 and degraded fraction) at bounded aggressor cost.**
 
@@ -101,15 +101,12 @@ class ModeOutcome:
 
     mode: str
     storm_seconds: float = 0.0
-    victim_reads: int = 0
     victim_p50: float = math.nan
     victim_p99: float = math.nan
     victim_degraded_fraction: float = 0.0
     aggressor_p99: float = math.nan
-    aggressor_degraded_fraction: float = 0.0
     #: fleet-wide resident bytes per tenant at storm end
     occupancy: dict[int, int] = field(default_factory=dict)
-    refusals: int = 0
     pfs_fallbacks: int = 0
     slo: SLOReport | None = None
 
@@ -199,9 +196,6 @@ class TenancyResult(ModeComparison):
             for tid in sorted(oc.slo.tenants)
             for w in oc.slo.tenants[tid].windows
         ]
-
-    #: every policy's per-tenant SLO windows
-    window_log = ModeComparison.mode_log
 
 
 def _sweep_readers(env, fleet, spec, n_nodes: int, passes: int, streams: int = 1):
@@ -307,9 +301,6 @@ def _run_mode(
 
     oc.storm_seconds = t_end - t0
     oc.occupancy = fleet.occupancy()
-    oc.refusals = sum(
-        fleet.ledger.refusals(tid) for tid in fleet.tenants
-    )
     oc.pfs_fallbacks = m.counter("hvac.client_pfs_fallback").value - fallbacks0
     window = max((t_end - t0) / windows, 1e-9)
     oc.slo = compute_slo(rec.fold(), window, origin=t0, horizon=t_end)
@@ -319,14 +310,12 @@ def _run_mode(
     rec.events.clear()
     vic = oc.slo.tenants.get(victim.tenant_id)
     if vic is not None:
-        oc.victim_reads = vic.n_reads
         oc.victim_p50 = vic.p50
         oc.victim_p99 = vic.p99
         oc.victim_degraded_fraction = vic.degraded_fraction
     agg = oc.slo.tenants.get(aggressor.tenant_id)
     if agg is not None:
         oc.aggressor_p99 = agg.p99
-        oc.aggressor_degraded_fraction = agg.degraded_fraction
     dep.teardown()
     return oc
 

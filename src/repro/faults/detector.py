@@ -59,18 +59,14 @@ class FailureDetector:
         self._strikes: dict[int, int] = {}
         #: blacklisted while now < until; kept past expiry until pardon
         self._until: dict[int, float] = {}
-        #: lifetime counters, for introspection
-        self.n_suspicions = 0
-        self.n_reprobes = 0
-        #: ``(time, server_id)`` of every suspicion onset — detection
-        #: latency comes from here in detector-only experiments
-        self.suspicion_log: list[tuple[float, int]] = []
-        #: ``(time, kind, server_id)`` for every detector state change:
-        #: ``suspect`` (onset), ``probation_expired`` (server usable
-        #: again; logged on the first ``usable()`` query past the term),
-        #: ``reprobe_ok`` / ``reprobe_fail`` (half-open probe outcomes).
-        #: These land on the SLO window grid next to the membership
-        #: transitions, and the fuzzer's SLO invariant reads them.
+        #: ``(time, kind, server_id)`` for every detector state change,
+        #: the detector's one record: ``suspect`` (onset; detection
+        #: latency and suspicion counts are its rows),
+        #: ``probation_expired`` (server usable again; logged on the
+        #: first ``usable()`` query past the term), ``reprobe_ok`` /
+        #: ``reprobe_fail`` (half-open probe outcomes).  These land on
+        #: the SLO window grid next to the membership transitions, and
+        #: the fuzzer's SLO invariant reads them.
         self.transitions: list[tuple[float, str, int]] = []
         #: servers whose current probation expiry is not logged yet
         self._expiry_due: dict[int, None] = {}
@@ -85,7 +81,6 @@ class FailureDetector:
         if server_id not in self._strikes:
             return
         if self._until.get(server_id, 0.0) > 0.0:
-            self.n_reprobes += 1
             self._note_expiry(server_id)
             self.transitions.append((self.env.now, "reprobe_ok", server_id))
         del self._strikes[server_id]
@@ -99,8 +94,6 @@ class FailureDetector:
         if over < 0:
             return
         if over == 0:
-            self.n_suspicions += 1
-            self.suspicion_log.append((self.env.now, server_id))
             self.transitions.append((self.env.now, "suspect", server_id))
         elif self.env.now >= self._until[server_id]:
             # a strike past the bar normally lands only after probation
@@ -155,7 +148,4 @@ class FailureDetector:
         return max(self._until.values(), default=0.0)
 
     def __repr__(self) -> str:
-        return (
-            f"<FailureDetector suspects={self.suspects()} "
-            f"suspicions={self.n_suspicions}>"
-        )
+        return f"<FailureDetector suspects={self.suspects()}>"

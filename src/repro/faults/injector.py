@@ -31,8 +31,6 @@ class Injector:
         self.schedule = schedule
         self.env: Environment = deployment.env
         self.fabric = deployment.allocation.fabric
-        #: chronological (sim time, description) log of applied actions
-        self.log: list[tuple[float, str]] = []
         self._proc: Process | None = None
 
     # -- lifecycle --------------------------------------------------------
@@ -46,10 +44,6 @@ class Injector:
     @property
     def done(self) -> bool:
         return self._proc is not None and not self._proc.is_alive
-
-    def _note(self, what: str) -> None:
-        # race: waive RACE201 -- append-only diagnostic log; kernel orders same-timestamp events
-        self.log.append((self.env.now, what))
 
     # -- replay -----------------------------------------------------------
     def _run(self) -> Generator:
@@ -68,49 +62,36 @@ class Injector:
         kind = event.kind
         if kind == "crash":
             dep.fail_node(event.node)
-            self._note(f"crash node {event.node}")
             if event.duration is not None:
-                self._heal_later(event, lambda: dep.recover_node(event.node),
-                                 f"recover node {event.node}")
+                self._heal_later(event, lambda: dep.recover_node(event.node))
         elif kind == "hang":
             dep.hang_node(event.node)
-            self._note(f"hang node {event.node}")
             if event.duration is not None:
-                self._heal_later(event, lambda: dep.unhang_node(event.node),
-                                 f"unhang node {event.node}")
+                self._heal_later(event, lambda: dep.unhang_node(event.node))
         elif kind == "flap":
             self.env.process(self._flap(event), name="fault.flap")
         elif kind == "degrade":
             dep.degrade_node(event.node, event.factor)
-            self._note(f"degrade node {event.node} x{event.factor:g}")
             if event.duration is not None:
-                self._heal_later(event, lambda: dep.restore_node(event.node),
-                                 f"restore node {event.node}")
+                self._heal_later(event, lambda: dep.restore_node(event.node))
         elif kind == "flaky_link":
             src, dst = event.link
             self.fabric.set_link_fault(
                 src, dst, drop_prob=event.drop_prob, extra_delay=event.extra_delay
             )
-            self._note(f"flaky link {src}<->{dst} p={event.drop_prob:g}")
             if event.duration is not None:
-                self._heal_later(
-                    event, lambda: self.fabric.clear_link_fault(src, dst),
-                    f"heal link {src}<->{dst}",
-                )
+                self._heal_later(event, lambda: self.fabric.clear_link_fault(src, dst))
         elif kind == "partition":
             self.fabric.isolate(event.node)
-            self._note(f"partition node {event.node}")
             if event.duration is not None:
-                self._heal_later(event, lambda: self.fabric.heal(event.node),
-                                 f"heal partition node {event.node}")
+                self._heal_later(event, lambda: self.fabric.heal(event.node))
         else:  # pragma: no cover - FaultEvent validates kinds
             raise ValueError(f"unknown fault kind {kind!r}")
 
-    def _heal_later(self, event: FaultEvent, undo, label: str) -> None:
+    def _heal_later(self, event: FaultEvent, undo) -> None:
         def healer() -> Generator:
             yield event.duration
             undo()
-            self._note(label)
 
         self.env.process(healer(), name=f"fault.heal.{event.kind}")
 
@@ -118,8 +99,6 @@ class Injector:
         dep = self.deployment
         for _ in range(event.cycles):
             dep.fail_node(event.node)
-            self._note(f"flap-down node {event.node}")
             yield event.period
             dep.recover_node(event.node)
-            self._note(f"flap-up node {event.node}")
             yield event.period

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..cluster import Allocation
-from ..core import HVACDeployment, client_key_order
+from ..core import HVACDeployment, client_key_order, client_label
 from ..obs import SLOReport, SpanFold, SpanRecorder, compute_slo
 from ..simcore import (
     AllOf,
@@ -121,10 +121,8 @@ class Observation:
     #: the run's read-path spans, folded once after the run
     fold: SpanFold = field(default_factory=SpanFold)
     counters: dict[str, int] = field(default_factory=dict)
-    #: merged ``(t, owner_client, kind, server_id)`` detector transitions
+    #: :meth:`HVACDeployment.detector_transitions` at the run's end
     detector_transitions: list[tuple] = field(default_factory=list)
-    #: merged ``(t, owner_client, sid, old, new, inc, why)`` view log
-    membership_transitions: list[tuple] = field(default_factory=list)
     #: human-readable view/ground-truth mismatches at the final snapshot
     unconverged: list[str] = field(default_factory=list)
     repair_in_flight: int = 0
@@ -228,33 +226,6 @@ def _force_heal(dep: HVACDeployment, scenario: Scenario) -> None:
             dep.restore_node(node)
 
 
-def _owner_label(key):
-    """Bare node id for classic clients, ``t<j>.n<node>`` for fleet ones."""
-    return key if isinstance(key, int) else f"t{key[1]}.n{key[0]}"
-
-
-def _detector_transitions(dep) -> list[tuple]:
-    rows = []
-    for key in sorted(dep._clients, key=client_key_order):
-        cli = dep._clients[key]
-        norm = client_key_order(key)
-        for t, kind, sid in cli.detector.transitions:
-            rows.append(((t, norm, kind, sid), (t, _owner_label(key), kind, sid)))
-    rows.sort(key=lambda r: r[0])
-    return [r[1] for r in rows]
-
-
-def _membership_transitions(dep) -> list[tuple]:
-    rows = []
-    for key in sorted(dep.views, key=client_key_order):
-        norm = client_key_order(key)
-        owner = _owner_label(key)
-        for t, sid, old, new, inc, why in dep.views[key].transitions:
-            rows.append(((t, norm, sid), (t, owner, sid, old, new, inc, why)))
-    rows.sort(key=lambda r: r[0])
-    return [r[1] for r in rows]
-
-
 def _view_mismatches(dep) -> list[str]:
     """Client views vs ground truth, post-heal: every healthy server
     must be routable again (the remap/repair story's end state)."""
@@ -265,7 +236,7 @@ def _view_mismatches(dep) -> list[str]:
             healthy = server.alive and not server.hung
             if healthy and not view.routable(server.server_id):
                 out.append(
-                    f"client {_owner_label(node)} still routes around "
+                    f"client {client_label(node)} still routes around "
                     f"healthy server "
                     f"{server.server_id} (state "
                     f"{view.state_of(server.server_id)})"
@@ -474,8 +445,7 @@ def _execute(
         name: dep.metrics.counter(f"hvac.{name}").value - base_counts[name]
         for name in _COUNTERS
     }
-    obs.detector_transitions = _detector_transitions(dep)
-    obs.membership_transitions = _membership_transitions(dep)
+    obs.detector_transitions = dep.detector_transitions()
     if sched is not None:
         sched.stop()
     dep.teardown()

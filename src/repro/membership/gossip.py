@@ -53,7 +53,7 @@ class GossipAgent:
         # The gossip RPC itself is an empty vessel: both digests ride
         # the piggyback hooks attach_membership() already wired.
         client.endpoint.register("gossip", self._handle_gossip)
-        self.proc = env.process(self._loop(), name=f"gossip.c{client.node_id}")
+        env.process(self._loop(), name=f"gossip.c{client.node_id}")
 
     def stop(self) -> None:
         self.running = False

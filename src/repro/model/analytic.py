@@ -42,7 +42,6 @@ class EpochPrediction:
     system: str
     epoch_seconds: float
     bottleneck: str
-    achieved_files_per_sec: float
 
 
 class AnalyticModel:
@@ -199,7 +198,6 @@ class AnalyticModel:
             system=system,
             epoch_seconds=epoch,
             bottleneck=bottleneck,
-            achieved_files_per_sec=achieved,
         )
 
     def predict_gpfs(self) -> EpochPrediction:

@@ -71,7 +71,6 @@ class SLOWindow:
 class EntitySLO:
     """Aggregate + windowed SLO view for one client/server (or totals)."""
 
-    entity: str
     windows: list[SLOWindow] = field(default_factory=list)
     n_reads: int = 0
     p50: float = float("nan")
@@ -102,7 +101,7 @@ class SLOReport:
     servers: dict[int, EntitySLO] = field(default_factory=dict)
     #: per-tenant rollups (multi-tenant fleets only; empty otherwise)
     tenants: dict[int, EntitySLO] = field(default_factory=dict)
-    totals: EntitySLO = field(default_factory=lambda: EntitySLO("total"))
+    totals: EntitySLO = field(default_factory=EntitySLO)
 
 
 #: the percentile levels of every window and rollup
@@ -133,7 +132,6 @@ def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
 
 
 def _aggregate(
-    entity: str,
     reads: list[tuple[float, float, bool, dict[str, int]]],
     origin: float,
     horizon: float,
@@ -141,7 +139,7 @@ def _aggregate(
 ) -> EntitySLO:
     """Roll ``(t_end, latency, degraded, routed)`` reads into windows;
     ``routed`` holds only the routes a read used."""
-    slo = EntitySLO(entity)
+    slo = EntitySLO()
     n_windows = max(1, math.ceil((horizon - origin) / window - 1e-9))
     per_window: list[list[float]] = [[] for _ in range(n_windows)]
     windows = [
@@ -245,16 +243,10 @@ def compute_slo(
 
     report = SLOReport(window=window, t0=origin, t1=horizon)
     for cid in sorted(by_client):
-        report.clients[cid] = _aggregate(
-            f"client {cid}", by_client[cid], origin, horizon, window
-        )
+        report.clients[cid] = _aggregate(by_client[cid], origin, horizon, window)
     for sid in sorted(by_server):
-        report.servers[sid] = _aggregate(
-            f"server {sid}", by_server[sid], origin, horizon, window
-        )
+        report.servers[sid] = _aggregate(by_server[sid], origin, horizon, window)
     for tid in sorted(by_tenant):
-        report.tenants[tid] = _aggregate(
-            f"tenant {tid}", by_tenant[tid], origin, horizon, window
-        )
-    report.totals = _aggregate("total", total_reads, origin, horizon, window)
+        report.tenants[tid] = _aggregate(by_tenant[tid], origin, horizon, window)
+    report.totals = _aggregate(total_reads, origin, horizon, window)
     return report

@@ -100,7 +100,7 @@ class TracingBackend(FileBackend):
         handle = yield from self.inner.open(path, size, client_node)
         self.log.add(TraceRecord("open", path, t0, self.env.now - t0))
         # Re-home the handle so read/close flow back through the tracer.
-        return _TracedHandle(handle, self)
+        return _TracedHandle(handle)
 
     def read(self, handle: "OpenFile", nbytes: int) -> Generator:
         inner_handle = handle.inner if isinstance(handle, _TracedHandle) else handle
@@ -123,11 +123,10 @@ class TracingBackend(FileBackend):
 class _TracedHandle(OpenFile):
     """An OpenFile that routes operations back through the tracer."""
 
-    def __init__(self, inner: OpenFile, tracer: TracingBackend):
+    def __init__(self, inner: OpenFile):
         super().__init__(
             path=inner.path,
             size=inner.size,
-            backend=tracer,
             client_node=inner.client_node,
             offset=inner.offset,
         )

@@ -61,7 +61,6 @@ class LookaheadScheduler:
         hvac = deployment.spec.hvac
         self.deployment = deployment
         self.env: Environment = deployment.env
-        self.planner = planner
         self.lookahead = hvac.prefetch_lookahead
         self.outstanding = hvac.prefetch_outstanding
         keys = planner.keys

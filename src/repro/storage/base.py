@@ -28,7 +28,6 @@ class OpenFile:
 
     path: str
     size: int
-    backend: "FileBackend"
     client_node: int
     offset: int = 0
     closed: bool = False

@@ -197,7 +197,7 @@ class GPFS(_StripedFS):
         yield self.spec.client_overhead
         yield from self._mds[self.mds_for(path)].do_ops(self.spec.ops_per_open)
         self._scope.counter("opens").incr()
-        return OpenFile(path=path, size=size, backend=self, client_node=client_node)
+        return OpenFile(path=path, size=size, client_node=client_node)
 
     def close(self, handle: OpenFile) -> Generator:
         """Token release at the owning MDS."""

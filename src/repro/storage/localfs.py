@@ -38,7 +38,7 @@ class LocalFS(FileBackend):
                 f"node {client_node} cannot open local file on node {self.node_id}"
             )
         yield from self.device.open_close()
-        return OpenFile(path=path, size=size, backend=self, client_node=client_node)
+        return OpenFile(path=path, size=size, client_node=client_node)
 
     def read(self, handle: OpenFile, nbytes: int) -> Generator:
         if handle.closed:

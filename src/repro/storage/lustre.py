@@ -162,7 +162,7 @@ class Lustre(_StripedFS):
             self._lock_insert(client_node, path)
             self._scope.counter("lock_misses").incr()
         self._scope.counter("opens").incr()
-        return OpenFile(path=path, size=size, backend=self, client_node=client_node)
+        return OpenFile(path=path, size=size, client_node=client_node)
 
     def close(self, handle: OpenFile) -> Generator:
         if handle.closed:

@@ -40,8 +40,6 @@ class AdmissionDecision:
     tenant_id: int
     action: str
     t: float
-    demand_bytes: int
-    reserved_bytes: int
     event: object = None
 
 
@@ -94,8 +92,6 @@ class AdmissionController:
             tenant_id=spec.tenant_id,
             action=action,
             t=self.env.now,
-            demand_bytes=demand,
-            reserved_bytes=self.reserved,
             event=event,
         )
         self.decisions.append(decision)

@@ -13,7 +13,7 @@ replays bit-for-bit from one seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..simcore import AllOf, RandomStreams
 
@@ -46,7 +46,6 @@ class JobRecord:
     t_start: float = 0.0
     t_done: float = 0.0
     reads: int = 0
-    record: object = field(default=None, repr=False)
 
 
 def sample_jobs(

@@ -20,8 +20,7 @@ class TestMeanCI:
     def test_three_repetitions_paper_style(self):
         ci = mean_ci([10.0, 11.0, 12.0])
         assert ci.mean == 11.0
-        assert ci.n == 3
-        # t(df=2, 97.5%) = 4.303; sem = 1/sqrt(3)
+        # three samples: t(df=2, 97.5%) = 4.303; sem = 1/sqrt(3)
         assert ci.half_width == pytest.approx(4.303 / np.sqrt(3), rel=1e-3)
         assert ci.low < 11.0 < ci.high
 

@@ -215,7 +215,7 @@ class TestNVMeDevice:
         dev.allocate(900)
         with pytest.raises(DeviceFull) as exc:
             dev.allocate(200)
-        assert exc.value.free == 100
+        assert str(exc.value) == "requested 200 bytes, 100 free"
 
     def test_release_more_than_used_raises(self):
         env = Environment()

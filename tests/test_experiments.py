@@ -210,6 +210,18 @@ class TestFig13:
         assert res.max_relative_spread() < 0.25
         assert "Fig 13" in res.render()
 
+    def test_batch_size_sets_the_compute_charge(self):
+        """A smaller batch pays more per-iteration overhead per sample
+        (``ModelSpec.sample_seconds``), so its warm epoch is longer."""
+        warm = [
+            cache_split(
+                RESNET50, IMAGENET21K, TINY, n_nodes=4, batch_size=b,
+                local_fractions=(1.0,),
+            ).epoch_seconds[0]
+            for b in (8, 80)
+        ]
+        assert warm[0] > warm[1]
+
 
 class TestFig15:
     def test_balance_improves_with_more_files_per_server(self):
@@ -252,7 +264,7 @@ class TestPrefetchExperiment:
 
         a = prefetch_comparison(**self.TINY, seed=0)
         b = prefetch_comparison(**self.TINY, seed=0)
-        assert a.window_log() == b.window_log()
+        assert a.mode_log() == b.mode_log()
         assert a.render() == b.render()
 
     def test_full_defaults_dominate(self):

@@ -161,7 +161,7 @@ class TestFailureDetector:
         det.record_success(0)
         assert det.usable(0)
         assert det.strikes(0) == 0
-        assert det.n_reprobes == 1
+        assert [k for _, k, _ in det.transitions].count("reprobe_ok") == 1
 
     def test_repeat_offender_probation_grows_capped(self):
         env = Environment()
@@ -219,11 +219,10 @@ class TestInjector:
         env, dep, _ = build()
         inj = Injector(dep, FaultSchedule([crash(0.01, 2)]))
         inj.start()
-        env.run(env.timeout(0.005))
+        env.run(env.timeout(0.0099))
         assert all(s.alive for s in dep.servers_on_node(2))
-        env.run(env.timeout(0.01))
+        env.run(env.timeout(0.0002))  # the crash lands at 0.01, not later
         assert all(not s.alive for s in dep.servers_on_node(2))
-        assert inj.log and inj.log[0][0] == pytest.approx(0.01)
 
     def test_crash_recover_heals(self):
         env, dep, _ = build()
@@ -235,12 +234,17 @@ class TestInjector:
 
     def test_flap_cycles(self):
         env, dep, _ = build()
-        inj = dep.inject(FaultSchedule([flap(0.0, 3, period=0.01, cycles=2)]))
+        dep.inject(FaultSchedule([flap(0.0, 3, period=0.01, cycles=2)]))
+        server = dep.servers_on_node(3)[0]
+        # down at 0 and 0.02, up at 0.01 and 0.03: sample mid-period
+        env.run(env.timeout(0.005))
+        states = [server.alive]
+        for _ in range(3):
+            env.run(env.timeout(0.01))
+            states.append(server.alive)
+        assert states == [False, True, False, True]
         env.run(env.timeout(0.1))
-        downs = [w for _, w in inj.log if w.startswith("flap-down")]
-        ups = [w for _, w in inj.log if w.startswith("flap-up")]
-        assert len(downs) == 2 and len(ups) == 2
-        assert dep.servers_on_node(3)[0].alive
+        assert server.alive
 
     def test_degrade_throttles_nvme_and_restores(self):
         env, dep, _ = build()
@@ -306,7 +310,7 @@ class TestOracleFreeLiveness:
         cli = dep.client(0)
         hung_sids = [s.server_id for s in dep.servers_on_node(1)]
         # The hung node was suspected via timeouts alone...
-        assert cli.detector.n_suspicions >= 1
+        assert any(k == "suspect" for _, k, _ in cli.detector.transitions)
         assert dep.metrics.counter("hvac.client_rpc_timeouts").value >= 2
         # ...and at most suspect_after + retry probes were paid.
         assert any(cli.detector.strikes(sid) >= 2 for sid in hung_sids)

@@ -297,7 +297,7 @@ class TestInstrumentedDeployment:
         dep.fail_node(1)
         read_epoch(env, dep, FILES[:6], [0])
         detector = dep.client(0).detector
-        assert detector.n_suspicions > 0 and detector.suspicion_log
+        assert any(kind == "suspect" for _, kind, _ in detector.transitions)
         # fallback reads annotated degraded on their root spans
         degraded = [
             s for s in rec.named("client.read")

@@ -78,8 +78,8 @@ class TestPercentiles:
 # ---------------------------------------------------------------------------
 # compute_slo over the fold == the reference over the full tree
 # ---------------------------------------------------------------------------
-def _reference_aggregate(entity, reads, origin, horizon, window):
-    slo = EntitySLO(entity)
+def _reference_aggregate(reads, origin, horizon, window):
+    slo = EntitySLO()
     n_windows = max(1, math.ceil((horizon - origin) / window - 1e-9))
     windows = [
         SLOWindow(origin + i * window, origin + (i + 1) * window)
@@ -143,14 +143,12 @@ def reference_slo(rec, window, origin=None, horizon=None) -> SLOReport:
         by_server.setdefault(int(s.attrs.get("server", -1)), []).append(fact)
 
     report = SLOReport(window=window, t0=origin, t1=horizon)
-    for label, groups, out in (("client", by_client, report.clients),
-                               ("server", by_server, report.servers),
-                               ("tenant", by_tenant, report.tenants)):
+    for groups, out in ((by_client, report.clients),
+                        (by_server, report.servers),
+                        (by_tenant, report.tenants)):
         for key in sorted(groups):
-            out[key] = _reference_aggregate(
-                f"{label} {key}", groups[key], origin, horizon, window
-            )
-    report.totals = _reference_aggregate("total", total, origin, horizon, window)
+            out[key] = _reference_aggregate(groups[key], origin, horizon, window)
+    report.totals = _reference_aggregate(total, origin, horizon, window)
     return report
 
 

@@ -27,15 +27,11 @@ class DenseDetector:
         self.probation_cap = probation * PROBATION_CAP_FACTOR
         self._strikes = [0] * n_servers
         self._until = [0.0] * n_servers
-        self.n_suspicions = 0
-        self.n_reprobes = 0
-        self.suspicion_log = []
         self.transitions = []
         self._expiry_logged = [True] * n_servers
 
     def record_success(self, sid):
         if self._until[sid] > 0.0 and self._strikes[sid] >= self.suspect_after:
-            self.n_reprobes += 1
             self._note_expiry(sid)
             self.transitions.append((self.env.now, "reprobe_ok", sid))
         self._strikes[sid] = 0
@@ -48,8 +44,6 @@ class DenseDetector:
         if over < 0:
             return
         if over == 0:
-            self.n_suspicions += 1
-            self.suspicion_log.append((self.env.now, sid))
             self.transitions.append((self.env.now, "suspect", sid))
         elif self.env.now >= self._until[sid]:
             self._note_expiry(sid)
@@ -94,9 +88,6 @@ class ManualClock:
 def _state(det):
     return (
         list(det.transitions),
-        list(det.suspicion_log),
-        det.n_suspicions,
-        det.n_reprobes,
         det.suspects(),
     )
 
@@ -168,7 +159,7 @@ def test_detector_over_a_large_fleet_holds_nothing_after_successes():
     det = FailureDetector(Environment(), 100_000, suspect_after=1, probation=0.0)
     det.record_failure(3)
     det.record_success(3)
-    assert det.n_reprobes == 0
+    assert [kind for _, kind, _ in det.transitions] == ["suspect"]
     assert det._strikes == {} and det._until == {} and det._expiry_due == {}
 
 

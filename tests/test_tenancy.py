@@ -356,7 +356,7 @@ class TestIsolationSmoke:
         r1 = tenancy_isolation(**SMOKE, trace=t1)
         r2 = tenancy_isolation(**SMOKE, trace=t2)
         assert t1.fingerprint == t2.fingerprint
-        assert r1.window_log() == r2.window_log()
+        assert r1.mode_log() == r2.mode_log()
         assert r1.rows() == r2.rows()
 
     def test_write_artifacts(self, tmp_path):
@@ -366,5 +366,5 @@ class TestIsolationSmoke:
         report = (tmp_path / "report.txt").read_text()
         assert "weighted-fair strictly dominates" in report
         windows = (tmp_path / "windows.log").read_text()
-        assert windows == result.window_log()
+        assert windows == result.mode_log()
         assert "== weighted ==" in windows
