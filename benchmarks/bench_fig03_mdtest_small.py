@@ -6,9 +6,9 @@ the metadata ceiling while XFS-on-NVMe scales linearly with nodes.
 
 import pytest
 
-from repro.experiments import SMALL_FILE, mdtest_scaling, mdtest_scaling_analytic
+from repro.experiments.mdtest_exp import SMALL_FILE, mdtest_scaling, mdtest_scaling_analytic
 
-from conftest import bench_nodes, paper_nodes
+from conftest import BENCH_SCALE, bench_nodes, documented_table, paper_nodes
 
 
 def _run():
@@ -17,6 +17,34 @@ def _run():
     )
     analytic = mdtest_scaling_analytic(SMALL_FILE, paper_nodes())
     return des, analytic
+
+
+def rounds_to(value: float, cell: str) -> bool:
+    """Whether ``value`` rounds to ``cell`` at its printed significant
+    digits: ``8,270`` keeps three (an integer's trailing zeros are not
+    significant), ``66.7`` one decimal."""
+    whole, _, frac = cell.replace(",", "").partition(".")
+    places = len(frac) if frac else len(whole.rstrip("0")) - len(whole)
+    return round(value, places) == float(f"{whole}.{frac}")
+
+
+def printed_mismatches(des, analytic) -> list[str]:
+    """Cells of the documented Fig 3 table at the DES node counts that
+    the DES or analytic tx/s does not round to."""
+    header, body = documented_table("## Fig 3 ")
+    assert header[1:] == ["GPFS (DES)", "XFS (DES)", "GPFS (analytic)", "XFS (analytic)"]
+    rows = {row[0]: row[1:] for row in body}
+    out = []
+    for i, n in enumerate(des.node_counts):
+        j = analytic.node_counts.index(n)
+        values = [
+            des.tx_per_sec["GPFS"][i], des.tx_per_sec["XFS-on-NVMe"][i],
+            analytic.tx_per_sec["GPFS"][j], analytic.tx_per_sec["XFS-on-NVMe"][j],
+        ]
+        for name, cell, value in zip(header[1:], rows[str(n)], values):
+            if not rounds_to(value, cell):
+                out.append(f"{name} @ {n} nodes: documented {cell}, got {value:.7g}")
+    return out
 
 
 @pytest.mark.benchmark(group="fig03")
@@ -44,3 +72,8 @@ def test_fig03_mdtest_small_files(benchmark, capsys):
     x = analytic.tx_per_sec["XFS-on-NVMe"]
     assert g[-1] == pytest.approx(g[-2], rel=0.05)
     assert x[-1] == pytest.approx(2 * x[-2], rel=0.05)
+
+    # EXPERIMENTS.md quotes the DES and analytic tx/s at the default scale.
+    if BENCH_SCALE == "small":
+        mismatches = printed_mismatches(des, analytic)
+        assert not mismatches, mismatches

@@ -7,7 +7,7 @@ ceiling becomes aggregate PFS bandwidth (2.5 TB/s) while XFS-on-NVMe
 
 import pytest
 
-from repro.experiments import LARGE_FILE, mdtest_scaling, mdtest_scaling_analytic
+from repro.experiments.mdtest_exp import LARGE_FILE, mdtest_scaling, mdtest_scaling_analytic
 
 from conftest import BENCH_SCALE, bench_nodes, paper_nodes
 

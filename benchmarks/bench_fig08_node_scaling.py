@@ -6,8 +6,6 @@ cosmoUniverse, and DeepCAM on the climate dataset.  The DES runs a
 reduced sweep; the analytic model prints the paper's full 1→1,024 range.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.dl import (
@@ -19,9 +17,7 @@ from repro.dl import (
     RESNET50,
     TRESNET_M,
 )
-from conftest import BENCH_SCALE, node_sweep
-
-EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+from conftest import BENCH_SCALE, documented_table, node_sweep
 
 PANELS = [
     ("a", RESNET50, IMAGENET21K),
@@ -29,20 +25,6 @@ PANELS = [
     ("c", COSMOFLOW, COSMOUNIVERSE),
     ("d", DEEPCAM, DEEPCAM_CLIMATE),
 ]
-
-
-def documented_table(heading: str) -> tuple[list[str], list[list[str]]]:
-    """Header and body cells of the first table under the EXPERIMENTS.md
-    section whose heading starts with ``heading``."""
-    lines = EXPERIMENTS.read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
-    rows: list[list[str]] = []
-    for line in lines[start + 1:]:
-        if line.startswith("|"):
-            rows.append([cell.strip() for cell in line.strip("|").split("|")])
-        elif rows or line.startswith("## "):
-            break
-    return rows[0], rows[2:]
 
 
 def printed_mismatches(des, heading: str) -> list[str]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_series
-from repro.experiments import normalized_to_gpfs, overhead_vs_xfs
+from repro.experiments.scaling import normalized_to_gpfs, overhead_vs_xfs
 
 
 @pytest.mark.benchmark(group="fig09")

@@ -7,7 +7,7 @@ so the marginal epoch cost is the cached-epoch cost.
 import pytest
 
 from repro.dl import COSMOFLOW, COSMOUNIVERSE, IMAGENET21K, RESNET50
-from repro.experiments import epoch_scaling
+from repro.experiments.epochs import epoch_scaling
 
 from conftest import BENCH_SCALE, bench_scale
 

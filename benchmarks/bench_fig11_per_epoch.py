@@ -10,7 +10,7 @@ The paper's two claims:
 import pytest
 
 from repro.dl import IMAGENET21K, RESNET50
-from repro.experiments import per_epoch_analysis
+from repro.experiments.epochs import per_epoch_analysis
 
 from conftest import BENCH_SCALE, bench_scale
 

@@ -7,7 +7,7 @@ The paper's negative result: batch size 4→128 moves training time only
 import pytest
 
 from repro.dl import DEEPCAM, DEEPCAM_CLIMATE, IMAGENET21K, TRESNET_M
-from repro.experiments import batch_size_scaling
+from repro.experiments.batch import batch_size_scaling
 
 from conftest import BENCH_SCALE, bench_scale
 

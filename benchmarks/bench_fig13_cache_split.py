@@ -8,7 +8,7 @@ over Infiniband makes remote NVMe nearly as fast as local.
 import pytest
 
 from repro.dl import IMAGENET21K, RESNET50
-from repro.experiments import cache_split
+from repro.experiments.cache_split import cache_split
 
 from conftest import BENCH_SCALE, bench_scale
 

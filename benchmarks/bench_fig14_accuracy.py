@@ -7,7 +7,7 @@ top-1/top-5 trajectories are bit-identical; a statically sharded loader
 
 import pytest
 
-from repro.experiments import accuracy_comparison
+from repro.experiments.accuracy_exp import accuracy_comparison
 
 from conftest import BENCH_SCALE
 

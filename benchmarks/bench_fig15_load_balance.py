@@ -9,7 +9,7 @@ balance.
 
 import pytest
 
-from repro.experiments import load_balance
+from repro.experiments.load_balance import load_balance
 
 from conftest import BENCH_SCALE
 

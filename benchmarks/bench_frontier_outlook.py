@@ -13,7 +13,7 @@ import pytest
 from repro.analysis import format_series
 from repro.cluster import FRONTIER, SUMMIT
 from repro.dl import IMAGENET21K, RESNET50
-from repro.experiments import node_scaling_analytic, normalized_to_gpfs
+from repro.experiments.scaling import node_scaling_analytic, normalized_to_gpfs
 
 NODES = [16, 64, 256, 1024, 4096]
 

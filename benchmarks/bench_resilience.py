@@ -8,7 +8,7 @@ epoch completes on timeout-based detection alone.
 
 import pytest
 
-from repro.experiments import fault_matrix, resilience_sweep
+from repro.experiments.resilience import fault_matrix, resilience_sweep
 
 from conftest import BENCH_SCALE
 

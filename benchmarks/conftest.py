@@ -11,13 +11,17 @@ Scale knobs (environment variables, all optional):
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.dl import IMAGENET21K, RESNET50
-from repro.experiments import Scale, node_scaling, node_scaling_analytic
+from repro.experiments import Scale
+from repro.experiments.scaling import node_scaling, node_scaling_analytic
 
 BENCH_SCALE = os.environ.get("HVAC_BENCH_SCALE", "small")
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 def bench_scale() -> Scale:
@@ -44,6 +48,20 @@ def bench_nodes() -> list[int]:
 def paper_nodes() -> list[int]:
     """The paper's full sweep — used by analytic benches (instant)."""
     return [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
+
+
+def documented_table(heading: str) -> tuple[list[str], list[list[str]]]:
+    """Header and body cells of the first table under the EXPERIMENTS.md
+    section whose heading starts with ``heading``."""
+    lines = EXPERIMENTS.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    rows: list[list[str]] = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows or line.startswith("## "):
+            break
+    return rows[0], rows[2:]
 
 
 @pytest.fixture(scope="session")

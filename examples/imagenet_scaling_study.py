@@ -13,8 +13,8 @@ import argparse
 
 from repro.analysis import format_series
 from repro.dl import IMAGENET21K, RESNET50
-from repro.experiments import (
-    Scale,
+from repro.experiments import Scale
+from repro.experiments.scaling import (
     node_scaling,
     node_scaling_analytic,
     normalized_to_gpfs,

@@ -9,7 +9,7 @@ full sweep up to 4,096 nodes.
     python examples/mdtest_motivation.py
 """
 
-from repro.experiments import (
+from repro.experiments.mdtest_exp import (
     LARGE_FILE,
     SMALL_FILE,
     mdtest_scaling,

@@ -22,24 +22,17 @@ from typing import Sequence
 from .analysis import format_kv, format_series
 from .cluster import SUMMIT
 from .dl import ALL_MODELS, COSMOUNIVERSE, DEEPCAM_CLIMATE, IMAGENET21K
-from .experiments import (
-    Scale,
-    generate_report,
-    accuracy_comparison,
-    fault_matrix,
-    load_balance,
-    mdtest_scaling,
-    mdtest_scaling_analytic,
-    membership,
+from .experiments import Scale, membership, prefetch, run_training, slo_exp, tenancy
+from .experiments.accuracy_exp import accuracy_comparison
+from .experiments.load_balance import load_balance
+from .experiments.mdtest_exp import mdtest_scaling, mdtest_scaling_analytic
+from .experiments.report import generate_report
+from .experiments.resilience import fault_matrix, resilience_sweep
+from .experiments.scaling import (
     node_scaling,
     node_scaling_analytic,
     normalized_to_gpfs,
     overhead_vs_xfs,
-    prefetch,
-    resilience_sweep,
-    run_training,
-    slo_exp,
-    tenancy,
 )
 
 __all__ = ["main"]

@@ -1,86 +1,16 @@
-"""Per-figure experiment drivers (one module per paper figure)."""
+"""Per-figure experiment drivers (one module per paper figure).
 
-from .accuracy_exp import AccuracyComparison, accuracy_comparison
-from .batch import BatchSizeResult, batch_size_scaling
-from .cache_split import CacheSplitResult, cache_split
-from .epochs import (
-    EpochScalingResult,
-    PerEpochResult,
-    epoch_scaling,
-    per_epoch_analysis,
-)
+The package re-exports only the run harness, which every driver builds
+on.  Import a driver from the module that defines it, for example
+``from repro.experiments.scaling import node_scaling``, so a run loads
+only the drivers it calls.
+"""
+
 from .harness import Scale, repeat_training, resolve_setup, run_training
-from .load_balance import LoadBalanceResult, load_balance
-from .membership import (
-    MEMBERSHIP_MODES,
-    MembershipResult,
-    membership_comparison,
-)
-from .report import generate_report
-from .resilience import (
-    FaultMatrixResult,
-    ResilienceResult,
-    fault_matrix,
-    resilience_sweep,
-)
-from .mdtest_exp import (
-    LARGE_FILE,
-    SMALL_FILE,
-    MDTestScalingResult,
-    mdtest_scaling,
-    mdtest_scaling_analytic,
-)
-from .scaling import (
-    NodeScalingResult,
-    node_scaling,
-    node_scaling_analytic,
-    normalized_to_gpfs,
-    overhead_vs_xfs,
-)
-from .prefetch import PREFETCH_MODES, PrefetchResult, prefetch_comparison
-from .slo_exp import SLOScenarioResult, slo_scenario
-from .tenancy import TenancyResult, tenancy_isolation
 
 __all__ = [
-    "AccuracyComparison",
-    "accuracy_comparison",
-    "batch_size_scaling",
-    "BatchSizeResult",
-    "cache_split",
-    "CacheSplitResult",
-    "epoch_scaling",
-    "EpochScalingResult",
-    "fault_matrix",
-    "FaultMatrixResult",
-    "resilience_sweep",
-    "ResilienceResult",
-    "LARGE_FILE",
-    "load_balance",
-    "LoadBalanceResult",
-    "mdtest_scaling",
-    "mdtest_scaling_analytic",
-    "MDTestScalingResult",
-    "MEMBERSHIP_MODES",
-    "membership_comparison",
-    "MembershipResult",
-    "node_scaling",
-    "node_scaling_analytic",
-    "NodeScalingResult",
-    "normalized_to_gpfs",
-    "overhead_vs_xfs",
-    "per_epoch_analysis",
-    "PerEpochResult",
-    "PREFETCH_MODES",
-    "prefetch_comparison",
-    "PrefetchResult",
-    "generate_report",
     "repeat_training",
     "resolve_setup",
     "run_training",
     "Scale",
-    "SLOScenarioResult",
-    "slo_scenario",
-    "SMALL_FILE",
-    "TenancyResult",
-    "tenancy_isolation",
 ]

@@ -94,6 +94,8 @@ def run_training(
     freshly built environment so ``repro check`` can fingerprint the
     run's event stream.
     """
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be >= 1")
     if concurrent_jobs < 1:
         raise ValueError("concurrent_jobs must be >= 1")
     if scale.procs_per_node % concurrent_jobs:
@@ -133,7 +135,7 @@ def run_training(
             n_nodes=n_nodes,
             procs_per_node=procs_per_job,
             batch_size=batch_size,
-            epochs=epochs or scale.epochs_simulated,
+            epochs=scale.epochs_simulated if epochs is None else epochs,
             scale_factor=factor,
             sim_batch_size=scale.sim_batch_size,
             shuffle_seed=seed + job_idx,

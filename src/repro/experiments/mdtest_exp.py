@@ -58,6 +58,8 @@ def mdtest_scaling(
     systems: tuple[str, ...] = ("gpfs", "xfs"),
 ) -> MDTestScalingResult:
     """Event-driven MDTest sweep."""
+    if not node_counts:
+        raise ValueError("node_counts must not be empty")
     result = MDTestScalingResult(file_size=file_size, node_counts=list(node_counts))
     for system in systems:
         setup = resolve_setup(system)
@@ -87,6 +89,8 @@ def mdtest_scaling_analytic(
 ) -> MDTestScalingResult:
     """The same sweep from the closed-form model (instant, any scale),
     six ranks per node."""
+    if not node_counts:
+        raise ValueError("node_counts must not be empty")
     result = MDTestScalingResult(file_size=file_size, node_counts=list(node_counts))
     for system, label in (("gpfs", "GPFS"), ("xfs", "XFS-on-NVMe")):
         series = []

@@ -67,6 +67,9 @@ def node_scaling(
     """Event-driven Fig 8 sweep (simulate cold+warm, extrapolate)."""
     from ..baselines import SYSTEM_SETUPS
 
+    if not node_counts:
+        raise ValueError("node_counts must not be empty")
+
     result = NodeScalingResult(
         model_name=model.name,
         dataset_name=dataset_spec.name,
@@ -102,6 +105,8 @@ def node_scaling_analytic(
     procs_per_node: int = 6,
 ) -> NodeScalingResult:
     """Closed-form Fig 8 sweep — full 1→1024 range, instant."""
+    if not node_counts:
+        raise ValueError("node_counts must not be empty")
     result = NodeScalingResult(
         model_name=model.name,
         dataset_name=dataset_spec.name,

@@ -5,6 +5,11 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.membership import membership_comparison
+from repro.experiments.prefetch import prefetch_comparison
+from repro.experiments.resilience import fault_matrix, resilience_sweep
+from repro.experiments.slo_exp import slo_scenario
+from repro.experiments.tenancy import tenancy_isolation
 
 
 class TestParser:
@@ -113,11 +118,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["mdtest", "--nodes", "0"], "need at least one rank"),
-        (["fig8", "--nodes", "0"], "n_files must be >= 1"),
-        (["fig9", "--nodes", "0"], "n_files must be >= 1"),
+        (["fig8", "--nodes", "0"], "n_nodes must be >= 1"),
+        (["fig9", "--nodes", "0"], "n_nodes must be >= 1"),
         (["fig14", "--epochs", "0"], "n_epochs must be >= 1"),
         (["fig15", "--nodes", "0"], "n_servers must be >= 1"),
-        (["train", "--nodes", "0"], "n_files must be >= 1"),
+        (["train", "--nodes", "0"], "n_nodes must be >= 1"),
         (["resilience", "--nodes", "0"], "n_nodes must be positive"),
     ], ids=["mdtest", "fig8", "fig9", "fig14", "fig15", "train", "resilience"])
     def test_bad_size_exits_2(self, argv, message, capsys):
@@ -137,19 +142,15 @@ class TestUsageErrors:
         # prefetch printed nan rows and slo blamed the window count
         assert _usage_error(capsys, [cmd, "--files", files]) == "n_files must be >= 1"
 
-    @pytest.mark.parametrize("name", [
-        "resilience_sweep", "fault_matrix", "membership_comparison",
-        "prefetch_comparison", "slo_scenario",
-    ])
-    def test_experiment_rejects_no_files(self, name):
-        import repro.experiments as experiments
-
+    @pytest.mark.parametrize("driver", [
+        resilience_sweep, fault_matrix, membership_comparison,
+        prefetch_comparison, slo_scenario,
+    ], ids=lambda driver: driver.__name__)
+    def test_experiment_rejects_no_files(self, driver):
         with pytest.raises(ValueError, match="n_files must be >= 1"):
-            getattr(experiments, name)(n_files=0)
+            driver(n_files=0)
 
     def test_resilience_sweep_rejects_a_bad_fraction(self):
-        from repro.experiments import resilience_sweep
-
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             resilience_sweep(fail_fractions=(0.0, 1.5), n_nodes=2, n_files=2)
 
@@ -186,15 +187,13 @@ class TestModeComparisonWindows:
         assert main([cmd, "--smoke", "--windows", windows]) == 2
         assert "windows must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", [
-        "slo_scenario", "membership_comparison", "tenancy_isolation",
-        "prefetch_comparison",
-    ])
-    def test_experiment_raises(self, name):
-        import repro.experiments as experiments
-
+    @pytest.mark.parametrize("driver", [
+        slo_scenario, membership_comparison, tenancy_isolation,
+        prefetch_comparison,
+    ], ids=lambda driver: driver.__name__)
+    def test_experiment_raises(self, driver):
         with pytest.raises(ValueError, match="windows"):
-            getattr(experiments, name)(windows=0)
+            driver(windows=0)
 
 
 class TestModeComparisonRates:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dl import ClassificationTask, SGDTrainer, sharded_orders
-from repro.experiments import accuracy_comparison
+from repro.experiments.accuracy_exp import accuracy_comparison
 from repro.simcore import RandomStreams
 
 

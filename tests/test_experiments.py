@@ -10,23 +10,22 @@ import pytest
 
 from repro.cluster import SUMMIT
 from repro.dl import COSMOUNIVERSE, IMAGENET21K, RESNET50, TRESNET_M
-from repro.experiments import (
+from repro.experiments import Scale, resolve_setup, run_training
+from repro.experiments.batch import batch_size_scaling
+from repro.experiments.cache_split import cache_split
+from repro.experiments.epochs import epoch_scaling, per_epoch_analysis
+from repro.experiments.load_balance import load_balance
+from repro.experiments.mdtest_exp import (
     LARGE_FILE,
     SMALL_FILE,
-    Scale,
-    batch_size_scaling,
-    cache_split,
-    epoch_scaling,
-    load_balance,
     mdtest_scaling,
     mdtest_scaling_analytic,
+)
+from repro.experiments.scaling import (
     node_scaling,
     node_scaling_analytic,
     normalized_to_gpfs,
     overhead_vs_xfs,
-    per_epoch_analysis,
-    resolve_setup,
-    run_training,
 )
 
 TINY = Scale(files_per_rank=6, sim_batch_size=3, repetitions=1, procs_per_node=2)
@@ -65,6 +64,36 @@ class TestHarness:
     def test_hvac_hit_rate_populated(self):
         res = run_training("hvac1", RESNET50, IMAGENET21K, 2, TINY)
         assert res.cache_hit_rate > 0
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_are_rejected(self, epochs):
+        # epochs=0 used to run the scale's default epoch count
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            run_training("xfs", RESNET50, IMAGENET21K, 2, TINY, epochs=epochs)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            per_epoch_analysis(RESNET50, IMAGENET21K, TINY, n_nodes=2, epochs=epochs)
+
+    @pytest.mark.parametrize("n_nodes", [0, -2])
+    def test_node_counts_below_one_are_rejected(self, n_nodes):
+        # used to blame n_files, which the caller never passed
+        with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+            run_training("xfs", RESNET50, IMAGENET21K, n_nodes, TINY)
+        with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+            node_scaling(RESNET50, IMAGENET21K, [n_nodes], TINY)
+        with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+            per_epoch_analysis(RESNET50, IMAGENET21K, TINY, n_nodes=n_nodes)
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: node_scaling(RESNET50, IMAGENET21K, [], TINY),
+        lambda: node_scaling_analytic(RESNET50, IMAGENET21K, []),
+        lambda: mdtest_scaling(SMALL_FILE, []),
+        lambda: mdtest_scaling_analytic(SMALL_FILE, []),
+    ], ids=["node_scaling", "node_scaling_analytic", "mdtest_scaling",
+            "mdtest_scaling_analytic"])
+    def test_sweeps_reject_no_node_counts(self, sweep):
+        # each used to return an empty result
+        with pytest.raises(ValueError, match="node_counts must not be empty"):
+            sweep()
 
 
 class TestFig3and4:
@@ -247,7 +276,7 @@ class TestPrefetchExperiment:
     TINY = dict(n_nodes=2, n_files=48, file_size=40_000, epochs=2, windows=4)
 
     def test_runs_all_three_modes(self):
-        from repro.experiments import PREFETCH_MODES, prefetch_comparison
+        from repro.experiments.prefetch import PREFETCH_MODES, prefetch_comparison
 
         res = prefetch_comparison(**self.TINY)
         assert tuple(res.outcomes) == PREFETCH_MODES
@@ -258,9 +287,16 @@ class TestPrefetchExperiment:
         assert res.outcomes["clairvoyant"].decompress_seconds == 0.0
         assert res.outcomes["clairvoyant+compressed"].decompress_seconds > 0.0
 
+    def test_rejects_empty_files(self):
+        # used to fail mid-run, in the cache, with "size must be positive"
+        from repro.experiments.prefetch import prefetch_comparison
+
+        with pytest.raises(ValueError, match="file_size must be >= 1"):
+            prefetch_comparison(**{**self.TINY, "file_size": 0})
+
     def test_same_seed_reruns_are_identical(self):
         """The acceptance bar: identical report *and* window logs."""
-        from repro.experiments import prefetch_comparison
+        from repro.experiments.prefetch import prefetch_comparison
 
         a = prefetch_comparison(**self.TINY, seed=0)
         b = prefetch_comparison(**self.TINY, seed=0)
@@ -270,7 +306,7 @@ class TestPrefetchExperiment:
     def test_full_defaults_dominate(self):
         """`repro prefetch` exits 0 iff this predicate holds — pinned
         here at the CLI's own default scale."""
-        from repro.experiments import prefetch_comparison
+        from repro.experiments.prefetch import prefetch_comparison
 
         res = prefetch_comparison()
         assert res.dominates(), res.render()

@@ -8,7 +8,7 @@ import pytest
 import repro.core.client as client_mod
 from repro.cluster import Allocation, TESTING
 from repro.core import HVACDeployment
-from repro.experiments import fault_matrix, resilience_sweep
+from repro.experiments.resilience import fault_matrix, resilience_sweep
 from repro.experiments.comparison import (
     build_deployment,
     dataset_files,

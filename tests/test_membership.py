@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Allocation, RateLimiter, TESTING
 from repro.core import HVACDeployment
 from repro.core.hashing import ModuloPlacement
-from repro.experiments import membership_comparison
+from repro.experiments.membership import membership_comparison
 from repro.experiments.membership import _collect_transitions
 from repro.faults import FaultSchedule, crash
 from repro.membership import (

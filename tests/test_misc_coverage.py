@@ -17,7 +17,7 @@ from repro.dl import (
     TRESNET_M,
     SyntheticDataset,
 )
-from repro.experiments import load_balance
+from repro.experiments.load_balance import load_balance
 from repro.runtime import RuntimeDeployment, interposed_open
 
 

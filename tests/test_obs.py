@@ -21,7 +21,8 @@ import pytest
 from repro.analysis import degradation_dashboard, degradation_strip
 from repro.cluster import Allocation, TESTING
 from repro.core import HVACDeployment
-from repro.experiments import resilience_sweep, slo_scenario
+from repro.experiments.resilience import resilience_sweep
+from repro.experiments.slo_exp import slo_scenario
 from repro.obs import ROUTES, SpanRecorder, bucket_times, compute_slo
 from repro.simcore import AllOf, Environment, EventTrace, MetricRegistry
 from repro.storage import GPFS

@@ -15,7 +15,8 @@ import dataclasses
 
 from repro.cluster import SUMMIT
 from repro.dl import IMAGENET21K, RESNET50
-from repro.experiments import Scale, node_scaling, normalized_to_gpfs, overhead_vs_xfs
+from repro.experiments import Scale
+from repro.experiments.scaling import node_scaling, normalized_to_gpfs, overhead_vs_xfs
 
 #: Points either side of each pinned value.
 TOLERANCE = 2.0
